@@ -7,15 +7,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import one_hot, relu, softmax
+from .numerics import flat_views, one_hot, relu, softmax
 
 EPS = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True)
 class MlpParams:
-    Ws: list
-    bs: list
+    """Every weight in one float64 vector `data`, laid out per layer as W, b;
+    `Ws` and `bs` hold views of it.  Gradients share the type."""
+    data: np.ndarray
+    Ws: tuple
+    bs: tuple
 
     @property
     def n_hidden_layers(self):
@@ -25,16 +28,32 @@ class MlpParams:
     def n_classes(self):
         return self.Ws[-1].shape[0]
 
+    @property
+    def dims(self):
+        """[n_visible, hidden sizes..., n_classes]."""
+        return [self.Ws[0].shape[1]] + [W.shape[0] for W in self.Ws]
+
+    @classmethod
+    def from_dims(cls, dims, data=None):
+        """Views over `data`, or over a zero vector when it is None."""
+        shapes = []
+        for below, above in zip(dims[:-1], dims[1:]):
+            shapes += [(above, below), (above,)]
+        data, views = flat_views(shapes, data)
+        return cls(data, tuple(views[::2]), tuple(views[1::2]))
+
     def copy(self):
-        return MlpParams([w.copy() for w in self.Ws], [b.copy() for b in self.bs])
+        return self.from_dims(self.dims, self.data.copy())
+
+    def zeros_like(self):
+        return self.from_dims(self.dims)
 
     @classmethod
     def initialize(cls, n_visible, hidden_dims, n_classes, rng, weight_std=0.01):
-        dims = [n_visible] + list(hidden_dims) + [n_classes]
-        Ws = [rng.normal(0.0, weight_std, size=(dims[i + 1], dims[i]))
-              for i in range(len(dims) - 1)]
-        bs = [np.zeros(dims[i + 1]) for i in range(len(dims) - 1)]
-        return cls(Ws, bs)
+        params = cls.from_dims([n_visible] + list(hidden_dims) + [n_classes])
+        for W in params.Ws:
+            W[...] = rng.normal(0.0, weight_std, size=W.shape)
+        return params
 
 
 def mlp_forward(params, x, keep_prob=1.0, train_mode=False, rng=None):
@@ -76,18 +95,18 @@ def mlp_gradients(params, x, y_onehot, keep_prob=1.0, train_mode=False, rng=None
     n = x.shape[0]
     hidden, probs, masks = mlp_forward(params, x, keep_prob, train_mode, rng)
     inputs = [x] + hidden[:-1]
-    gWs = [None] * len(params.Ws)
-    gbs = [None] * len(params.bs)
+    grads = params.zeros_like()
     delta = (probs - y_onehot) / n
-    gWs[-1] = delta.T @ (hidden[-1] if hidden else x)
-    gbs[-1] = delta.sum(axis=0)
+    # matmul straight into the views: a wide layer's gradient is not copied
+    np.matmul(delta.T, hidden[-1] if hidden else x, out=grads.Ws[-1])
+    grads.bs[-1][...] = delta.sum(axis=0)
     for l in range(len(hidden) - 1, -1, -1):
         delta = (delta @ params.Ws[l + 1]) * (hidden[l] > 0)
         if masks:
             delta = delta * masks[l]
-        gWs[l] = delta.T @ inputs[l]
-        gbs[l] = delta.sum(axis=0)
-    return MlpParams(gWs, gbs)
+        np.matmul(delta.T, inputs[l], out=grads.Ws[l])
+        grads.bs[l][...] = delta.sum(axis=0)
+    return grads
 
 
 def mlp_update(params, x_lab, y_lab, x_unlab, lr, beta, keep_prob=1.0, rng=None):
@@ -108,9 +127,7 @@ def mlp_update(params, x_lab, y_lab, x_unlab, lr, beta, keep_prob=1.0, rng=None)
         grads.append((beta, mlp_gradients(params, x_unlab, y_pseudo, keep_prob,
                                           train_mode=True, rng=rng)))
     for weight, g in grads:
-        for W, b, gW, gb in zip(params.Ws, params.bs, g.Ws, g.bs):
-            W -= lr * weight * gW
-            b -= lr * weight * gb
+        np.subtract(params.data, lr * weight * g.data, out=params.data)
     return params
 
 

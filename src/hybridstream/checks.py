@@ -148,11 +148,11 @@ def gradcheck_mf_bp(seed=13, batch=2):
     worst = 0.0
     for lp, g in zip(params.layers, grads.layers):
         # estimator returns ascent direction: compare against -FD
-        worst = max(worst, np.max(_rel_err(g.dW, -_fd(loss, lp.W))))
-        worst = max(worst, np.max(_rel_err(g.dU, -_fd(loss, lp.U))))
-        worst = max(worst, np.max(_rel_err(g.db_hidden, -_fd(loss, lp.b_hidden))))
-        worst = max(worst, np.max(_rel_err(g.db_visible, -_fd(loss, lp.b_visible))))
-    worst = max(worst, np.max(_rel_err(grads.db_class, -_fd(loss, params.b_class))))
+        worst = max(worst, np.max(_rel_err(g.W, -_fd(loss, lp.W))))
+        worst = max(worst, np.max(_rel_err(g.U, -_fd(loss, lp.U))))
+        worst = max(worst, np.max(_rel_err(g.b_hidden, -_fd(loss, lp.b_hidden))))
+        worst = max(worst, np.max(_rel_err(g.b_visible, -_fd(loss, lp.b_visible))))
+    worst = max(worst, np.max(_rel_err(grads.b_class, -_fd(loss, params.b_class))))
     return worst
 
 

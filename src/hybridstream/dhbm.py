@@ -13,28 +13,31 @@ Probabilities are proportional to exp(-E) with E as returned by
 sigmoid / softmax form that the mean-field equations iterate.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import one_hot, sigmoid, softmax
+from .numerics import flat_views, one_hot, sigmoid, softmax
 
 
-@dataclass
+@dataclass(frozen=True)
 class LayerParams:
+    """One layer's views of its HybridParams vector.  Frozen: write through
+    a view (``lp.W[...] = ...``); rebinding one would detach it."""
     W: np.ndarray
     U: np.ndarray
     b_hidden: np.ndarray
     b_visible: np.ndarray
 
-    def copy(self):
-        return LayerParams(self.W.copy(), self.U.copy(),
-                           self.b_hidden.copy(), self.b_visible.copy())
 
-
-@dataclass
+@dataclass(frozen=True)
 class HybridParams:
-    layers: list
+    """Every parameter in one float64 vector `data`, laid out per layer as
+    W, U, b_hidden, b_visible and then b_class; `layers` and `b_class` are
+    views of it.  A gradient is a HybridParams too (see :meth:`zeros_like`).
+    """
+    data: np.ndarray
+    layers: tuple
     b_class: np.ndarray
 
     @property
@@ -53,34 +56,35 @@ class HybridParams:
     def hidden_dims(self):
         return [lp.W.shape[0] for lp in self.layers]
 
-    def copy(self):
-        return HybridParams([lp.copy() for lp in self.layers], self.b_class.copy())
+    @classmethod
+    def from_dims(cls, n_visible, hidden_dims, n_classes, data=None):
+        """Views over `data`, or over a zero vector when it is None."""
+        shapes = []
+        below = n_visible
+        for h in hidden_dims:
+            shapes += [(h, below), (h, n_classes), (h,), (below,)]
+            below = h
+        data, views = flat_views(shapes + [(n_classes,)], data)
+        layers = tuple(LayerParams(*views[i:i + 4])
+                       for i in range(0, len(views) - 1, 4))
+        return cls(data, layers, views[-1])
 
-    def validate(self):
-        for l, lp in enumerate(self.layers):
-            h, v = lp.W.shape
-            if lp.U.shape != (h, self.n_classes):
-                raise ValueError(f"layer {l}: U shape {lp.U.shape} inconsistent")
-            if lp.b_hidden.shape != (h,) or lp.b_visible.shape != (v,):
-                raise ValueError(f"layer {l}: bias shapes inconsistent")
-            if l > 0 and v != self.layers[l - 1].W.shape[0]:
-                raise ValueError(f"layer {l}: expects {v} inputs, "
-                                 f"layer {l-1} provides {self.layers[l-1].W.shape[0]}")
+    def copy(self):
+        return self.from_dims(self.n_visible, self.hidden_dims, self.n_classes,
+                              self.data.copy())
+
+    def zeros_like(self):
+        """Zero parameters of the same layout, the container of a gradient."""
+        return self.from_dims(self.n_visible, self.hidden_dims, self.n_classes)
 
     @classmethod
     def initialize(cls, n_visible, hidden_dims, n_classes, rng, weight_std=0.01):
         """Gaussian weights (mean 0, std `weight_std`), zero biases."""
-        layers = []
-        below = n_visible
-        for h in hidden_dims:
-            layers.append(LayerParams(
-                W=rng.normal(0.0, weight_std, size=(h, below)),
-                U=rng.normal(0.0, weight_std, size=(h, n_classes)),
-                b_hidden=np.zeros(h),
-                b_visible=np.zeros(below),
-            ))
-            below = h
-        return cls(layers, np.zeros(n_classes))
+        params = cls.from_dims(n_visible, hidden_dims, n_classes)
+        for lp in params.layers:
+            lp.W[...] = rng.normal(0.0, weight_std, size=lp.W.shape)
+            lp.U[...] = rng.normal(0.0, weight_std, size=lp.U.shape)
+        return params
 
 
 @dataclass
@@ -164,19 +168,6 @@ def mean_field_step(params, x, state, clamped_y=None):
     if clamped_y is None:
         y_probs = cond_y(params, means)
     return MeanFieldState(means, y_probs, cond_x(params, means[0]))
-
-
-def bottom_up_init(params, x):
-    """Single bottom-up pass with weight doubling on all but the top layer."""
-    means = []
-    below = np.asarray(x, dtype=np.float64)
-    L = params.n_layers
-    for l in range(L):
-        lp = params.layers[l]
-        factor = 2.0 if l < L - 1 else 1.0
-        below = sigmoid(factor * (below @ lp.W.T) + lp.b_hidden)
-        means.append(below)
-    return MeanFieldState(means, cond_y(params, means), cond_x(params, means[0]))
 
 
 def _enumerate_binary(n):

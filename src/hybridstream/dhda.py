@@ -1,5 +1,5 @@
 """Deep hybrid denoising autoencoder: corruption, encode/decode with top-down
-feedback, tied-weight reconstruction, and the hybrid loss.
+feedback and tied-weight reconstruction.
 
 The DHDA shares the DHBM parameter set (dhbm.HybridParams): layer l encodes
 with W_l (plus the transposed top-down matrix W_{l+1}) and decodes its own
@@ -88,14 +88,6 @@ def recon_cross_entropy(x, z):
     return float(np.sum(-x * np.log(zc) - (1.0 - x) * np.log(1.0 - zc))) / n
 
 
-def recon_quadratic(x, z):
-    """0.5 * sum (z - x)^2, averaged over the batch (rectifier variant)."""
-    x = np.asarray(x, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    n = x.shape[0] if x.ndim == 2 else 1
-    return float(0.5 * np.sum((z - x) ** 2)) / n
-
-
 def dhda_forward(params, rec, x, rng, corruption_p=0.0, num_steps=1,
                  activation="sigmoid", init_hidden=None, corrupt_topdown=True):
     """Recognition-initialized forward pass with `num_steps` cycles.
@@ -132,30 +124,3 @@ def dhda_forward(params, rec, x, rng, corruption_p=0.0, num_steps=1,
     recons = [decode(params, l, hidden_hat[l], activation) for l in range(L)]
     return DhdaState(x_hat, input_mask, hidden, hidden_hat, masks, recons,
                      cond_y(params, hidden))
-
-
-def hybrid_loss_value(lab_logloss, lab_recon, unlab_logloss, unlab_recon,
-                      alpha, beta):
-    """alpha * (labeled log-loss + recon) + beta * (pseudo-labeled ditto)."""
-    return alpha * (lab_logloss + lab_recon) + beta * (unlab_logloss + unlab_recon)
-
-
-def dhda_hybrid_loss(state_lab, y_lab, x_lab, state_unlab, y_pseudo, x_unlab,
-                     alpha, beta, activation="sigmoid"):
-    """Hybrid objective evaluated on one labeled and one pseudo-labeled batch.
-
-    y arguments are one-hot matrices; y_pseudo is the trainer's proxy label.
-    """
-    recon = recon_cross_entropy if activation == "sigmoid" else recon_quadratic
-
-    def side(state, y, x):
-        if state is None:
-            return 0.0, 0.0
-        p = np.clip(state.class_probs, EPS, 1.0)
-        n = x.shape[0] if x.ndim == 2 else 1
-        logloss = float(-np.sum(y * np.log(p))) / n
-        return logloss, recon(x, state.recons[0])
-
-    ll_lab, rc_lab = side(state_lab, y_lab, x_lab)
-    ll_un, rc_un = side(state_unlab, y_pseudo, x_unlab)
-    return hybrid_loss_value(ll_lab, rc_lab, ll_un, rc_un, alpha, beta)

@@ -2,9 +2,10 @@
 mean-field back-propagation, and the stochastic approximation procedure with
 persistent fantasy particles.
 
-All estimators return an ASCENT direction: the trainer applies them with a
-single "+ learning rate" update rule, so the back-propagation estimator
-negates its descent gradients internally.
+All estimators return an ASCENT direction as a HybridParams of the model's
+layout: the trainer applies them with a single "+ learning rate" update rule
+on the flat vectors, so the back-propagation estimator negates its descent
+gradients internally.
 """
 
 from dataclasses import dataclass
@@ -13,54 +14,6 @@ import numpy as np
 
 from . import kernels
 from .numerics import one_hot, relu_prime, sigmoid_prime_from_output
-
-
-@dataclass
-class LayerGradients:
-    dW: np.ndarray
-    dU: np.ndarray
-    db_hidden: np.ndarray
-    db_visible: np.ndarray
-
-
-@dataclass
-class Gradients:
-    layers: list
-    db_class: np.ndarray
-
-    @classmethod
-    def zeros_like(cls, params):
-        return cls([LayerGradients(np.zeros_like(lp.W), np.zeros_like(lp.U),
-                                   np.zeros_like(lp.b_hidden),
-                                   np.zeros_like(lp.b_visible))
-                    for lp in params.layers],
-                   np.zeros_like(params.b_class))
-
-    def scaled_add(self, other, factor=1.0):
-        for a, b in zip(self.layers, other.layers):
-            a.dW += factor * b.dW
-            a.dU += factor * b.dU
-            a.db_hidden += factor * b.db_hidden
-            a.db_visible += factor * b.db_visible
-        self.db_class += factor * other.db_class
-        return self
-
-    def is_finite(self):
-        return all(np.isfinite(g.dW).all() and np.isfinite(g.dU).all()
-                   and np.isfinite(g.db_hidden).all()
-                   and np.isfinite(g.db_visible).all()
-                   for g in self.layers) and np.isfinite(self.db_class).all()
-
-
-def apply_gradients(params, grads, lr):
-    """Ascent step: params += lr * grads (Algorithm-1 update convention)."""
-    for lp, g in zip(params.layers, grads.layers):
-        lp.W += lr * g.dW
-        lp.U += lr * g.dU
-        lp.b_hidden += lr * g.db_hidden
-        lp.b_visible += lr * g.db_visible
-    params.b_class += lr * grads.db_class
-    return params
 
 
 def _positive_phase(x, q_rec):
@@ -77,17 +30,17 @@ def mf_cd_gradients(x, y_probs, y_hat, q_rec, mf_state, params):
     """
     x = np.atleast_2d(x)
     n = x.shape[0]
-    out = Gradients.zeros_like(params)
+    out = params.zeros_like()
     for l, (h_pos, v_pos) in enumerate(_positive_phase(x, q_rec)):
         h_neg = mf_state.layer_means[l]
         v_neg = mf_state.input_recon if l == 0 else mf_state.layer_means[l - 1]
         g = out.layers[l]
-        g.dW[...] = (h_pos.T @ v_pos - h_neg.T @ v_neg) / n
-        g.dU[...] = (h_pos.T @ y_probs - h_neg.T @ y_hat) / n
-        g.db_hidden[...] = (h_pos - h_neg).sum(axis=0) / n
+        g.W[...] = (h_pos.T @ v_pos - h_neg.T @ v_neg) / n
+        g.U[...] = (h_pos.T @ y_probs - h_neg.T @ y_hat) / n
+        g.b_hidden[...] = (h_pos - h_neg).sum(axis=0) / n
         if l == 0:
-            g.db_visible[...] = (v_pos - v_neg).sum(axis=0) / n
-    out.db_class[...] = (y_probs - y_hat).sum(axis=0) / n
+            g.b_visible[...] = (v_pos - v_neg).sum(axis=0) / n
+    out.b_class[...] = (y_probs - y_hat).sum(axis=0) / n
     return out
 
 
@@ -113,7 +66,7 @@ def mf_bp_gradients(x, y_probs, q_rec, state, params, activation="sigmoid",
     x = np.atleast_2d(x)
     n = x.shape[0]
     L = params.n_layers
-    out = Gradients.zeros_like(params)
+    out = params.zeros_like()
     # softmax + log-loss output delta: (p - e_y), batch-averaged
     xi_out = (state.class_probs - y_probs) / n
     for l in range(L):
@@ -135,11 +88,11 @@ def mf_bp_gradients(x, y_probs, q_rec, state, params, activation="sigmoid",
         if dropout_masks is not None:
             xi_hid_total = xi_hid_total * dropout_masks[l]
         g = out.layers[l]
-        g.dW[...] = -(xi_hid_total.T @ v_in + h_hat.T @ xi_recon)
-        g.dU[...] = -(h.T @ xi_out)
-        g.db_hidden[...] = -xi_hid_total.sum(axis=0)
-        g.db_visible[...] = -xi_recon.sum(axis=0)
-    out.db_class[...] = -xi_out.sum(axis=0)
+        g.W[...] = -(xi_hid_total.T @ v_in + h_hat.T @ xi_recon)
+        g.U[...] = -(h.T @ xi_out)
+        g.b_hidden[...] = -xi_hid_total.sum(axis=0)
+        g.b_visible[...] = -xi_recon.sum(axis=0)
+    out.b_class[...] = -xi_out.sum(axis=0)
     return out
 
 
@@ -185,15 +138,15 @@ def sap_gradients(x, y_probs, q_rec, particles, params, rng):
     particles.advance(params, rng, n_sweeps=1)
     m = particles.n_particles
     ey_neg = one_hot(particles.y, params.n_classes)
-    out = Gradients.zeros_like(params)
+    out = params.zeros_like()
     for l, (h_pos, v_pos) in enumerate(_positive_phase(x, q_rec)):
         h_neg = particles.hs[l]
         v_neg = particles.x if l == 0 else particles.hs[l - 1]
         g = out.layers[l]
-        g.dW[...] = h_pos.T @ v_pos / n - h_neg.T @ v_neg / m
-        g.dU[...] = h_pos.T @ y_probs / n - h_neg.T @ ey_neg / m
-        g.db_hidden[...] = h_pos.sum(axis=0) / n - h_neg.sum(axis=0) / m
+        g.W[...] = h_pos.T @ v_pos / n - h_neg.T @ v_neg / m
+        g.U[...] = h_pos.T @ y_probs / n - h_neg.T @ ey_neg / m
+        g.b_hidden[...] = h_pos.sum(axis=0) / n - h_neg.sum(axis=0) / m
         if l == 0:
-            g.db_visible[...] = v_pos.sum(axis=0) / n - v_neg.sum(axis=0) / m
-    out.db_class[...] = y_probs.sum(axis=0) / n - ey_neg.sum(axis=0) / m
+            g.b_visible[...] = v_pos.sum(axis=0) / n - v_neg.sum(axis=0) / m
+    out.b_class[...] = y_probs.sum(axis=0) / n - ey_neg.sum(axis=0) / m
     return out

@@ -26,7 +26,7 @@ class PrequentialState:
     def error(self):
         if self.weighted_count == 0.0:
             raise ValueError("prequential error undefined before any sample")
-        return self.weighted_loss / self.weighted_count
+        return float(self.weighted_loss / self.weighted_count)
 
     def update(self, loss):
         self.weighted_loss = self.alpha * self.weighted_loss + loss

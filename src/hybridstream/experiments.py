@@ -203,17 +203,19 @@ def run_mnist_trial(config, trial, dataset, test_set):
     return results
 
 
-def _snapshot(model):
+def _param_vectors(model):
     if isinstance(model, MlpPseudoLabelModel):
-        return model.params.copy()
-    return (model.model.copy(), model.rec.copy())
+        return [model.params.data]
+    return [model.model.data, model.rec.data]
+
+
+def _snapshot(model):
+    return [v.copy() for v in _param_vectors(model)]
 
 
 def _restore(model, snapshot):
-    if isinstance(model, MlpPseudoLabelModel):
-        model.params = snapshot
-    else:
-        model.model, model.rec = snapshot
+    for v, saved in zip(_param_vectors(model), snapshot):
+        v[...] = saved
 
 
 def run_mnist_experiment(config, out_dir):

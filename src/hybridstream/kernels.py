@@ -1,32 +1,19 @@
-"""Block-Gibbs sweep kernels for the fantasy-particle sampler.
+"""Block-Gibbs sweep kernel for the fantasy-particle sampler.
 
-Two interchangeable implementations: a numba @njit kernel and a pure-numpy
-path.  Both consume the same pre-generated flat array of uniforms in the
-same order, so given identical inputs they produce identical chains; the
-pure path doubles as the reference for the compiled one.  Selection is
-automatic (numba when importable) and can be forced with the environment
-variable HYBRIDSTREAM_NO_NUMBA=1.
-
-Per sweep and particle the consumption order is: one uniform per hidden
-unit, layer by layer bottom-up; one uniform for the class label; one per
-visible unit.  uniforms_per_sweep() gives the stride.
+The sweep consumes a pre-generated flat array of uniforms, so a chain is a
+pure function of the parameters, its start state and that array.  Per sweep
+and particle the consumption order is: one uniform per hidden unit, layer by
+layer bottom-up; one uniform for the class label; one per visible unit.
+uniforms_per_sweep() gives the stride.
 """
-
-import math
-import os
 
 import numpy as np
 
 from .numerics import sigmoid, softmax
 
-try:
-    if os.environ.get("HYBRIDSTREAM_NO_NUMBA", "0") == "1":
-        raise ImportError("disabled via HYBRIDSTREAM_NO_NUMBA")
-    from numba import njit
-    from numba.typed import List as NumbaList
-    NUMBA_ENABLED = True
-except ImportError:  # pragma: no cover - exercised via env flag in CI runs
-    NUMBA_ENABLED = False
+# There is no compiled kernel; the benchmark records this flag in its
+# environment line (perfbench/run.py).
+NUMBA_ENABLED = False
 
 
 def uniforms_per_sweep(params, n_particles):
@@ -34,7 +21,7 @@ def uniforms_per_sweep(params, n_particles):
     return n_particles * (sum(dims) + 1 + params.n_visible)
 
 
-def gibbs_sweeps_numpy(params, x, hs, y, uniforms, n_sweeps, counts=None):
+def gibbs_sweeps(params, x, hs, y, uniforms, n_sweeps, counts=None):
     """Advance the particle block (x, hs, y) by n_sweeps full Gibbs sweeps.
 
     Mutates x, hs and y in place.  One sweep samples h^1..h^L, then y, then x,
@@ -73,110 +60,3 @@ def gibbs_sweeps_numpy(params, x, hs, y, uniforms, n_sweeps, counts=None):
             ix = (x.astype(np.int64) @ (1 << np.arange(D))).astype(np.int64)
             np.add.at(counts, (ix, y), 1.0)
     return x, hs, y
-
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True)
-    def _sigmoid_scalar(v):
-        if v >= 0.0:
-            return 1.0 / (1.0 + math.exp(-v))
-        e = math.exp(v)
-        return e / (1.0 + e)
-
-    @njit(cache=True)
-    def _gibbs_kernel(Ws, Us, bhs, b_vis, b_class, x, hs, y, uniforms, n_sweeps,
-                      counts, record):
-        M, D = x.shape
-        L = len(Ws)
-        C = b_class.shape[0]
-        logits = np.empty(C)
-        off = 0
-        for _ in range(n_sweeps):
-            for l in range(L):
-                W = Ws[l]
-                U = Us[l]
-                bh = bhs[l]
-                H = W.shape[0]
-                below = x if l == 0 else hs[l - 1]
-                hl = hs[l]
-                has_up = l + 1 < L
-                Wup = Ws[l + 1] if has_up else Ws[l]
-                hup = hs[l + 1] if has_up else hs[l]
-                for m in range(M):
-                    ym = y[m]
-                    for j in range(H):
-                        pre = bh[j] + U[j, ym]
-                        for i in range(W.shape[1]):
-                            pre += W[j, i] * below[m, i]
-                        if has_up:
-                            for k in range(Wup.shape[0]):
-                                pre += Wup[k, j] * hup[m, k]
-                        p = _sigmoid_scalar(pre)
-                        hl[m, j] = 1.0 if uniforms[off + m * H + j] < p else 0.0
-                off += M * H
-            for m in range(M):
-                for c in range(C):
-                    logits[c] = b_class[c]
-                for l in range(L):
-                    U = Us[l]
-                    h = hs[l]
-                    for j in range(U.shape[0]):
-                        hv = h[m, j]
-                        if hv != 0.0:
-                            for c in range(C):
-                                logits[c] += U[j, c] * hv
-                mx = logits[0]
-                for c in range(1, C):
-                    if logits[c] > mx:
-                        mx = logits[c]
-                total = 0.0
-                for c in range(C):
-                    total += math.exp(logits[c] - mx)
-                u = uniforms[off + m] * total
-                acc = 0.0
-                idx = C - 1
-                for c in range(C):
-                    acc += math.exp(logits[c] - mx)
-                    if u < acc:
-                        idx = c
-                        break
-                y[m] = idx
-            off += M
-            W1 = Ws[0]
-            h0 = hs[0]
-            for m in range(M):
-                for i in range(D):
-                    pre = b_vis[i]
-                    for j in range(W1.shape[0]):
-                        pre += W1[j, i] * h0[m, j]
-                    p = _sigmoid_scalar(pre)
-                    x[m, i] = 1.0 if uniforms[off + m * D + i] < p else 0.0
-            off += M * D
-            if record:
-                for m in range(M):
-                    ix = 0
-                    for i in range(D):
-                        if x[m, i] != 0.0:
-                            ix += 1 << i
-                    counts[ix, y[m]] += 1.0
-
-    def gibbs_sweeps_numba(params, x, hs, y, uniforms, n_sweeps, counts=None):
-        Ws = NumbaList([np.ascontiguousarray(lp.W) for lp in params.layers])
-        Us = NumbaList([np.ascontiguousarray(lp.U) for lp in params.layers])
-        bhs = NumbaList([np.ascontiguousarray(lp.b_hidden) for lp in params.layers])
-        hs_t = NumbaList([np.ascontiguousarray(h) for h in hs])
-        record = counts is not None
-        counts_arr = counts if record else np.zeros((1, 1))
-        _gibbs_kernel(Ws, Us, bhs, params.layers[0].b_visible, params.b_class,
-                      x, hs_t, y, uniforms, n_sweeps, counts_arr, record)
-        for h, h_new in zip(hs, hs_t):
-            h[...] = h_new
-        return x, hs, y
-
-
-def gibbs_sweeps(params, x, hs, y, uniforms, n_sweeps, counts=None):
-    """Dispatch to the compiled kernel when available, else the numpy path."""
-    if NUMBA_ENABLED:
-        return gibbs_sweeps_numba(params, x, hs, y, uniforms, n_sweeps, counts)
-    return gibbs_sweeps_numpy(params, x, hs, y, uniforms, n_sweeps, counts)

@@ -1,9 +1,12 @@
-"""Activation functions and seeded randomness shared by every model component.
+"""Activation functions, seeded randomness and the flat parameter layout
+shared by every model component.
 
 All arithmetic is double precision.  Randomness is never global: callers
 construct a Generator with :func:`make_rng` and pass it explicitly so that
 identical seeds reproduce identical runs.
 """
+
+import math
 
 import numpy as np
 
@@ -11,6 +14,28 @@ import numpy as np
 def make_rng(seed):
     """Seeded PCG64 generator; the only sanctioned way to get randomness."""
     return np.random.Generator(np.random.PCG64(np.uint64(seed)))
+
+
+def flat_views(shapes, data=None):
+    """A flat float64 parameter vector and its consecutive views of `shapes`.
+
+    Allocates a zero vector when `data` is None.  Every parameter container
+    is built here, so copying, updating or writing a whole model is one
+    operation on the vector, and writing through a view writes the vector.
+    """
+    sizes = [math.prod(shape) for shape in shapes]
+    if data is None:
+        data = np.zeros(sum(sizes))
+    elif (data.dtype != np.float64 or data.shape != (sum(sizes),)
+          or not data.flags.c_contiguous):
+        raise ValueError(f"expected a contiguous float64 vector of {sum(sizes)} "
+                         f"parameters, got {data.dtype} {data.shape}")
+    views = []
+    offset = 0
+    for shape, size in zip(shapes, sizes):
+        views.append(data[offset:offset + size].reshape(shape))
+        offset += size
+    return data, views
 
 
 def sigmoid(v):

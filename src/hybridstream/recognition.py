@@ -9,36 +9,64 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import sigmoid, sigmoid_prime_from_output
+from .numerics import flat_views, sigmoid, sigmoid_prime_from_output
 
 EPS = 1e-7
 
 
-@dataclass
+@dataclass(frozen=True)
 class RecognitionLayer:
+    """One layer's views of its RecognitionParams vector (frozen, like
+    dhbm.LayerParams)."""
     R: np.ndarray
     b: np.ndarray
 
-    def copy(self):
-        return RecognitionLayer(self.R.copy(), self.b.copy())
 
-
-@dataclass
+@dataclass(frozen=True)
 class RecognitionParams:
-    layers: list
+    """Every weight in one float64 vector `data`, laid out per layer as R, b;
+    `layers` holds views of it.  Gradients share the type."""
+    data: np.ndarray
+    layers: tuple
 
     @property
     def n_layers(self):
         return len(self.layers)
 
+    @property
+    def n_visible(self):
+        return self.layers[0].R.shape[1]
+
+    @property
+    def hidden_dims(self):
+        return [layer.R.shape[0] for layer in self.layers]
+
+    @classmethod
+    def from_dims(cls, n_visible, hidden_dims, data=None):
+        """Views over `data`, or over a zero vector when it is None."""
+        shapes = []
+        below = n_visible
+        for h in hidden_dims:
+            shapes += [(h, below), (h,)]
+            below = h
+        data, views = flat_views(shapes, data)
+        return cls(data, tuple(RecognitionLayer(R, b)
+                               for R, b in zip(views[::2], views[1::2])))
+
     def copy(self):
-        return RecognitionParams([l.copy() for l in self.layers])
+        return self.from_dims(self.n_visible, self.hidden_dims, self.data.copy())
+
+    def zeros_like(self):
+        return self.from_dims(self.n_visible, self.hidden_dims)
 
 
 def init_from_model(model):
     """Copy W^l (and hidden biases) out of the model; independent afterwards."""
-    return RecognitionParams([RecognitionLayer(lp.W.copy(), lp.b_hidden.copy())
-                              for lp in model.layers])
+    rec = RecognitionParams.from_dims(model.n_visible, model.hidden_dims)
+    for layer, lp in zip(rec.layers, model.layers):
+        layer.R[...] = lp.W
+        layer.b[...] = lp.b_hidden
+    return rec
 
 
 def _doubling(l, n_layers):
@@ -94,23 +122,21 @@ def rec_gradients(rec, x, mu_list):
         back = deltas[l + 1] @ (_doubling(l + 1, L) * rec.layers[l + 1].R)
         deltas[l] = (v_list[l] - mu_list[l]) \
             + back * sigmoid_prime_from_output(v_list[l])
-    grads = []
-    for l in range(L):
+    grads = rec.zeros_like()
+    for l, g in enumerate(grads.layers):
         d = np.atleast_2d(deltas[l])
         inp = np.atleast_2d(inputs[l])
-        gR = _doubling(l, L) * (d.T @ inp) / n
-        gb = d.sum(axis=0) / n
-        grads.append(RecognitionLayer(gR, gb))
-    return RecognitionParams(grads)
+        np.divide(_doubling(l, L) * (d.T @ inp), n, out=g.R)
+        g.b[...] = d.sum(axis=0) / n
+    return grads
 
 
 def rec_update(rec, grad_lab, grad_unlab, lam, beta):
-    """In-place descent step: R <- R - lam * (g_lab + beta * g_unlab)."""
-    for layer, gl, gu in zip(rec.layers,
-                             grad_lab.layers if grad_lab else [None] * rec.n_layers,
-                             grad_unlab.layers if grad_unlab else [None] * rec.n_layers):
-        gR = (gl.R if gl is not None else 0.0) + beta * (gu.R if gu is not None else 0.0)
-        gb = (gl.b if gl is not None else 0.0) + beta * (gu.b if gu is not None else 0.0)
-        layer.R -= lam * gR
-        layer.b -= lam * gb
+    """In-place descent step: R <- R - lam * (g_lab + beta * g_unlab).
+
+    A missing side (None) contributes zero.
+    """
+    g = (grad_lab.data if grad_lab is not None else 0.0) \
+        + beta * (grad_unlab.data if grad_unlab is not None else 0.0)
+    np.subtract(rec.data, lam * g, out=rec.data)
     return rec

@@ -2,9 +2,11 @@
 
 Parameter container layout (little-endian): magic, version, layer count L,
 class count C, visible dimension D, the L hidden dimensions, then the
-row-major float64 payloads in a fixed order (per layer W, U, b_hidden,
-b_visible; then the class bias).  A human-readable JSON sidecar
-(`<path>.meta.json`) describes the shapes.
+float64 payload: the model's flat parameter vector, whose layout (per layer
+W, U, b_hidden, b_visible; then the class bias, each row-major) is
+HybridParams'.  A human-readable JSON sidecar (`<path>.meta.json`)
+describes the shapes.  Recognition containers likewise hold a header of
+per-layer R shapes and the network's flat vector (per layer R, b).
 
 A checkpoint bundles model + recognition parameters, fantasy particles,
 the rng state and step counters in one file.
@@ -16,9 +18,9 @@ import struct
 
 import numpy as np
 
-from .dhbm import HybridParams, LayerParams
+from .dhbm import HybridParams
 from .estimators import FantasyParticles
-from .recognition import RecognitionLayer, RecognitionParams
+from .recognition import RecognitionParams
 
 PARAM_MAGIC = b"HSPM"
 REC_MAGIC = b"HSRP"
@@ -49,12 +51,7 @@ def dump_params(params, f):
     f.write(struct.pack("<I", params.n_visible))
     for h in params.hidden_dims:
         f.write(struct.pack("<I", h))
-    for lp in params.layers:
-        _write_array(f, lp.W)
-        _write_array(f, lp.U)
-        _write_array(f, lp.b_hidden)
-        _write_array(f, lp.b_visible)
-    _write_array(f, params.b_class)
+    _write_array(f, params.data)
 
 
 def load_params(f):
@@ -65,17 +62,9 @@ def load_params(f):
         raise ValueError(f"unsupported container version {version}")
     (n_visible,) = struct.unpack("<I", f.read(4))
     hidden = [struct.unpack("<I", f.read(4))[0] for _ in range(n_layers)]
-    layers = []
-    below = n_visible
-    for h in hidden:
-        layers.append(LayerParams(
-            W=_read_array(f, (h, below)),
-            U=_read_array(f, (h, n_classes)),
-            b_hidden=_read_array(f, (h,)),
-            b_visible=_read_array(f, (below,)),
-        ))
-        below = h
-    return HybridParams(layers, _read_array(f, (n_classes,)))
+    params = HybridParams.from_dims(n_visible, hidden, n_classes)
+    params.data[...] = _read_array(f, params.data.shape)
+    return params
 
 
 def save_params(params, path):
@@ -96,9 +85,7 @@ def dump_rec(rec, f):
     f.write(struct.pack("<II", VERSION, rec.n_layers))
     for layer in rec.layers:
         f.write(struct.pack("<II", *layer.R.shape))
-    for layer in rec.layers:
-        _write_array(f, layer.R)
-        _write_array(f, layer.b)
+    _write_array(f, rec.data)
 
 
 def load_rec(f):
@@ -108,12 +95,11 @@ def load_rec(f):
     if version != VERSION:
         raise ValueError(f"unsupported container version {version}")
     shapes = [struct.unpack("<II", f.read(8)) for _ in range(n_layers)]
-    layers = []
-    for shape in shapes:
-        R = _read_array(f, shape)
-        b = _read_array(f, (shape[0],))
-        layers.append(RecognitionLayer(R, b))
-    return RecognitionParams(layers)
+    if not shapes or any(s[1] != below[0] for below, s in zip(shapes, shapes[1:])):
+        raise ValueError(f"recognition layer shapes {shapes} do not chain")
+    rec = RecognitionParams.from_dims(shapes[0][1], [s[0] for s in shapes])
+    rec.data[...] = _read_array(f, rec.data.shape)
+    return rec
 
 
 def save_checkpoint(path, trainer):

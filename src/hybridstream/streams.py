@@ -8,9 +8,7 @@ the underlying concept stays recoverable.  A full cycle restores the
 original order.
 """
 
-import json
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -128,10 +126,6 @@ class _DriftingStream:
             remaining -= chunk
         return StreamBatch(np.concatenate(feats), np.concatenate(labels))
 
-    def next_instance(self):
-        batch = self.next_batch(1)
-        return batch.features[0], int(batch.labels[0])
-
 
 class LedStream(_DriftingStream):
     """Noisy 24-attribute LED digit stream: 7 segment attributes plus 17
@@ -197,41 +191,3 @@ def mask_labels(batch, label_fraction, rng):
     keep = rng.random(len(batch)) < label_fraction
     labels = np.where(keep, batch.labels, -1)
     return StreamBatch(batch.features, labels.astype(np.int64))
-
-
-STREAM_MAGIC = b"HSST"
-
-
-def write_stream(path, config, batches):
-    """Dump instances for replay: JSON config header, then per-instance
-    records (features as little-endian doubles, label as signed byte)."""
-    header = json.dumps(config.__dict__).encode()
-    with open(path, "wb") as f:
-        f.write(STREAM_MAGIC)
-        f.write(struct.pack("<I", len(header)))
-        f.write(header)
-        for batch in batches:
-            for row, label in zip(batch.features, batch.labels):
-                f.write(row.astype("<f8").tobytes())
-                f.write(struct.pack("b", int(label)))
-
-
-def read_stream(path):
-    with open(path, "rb") as f:
-        if f.read(4) != STREAM_MAGIC:
-            raise ValueError(f"{path}: not a stream dump")
-        (hlen,) = struct.unpack("<I", f.read(4))
-        config = StreamConfig(**json.loads(f.read(hlen).decode()))
-        n_features = LED_FEATURES if config.kind == "led" else WAVEFORM_FEATURES
-        rec = n_features * 8 + 1
-        payload = f.read()
-    if len(payload) % rec != 0:
-        raise ValueError(f"{path}: truncated record at byte {8 + hlen + len(payload)}")
-    n = len(payload) // rec
-    feats = np.empty((n, n_features))
-    labels = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        chunk = payload[i * rec:(i + 1) * rec]
-        feats[i] = np.frombuffer(chunk[:-1], dtype="<f8")
-        labels[i] = struct.unpack("b", chunk[-1:])[0]
-    return config, StreamBatch(feats, labels)

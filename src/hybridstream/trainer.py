@@ -156,12 +156,13 @@ class Trainer:
         if has_unlab:
             g_model_un, g_rec_un = self._side(x_unlab, None)
         recognition.rec_update(self.rec, g_rec_lab, g_rec_un, cfg.lr, beta)
-        total = estimators.Gradients.zeros_like(self.model)
+        # ascent step on the flat vector: model += lr * (alpha g_lab + beta g_unlab)
+        total = np.zeros_like(self.model.data)
         if g_model_lab is not None:
-            total.scaled_add(g_model_lab, cfg.alpha)
+            total += cfg.alpha * g_model_lab.data
         if g_model_un is not None:
-            total.scaled_add(g_model_un, beta)
-        estimators.apply_gradients(self.model, total, cfg.lr)
+            total += beta * g_model_un.data
+        np.add(self.model.data, cfg.lr * total, out=self.model.data)
         if has_lab:
             self.labeled_seen += np.atleast_2d(x_lab).shape[0]
         self.updates += 1

@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from hybridstream import dhbm
+from hybridstream.baseline import MlpParams
 from hybridstream.numerics import make_rng, one_hot
+from hybridstream.recognition import RecognitionParams, init_from_model, recognize
 
 
 def tiny_model(seed=0, d=3, hidden=(2, 2), c=2, scale=1.0):
@@ -20,6 +24,13 @@ def tiny_model(seed=0, d=3, hidden=(2, 2), c=2, scale=1.0):
 def zero_model(d=3, hidden=(2, 2), c=2):
     return dhbm.HybridParams.initialize(d, list(hidden), c, make_rng(0),
                                         weight_std=0.0)
+
+
+def bottom_up_state(params, x):
+    """Mean-field start from the recognition pass of a fresh network."""
+    means = recognize(init_from_model(params), x)
+    return dhbm.MeanFieldState(means, dhbm.cond_y(params, means),
+                               dhbm.cond_x(params, means[0]))
 
 
 def test_zero_params_conditionals_are_uniform():
@@ -82,7 +93,7 @@ def test_oracle_rejects_large_models():
 def test_mean_field_zero_params_fixed_point():
     params = zero_model()
     x = np.array([[1.0, 0.0, 1.0]])
-    state = dhbm.bottom_up_init(params, x)
+    state = bottom_up_state(params, x)
     nxt = dhbm.mean_field_step(params, x, state)
     assert np.allclose(nxt.layer_means[0], 0.5)
     assert np.allclose(nxt.layer_means[1], 0.5)
@@ -93,7 +104,7 @@ def test_mean_field_zero_params_fixed_point():
 def test_mean_field_converges_on_tiny_model():
     params = tiny_model(7)
     x = np.array([[1.0, 0.0, 1.0]])
-    state = dhbm.bottom_up_init(params, x)
+    state = bottom_up_state(params, x)
     for _ in range(200):
         state = dhbm.mean_field_step(params, x, state)
     nxt = dhbm.mean_field_step(params, x, state)
@@ -106,31 +117,48 @@ def test_mean_field_clamped_y_stays_clamped():
     params = tiny_model(7)
     x = np.array([[1.0, 0.0, 1.0]])
     ey = one_hot(np.array([1]), 2)
-    state = dhbm.bottom_up_init(params, x)
+    state = bottom_up_state(params, x)
     nxt = dhbm.mean_field_step(params, x, state, clamped_y=ey)
     assert np.array_equal(nxt.class_probs, ey)
-
-
-def test_bottom_up_init_doubles_all_but_top():
-    params = zero_model(d=1, hidden=(1, 1), c=2)
-    params.layers[0].W[0, 0] = 1.0
-    params.layers[1].W[0, 0] = 1.0
-    state = dhbm.bottom_up_init(params, np.array([[1.0]]))
-    from hybridstream.numerics import sigmoid
-    h1 = sigmoid(2.0)
-    assert np.allclose(state.layer_means[0], h1)
-    assert np.allclose(state.layer_means[1], sigmoid(h1))
-
-
-def test_validate_catches_mismatched_shapes():
-    params = tiny_model(0)
-    params.layers[1].b_hidden = np.zeros(5)
-    with pytest.raises(ValueError):
-        params.validate()
 
 
 def test_copy_is_deep():
     params = tiny_model(0)
     clone = params.copy()
-    clone.layers[0].W += 1.0
+    clone.layers[0].W[...] += 1.0
     assert not np.allclose(params.layers[0].W, clone.layers[0].W)
+
+
+def _views_in_layout_order(p):
+    if isinstance(p, dhbm.HybridParams):
+        return [a for lp in p.layers
+                for a in (lp.W, lp.U, lp.b_hidden, lp.b_visible)] + [p.b_class]
+    if isinstance(p, RecognitionParams):
+        return [a for layer in p.layers for a in (layer.R, layer.b)]
+    return [a for W, b in zip(p.Ws, p.bs) for a in (W, b)]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: tiny_model(0),
+    lambda: init_from_model(tiny_model(1)),
+    lambda: MlpParams.initialize(3, [4, 2], 3, make_rng(2)),
+], ids=["hybrid", "recognition", "mlp"])
+def test_views_tile_the_flat_vector(make):
+    p = make()
+    p.data[...] = np.arange(p.data.size)
+    views = _views_in_layout_order(p)
+    assert np.array_equal(np.concatenate([v.ravel() for v in views]), p.data)
+    for v in views:
+        v += 1.0
+    assert np.array_equal(p.data, np.arange(p.data.size) + 1.0)
+    for other, filled in ((p.copy(), p.data), (p.zeros_like(), 0.0)):
+        assert not np.shares_memory(other.data, p.data)
+        assert np.array_equal(other.data, np.broadcast_to(filled, p.data.shape))
+        other_views = _views_in_layout_order(other)
+        assert [v.shape for v in other_views] == [v.shape for v in views]
+        assert all(np.shares_memory(v, other.data) for v in other_views)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.data = p.data.copy()
+    for record in getattr(p, "layers", ()):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, dataclasses.fields(record)[0].name, None)

@@ -57,12 +57,6 @@ def test_recon_cross_entropy_perfect_reconstruction():
     assert dhda.recon_cross_entropy(x, near) < 1e-6
 
 
-def test_recon_quadratic():
-    x = np.zeros((2, 3))
-    z = np.ones((2, 3))
-    assert dhda.recon_quadratic(x, z) == pytest.approx(1.5)
-
-
 def test_forward_shapes_and_determinism():
     model, rec = setup_model(5)
     x = make_rng(6).random((4, 4))
@@ -88,8 +82,3 @@ def test_forward_no_corruption_matches_clean_encoding():
     assert np.array_equal(state.input_hat, x)
     for h, h_hat in zip(state.hidden, state.hidden_hat):
         assert np.array_equal(h, h_hat)
-
-
-def test_hybrid_loss_weighting():
-    val = dhda.hybrid_loss_value(1.0, 2.0, 3.0, 4.0, alpha=1.0, beta=0.1)
-    assert val == pytest.approx(3.0 + 0.7)

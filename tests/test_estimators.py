@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -17,23 +13,28 @@ def setup(seed=0, d=4, hidden=(3, 3), c=3, std=0.5):
 
 def test_gradients_zeros_like_shapes():
     model, _ = setup()
-    g = estimators.Gradients.zeros_like(model)
+    g = model.zeros_like()
     assert len(g.layers) == 2
-    assert g.layers[0].dW.shape == model.layers[0].W.shape
-    assert g.db_class.shape == model.b_class.shape
-    assert g.is_finite()
+    assert g.layers[0].W.shape == model.layers[0].W.shape
+    assert g.b_class.shape == model.b_class.shape
+    assert g.data.shape == model.data.shape
+    assert not g.data.any()
 
 
 def test_scaled_add_and_apply():
+    # a weighted sum and ascent step on the flat vectors moves exactly the
+    # views the gradient's own views name
     model, _ = setup(1)
     before = model.copy()
-    g = estimators.Gradients.zeros_like(model)
-    g.layers[0].dW += 1.0
-    total = estimators.Gradients.zeros_like(model)
-    total.scaled_add(g, 0.5)
-    estimators.apply_gradients(model, total, 0.1)
+    g = model.zeros_like()
+    g.layers[0].W[...] += 1.0
+    total = np.zeros_like(model.data)
+    total += 0.5 * g.data
+    np.add(model.data, 0.1 * total, out=model.data)
     assert np.allclose(model.layers[0].W, before.layers[0].W + 0.05)
-    assert np.allclose(model.layers[1].W, before.layers[1].W)
+    assert np.array_equal(model.layers[0].U, before.layers[0].U)
+    assert np.array_equal(model.layers[1].W, before.layers[1].W)
+    assert np.array_equal(model.b_class, before.b_class)
 
 
 def test_mf_cd_zero_when_phases_agree():
@@ -44,9 +45,9 @@ def test_mf_cd_zero_when_phases_agree():
     state = dhbm.MeanFieldState([m.copy() for m in q], y.copy(), x.copy())
     g = estimators.mf_cd_gradients(x, y, y, q, state, model)
     for layer in g.layers:
-        assert np.allclose(layer.dW, 0.0, atol=1e-12)
-        assert np.allclose(layer.dU, 0.0, atol=1e-12)
-    assert np.allclose(g.db_class, 0.0, atol=1e-12)
+        assert np.allclose(layer.W, 0.0, atol=1e-12)
+        assert np.allclose(layer.U, 0.0, atol=1e-12)
+    assert np.allclose(g.b_class, 0.0, atol=1e-12)
 
 
 def test_mf_cd_visible_bias_only_on_first_layer():
@@ -58,8 +59,8 @@ def test_mf_cd_visible_bias_only_on_first_layer():
     state = dhbm.MeanFieldState([np.clip(m + 0.1, 0, 1) for m in q],
                                 np.full((2, 3), 1 / 3), rng.random((2, 4)))
     g = estimators.mf_cd_gradients(x, y, state.class_probs, q, state, model)
-    assert not np.allclose(g.layers[0].db_visible, 0.0)
-    assert np.allclose(g.layers[1].db_visible, 0.0, atol=1e-12)
+    assert not np.allclose(g.layers[0].b_visible, 0.0)
+    assert np.allclose(g.layers[1].b_visible, 0.0, atol=1e-12)
 
 
 def test_mf_bp_matches_finite_differences():
@@ -90,7 +91,7 @@ def test_sap_gradients_advance_particles():
     particles = estimators.FantasyParticles.initialize(model, 5, make_rng(10))
     before = particles.x.copy()
     g = estimators.sap_gradients(x, y, q, particles, model, make_rng(11))
-    assert g.is_finite()
+    assert np.isfinite(g.data).all()
     # a full Gibbs sweep on a random model virtually always flips something
     assert not np.array_equal(before, particles.x)
 
@@ -106,40 +107,3 @@ def test_kernel_counts_accumulate_sweeps():
     counts = np.zeros((4, 2))
     p.advance(model, make_rng(14), n_sweeps=25, counts=counts)
     assert counts.sum() == 25 * 4
-
-
-def test_numpy_numba_paths_identical():
-    if not kernels.NUMBA_ENABLED:
-        pytest.skip("numba unavailable")
-    model, _ = setup(15, d=5, hidden=(4, 3), c=3)
-    rng = make_rng(16)
-    n_sweeps, m = 50, 6
-    uniforms = rng.random(kernels.uniforms_per_sweep(model, m) * n_sweeps)
-
-    def fresh():
-        r = make_rng(17)
-        x = (r.random((m, 5)) < 0.5).astype(np.float64)
-        hs = [(r.random((m, h)) < 0.5).astype(np.float64) for h in (4, 3)]
-        y = r.integers(0, 3, m).astype(np.int64)
-        return x, hs, y
-
-    x1, hs1, y1 = fresh()
-    c1 = np.zeros((32, 3))
-    kernels.gibbs_sweeps_numpy(model, x1, hs1, y1, uniforms, n_sweeps, c1)
-    x2, hs2, y2 = fresh()
-    c2 = np.zeros((32, 3))
-    kernels.gibbs_sweeps_numba(model, x2, hs2, y2, uniforms, n_sweeps, c2)
-    assert np.array_equal(x1, x2)
-    assert np.array_equal(y1, y2)
-    for a, b in zip(hs1, hs2):
-        assert np.array_equal(a, b)
-    assert np.array_equal(c1, c2)
-
-
-def test_env_flag_disables_numba():
-    env = dict(os.environ, HYBRIDSTREAM_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from hybridstream import kernels; print(kernels.NUMBA_ENABLED)"],
-        capture_output=True, text=True, env=env)
-    assert out.stdout.strip() == "False"

@@ -59,6 +59,17 @@ def test_run_stream_experiment_summary(tmp_path):
     assert os.path.exists(tmp_path / "curves_trial1.csv")
 
 
+def test_summary_numbers_are_plain_floats(tmp_path):
+    finals = experiments.run_stream_experiment(small_config(iterations=100),
+                                               str(tmp_path))
+    rows = [line.split(",") for line in
+            (tmp_path / "summary.csv").read_text().splitlines()
+            if not line.startswith("model,")]
+    assert len(rows) == 2 * 2 + 2       # a row per model and trial, a mean row per model
+    numbers = [float(v) for row in rows for v in row[1:]]
+    assert finals["dhbm-mf"][0] in numbers
+
+
 def test_all_model_kinds_build():
     from hybridstream.trainer import TrainerConfig
     from hybridstream.numerics import make_rng

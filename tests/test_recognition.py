@@ -16,7 +16,7 @@ def test_init_copies_model_weights():
         assert np.array_equal(lp.W, layer.R)
         assert np.array_equal(lp.b_hidden, layer.b)
     # independent storage after init
-    rec.layers[0].R += 1.0
+    rec.layers[0].R[...] += 1.0
     assert not np.array_equal(model.layers[0].W, rec.layers[0].R)
 
 

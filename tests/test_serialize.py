@@ -1,5 +1,7 @@
+import hashlib
 import io
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -14,6 +16,44 @@ def random_model(seed=0):
                                           weight_std=0.5)
     params.b_class[...] = make_rng(seed + 1).normal(0, 1, 3)
     return params
+
+
+# sha256 of containers built from fixed seeds: the version-1 byte format,
+# which must not change without a version bump
+PINNED_SHA256 = {
+    "params": "f29c187250f27a284d6e462d042fc54e33c5db3599377eba6f26b1ab9cf8b3c5",
+    "rec": "fe95028ca841485a6876059608c011b730daf3a0850d2620712f8f15c7af1026",
+    "checkpoint": "be024dffa99d709ac04da027fe926dcaf0013805ce11f023c5c66279b8654e13",
+}
+
+
+def sap_trainer_after_updates():
+    cfg = trainer.TrainerConfig(estimator="sap", n_particles=4, seed=5)
+    tr = trainer.Trainer(random_model(7), cfg, make_rng(8))
+    rng = make_rng(9)
+    for _ in range(5):
+        tr.update(rng.random((3, 4)), rng.integers(0, 3, 3), rng.random((2, 4)))
+    return cfg, tr
+
+
+def test_params_bytes_pinned():
+    buf = io.BytesIO()
+    serialize.dump_params(random_model(), buf)
+    assert hashlib.sha256(buf.getvalue()).hexdigest() == PINNED_SHA256["params"]
+
+
+def test_rec_bytes_pinned():
+    buf = io.BytesIO()
+    serialize.dump_rec(init_from_model(random_model()), buf)
+    assert hashlib.sha256(buf.getvalue()).hexdigest() == PINNED_SHA256["rec"]
+
+
+def test_checkpoint_bytes_pinned(tmp_path):
+    _, tr = sap_trainer_after_updates()
+    path = tmp_path / "ckpt.hsck"
+    serialize.save_checkpoint(path, tr)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        PINNED_SHA256["checkpoint"]
 
 
 def test_params_roundtrip():
@@ -65,13 +105,19 @@ def test_rec_roundtrip():
         assert np.array_equal(a.b, b.b)
 
 
+def test_rec_rejects_unchained_shapes():
+    buf = io.BytesIO()
+    buf.write(serialize.REC_MAGIC)
+    buf.write(struct.pack("<II", serialize.VERSION, 2))
+    buf.write(struct.pack("<IIII", 3, 4, 2, 5))   # layer 1 expects 5 inputs, not 3
+    buf.write(b"\0" * 8 * (3 * 4 + 3 + 2 * 5 + 2))
+    buf.seek(0)
+    with pytest.raises(ValueError, match="chain"):
+        serialize.load_rec(buf)
+
+
 def test_checkpoint_resumes_identically(tmp_path):
-    cfg = trainer.TrainerConfig(estimator="sap", n_particles=4, seed=5)
-    model = random_model(7)
-    tr = trainer.Trainer(model, cfg, make_rng(8))
-    rng = make_rng(9)
-    for _ in range(5):
-        tr.update(rng.random((3, 4)), rng.integers(0, 3, 3), rng.random((2, 4)))
+    cfg, tr = sap_trainer_after_updates()
     path = tmp_path / "ckpt.hsck"
     serialize.save_checkpoint(path, tr)
     resumed = serialize.load_checkpoint(path, cfg, trainer.Trainer)

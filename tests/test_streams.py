@@ -126,24 +126,3 @@ def test_stream_reproducible_from_seed():
     b = streams.make_stream(cfg).next_batch(50)
     assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.labels, b.labels)
-
-
-def test_write_read_stream_roundtrip(tmp_path):
-    cfg = streams.StreamConfig(kind="led", seed=3)
-    stream = streams.make_stream(cfg)
-    batches = [stream.next_batch(7), stream.next_batch(5)]
-    path = tmp_path / "dump.hsst"
-    streams.write_stream(path, cfg, batches)
-    read_cfg, data = streams.read_stream(path)
-    assert read_cfg == cfg
-    expect = np.concatenate([b.features for b in batches])
-    assert np.array_equal(data.features, expect)
-    assert np.array_equal(data.labels,
-                          np.concatenate([b.labels for b in batches]))
-
-
-def test_read_stream_rejects_bad_magic(tmp_path):
-    path = tmp_path / "bad.hsst"
-    path.write_bytes(b"NOPE" + b"\0" * 16)
-    with pytest.raises(ValueError):
-        streams.read_stream(path)
