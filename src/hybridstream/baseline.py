@@ -7,13 +7,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import flat_views, one_hot, relu, softmax
+from .numerics import ViewRecord, flat_views, one_hot, relu, softmax
 
 EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class MlpParams:
+@dataclass
+class MlpParams(ViewRecord):
     """Every weight in one float64 vector `data`, laid out per layer as W, b;
     `Ws` and `bs` hold views of it.  Gradients share the type."""
     data: np.ndarray
@@ -127,7 +127,8 @@ def mlp_update(params, x_lab, y_lab, x_unlab, lr, beta, keep_prob=1.0, rng=None)
         grads.append((beta, mlp_gradients(params, x_unlab, y_pseudo, keep_prob,
                                           train_mode=True, rng=rng)))
     for weight, g in grads:
-        np.subtract(params.data, lr * weight * g.data, out=params.data)
+        np.multiply(g.data, lr * weight, out=g.data)
+        np.subtract(params.data, g.data, out=params.data)
     return params
 
 

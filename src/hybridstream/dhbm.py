@@ -17,21 +17,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import flat_views, one_hot, sigmoid, softmax
+from .numerics import ViewRecord, flat_views, one_hot, sigmoid, softmax
 
 
-@dataclass(frozen=True)
-class LayerParams:
-    """One layer's views of its HybridParams vector.  Frozen: write through
-    a view (``lp.W[...] = ...``); rebinding one would detach it."""
+@dataclass
+class LayerParams(ViewRecord):
+    """One layer's views of its HybridParams vector.  Write through a view
+    (``lp.W[...] = ...`` or ``lp.W += d``); a view cannot be replaced (see
+    numerics.ViewRecord)."""
     W: np.ndarray
     U: np.ndarray
     b_hidden: np.ndarray
     b_visible: np.ndarray
 
 
-@dataclass(frozen=True)
-class HybridParams:
+@dataclass
+class HybridParams(ViewRecord):
     """Every parameter in one float64 vector `data`, laid out per layer as
     W, U, b_hidden, b_visible and then b_class; `layers` and `b_class` are
     views of it.  A gradient is a HybridParams too (see :meth:`zeros_like`).
@@ -92,10 +93,6 @@ class MeanFieldState:
     layer_means: list
     class_probs: np.ndarray
     input_recon: np.ndarray
-
-    def copy(self):
-        return MeanFieldState([m.copy() for m in self.layer_means],
-                              self.class_probs.copy(), self.input_recon.copy())
 
 
 def energy(params, y, x, hs):

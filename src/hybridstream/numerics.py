@@ -6,6 +6,7 @@ construct a Generator with :func:`make_rng` and pass it explicitly so that
 identical seeds reproduce identical runs.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -38,20 +39,42 @@ def flat_views(shapes, data=None):
     return data, views
 
 
-def sigmoid(v):
-    """Logistic sigmoid, overflow-safe for |v| up to ~745.
+class ViewRecord:
+    """Base of the dataclasses that hold a parameter vector and its views.
 
-    Branches on the sign of v so exp() is only ever called on non-positive
-    arguments.
+    A field is set once, when the record is built.  Setting it again to the
+    array it already holds is accepted: ``lp.W += d`` adds in place and then
+    rebinds ``W`` to the same view.  Any other value raises, because a new
+    array would detach the field from the flat vector.
+    """
+
+    def __setattr__(self, name, value):
+        if (name not in self.__dataclass_fields__
+                or self.__dict__.get(name, value) is not value):
+            raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def sigmoid(v):
+    """Logistic sigmoid, overflow-safe for any v.
+
+    exp() is only ever called on -|v|: each element is 1 / (1 + exp(-v)) for
+    v >= 0 and exp(v) / (1 + exp(v)) otherwise, computed without branching
+    in the output and one scratch array.
     """
     v = np.asarray(v, dtype=np.float64)
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    if out.ndim == 0:
-        return float(out)
+    if v.ndim == 0:
+        # ufuncs return scalars for 0-d input, which out= cannot take
+        return float(sigmoid(v.reshape(1))[0])
+    e = np.abs(v)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(v >= 0, 1.0, e)
+    np.add(e, 1.0, out=e)
+    np.divide(out, e, out=out)
     return out
 
 

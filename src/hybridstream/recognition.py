@@ -9,21 +9,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import flat_views, sigmoid, sigmoid_prime_from_output
+from .numerics import ViewRecord, flat_views, sigmoid, sigmoid_prime_from_output
 
 EPS = 1e-7
 
 
-@dataclass(frozen=True)
-class RecognitionLayer:
-    """One layer's views of its RecognitionParams vector (frozen, like
+@dataclass
+class RecognitionLayer(ViewRecord):
+    """One layer's views of its RecognitionParams vector (see
     dhbm.LayerParams)."""
     R: np.ndarray
     b: np.ndarray
 
 
-@dataclass(frozen=True)
-class RecognitionParams:
+@dataclass
+class RecognitionParams(ViewRecord):
     """Every weight in one float64 vector `data`, laid out per layer as R, b;
     `layers` holds views of it.  Gradients share the type."""
     data: np.ndarray
@@ -104,15 +104,17 @@ def kl_loss(v_list, mu_list):
     return total / n
 
 
-def rec_gradients(rec, x, mu_list):
+def rec_gradients(rec, x, mu_list, v_list=None):
     """Descent gradients of kl_loss w.r.t. every R^l and bias.
 
     The targets mu are constants.  The delta at each layer is (v - mu) plus
     the contribution backpropagated from the layer above; weight gradients
-    carry the doubling factor of their own layer.
+    carry the doubling factor of their own layer.  `v_list` is
+    ``recognize(rec, x)`` when the caller already holds it.
     """
     x = np.asarray(x, dtype=np.float64)
-    v_list = recognize(rec, x)
+    if v_list is None:
+        v_list = recognize(rec, x)
     n = x.shape[0] if x.ndim == 2 else 1
     L = rec.n_layers
     inputs = [x] + v_list[:-1]
@@ -134,9 +136,16 @@ def rec_gradients(rec, x, mu_list):
 def rec_update(rec, grad_lab, grad_unlab, lam, beta):
     """In-place descent step: R <- R - lam * (g_lab + beta * g_unlab).
 
-    A missing side (None) contributes zero.
+    A missing side (None) contributes zero.  The step is built in the
+    gradients' own vectors, so they are overwritten.
     """
-    g = (grad_lab.data if grad_lab is not None else 0.0) \
-        + beta * (grad_unlab.data if grad_unlab is not None else 0.0)
-    np.subtract(rec.data, lam * g, out=rec.data)
+    step = None
+    if grad_unlab is not None:
+        step = np.multiply(grad_unlab.data, beta, out=grad_unlab.data)
+    if grad_lab is not None:
+        step = grad_lab.data if step is None \
+            else np.add(grad_lab.data, step, out=grad_lab.data)
+    if step is not None:
+        np.multiply(step, lam, out=step)
+        np.subtract(rec.data, step, out=rec.data)
     return rec

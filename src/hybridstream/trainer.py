@@ -99,8 +99,10 @@ class Trainer:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         v = [np.atleast_2d(s) for s in recognition.recognize(self.rec, x)]
         v_stats = self._masked(v, self._dropout_masks(v))
+        class_probs = None
         if y_onehot is None:
-            y_onehot = pseudo_label(dhbm.cond_y(self.model, v_stats))
+            class_probs = dhbm.cond_y(self.model, v_stats)
+            y_onehot = pseudo_label(class_probs)
         if cfg.estimator == "mf-bp":
             state = dhda.dhda_forward(
                 self.model, self.rec, x, self.rng, cfg.corruption_p,
@@ -111,10 +113,11 @@ class Trainer:
                 x, y_onehot, v_stats, state, self.model, cfg.activation,
                 dropout_masks=mf_masks)
         else:
-            state = dhbm.MeanFieldState(
-                [s.copy() for s in v_stats],
-                dhbm.cond_y(self.model, v_stats),
-                dhbm.cond_x(self.model, v_stats[0]))
+            if class_probs is None:
+                class_probs = dhbm.cond_y(self.model, v_stats)
+            # mean_field_step builds new arrays and never writes its inputs
+            state = dhbm.MeanFieldState(v_stats, class_probs,
+                                        dhbm.cond_x(self.model, v_stats[0]))
             for _ in range(cfg.num_steps):
                 state = dhbm.mean_field_step(self.model, x, state)
             mf_masks = self._dropout_masks(state.layer_means)
@@ -132,7 +135,7 @@ class Trainer:
         # the recognition target is the clean mean-field statistic: drop-out
         # masks perturb only the statistics fed to the model-gradient
         # estimators, a masked target would collapse the network to constants
-        rec_grad = recognition.rec_gradients(self.rec, x, mu_clean)
+        rec_grad = recognition.rec_gradients(self.rec, x, mu_clean, v)
         return model_grad, rec_grad
 
     def update(self, x_lab=None, y_lab=None, x_unlab=None):
@@ -156,13 +159,16 @@ class Trainer:
         if has_unlab:
             g_model_un, g_rec_un = self._side(x_unlab, None)
         recognition.rec_update(self.rec, g_rec_lab, g_rec_un, cfg.lr, beta)
-        # ascent step on the flat vector: model += lr * (alpha g_lab + beta g_unlab)
-        total = np.zeros_like(self.model.data)
+        # ascent step on the flat vector: model += lr * (alpha g_lab + beta g_unlab),
+        # built in the gradients' own vectors
+        step = None
         if g_model_lab is not None:
-            total += cfg.alpha * g_model_lab.data
+            step = np.multiply(g_model_lab.data, cfg.alpha, out=g_model_lab.data)
         if g_model_un is not None:
-            total += beta * g_model_un.data
-        np.add(self.model.data, cfg.lr * total, out=self.model.data)
+            scaled = np.multiply(g_model_un.data, beta, out=g_model_un.data)
+            step = scaled if step is None else np.add(step, scaled, out=step)
+        np.multiply(step, cfg.lr, out=step)
+        np.add(self.model.data, step, out=self.model.data)
         if has_lab:
             self.labeled_seen += np.atleast_2d(x_lab).shape[0]
         self.updates += 1

@@ -159,6 +159,33 @@ def test_views_tile_the_flat_vector(make):
         assert all(np.shares_memory(v, other.data) for v in other_views)
     with pytest.raises(dataclasses.FrozenInstanceError):
         p.data = p.data.copy()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.unknown_field = p.data
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del p.data
     for record in getattr(p, "layers", ()):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(record, dataclasses.fields(record)[0].name, None)
+
+
+def test_plus_equals_on_views_updates_data_once():
+    hybrid = tiny_model(3)
+    rec = init_from_model(tiny_model(4))
+    mlp = MlpParams.initialize(3, [4], 3, make_rng(2))
+    expected = [p.copy() for p in (hybrid, rec, mlp)]
+    lp = hybrid.layers[1]
+    lp.W += 1.0
+    hybrid.b_class -= 0.5
+    layer = rec.layers[0]
+    layer.R += 1.0
+    rec.data *= 2.0
+    mlp.data += 1.0
+    expected[0].layers[1].W[...] += 1.0
+    expected[0].b_class[...] -= 0.5
+    expected[1].layers[0].R[...] += 1.0
+    expected[1].data[...] *= 2.0
+    expected[2].data[...] += 1.0
+    for p, want in zip((hybrid, rec, mlp), expected):
+        assert np.array_equal(p.data, want.data)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        lp.W = lp.W.copy()

@@ -18,6 +18,48 @@ def test_sigmoid_extremes_no_overflow():
 
 def test_sigmoid_scalar_returns_float():
     assert isinstance(sigmoid(1.3), float)
+    assert isinstance(sigmoid(np.float64(-2.0)), float)
+    assert isinstance(sigmoid(np.array(0.0)), float)
+
+
+def masked_sigmoid(v):
+    """The sign-masked sigmoid the branch-free one replaced: the oracle."""
+    v = np.asarray(v, dtype=np.float64)
+    out = np.empty_like(v)
+    pos = v >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ev = np.exp(v[~pos])
+    out[~pos] = ev / (1.0 + ev)
+    return out
+
+
+def assert_same_bits(got, want):
+    got = np.asarray(got, dtype=np.float64)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (20, 24), (10, 784)])
+def test_sigmoid_bits_match_masked_oracle(shape):
+    v = make_rng(sum(shape) + 1).normal(0.0, 8.0, shape)
+    assert_same_bits(sigmoid(v), masked_sigmoid(v))
+    # strided and transposed inputs take the same per-element expressions
+    if v.ndim == 2:
+        assert_same_bits(sigmoid(v.T), masked_sigmoid(v.T))
+        assert_same_bits(sigmoid(v[:, ::3]), masked_sigmoid(v[:, ::3]))
+
+
+def test_sigmoid_bits_match_masked_oracle_at_extremes():
+    v = np.array([0.0, -0.0, 745.0, -745.0, 800.0, -800.0, np.inf, -np.inf])
+    assert_same_bits(sigmoid(v), masked_sigmoid(v))
+    for x in v:
+        assert_same_bits(sigmoid(x), masked_sigmoid(x))
+
+
+def test_sigmoid_nan_propagates():
+    assert np.isnan(sigmoid(np.nan))
+    out = sigmoid(np.array([np.nan, 1.0]))
+    assert np.isnan(out[0]) and out[1] == masked_sigmoid(1.0)
 
 
 def test_relu():

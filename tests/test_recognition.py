@@ -49,6 +49,16 @@ def test_gradients_vanish_at_target():
         assert np.allclose(g.b, 0.0, atol=1e-12)
 
 
+def test_gradients_from_passed_activations_match():
+    _, rec = small_net(4)
+    rng = make_rng(5)
+    x = rng.random((5, 3))
+    mu = [rng.random((5, 4)), rng.random((5, 3))]
+    fresh = recognition.rec_gradients(rec, x, mu)
+    reused = recognition.rec_gradients(rec, x, mu, recognition.recognize(rec, x))
+    assert np.array_equal(fresh.data.view(np.int64), reused.data.view(np.int64))
+
+
 def test_gradients_match_finite_differences():
     from hybridstream.checks import gradcheck_recognition
     assert gradcheck_recognition() < 1e-4

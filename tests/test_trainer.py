@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -130,3 +132,31 @@ def test_keep_prob_one_has_no_masking_noise():
     tr_a.update(x, y)
     tr_b.update(x, y)
     assert np.array_equal(tr_a.model.layers[0].W, tr_b.model.layers[0].W)
+
+
+# sha256 of (model.data, rec.data) after ten updates of a 24-12-12-10 model
+# with drop-out and both batch sides, recorded before the update path moved
+# to in-place arithmetic; the same under one and two BLAS threads
+PINNED_UPDATE_SHA256 = {
+    "mf-cd": ("da7346fb744b3ca19fe8dc12aee951955a693559c2a334dc74971d17e94a3342",
+              "0344c70569d7ee06d0650f5c39fccfdb7121b117cb4c95272d12535c9858d285"),
+    "sap": ("ce9156c9b9bd4fb711a1e7cc09bc24f370199cfbfc96cfb77fff1dcfa8c4650f",
+            "3b3a42048a896967efe773c40fb9bf2cdb0d3eacd33c0c6443a4be17b89c09e3"),
+    "mf-bp": ("44c67ed6c7be2ca6531081d4f71a703fadf12307e2ee1d77095b34ec4fca107d",
+              "5ad3d7a76ea2a525794341038aef6b67fd70497313975f9e9b1f372cdf66beb8"),
+}
+
+
+@pytest.mark.parametrize("estimator", sorted(PINNED_UPDATE_SHA256))
+def test_update_bits_pinned(estimator):
+    model = dhbm.HybridParams.initialize(24, [12, 12], 10, make_rng(21),
+                                         weight_std=0.1)
+    cfg = TrainerConfig(estimator=estimator, keep_prob=0.5, beta_f=0.3,
+                        num_steps=2, n_particles=5)
+    tr = Trainer(model, cfg, make_rng(22))
+    rng = make_rng(23)
+    for _ in range(10):
+        tr.update(rng.random((6, 24)), rng.integers(0, 10, 6), rng.random((4, 24)))
+    digests = tuple(hashlib.sha256(a.tobytes()).hexdigest()
+                    for a in (tr.model.data, tr.rec.data))
+    assert digests == PINNED_UPDATE_SHA256[estimator]
