@@ -89,43 +89,57 @@ def log_loss(probs, y_onehot):
     return float(-np.sum(y_onehot * np.log(np.clip(probs, EPS, 1.0)))) / n
 
 
-def mlp_gradients(params, x, y_onehot, keep_prob=1.0, train_mode=False, rng=None):
-    """Descent gradients of the batch-averaged softmax log-loss."""
+def mlp_gradients(params, x, y_onehot, keep_prob=1.0, train_mode=False, rng=None,
+                  out=None):
+    """Descent gradients of the batch-averaged softmax log-loss, written into
+    `out` (every entry), a fresh container when None."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     n = x.shape[0]
     hidden, probs, masks = mlp_forward(params, x, keep_prob, train_mode, rng)
     inputs = [x] + hidden[:-1]
-    grads = params.zeros_like()
+    grads = params.zeros_like() if out is None else out
     delta = (probs - y_onehot) / n
     # matmul straight into the views: a wide layer's gradient is not copied
     np.matmul(delta.T, hidden[-1] if hidden else x, out=grads.Ws[-1])
-    grads.bs[-1][...] = delta.sum(axis=0)
+    np.sum(delta, axis=0, out=grads.bs[-1])
     for l in range(len(hidden) - 1, -1, -1):
         delta = (delta @ params.Ws[l + 1]) * (hidden[l] > 0)
         if masks:
             delta = delta * masks[l]
         np.matmul(delta.T, inputs[l], out=grads.Ws[l])
-        grads.bs[l][...] = delta.sum(axis=0)
+        np.sum(delta, axis=0, out=grads.bs[l])
     return grads
 
 
-def mlp_update(params, x_lab, y_lab, x_unlab, lr, beta, keep_prob=1.0, rng=None):
+def mlp_update(params, x_lab, y_lab, x_unlab, lr, beta, keep_prob=1.0, rng=None,
+               workspaces=None):
     """Descent step on log-loss(lab) + beta * log-loss(unlab, pseudo-labels).
 
     Pseudo-labels are the model's own eval-mode argmax predictions.
-    Mutates params in place.
+    Mutates params in place.  `workspaces` is a dict the caller keeps across
+    steps: it holds the gradient container of each side ("lab", "unlab"),
+    built the first time that side occurs (fresh ones each step when None).
     """
+    workspaces = {} if workspaces is None else workspaces
+
+    def workspace(side):
+        if side not in workspaces:
+            workspaces[side] = params.zeros_like()
+        return workspaces[side]
+
     grads = []
     if x_lab is not None and len(x_lab) > 0:
         y_arr = np.asarray(y_lab)
         y_oh = y_arr if y_arr.ndim == 2 else one_hot(y_arr, params.n_classes)
         grads.append((1.0, mlp_gradients(params, x_lab, y_oh, keep_prob,
-                                         train_mode=True, rng=rng)))
+                                         train_mode=True, rng=rng,
+                                         out=workspace("lab"))))
     if beta != 0.0 and x_unlab is not None and len(x_unlab) > 0:
         _, probs, _ = mlp_forward(params, x_unlab, keep_prob, train_mode=False)
         y_pseudo = one_hot(np.argmax(probs, axis=1), params.n_classes)
         grads.append((beta, mlp_gradients(params, x_unlab, y_pseudo, keep_prob,
-                                          train_mode=True, rng=rng)))
+                                          train_mode=True, rng=rng,
+                                          out=workspace("unlab"))))
     for weight, g in grads:
         np.multiply(g.data, lr * weight, out=g.data)
         np.subtract(params.data, g.data, out=params.data)

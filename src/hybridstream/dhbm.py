@@ -124,18 +124,23 @@ def cond_h(params, l, y_probs, below, above=None):
     place of binary states, and batches (rows) in place of single vectors.
     """
     lp = params.layers[l]
-    pre = below @ lp.W.T + y_probs @ lp.U.T + lp.b_hidden
+    if l + 1 < params.n_layers and above is None:
+        raise ValueError(f"layer {l} requires the state of layer {l + 1}")
+    # the terms are summed left to right in one array
+    pre = below @ lp.W.T
+    np.add(pre, y_probs @ lp.U.T, out=pre)
+    np.add(pre, lp.b_hidden, out=pre)
     if l + 1 < params.n_layers:
-        if above is None:
-            raise ValueError(f"layer {l} requires the state of layer {l + 1}")
-        pre = pre + above @ params.layers[l + 1].W
-    return sigmoid(pre)
+        np.add(pre, above @ params.layers[l + 1].W, out=pre)
+    return sigmoid(pre, out=pre)
 
 
 def cond_x(params, h1):
     """Mean of the visible layer given h^1: sigma(W1' h1 + b_visible)."""
     lp = params.layers[0]
-    return sigmoid(h1 @ lp.W + lp.b_visible)
+    pre = h1 @ lp.W
+    np.add(pre, lp.b_visible, out=pre)
+    return sigmoid(pre, out=pre)
 
 
 def cond_y(params, h_means):

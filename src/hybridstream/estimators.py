@@ -21,26 +21,37 @@ def _positive_phase(x, q_rec):
     return [(q_rec[l], x if l == 0 else q_rec[l - 1]) for l in range(len(q_rec))]
 
 
-def mf_cd_gradients(x, y_probs, y_hat, q_rec, mf_state, params):
+def mf_cd_gradients(x, y_probs, y_hat, q_rec, mf_state, params, out=None):
     """Mean-field contrastive divergence.
 
     Positive phase from the recognition statistics (data clamped), negative
     phase from the mean-field posterior; per layer dW = <h+ v+'> - <h- v-'>
-    and dU = <h+ e_y'> - <h- e_yhat'>, batch-averaged.
+    and dU = <h+ e_y'> - <h- e_yhat'>, batch-averaged.  Written into `out`
+    (every entry), a fresh container when None.
     """
     x = np.atleast_2d(x)
     n = x.shape[0]
-    out = params.zeros_like()
+    out = params.zeros_like() if out is None else out
     for l, (h_pos, v_pos) in enumerate(_positive_phase(x, q_rec)):
         h_neg = mf_state.layer_means[l]
         v_neg = mf_state.input_recon if l == 0 else mf_state.layer_means[l - 1]
         g = out.layers[l]
-        g.W[...] = (h_pos.T @ v_pos - h_neg.T @ v_neg) / n
-        g.U[...] = (h_pos.T @ y_probs - h_neg.T @ y_hat) / n
-        g.b_hidden[...] = (h_pos - h_neg).sum(axis=0) / n
+        # (pos - neg) / n, evaluated in that order in the view
+        np.matmul(h_pos.T, v_pos, out=g.W)
+        np.subtract(g.W, h_neg.T @ v_neg, out=g.W)
+        np.divide(g.W, n, out=g.W)
+        np.matmul(h_pos.T, y_probs, out=g.U)
+        np.subtract(g.U, h_neg.T @ y_hat, out=g.U)
+        np.divide(g.U, n, out=g.U)
+        np.sum(h_pos - h_neg, axis=0, out=g.b_hidden)
+        np.divide(g.b_hidden, n, out=g.b_hidden)
         if l == 0:
-            g.b_visible[...] = (v_pos - v_neg).sum(axis=0) / n
-    out.b_class[...] = (y_probs - y_hat).sum(axis=0) / n
+            np.sum(v_pos - v_neg, axis=0, out=g.b_visible)
+            np.divide(g.b_visible, n, out=g.b_visible)
+        else:
+            g.b_visible[...] = 0.0
+    np.sum(y_probs - y_hat, axis=0, out=out.b_class)
+    np.divide(out.b_class, n, out=out.b_class)
     return out
 
 
@@ -51,7 +62,7 @@ def _phi_prime(values, activation):
 
 
 def mf_bp_gradients(x, y_probs, q_rec, state, params, activation="sigmoid",
-                    dropout_masks=None):
+                    dropout_masks=None, out=None):
     """Layer-local back-propagation for the DHDA.
 
     Differentiates, per layer, the tied encoder/decoder reconstruction loss
@@ -61,12 +72,13 @@ def mf_bp_gradients(x, y_probs, q_rec, state, params, activation="sigmoid",
     part of the forward function and therefore of the gradient.  Drop-out
     masks, when given, are re-applied to the hidden error deltas.
 
-    Returns the negation of the descent gradient (ascent convention).
+    Returns the negation of the descent gradient (ascent convention),
+    written into `out` (every entry), a fresh container when None.
     """
     x = np.atleast_2d(x)
     n = x.shape[0]
     L = params.n_layers
-    out = params.zeros_like()
+    out = params.zeros_like() if out is None else out
     # softmax + log-loss output delta: (p - e_y), batch-averaged
     xi_out = (state.class_probs - y_probs) / n
     for l in range(L):
@@ -88,11 +100,18 @@ def mf_bp_gradients(x, y_probs, q_rec, state, params, activation="sigmoid",
         if dropout_masks is not None:
             xi_hid_total = xi_hid_total * dropout_masks[l]
         g = out.layers[l]
-        g.W[...] = -(xi_hid_total.T @ v_in + h_hat.T @ xi_recon)
-        g.U[...] = -(h.T @ xi_out)
-        g.b_hidden[...] = -xi_hid_total.sum(axis=0)
-        g.b_visible[...] = -xi_recon.sum(axis=0)
-    out.b_class[...] = -xi_out.sum(axis=0)
+        # -(a + b), evaluated in that order in the view
+        np.matmul(xi_hid_total.T, v_in, out=g.W)
+        np.add(g.W, h_hat.T @ xi_recon, out=g.W)
+        np.negative(g.W, out=g.W)
+        np.matmul(h.T, xi_out, out=g.U)
+        np.negative(g.U, out=g.U)
+        np.sum(xi_hid_total, axis=0, out=g.b_hidden)
+        np.negative(g.b_hidden, out=g.b_hidden)
+        np.sum(xi_recon, axis=0, out=g.b_visible)
+        np.negative(g.b_visible, out=g.b_visible)
+    np.sum(xi_out, axis=0, out=out.b_class)
+    np.negative(out.b_class, out=out.b_class)
     return out
 
 
@@ -126,27 +145,36 @@ class FantasyParticles:
         return self
 
 
-def sap_gradients(x, y_probs, q_rec, particles, params, rng):
+def sap_gradients(x, y_probs, q_rec, particles, params, rng, out=None):
     """Stochastic approximation procedure (persistent contrastive divergence).
 
     Positive phase as in MF-CD; negative phase from the fantasy particles,
     each advanced one block-Gibbs sweep, averaged over the M chains with
-    their own sampled labels.
+    their own sampled labels.  Written into `out` (every entry), a fresh
+    container when None.
     """
     x = np.atleast_2d(x)
     n = x.shape[0]
     particles.advance(params, rng, n_sweeps=1)
     m = particles.n_particles
     ey_neg = one_hot(particles.y, params.n_classes)
-    out = params.zeros_like()
+    out = params.zeros_like() if out is None else out
+
+    def finish(view, neg):
+        # the view holds pos: pos / n - neg / m, evaluated in that order
+        np.divide(view, n, out=view)
+        np.subtract(view, np.divide(neg, m, out=neg), out=view)
+
     for l, (h_pos, v_pos) in enumerate(_positive_phase(x, q_rec)):
         h_neg = particles.hs[l]
         v_neg = particles.x if l == 0 else particles.hs[l - 1]
         g = out.layers[l]
-        g.W[...] = h_pos.T @ v_pos / n - h_neg.T @ v_neg / m
-        g.U[...] = h_pos.T @ y_probs / n - h_neg.T @ ey_neg / m
-        g.b_hidden[...] = h_pos.sum(axis=0) / n - h_neg.sum(axis=0) / m
+        finish(np.matmul(h_pos.T, v_pos, out=g.W), h_neg.T @ v_neg)
+        finish(np.matmul(h_pos.T, y_probs, out=g.U), h_neg.T @ ey_neg)
+        finish(np.sum(h_pos, axis=0, out=g.b_hidden), h_neg.sum(axis=0))
         if l == 0:
-            g.b_visible[...] = v_pos.sum(axis=0) / n - v_neg.sum(axis=0) / m
-    out.b_class[...] = y_probs.sum(axis=0) / n - ey_neg.sum(axis=0) / m
+            finish(np.sum(v_pos, axis=0, out=g.b_visible), v_neg.sum(axis=0))
+        else:
+            g.b_visible[...] = 0.0
+    finish(np.sum(y_probs, axis=0, out=out.b_class), ey_neg.sum(axis=0))
     return out

@@ -34,10 +34,15 @@ class PrequentialState:
         return self.error
 
     def update_many(self, losses):
-        p = None
-        for loss in losses:
-            p = self.update(loss)
-        return p
+        """update() for each loss in turn (the same arithmetic, in one loop);
+        returns the error after the last one."""
+        a = self.alpha
+        s, b = self.weighted_loss, self.weighted_count
+        for loss in np.asarray(losses, dtype=np.float64).tolist():
+            s = a * s + loss
+            b = a * b + 1.0
+        self.weighted_loss, self.weighted_count = s, b
+        return self.error
 
 
 def prequential_direct(losses, alpha):

@@ -37,11 +37,12 @@ class MlpPseudoLabelModel:
             n_visible, hidden_dims, n_classes, rng)
         self.config = config
         self.rng = rng
+        self.workspaces = {}    # gradient containers kept across updates
 
     def update(self, x_lab=None, y_lab=None, x_unlab=None):
         cfg = self.config
         baseline.mlp_update(self.params, x_lab, y_lab, x_unlab, cfg.lr,
-                            cfg.beta_f, cfg.keep_prob, self.rng)
+                            cfg.beta_f, cfg.keep_prob, self.rng, self.workspaces)
 
     def predict(self, x):
         return baseline.mlp_predict(self.params, x, self.config.keep_prob)
@@ -173,14 +174,17 @@ def run_mnist_trial(config, trial, dataset, test_set):
     trainer_cfg = TrainerConfig(**base_cfg)
     batch_size = int(config.get("batch_size", 10))
     epochs = int(config.get("epochs", 6))
+    pool_x = np.concatenate([labeled.images, unlabeled])
+    pool_y = np.concatenate([labeled.labels,
+                             -np.ones(len(unlabeled), dtype=np.int64)])
+    # the pool is the one copy of the training images kept through training
+    # and the final test prediction, where memory peaks
+    del labeled, unlabeled
     results = {}
     for i, kind in enumerate(config.get("models", ["dhbm-mf", "mlp-lab"])):
         model = build_model(kind, n_visible, hidden_dims, n_classes,
                             trainer_cfg, make_rng(trial_seed + i + 1))
         epoch_rng = make_rng(trial_seed + 7919 + i)
-        pool_x = np.concatenate([labeled.images, unlabeled])
-        pool_y = np.concatenate([labeled.labels,
-                                 -np.ones(len(unlabeled), dtype=np.int64)])
         best_val = np.inf
         best_snapshot = None
         for _ in range(epochs):

@@ -38,11 +38,13 @@ def gibbs_sweeps(params, x, hs, y, uniforms, n_sweeps, counts=None):
             lp = params.layers[l]
             H = lp.W.shape[0]
             below = x if l == 0 else hs[l - 1]
-            pre = below @ lp.W.T + lp.U.T[y] + lp.b_hidden
+            pre = below @ lp.W.T
+            np.add(pre, lp.U.T[y], out=pre)
+            np.add(pre, lp.b_hidden, out=pre)
             if l + 1 < L:
-                pre = pre + hs[l + 1] @ params.layers[l + 1].W
+                np.add(pre, hs[l + 1] @ params.layers[l + 1].W, out=pre)
             u = uniforms[off:off + M * H].reshape(M, H)
-            hs[l][...] = (u < sigmoid(pre)).astype(np.float64)
+            hs[l][...] = u < sigmoid(pre, out=pre)
             off += M * H
         logits = hs[0] @ params.layers[0].U + params.b_class
         for l in range(1, L):
@@ -52,9 +54,10 @@ def gibbs_sweeps(params, x, hs, y, uniforms, n_sweeps, counts=None):
         y[...] = np.minimum((cdf <= u[:, None]).sum(axis=1), C - 1)
         off += M
         D = params.n_visible
-        pre = hs[0] @ params.layers[0].W + params.layers[0].b_visible
+        pre = hs[0] @ params.layers[0].W
+        np.add(pre, params.layers[0].b_visible, out=pre)
         u = uniforms[off:off + M * D].reshape(M, D)
-        x[...] = (u < sigmoid(pre)).astype(np.float64)
+        x[...] = u < sigmoid(pre, out=pre)
         off += M * D
         if counts is not None:
             ix = (x.astype(np.int64) @ (1 << np.arange(D))).astype(np.int64)

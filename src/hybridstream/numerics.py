@@ -58,24 +58,24 @@ class ViewRecord:
         raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-def sigmoid(v):
+def sigmoid(v, out=None):
     """Logistic sigmoid, overflow-safe for any v.
 
     exp() is only ever called on -|v|: each element is 1 / (1 + exp(-v)) for
     v >= 0 and exp(v) / (1 + exp(v)) otherwise, computed without branching
-    in the output and one scratch array.
+    in the output and one scratch array.  `out` may be v itself.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.ndim == 0:
         # ufuncs return scalars for 0-d input, which out= cannot take
         return float(sigmoid(v.reshape(1))[0])
-    e = np.abs(v)
+    pos = v >= 0        # read before out, which may alias v, is written
+    e = np.abs(v, out=out)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    out = np.where(v >= 0, 1.0, e)
-    np.add(e, 1.0, out=e)
-    np.divide(out, e, out=out)
-    return out
+    den = e + 1.0
+    np.putmask(e, pos, 1.0)
+    return np.divide(e, den, out=e)
 
 
 def sigmoid_prime_from_output(s):
@@ -111,7 +111,5 @@ def bernoulli_mask(rng, rows, cols, keep_prob):
 
 
 def one_hot(indices, n_classes):
-    indices = np.asarray(indices, dtype=np.int64)
-    out = np.zeros(indices.shape + (n_classes,), dtype=np.float64)
-    np.put_along_axis(out, indices[..., None], 1.0, axis=-1)
-    return out
+    """Rows of the identity: shape indices.shape + (n_classes,), float64."""
+    return np.eye(n_classes)[np.asarray(indices, dtype=np.int64)]

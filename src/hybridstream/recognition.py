@@ -79,7 +79,11 @@ def recognize(rec, x):
     out = []
     below = np.asarray(x, dtype=np.float64)
     for l, layer in enumerate(rec.layers):
-        below = sigmoid(_doubling(l, rec.n_layers) * (below @ layer.R.T) + layer.b)
+        # 2 * (below R') + b, evaluated in that order in one array
+        pre = below @ layer.R.T
+        np.multiply(pre, _doubling(l, rec.n_layers), out=pre)
+        np.add(pre, layer.b, out=pre)
+        below = sigmoid(pre, out=pre)
         out.append(below)
     return out
 
@@ -104,13 +108,14 @@ def kl_loss(v_list, mu_list):
     return total / n
 
 
-def rec_gradients(rec, x, mu_list, v_list=None):
+def rec_gradients(rec, x, mu_list, v_list=None, out=None):
     """Descent gradients of kl_loss w.r.t. every R^l and bias.
 
     The targets mu are constants.  The delta at each layer is (v - mu) plus
     the contribution backpropagated from the layer above; weight gradients
     carry the doubling factor of their own layer.  `v_list` is
-    ``recognize(rec, x)`` when the caller already holds it.
+    ``recognize(rec, x)`` when the caller already holds it.  The gradients
+    are written into `out` (every entry), a fresh container when None.
     """
     x = np.asarray(x, dtype=np.float64)
     if v_list is None:
@@ -124,12 +129,15 @@ def rec_gradients(rec, x, mu_list, v_list=None):
         back = deltas[l + 1] @ (_doubling(l + 1, L) * rec.layers[l + 1].R)
         deltas[l] = (v_list[l] - mu_list[l]) \
             + back * sigmoid_prime_from_output(v_list[l])
-    grads = rec.zeros_like()
+    grads = rec.zeros_like() if out is None else out
     for l, g in enumerate(grads.layers):
         d = np.atleast_2d(deltas[l])
         inp = np.atleast_2d(inputs[l])
-        np.divide(_doubling(l, L) * (d.T @ inp), n, out=g.R)
-        g.b[...] = d.sum(axis=0) / n
+        np.matmul(d.T, inp, out=g.R)
+        np.multiply(g.R, _doubling(l, L), out=g.R)
+        np.divide(g.R, n, out=g.R)
+        np.sum(d, axis=0, out=g.b)
+        np.divide(g.b, n, out=g.b)
     return grads
 
 

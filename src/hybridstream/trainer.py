@@ -75,6 +75,8 @@ class Trainer:
                 model, config.n_particles, rng)
         self.labeled_seen = 0
         self.updates = 0
+        # side -> (model gradient, recognition gradient), kept across updates
+        self._workspaces = {}
 
     def current_beta(self):
         if not self.config.anneal:
@@ -83,19 +85,36 @@ class Trainer:
         return beta_schedule(t, self.config.t1, self.config.t2, self.config.beta_f)
 
     def _dropout_masks(self, stats):
+        """One keep-mask per statistic, cut from a single draw: the same
+        uniforms, in the same order, as one draw per statistic."""
         if self.config.keep_prob >= 1.0:
             return None
-        return [bernoulli_mask(self.rng, s.shape[0], s.shape[1],
-                               self.config.keep_prob) for s in stats]
+        flat = bernoulli_mask(self.rng, 1, sum(s.size for s in stats),
+                              self.config.keep_prob)[0]
+        masks = []
+        offset = 0
+        for s in stats:
+            masks.append(flat[offset:offset + s.size].reshape(s.shape))
+            offset += s.size
+        return masks
+
+    def _workspace(self, side):
+        """The gradient containers of one side, built on its first update."""
+        if side not in self._workspaces:
+            self._workspaces[side] = (self.model.zeros_like(),
+                                      self.rec.zeros_like())
+        return self._workspaces[side]
 
     def _masked(self, stats, masks):
         if masks is None:
             return [s.copy() for s in stats]
         return [s * m for s, m in zip(stats, masks)]
 
-    def _side(self, x, y_onehot):
-        """Gradients and bookkeeping for one (labeled or unlabeled) batch."""
+    def _side(self, x, y_onehot, side):
+        """Gradients and bookkeeping for one (labeled or unlabeled) batch,
+        written into that side's workspace."""
         cfg = self.config
+        model_out, rec_out = self._workspace(side)
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         v = [np.atleast_2d(s) for s in recognition.recognize(self.rec, x)]
         v_stats = self._masked(v, self._dropout_masks(v))
@@ -111,7 +130,7 @@ class Trainer:
             mu_clean = state.hidden
             model_grad = estimators.mf_bp_gradients(
                 x, y_onehot, v_stats, state, self.model, cfg.activation,
-                dropout_masks=mf_masks)
+                dropout_masks=mf_masks, out=model_out)
         else:
             if class_probs is None:
                 class_probs = dhbm.cond_y(self.model, v_stats)
@@ -128,14 +147,16 @@ class Trainer:
             if cfg.estimator == "mf-cd":
                 model_grad = estimators.mf_cd_gradients(
                     x, y_onehot, state.class_probs, v_stats, masked_state,
-                    self.model)
+                    self.model, out=model_out)
             else:
                 model_grad = estimators.sap_gradients(
-                    x, y_onehot, v_stats, self.particles, self.model, self.rng)
+                    x, y_onehot, v_stats, self.particles, self.model, self.rng,
+                    out=model_out)
         # the recognition target is the clean mean-field statistic: drop-out
         # masks perturb only the statistics fed to the model-gradient
         # estimators, a masked target would collapse the network to constants
-        rec_grad = recognition.rec_gradients(self.rec, x, mu_clean, v)
+        rec_grad = recognition.rec_gradients(self.rec, x, mu_clean, v,
+                                             out=rec_out)
         return model_grad, rec_grad
 
     def update(self, x_lab=None, y_lab=None, x_unlab=None):
@@ -155,9 +176,9 @@ class Trainer:
             y_arr = np.asarray(y_lab)
             y_onehot = y_arr if y_arr.ndim == 2 \
                 else one_hot(y_arr, self.model.n_classes)
-            g_model_lab, g_rec_lab = self._side(x_lab, y_onehot)
+            g_model_lab, g_rec_lab = self._side(x_lab, y_onehot, "lab")
         if has_unlab:
-            g_model_un, g_rec_un = self._side(x_unlab, None)
+            g_model_un, g_rec_un = self._side(x_unlab, None, "unlab")
         recognition.rec_update(self.rec, g_rec_lab, g_rec_un, cfg.lr, beta)
         # ascent step on the flat vector: model += lr * (alpha g_lab + beta g_unlab),
         # built in the gradients' own vectors
@@ -182,7 +203,7 @@ class Trainer:
         """
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         v = [np.atleast_2d(s) for s in recognition.recognize(self.rec, x)]
-        stats = [s * self.config.keep_prob for s in v]
+        stats = [np.multiply(s, self.config.keep_prob, out=s) for s in v]
         if refine_steps > 0:
             state = dhbm.MeanFieldState(stats, dhbm.cond_y(self.model, stats),
                                         dhbm.cond_x(self.model, stats[0]))

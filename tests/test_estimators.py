@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hybridstream import dhbm, estimators, kernels, recognition
-from hybridstream.numerics import make_rng, one_hot
+from hybridstream import baseline, dhbm, dhda, estimators, kernels, recognition
+from hybridstream.numerics import bernoulli_mask, make_rng, one_hot, softmax
 
 
 def setup(seed=0, d=4, hidden=(3, 3), c=3, std=0.5):
@@ -107,3 +107,54 @@ def test_kernel_counts_accumulate_sweeps():
     counts = np.zeros((4, 2))
     p.advance(model, make_rng(14), n_sweeps=25, counts=counts)
     assert counts.sum() == 25 * 4
+
+
+def gradient_case(name):
+    """(grad(out), empty container) for one gradient function on fixed
+    inputs; a call that draws from a generator gets a fresh, equally seeded
+    one, so every call sees the same draws."""
+    model, rec = setup(20, d=5, hidden=(4, 3), c=3)
+    rng = make_rng(21)
+    x = rng.random((4, 5))
+    y = one_hot(rng.integers(0, 3, 4), 3)
+    q = recognition.recognize(rec, x)
+    if name == "mf-cd":
+        state = dhbm.MeanFieldState([np.clip(m + 0.1, 0, 1) for m in q],
+                                    softmax(rng.normal(size=(4, 3))),
+                                    rng.random((4, 5)))
+        return (lambda out: estimators.mf_cd_gradients(
+            x, y, state.class_probs, q, state, model, out=out)), model.zeros_like()
+    if name == "sap":
+        def sap(out):
+            particles = estimators.FantasyParticles.initialize(model, 5, make_rng(22))
+            return estimators.sap_gradients(x, y, q, particles, model,
+                                            make_rng(23), out=out)
+        return sap, model.zeros_like()
+    if name == "mf-bp":
+        masks = [bernoulli_mask(rng, 4, h, 0.5) for h in (4, 3)]
+
+        def mf_bp(out):
+            state = dhda.dhda_forward(model, rec, x, make_rng(24), 0.2, 2)
+            return estimators.mf_bp_gradients(x, y, q, state, model,
+                                              dropout_masks=masks, out=out)
+        return mf_bp, model.zeros_like()
+    if name == "rec":
+        mu = [rng.random((4, 4)), rng.random((4, 3))]
+        return (lambda out: recognition.rec_gradients(rec, x, mu, out=out)), \
+            rec.zeros_like()
+    mlp = baseline.MlpParams.initialize(5, [4, 3], 3, make_rng(25), weight_std=0.5)
+    return (lambda out: baseline.mlp_gradients(
+        mlp, x, y, 0.5, train_mode=True, rng=make_rng(26), out=out)), mlp.zeros_like()
+
+
+@pytest.mark.parametrize("name", ["mf-cd", "sap", "mf-bp", "rec", "mlp"])
+def test_gradients_overwrite_every_workspace_entry(name):
+    # a workspace keeps the previous step's values; a gradient written into
+    # one that holds NaN everywhere must equal one built in a fresh container
+    grad, workspace = gradient_case(name)
+    fresh = grad(None)
+    workspace.data[...] = np.nan
+    for _ in range(2):
+        assert grad(workspace) is workspace
+        assert np.array_equal(workspace.data.view(np.int64),
+                              fresh.data.view(np.int64))

@@ -29,6 +29,20 @@ def test_alpha_one_is_running_mean():
     assert p.update_many(losses) == pytest.approx(0.75, abs=1e-15)
 
 
+@pytest.mark.parametrize("alpha", [0.995, 1.0])
+def test_update_many_matches_update_bits(alpha):
+    losses = (make_rng(1).random(500) < 0.3).astype(np.float64)
+    one = PrequentialState(alpha)
+    errors = [one.update(loss) for loss in losses]
+    many = PrequentialState(alpha)
+    assert many.update_many(losses[:200]) == errors[199]
+    got = many.update_many(losses[200:])
+    assert np.float64(got).view(np.int64) == np.float64(errors[-1]).view(np.int64)
+    for a, b in ((many.weighted_loss, one.weighted_loss),
+                 (many.weighted_count, one.weighted_count)):
+        assert np.float64(a).view(np.int64) == np.float64(b).view(np.int64)
+
+
 def test_error_undefined_before_samples():
     with pytest.raises(ValueError):
         PrequentialState().error

@@ -1,11 +1,16 @@
+import hashlib
 import json
 import os
 
 import numpy as np
 import pytest
 
-from hybridstream import experiments
+from hybridstream import baseline, dhbm, experiments, numerics, recognition
+from hybridstream.datasets import mnist_paths
 from hybridstream.evaluation import read_curve
+from hybridstream.numerics import make_rng
+from hybridstream.trainer import TrainerConfig
+from test_datasets import write_idx_pair
 
 
 def test_parse_architecture():
@@ -95,3 +100,75 @@ def test_mlp_lab_ignores_unlabeled():
     a.update(x, y, u)
     b.update(x, y, None)
     assert np.array_equal(a.params.Ws[0], b.params.Ws[0])
+
+
+@pytest.mark.parametrize("kind", ["dhbm-mf", "dhbm-sap", "dhda", "mlp-pl", "mlp-lab"])
+def test_updates_after_the_first_build_no_container(kind, monkeypatch):
+    # every model keeps its gradient workspaces: once each batch side has
+    # occurred, an update builds no parameter container
+    cfg = TrainerConfig(keep_prob=0.5, beta_f=0.3, n_particles=4)
+    model = experiments.build_model(kind, 6, [5, 4], 3, cfg, make_rng(30))
+    rng = make_rng(31)
+    built = []
+    flat_views = numerics.flat_views
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return flat_views(*args, **kwargs)
+
+    for module in (numerics, dhbm, recognition, baseline):
+        monkeypatch.setattr(module, "flat_views", counting)
+    model.update(rng.random((4, 6)), rng.integers(0, 3, 4), rng.random((3, 6)))
+    assert built
+    built.clear()
+    for _ in range(3):
+        model.update(rng.random((4, 6)), rng.integers(0, 3, 4), rng.random((3, 6)))
+    assert built == []
+    if kind == "mlp-lab":
+        assert set(model.workspaces) == {"lab"}
+
+
+def write_tiny_mnist(root, seed=0, n_classes=4, side=6):
+    """Seeded IDX files under the MNIST names: a random template per class,
+    each image flipping a tenth of its template's pixels."""
+    rng = make_rng(seed)
+    templates = rng.random((n_classes, side * side)) < 0.3
+    for split, n in (("train", 200), ("test", 60)):
+        labels = rng.permutation(np.arange(n) % n_classes)
+        on = templates[labels] ^ (rng.random((n, side * side)) < 0.1)
+        images = np.where(on, 220, 20).reshape(n, side, side)
+        tmp = root / split
+        tmp.mkdir()
+        for written, wanted in zip(write_idx_pair(tmp, images, labels),
+                                   mnist_paths(str(root), split)):
+            os.replace(written, wanted)
+
+
+# sha256 of the summary.csv below (test errors 0.2667 for dhbm-mf, 0.0167
+# for mlp-lab), recorded before gradient containers were kept across
+# updates; the same under one and two BLAS threads
+OFFLINE_SUMMARY_SHA256 = \
+    "19d103cc5d0a838368297b523b5337031fff4319cd8673036f33e53e65a05d94"
+
+
+def test_run_mnist_experiment_offline_path(tmp_path):
+    write_tiny_mnist(tmp_path)
+    # labeled epochs of 40 instances: beta leaves 0 after the first epoch
+    # (t1 = 1) and reaches beta_f after the second (t2 = 2); one hidden
+    # layer, because at this width the MLP's 0.01-std start stays at
+    # chance with two
+    config = {"architecture": "36-16-4", "n_labeled": 40, "n_valid": 20,
+              "n_unlabeled": 60, "epochs": 8, "batch_size": 10,
+              "models": ["dhbm-mf", "mlp-lab"], "seed": 5, "trials": 1,
+              "trainer": {"lr": 0.3, "keep_prob": 0.5, "anneal": True,
+                          "t1": 1, "t2": 2},
+              "data_root": str(tmp_path)}
+    out = tmp_path / "out"
+    finals = experiments.run_mnist_experiment(config, str(out))
+    assert set(finals) == {"dhbm-mf", "mlp-lab"}
+    rows = [line.split(",") for line in (out / "summary.csv").read_text().splitlines()
+            if not line.startswith("model,")]
+    assert len(rows) == 2 + 2
+    assert all(0.0 <= float(v) <= 1.0 for row in rows for v in row[1:])
+    digest = hashlib.sha256((out / "summary.csv").read_bytes()).hexdigest()
+    assert digest == OFFLINE_SUMMARY_SHA256

@@ -43,6 +43,14 @@ def assert_same_bits(got, want):
 def test_sigmoid_bits_match_masked_oracle(shape):
     v = make_rng(sum(shape) + 1).normal(0.0, 8.0, shape)
     assert_same_bits(sigmoid(v), masked_sigmoid(v))
+    if v.ndim > 0:
+        # written into a given array, or into v itself
+        out = np.empty_like(v)
+        assert sigmoid(v, out=out) is out
+        assert_same_bits(out, masked_sigmoid(v))
+        w = v.copy()
+        assert sigmoid(w, out=w) is w
+        assert_same_bits(w, masked_sigmoid(v))
     # strided and transposed inputs take the same per-element expressions
     if v.ndim == 2:
         assert_same_bits(sigmoid(v.T), masked_sigmoid(v.T))
@@ -93,10 +101,24 @@ def test_bernoulli_mask_rejects_bad_prob():
         bernoulli_mask(make_rng(0), 2, 2, 1.5)
 
 
+def put_along_axis_one_hot(indices, n_classes):
+    """The put_along_axis form identity-row indexing replaced: the oracle."""
+    indices = np.asarray(indices, dtype=np.int64)
+    out = np.zeros(indices.shape + (n_classes,), dtype=np.float64)
+    np.put_along_axis(out, indices[..., None], 1.0, axis=-1)
+    return out
+
+
 def test_one_hot():
     oh = one_hot(np.array([0, 2]), 3)
     assert np.array_equal(oh, [[1, 0, 0], [0, 0, 1]])
     assert np.array_equal(one_hot(1, 3), [0, 1, 0])
+    rng = make_rng(3)
+    for indices in (rng.integers(0, 10, 20), rng.integers(0, 10, (4, 5)),
+                    np.array([], dtype=np.int64), 7):
+        got, want = one_hot(indices, 10), put_along_axis_one_hot(indices, 10)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 def test_make_rng_reproducible():

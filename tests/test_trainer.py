@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hybridstream import dhbm, trainer
-from hybridstream.numerics import make_rng
+from hybridstream.numerics import bernoulli_mask, make_rng
 from hybridstream.trainer import Trainer, TrainerConfig, beta_schedule, pseudo_label
 
 
@@ -99,6 +99,19 @@ def test_labeled_counter_and_annealed_beta():
     assert tr.current_beta() == 0.0  # exactly t1: ramp starts at zero
     tr.update(x, y)
     assert tr.current_beta() == pytest.approx(0.4)
+
+
+def test_dropout_masks_match_per_layer_draws():
+    # one draw cut into masks: the same uniforms, in the same order, as one
+    # draw per layer, and the generator ends in the same state
+    tr = make_trainer(seed=40, keep_prob=0.6)
+    stats = [np.zeros((5, 3)), np.zeros((5, 4)), np.zeros((5, 2))]
+    masks = tr._dropout_masks(stats)
+    rng = make_rng(41)
+    for m, s in zip(masks, stats):
+        want = bernoulli_mask(rng, s.shape[0], s.shape[1], 0.6)
+        assert m.shape == want.shape and np.array_equal(m, want)
+    assert tr.rng.random() == rng.random()
 
 
 def test_predict_shapes_and_normalization():
