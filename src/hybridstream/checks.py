@@ -128,8 +128,7 @@ def gradcheck_mf_bp(seed=13, batch=2):
     x = rng.random((batch, d))
     y = one_hot(rng.integers(0, c, batch), c)
     q_rec = recognition.recognize(rec, x)
-    state = dhda_forward(params, rec, x, rng, corruption_p=0.0, num_steps=1,
-                         init_hidden=q_rec)
+    state = dhda_forward(params, x, q_rec, rng, corruption_p=0.0, num_steps=1)
     frozen = []
     for l in range(params.n_layers):
         v_in = state.input_hat if l == 0 else state.hidden_hat[l - 1]

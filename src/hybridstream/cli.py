@@ -46,9 +46,6 @@ def stream_run(config_path, out_dir, seed, iterations, trials, stream_kind,
     """Prequential test-then-train run on a drifting stream."""
     config = _load_config(config_path)
     config.setdefault("stream", {})
-    config.setdefault("architecture",
-                      "24-24-24-10" if config["stream"].get("kind", "led") == "led"
-                      else "40-40-40-3")
     if seed is not None:
         config["seed"] = seed
     if iterations is not None:
@@ -57,10 +54,11 @@ def stream_run(config_path, out_dir, seed, iterations, trials, stream_kind,
         config["trials"] = trials
     if stream_kind is not None:
         config["stream"]["kind"] = stream_kind
-        config["architecture"] = ("24-24-24-10" if stream_kind == "led"
-                                  else "40-40-40-3")
     if models is not None:
         config["models"] = models.split(",")
+    config.setdefault("architecture",
+                      "24-24-24-10" if config["stream"].get("kind", "led") == "led"
+                      else "40-40-40-3")
     if "iterations" not in config:
         raise click.UsageError("iterations required (config key or --iterations)")
     finals = experiments.run_stream_experiment(config, out_dir, jobs=jobs)

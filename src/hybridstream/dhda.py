@@ -12,18 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dhbm import cond_y
-from .numerics import relu, sigmoid
-from .recognition import recognize
+from .numerics import sigmoid
 
 EPS = 1e-7
-
-
-def _activation(name):
-    if name == "sigmoid":
-        return sigmoid
-    if name == "relu":
-        return relu
-    raise ValueError(f"unknown activation {name!r}")
 
 
 def corruption_mask(rng, shape, p):
@@ -31,12 +22,6 @@ def corruption_mask(rng, shape, p):
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"corruption probability must lie in [0, 1], got {p}")
     return (rng.random(shape) >= p).astype(np.float64)
-
-
-def corrupt(rng, v, p):
-    """Each entry independently zeroed with probability p, else preserved."""
-    v = np.asarray(v, dtype=np.float64)
-    return v * corruption_mask(rng, v.shape, p)
 
 
 @dataclass
@@ -50,7 +35,6 @@ class DhdaState:
     output.
     """
     input_hat: np.ndarray
-    input_mask: np.ndarray
     hidden: list
     hidden_hat: list
     masks: list
@@ -58,23 +42,21 @@ class DhdaState:
     class_probs: np.ndarray
 
 
-def encode_h(params, l, below_hat, above_hat=None, activation="sigmoid"):
-    """phi(W_l v-hat + W_{l+1}' h-hat^{l+1} + b); top layer has no feedback."""
-    phi = _activation(activation)
+def encode_h(params, l, below_hat, above_hat=None):
+    """sigma(W_l v-hat + W_{l+1}' h-hat^{l+1} + b); top layer has no feedback."""
     lp = params.layers[l]
     pre = below_hat @ lp.W.T + lp.b_hidden
     if l + 1 < params.n_layers:
         if above_hat is None:
             raise ValueError(f"layer {l} requires the corrupted state of layer {l + 1}")
         pre = pre + above_hat @ params.layers[l + 1].W
-    return phi(pre)
+    return sigmoid(pre)
 
 
-def decode(params, l, h_hat, activation="sigmoid"):
-    """phi(W_l' h-hat + b_visible): tied weights, transpose of the encoder."""
-    phi = _activation(activation)
+def decode(params, l, h_hat):
+    """sigma(W_l' h-hat + b_visible): tied weights, transpose of the encoder."""
     lp = params.layers[l]
-    return phi(h_hat @ lp.W + lp.b_visible)
+    return sigmoid(h_hat @ lp.W + lp.b_visible)
 
 
 def recon_cross_entropy(x, z):
@@ -88,39 +70,34 @@ def recon_cross_entropy(x, z):
     return float(np.sum(-x * np.log(zc) - (1.0 - x) * np.log(1.0 - zc))) / n
 
 
-def dhda_forward(params, rec, x, rng, corruption_p=0.0, num_steps=1,
-                 activation="sigmoid", init_hidden=None, corrupt_topdown=True):
-    """Recognition-initialized forward pass with `num_steps` cycles.
+def dhda_forward(params, x, hidden, rng, corruption_p, num_steps):
+    """Forward pass with `num_steps` cycles from the start state `hidden`.
 
-    Each cycle corrupts the input and the hidden states afresh, re-encodes
-    every layer bottom-up (the top-down term uses the previous cycle's
-    corrupted state), then decodes each layer's input with tied weights.
+    `hidden` holds one activation matrix per layer, such as the recognition
+    statistics; it is only read.  Each cycle corrupts the input and the
+    hidden states afresh, re-encodes every layer bottom-up (the top-down
+    term uses the previous cycle's corrupted state), then decodes each
+    layer's input with tied weights.
     """
     if num_steps < 1:
         raise ValueError("num_steps must be >= 1")
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    hidden = [h.copy() for h in init_hidden] if init_hidden is not None \
-        else [np.atleast_2d(h) for h in recognize(rec, x)]
     L = params.n_layers
     hidden_hat = hidden
     for _ in range(num_steps):
-        input_mask = corruption_mask(rng, x.shape, corruption_p)
-        x_hat = x * input_mask
+        x_hat = x * corruption_mask(rng, x.shape, corruption_p)
         prev_hat = hidden_hat
-        new_hidden = []
+        hidden = []
         masks = []
         hidden_hat = []
         for l in range(L):
             below = x_hat if l == 0 else hidden_hat[l - 1]
-            above = None
-            if l + 1 < L:
-                above = prev_hat[l + 1] if corrupt_topdown else hidden[l + 1]
-            h = encode_h(params, l, below, above, activation)
+            above = prev_hat[l + 1] if l + 1 < L else None
+            h = encode_h(params, l, below, above)
             m = corruption_mask(rng, h.shape, corruption_p)
-            new_hidden.append(h)
+            hidden.append(h)
             masks.append(m)
             hidden_hat.append(h * m)
-        hidden = new_hidden
-    recons = [decode(params, l, hidden_hat[l], activation) for l in range(L)]
-    return DhdaState(x_hat, input_mask, hidden, hidden_hat, masks, recons,
+    recons = [decode(params, l, hidden_hat[l]) for l in range(L)]
+    return DhdaState(x_hat, hidden, hidden_hat, masks, recons,
                      cond_y(params, hidden))

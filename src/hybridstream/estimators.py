@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .numerics import one_hot, relu_prime, sigmoid_prime_from_output
+from .numerics import one_hot, sigmoid_prime_from_output
 
 
 def _positive_phase(x, q_rec):
@@ -55,14 +55,8 @@ def mf_cd_gradients(x, y_probs, y_hat, q_rec, mf_state, params, out=None):
     return out
 
 
-def _phi_prime(values, activation):
-    if activation == "sigmoid":
-        return sigmoid_prime_from_output(values)
-    return relu_prime(values)
-
-
-def mf_bp_gradients(x, y_probs, q_rec, state, params, activation="sigmoid",
-                    dropout_masks=None, out=None):
+def mf_bp_gradients(x, y_probs, q_rec, state, params, dropout_masks=None,
+                    out=None):
     """Layer-local back-propagation for the DHDA.
 
     Differentiates, per layer, the tied encoder/decoder reconstruction loss
@@ -88,12 +82,9 @@ def mf_bp_gradients(x, y_probs, q_rec, state, params, activation="sigmoid",
         v_in = state.input_hat if l == 0 else state.hidden_hat[l - 1]
         v_target = x if l == 0 else q_rec[l - 1]
         z = state.recons[l]
-        if activation == "sigmoid":
-            # cross-entropy through the output sigmoid collapses to (z - target)
-            xi_recon = (z - v_target) / n
-        else:
-            xi_recon = (z - v_target) * _phi_prime(z, activation) / n
-        hid_prime = _phi_prime(h, activation)
+        # cross-entropy through the output sigmoid collapses to (z - target)
+        xi_recon = (z - v_target) / n
+        hid_prime = sigmoid_prime_from_output(h)
         xi_hid = (xi_recon @ lp.W.T) * state.masks[l] * hid_prime
         xi_hid_out = (xi_out @ lp.U.T) * hid_prime
         xi_hid_total = xi_hid + xi_hid_out

@@ -66,10 +66,10 @@ class CurveWriter:
     """Append-safe CSV of (iteration, model, prequential error) points."""
 
     HEADER = ["iteration", "model", "preq_error"]
+    FLUSH_EVERY = 100
 
-    def __init__(self, path, flush_every=100):
+    def __init__(self, path):
         self.path = path
-        self.flush_every = flush_every
         self._file = open(path, "w", newline="")
         self._writer = csv.writer(self._file)
         self._writer.writerow(self.HEADER)
@@ -81,7 +81,7 @@ class CurveWriter:
         except OSError as exc:
             raise OSError(f"writing curve file {self.path}: {exc}") from exc
         self._pending += 1
-        if self._pending >= self.flush_every:
+        if self._pending >= self.FLUSH_EVERY:
             self._file.flush()
             self._pending = 0
 

@@ -20,6 +20,21 @@ from .trainer import Trainer, TrainerConfig
 
 STREAM_MODEL_KINDS = ("dhbm-mf", "dhbm-sap", "dhda", "mlp-pl")
 
+# the top-level config keys each experiment reads; any other key is an error
+STREAM_KEYS = frozenset({"stream", "architecture", "iterations", "models",
+                         "trainer", "seed", "trials", "preq_alpha",
+                         "curve_every"})
+MNIST_KEYS = frozenset({"architecture", "n_labeled", "n_unlabeled", "n_valid",
+                        "epochs", "batch_size", "models", "trainer", "seed",
+                        "trials", "data_root"})
+
+
+def _check_keys(config, known):
+    unknown = sorted(set(config) - known)
+    if unknown:
+        raise ValueError(f"unknown config keys {unknown}; "
+                         f"known keys are {sorted(known)}")
+
 
 def parse_architecture(arch):
     """'D-H1-...-HL-C' -> (n_visible, hidden_dims, n_classes)."""
@@ -76,14 +91,17 @@ def _split_batch(batch):
 
 def run_stream_trial(config, trial, out_dir):
     """One seeded trial; returns {model: final prequential error}."""
+    _check_keys(config, STREAM_KEYS)
     stream_cfg = streams.StreamConfig(**config["stream"])
     trial_seed = int(config.get("seed", 0)) + 1000 * trial
     stream_rng = make_rng(trial_seed)
     stream = streams.make_stream(stream_cfg, stream_rng)
-    label_fraction = stream_cfg.label_fraction
-    if config.get("label_fraction_uniform", False):
-        label_fraction = float(stream_rng.uniform(0.0, 2.0 * label_fraction))
     n_visible, hidden_dims, n_classes = parse_architecture(config["architecture"])
+    if (n_visible, n_classes) != (stream.n_features, stream.n_classes):
+        raise ValueError(
+            f"architecture {config['architecture']!r} does not fit the "
+            f"{stream_cfg.kind} stream, which has {stream.n_features} features "
+            f"and {stream.n_classes} classes")
     trainer_cfg = TrainerConfig(**config.get("trainer", {}))
     alpha_err = float(config.get("preq_alpha", 0.995))
     iterations = int(config["iterations"])
@@ -102,7 +120,8 @@ def run_stream_trial(config, trial, out_dir):
         while seen < iterations:
             n = min(stream_cfg.batch_size, iterations - seen)
             batch = stream.next_batch(n)
-            masked = streams.mask_labels(batch, label_fraction, stream_rng)
+            masked = streams.mask_labels(batch, stream_cfg.label_fraction,
+                                          stream_rng)
             x_lab, y_lab, x_unlab = _split_batch(masked)
             for kind, model in models.items():
                 pred = np.argmax(model.predict(batch.features), axis=1)
@@ -127,6 +146,7 @@ def _echo_config(config, out_dir, extra=None):
 
 def run_stream_experiment(config, out_dir, jobs=1):
     """All trials; emits per-trial curves, a summary CSV and a config echo."""
+    _check_keys(config, STREAM_KEYS)
     trials = int(config.get("trials", 5))
     _echo_config(config, out_dir, {"resolved_trials": trials})
     finals = {}
@@ -140,16 +160,21 @@ def run_stream_experiment(config, out_dir, jobs=1):
     for res in results:
         for kind, err in res.items():
             finals.setdefault(kind, []).append(err)
-    summary = summarize_trials(finals)
-    with open(os.path.join(out_dir, "summary.csv"), "w") as f:
-        f.write("model,trial,final_preq_error\n")
+    _write_summary(os.path.join(out_dir, "summary.csv"), "final_preq_error",
+                   finals)
+    return finals
+
+
+def _write_summary(path, value_name, finals):
+    """Per-trial values, then each model's mean and standard error."""
+    with open(path, "w") as f:
+        f.write(f"model,trial,{value_name}\n")
         for kind, errs in finals.items():
             for t, err in enumerate(errs):
                 f.write(f"{kind},{t},{err!r}\n")
         f.write("model,mean,stderr\n")
-        for kind, s in summary.items():
+        for kind, s in summarize_trials(finals).items():
             f.write(f"{kind},{s['mean']!r},{s['stderr']!r}\n")
-    return finals
 
 
 def _trial_worker(args):
@@ -223,6 +248,7 @@ def _restore(model, snapshot):
 
 
 def run_mnist_experiment(config, out_dir):
+    _check_keys(config, MNIST_KEYS)
     data_root = config.get("data_root")
     train = load_idx(*mnist_paths(data_root, "train"))
     test = load_idx(*mnist_paths(data_root, "test"))
@@ -232,13 +258,5 @@ def run_mnist_experiment(config, out_dir):
     for t in range(trials):
         for kind, err in run_mnist_trial(config, t, train, test).items():
             finals.setdefault(kind, []).append(err)
-    summary = summarize_trials(finals)
-    with open(os.path.join(out_dir, "summary.csv"), "w") as f:
-        f.write("model,trial,test_error\n")
-        for kind, errs in finals.items():
-            for t, err in enumerate(errs):
-                f.write(f"{kind},{t},{err!r}\n")
-        f.write("model,mean,stderr\n")
-        for kind, s in summary.items():
-            f.write(f"{kind},{s['mean']!r},{s['stderr']!r}\n")
+    _write_summary(os.path.join(out_dir, "summary.csv"), "test_error", finals)
     return finals

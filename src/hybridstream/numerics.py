@@ -91,10 +91,6 @@ def relu(v):
     return out
 
 
-def relu_prime(v):
-    return (np.asarray(v, dtype=np.float64) > 0).astype(np.float64)
-
-
 def softmax(v, axis=-1):
     """Shift-invariant softmax along `axis`; rows sum to 1."""
     v = np.asarray(v, dtype=np.float64)

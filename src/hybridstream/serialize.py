@@ -155,6 +155,14 @@ def load_checkpoint(path, config, trainer_cls):
         model = load_params(io.BytesIO(f.read(header["model_bytes"])))
         rec = load_rec(io.BytesIO(f.read(header["rec_bytes"])))
         part_buf = io.BytesIO(f.read(header["particle_bytes"]))
+    meta = header["particles"]
+    # the particle block is the one trace of the estimator in the file: only
+    # SAP keeps particles, as many as its config asks for
+    held = 0 if meta is None else meta["m"]
+    needed = config.n_particles if config.estimator == "sap" else 0
+    if held != needed:
+        raise ValueError(f"{path}: checkpoint holds {held} fantasy particles, "
+                         f"a {config.estimator} config needs {needed}")
     rng = np.random.Generator(np.random.PCG64())
     trainer = trainer_cls(model, config, rng)
     # reset after construction: building a SAP trainer draws from the rng
@@ -162,7 +170,6 @@ def load_checkpoint(path, config, trainer_cls):
     trainer.rec = rec
     trainer.labeled_seen = header["labeled_seen"]
     trainer.updates = header["updates"]
-    meta = header["particles"]
     if meta is not None:
         m = meta["m"]
         x = _read_array(part_buf, (m, meta["visible"]))

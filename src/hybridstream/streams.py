@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import make_rng
-
 # Seven-segment encodings per digit, segment order (a, b, c, d, e, f, g):
 # a = top, b = top-right, c = bottom-right, d = bottom, e = bottom-left,
 # f = top-left, g = middle.
@@ -55,7 +53,6 @@ class StreamConfig:
     drift_interval: int = 50_000
     label_fraction: float = 0.1
     batch_size: int = 20
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in ("led", "waveform"):
@@ -78,15 +75,18 @@ class StreamBatch:
 
 
 class _DriftingStream:
-    """Shared drift/permutation bookkeeping for both generators."""
+    """Shared drift/permutation bookkeeping for both generators, which set
+    their feature and class counts as class attributes."""
 
-    def __init__(self, config, n_features, rng=None):
+    n_features: int
+    n_classes: int
+
+    def __init__(self, config, rng):
         self.config = config
-        self.n_features = n_features
-        self.rng = rng if rng is not None else make_rng(config.seed)
+        self.rng = rng
         self.instances = 0
-        self.perm = np.arange(n_features)
-        if config.drift_attr_count > n_features:
+        self.perm = np.arange(self.n_features)
+        if config.drift_attr_count > self.n_features:
             raise ValueError("drift_attr_count exceeds the feature count")
 
     def _drift_rotations(self):
@@ -132,8 +132,8 @@ class LedStream(_DriftingStream):
     irrelevant ones, each independently flipped with probability
     noise_fraction."""
 
-    def __init__(self, config, rng=None):
-        super().__init__(config, LED_FEATURES, rng)
+    n_features = LED_FEATURES
+    n_classes = LED_CLASSES
 
     def _raw_chunk(self, n):
         digits = self.rng.integers(0, LED_CLASSES, size=n)
@@ -163,8 +163,8 @@ class WaveformStream(_DriftingStream):
     triangular bases over 21 attributes plus unit Gaussian noise, 19 pure
     noise attributes, all mapped affinely to [0, 1]."""
 
-    def __init__(self, config, rng=None):
-        super().__init__(config, WAVEFORM_FEATURES, rng)
+    n_features = WAVEFORM_FEATURES
+    n_classes = WAVEFORM_CLASSES
 
     def _raw_chunk(self, n):
         classes = self.rng.integers(0, WAVEFORM_CLASSES, size=n)
@@ -178,7 +178,8 @@ class WaveformStream(_DriftingStream):
         return feats, classes.astype(np.int64)
 
 
-def make_stream(config, rng=None):
+def make_stream(config, rng):
+    """The configured generator, drawing from `rng`."""
     if config.kind == "led":
         return LedStream(config, rng)
     return WaveformStream(config, rng)

@@ -44,8 +44,6 @@ class TrainerConfig:
     t1: float = 3.0
     t2: float = 300.0
     labeled_epoch_size: int = 1000
-    activation: str = "sigmoid"
-    seed: int = 0
 
     def __post_init__(self):
         if self.lr < 0:
@@ -106,8 +104,10 @@ class Trainer:
         return self._workspaces[side]
 
     def _masked(self, stats, masks):
+        """The statistics times their masks; `stats` itself when unmasked,
+        because nothing downstream writes them."""
         if masks is None:
-            return [s.copy() for s in stats]
+            return stats
         return [s * m for s, m in zip(stats, masks)]
 
     def _side(self, x, y_onehot, side):
@@ -123,13 +123,12 @@ class Trainer:
             class_probs = dhbm.cond_y(self.model, v_stats)
             y_onehot = pseudo_label(class_probs)
         if cfg.estimator == "mf-bp":
-            state = dhda.dhda_forward(
-                self.model, self.rec, x, self.rng, cfg.corruption_p,
-                cfg.num_steps, cfg.activation, init_hidden=v_stats)
+            state = dhda.dhda_forward(self.model, x, v_stats, self.rng,
+                                      cfg.corruption_p, cfg.num_steps)
             mf_masks = self._dropout_masks(state.hidden)
             mu_clean = state.hidden
             model_grad = estimators.mf_bp_gradients(
-                x, y_onehot, v_stats, state, self.model, cfg.activation,
+                x, y_onehot, v_stats, state, self.model,
                 dropout_masks=mf_masks, out=model_out)
         else:
             if class_probs is None:
@@ -195,19 +194,12 @@ class Trainer:
         self.updates += 1
         return {"updated": True, "beta": beta}
 
-    def predict(self, x, refine_steps=0):
+    def predict(self, x):
         """Class distribution from the recognition network.
 
-        Hidden statistics are scaled by keep_prob (drop-out expectation);
-        optional mean-field refinement steps run before the class read-out.
+        Hidden statistics are scaled by keep_prob (drop-out expectation).
         """
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         v = [np.atleast_2d(s) for s in recognition.recognize(self.rec, x)]
         stats = [np.multiply(s, self.config.keep_prob, out=s) for s in v]
-        if refine_steps > 0:
-            state = dhbm.MeanFieldState(stats, dhbm.cond_y(self.model, stats),
-                                        dhbm.cond_x(self.model, stats[0]))
-            for _ in range(refine_steps):
-                state = dhbm.mean_field_step(self.model, x, state)
-            stats = state.layer_means
         return dhbm.cond_y(self.model, stats)

@@ -15,6 +15,7 @@ from hybridstream import checks, dhbm, dhda, experiments, trainer
 from hybridstream.datasets import mnist_paths
 from hybridstream.evaluation import PrequentialState, prequential_direct
 from hybridstream.numerics import bernoulli_mask, make_rng
+from hybridstream.recognition import recognize
 from hybridstream.trainer import beta_schedule
 
 
@@ -110,8 +111,8 @@ def test_criterion_5_learning_sanity():
                                      weight_std=0.5), cfg, make_rng(4))
 
     def recon_ce():
-        state = dhda.dhda_forward(tr2.model, tr2.rec, xb, make_rng(0),
-                                  corruption_p=0.0, num_steps=1)
+        state = dhda.dhda_forward(tr2.model, xb, recognize(tr2.rec, xb),
+                                  make_rng(0), corruption_p=0.0, num_steps=1)
         return dhda.recon_cross_entropy(xb, state.recons[0])
 
     before = recon_ce()

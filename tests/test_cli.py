@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from hybridstream.cli import main
@@ -55,6 +56,26 @@ def test_stream_run_config_file_with_overrides(tmp_path):
     echo = json.loads((out / "config_echo.json").read_text())
     assert echo["seed"] == 9
     assert echo["architecture"] == "24-6-6-10"
+
+
+@pytest.mark.parametrize("file_config, architecture", [
+    # an explicit architecture survives --stream
+    ({"stream": {"kind": "waveform"}, "architecture": "40-10-3"}, "40-10-3"),
+    # the default follows the stream kind --stream sets
+    ({"stream": {"kind": "led"}}, "40-40-40-3"),
+], ids=["explicit-kept", "default-follows-stream"])
+def test_stream_run_architecture_after_stream_override(tmp_path, file_config,
+                                                       architecture):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(file_config))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, [
+        "stream-run", "--config", str(cfg_path), "--out", str(out),
+        "--stream", "waveform", "--iterations", "40", "--trials", "1",
+        "--models", "mlp-pl"])
+    assert result.exit_code == 0, result.output
+    echo = json.loads((out / "config_echo.json").read_text())
+    assert echo["architecture"] == architecture
 
 
 def test_stream_run_requires_iterations(tmp_path):

@@ -12,19 +12,19 @@ def setup_model(seed=0, d=4, hidden=(3, 3), c=2, std=0.5):
 
 
 def test_corrupt_identity_at_p0():
-    rng = make_rng(0)
-    v = rng.random((5, 7))
-    assert np.array_equal(dhda.corrupt(make_rng(1), v, 0.0), v)
+    v = make_rng(0).random((5, 7))
+    assert np.array_equal(v * dhda.corruption_mask(make_rng(1), v.shape, 0.0), v)
 
 
 def test_corrupt_zeros_at_p1():
     v = make_rng(0).random((5, 7))
-    assert np.array_equal(dhda.corrupt(make_rng(1), v, 1.0), np.zeros_like(v))
+    assert np.array_equal(v * dhda.corruption_mask(make_rng(1), v.shape, 1.0),
+                          np.zeros_like(v))
 
 
 def test_corrupt_rejects_bad_probability():
     with pytest.raises(ValueError):
-        dhda.corrupt(make_rng(0), np.ones(3), -0.1)
+        dhda.corruption_mask(make_rng(0), (3,), -0.1)
 
 
 def test_corruption_rate_within_binomial_bounds():
@@ -60,8 +60,9 @@ def test_recon_cross_entropy_perfect_reconstruction():
 def test_forward_shapes_and_determinism():
     model, rec = setup_model(5)
     x = make_rng(6).random((4, 4))
-    s1 = dhda.dhda_forward(model, rec, x, make_rng(7), corruption_p=0.15)
-    s2 = dhda.dhda_forward(model, rec, x, make_rng(7), corruption_p=0.15)
+    q = recognition.recognize(rec, x)
+    s1 = dhda.dhda_forward(model, x, q, make_rng(7), 0.15, 1)
+    s2 = dhda.dhda_forward(model, x, q, make_rng(7), 0.15, 1)
     assert np.array_equal(s1.input_hat, s2.input_hat)
     assert np.array_equal(s1.recons[0], s2.recons[0])
     assert s1.class_probs.shape == (4, 2)
@@ -71,14 +72,17 @@ def test_forward_shapes_and_determinism():
 
 def test_forward_rejects_zero_steps():
     model, rec = setup_model()
+    x = np.ones((1, 4))
     with pytest.raises(ValueError):
-        dhda.dhda_forward(model, rec, np.ones((1, 4)), make_rng(0), num_steps=0)
+        dhda.dhda_forward(model, x, recognition.recognize(rec, x), make_rng(0),
+                          0.0, 0)
 
 
 def test_forward_no_corruption_matches_clean_encoding():
     model, rec = setup_model(8)
     x = make_rng(9).random((3, 4))
-    state = dhda.dhda_forward(model, rec, x, make_rng(10), corruption_p=0.0)
+    state = dhda.dhda_forward(model, x, recognition.recognize(rec, x),
+                              make_rng(10), 0.0, 1)
     assert np.array_equal(state.input_hat, x)
     for h, h_hat in zip(state.hidden, state.hidden_hat):
         assert np.array_equal(h, h_hat)

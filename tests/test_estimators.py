@@ -134,7 +134,8 @@ def gradient_case(name):
         masks = [bernoulli_mask(rng, 4, h, 0.5) for h in (4, 3)]
 
         def mf_bp(out):
-            state = dhda.dhda_forward(model, rec, x, make_rng(24), 0.2, 2)
+            state = dhda.dhda_forward(model, x, recognition.recognize(rec, x),
+                                      make_rng(24), 0.2, 2)
             return estimators.mf_bp_gradients(x, y, q, state, model,
                                               dropout_masks=masks, out=out)
         return mf_bp, model.zeros_like()

@@ -9,6 +9,7 @@ from hybridstream import baseline, dhbm, experiments, numerics, recognition
 from hybridstream.datasets import mnist_paths
 from hybridstream.evaluation import read_curve
 from hybridstream.numerics import make_rng
+from hybridstream.streams import StreamConfig
 from hybridstream.trainer import TrainerConfig
 from test_datasets import write_idx_pair
 
@@ -172,3 +173,36 @@ def test_run_mnist_experiment_offline_path(tmp_path):
     assert all(0.0 <= float(v) <= 1.0 for row in rows for v in row[1:])
     digest = hashlib.sha256((out / "summary.csv").read_bytes()).hexdigest()
     assert digest == OFFLINE_SUMMARY_SHA256
+
+
+@pytest.mark.parametrize("key", ["iteration", "label_fraction_uniform"])
+def test_unknown_stream_config_key_raises(key, tmp_path):
+    config = small_config(**{key: 1})
+    with pytest.raises(ValueError, match=key):
+        experiments.run_stream_trial(config, 0, str(tmp_path))
+    with pytest.raises(ValueError, match=key):
+        experiments.run_stream_experiment(config, str(tmp_path))
+    assert not os.listdir(tmp_path)
+
+
+def test_unknown_offline_config_key_raises(tmp_path):
+    config = {"architecture": "36-16-4", "epoch": 2, "data_root": str(tmp_path)}
+    with pytest.raises(ValueError, match="epoch"):
+        experiments.run_mnist_experiment(config, str(tmp_path / "out"))
+
+
+@pytest.mark.parametrize("arch", ["24-8-12", "24-8-5", "20-8-10", "40-8-10"])
+def test_architecture_must_fit_the_stream(arch, tmp_path):
+    # LED has 24 features and 10 classes
+    with pytest.raises(ValueError, match="does not fit"):
+        experiments.run_stream_trial(small_config(architecture=arch), 0,
+                                     str(tmp_path))
+
+
+@pytest.mark.parametrize("cls, field", [(TrainerConfig, "seed"),
+                                        (TrainerConfig, "activation"),
+                                        (StreamConfig, "seed")],
+                         ids=["trainer-seed", "trainer-activation", "stream-seed"])
+def test_removed_config_fields_raise(cls, field):
+    with pytest.raises(TypeError):
+        cls(**{field: 0})

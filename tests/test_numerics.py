@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hybridstream.numerics import (bernoulli_mask, make_rng, one_hot, relu,
-                                   relu_prime, sigmoid, softmax)
+                                   sigmoid, softmax)
 
 
 def test_sigmoid_symmetry():
@@ -72,7 +72,6 @@ def test_sigmoid_nan_propagates():
 
 def test_relu():
     assert np.array_equal(relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
-    assert np.array_equal(relu_prime(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 1.0])
 
 
 def test_softmax_rows_sum_to_one():

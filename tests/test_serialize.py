@@ -28,7 +28,7 @@ PINNED_SHA256 = {
 
 
 def sap_trainer_after_updates():
-    cfg = trainer.TrainerConfig(estimator="sap", n_particles=4, seed=5)
+    cfg = trainer.TrainerConfig(estimator="sap", n_particles=4)
     tr = trainer.Trainer(random_model(7), cfg, make_rng(8))
     rng = make_rng(9)
     for _ in range(5):
@@ -131,6 +131,31 @@ def test_checkpoint_resumes_identically(tmp_path):
     resumed.update(x, y)
     assert np.array_equal(tr.model.layers[0].W, resumed.model.layers[0].W)
     assert np.array_equal(tr.particles.x, resumed.particles.x)
+
+
+@pytest.mark.parametrize("config", [
+    trainer.TrainerConfig(estimator="mf-cd"),
+    trainer.TrainerConfig(estimator="mf-bp"),
+    trainer.TrainerConfig(estimator="sap", n_particles=5),
+], ids=["mf-cd", "mf-bp", "sap-5-particles"])
+def test_sap_checkpoint_rejects_other_config(tmp_path, config):
+    _, tr = sap_trainer_after_updates()
+    path = tmp_path / "ckpt.hsck"
+    serialize.save_checkpoint(path, tr)
+    with pytest.raises(ValueError, match="fantasy particles"):
+        serialize.load_checkpoint(path, config, trainer.Trainer)
+
+
+def test_non_sap_checkpoint_rejects_sap_config(tmp_path):
+    cfg = trainer.TrainerConfig(estimator="mf-cd")
+    tr = trainer.Trainer(random_model(7), cfg, make_rng(8))
+    tr.update(make_rng(9).random((3, 4)), np.array([0, 1, 2]))
+    path = tmp_path / "ckpt.hsck"
+    serialize.save_checkpoint(path, tr)
+    assert serialize.load_checkpoint(path, cfg, trainer.Trainer).particles is None
+    with pytest.raises(ValueError, match="fantasy particles"):
+        serialize.load_checkpoint(
+            path, trainer.TrainerConfig(estimator="sap"), trainer.Trainer)
 
 
 def test_checkpoint_bad_magic(tmp_path):

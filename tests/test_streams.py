@@ -121,8 +121,8 @@ def test_stream_config_validation():
 
 
 def test_stream_reproducible_from_seed():
-    cfg = streams.StreamConfig(kind="waveform", seed=13)
-    a = streams.make_stream(cfg).next_batch(50)
-    b = streams.make_stream(cfg).next_batch(50)
+    cfg = streams.StreamConfig(kind="waveform")
+    a = streams.make_stream(cfg, make_rng(13)).next_batch(50)
+    b = streams.make_stream(cfg, make_rng(13)).next_batch(50)
     assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.labels, b.labels)

@@ -119,8 +119,6 @@ def test_predict_shapes_and_normalization():
     probs = tr.predict(make_rng(8).random((7, 4)))
     assert probs.shape == (7, 2)
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
-    refined = tr.predict(make_rng(8).random((7, 4)), refine_steps=2)
-    assert refined.shape == (7, 2)
 
 
 def test_seeded_reproducibility():
@@ -160,16 +158,37 @@ PINNED_UPDATE_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("estimator", sorted(PINNED_UPDATE_SHA256))
-def test_update_bits_pinned(estimator):
+# the same run without drop-out (keep_prob 1), where the unmasked statistics
+# reach the estimators uncopied; recorded while the trainer still copied them
+PINNED_UPDATE_KEEP_ALL_SHA256 = {
+    "mf-cd": ("83d94d8c1f188f493145c368a5f6ca07f13734156d2c81b13d76b38327a6d85c",
+              "02b70937581d4879c79afb1d59d76b219c237bbfffbdee2b8186c390a2753633"),
+    "sap": ("d54042bdcec50eff39aea44a6bc2abead4b25d4cc662c016cecf15d2ded9dc18",
+            "2600ab29fdc36f3f3d5e185d1b844846eb53a0bdd4d5a93af6c119025b5c7a7e"),
+    "mf-bp": ("fb81614fb4d1ba1a7a17f078f1a75f0065634365a6b506665dbfb60f420facf2",
+              "6d20a7d10975b171c7bf8a08cf8274d874fb36dbe7e30908948628399d75e12b"),
+}
+
+
+def _update_digests(estimator, keep_prob):
     model = dhbm.HybridParams.initialize(24, [12, 12], 10, make_rng(21),
                                          weight_std=0.1)
-    cfg = TrainerConfig(estimator=estimator, keep_prob=0.5, beta_f=0.3,
+    cfg = TrainerConfig(estimator=estimator, keep_prob=keep_prob, beta_f=0.3,
                         num_steps=2, n_particles=5)
     tr = Trainer(model, cfg, make_rng(22))
     rng = make_rng(23)
     for _ in range(10):
         tr.update(rng.random((6, 24)), rng.integers(0, 10, 6), rng.random((4, 24)))
-    digests = tuple(hashlib.sha256(a.tobytes()).hexdigest()
-                    for a in (tr.model.data, tr.rec.data))
-    assert digests == PINNED_UPDATE_SHA256[estimator]
+    return tuple(hashlib.sha256(a.tobytes()).hexdigest()
+                 for a in (tr.model.data, tr.rec.data))
+
+
+@pytest.mark.parametrize("estimator", sorted(PINNED_UPDATE_SHA256))
+def test_update_bits_pinned(estimator):
+    assert _update_digests(estimator, 0.5) == PINNED_UPDATE_SHA256[estimator]
+
+
+@pytest.mark.parametrize("estimator", sorted(PINNED_UPDATE_KEEP_ALL_SHA256))
+def test_update_bits_pinned_keep_all(estimator):
+    assert _update_digests(estimator, 1.0) == \
+        PINNED_UPDATE_KEEP_ALL_SHA256[estimator]
