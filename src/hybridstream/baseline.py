@@ -21,10 +21,6 @@ class MlpParams(ViewRecord):
     bs: tuple
 
     @property
-    def n_hidden_layers(self):
-        return len(self.Ws) - 1
-
-    @property
     def n_classes(self):
         return self.Ws[-1].shape[0]
 

@@ -83,7 +83,7 @@ def gradcheck_recognition(seed=11, dims=(3, 4, 3, 2), batch=3):
     rec = recognition.init_from_model(model)
     x = rng.random((batch, dims[0]))
     mu = [rng.random((batch, h)) for h in dims[1:]]
-    grads = recognition.rec_gradients(rec, x, mu)
+    grads = recognition.rec_gradients(rec, x, mu, np.full(batch, 1.0 / batch))
 
     def loss():
         return recognition.kl_loss(recognition.recognize(rec, x), mu)
@@ -139,7 +139,8 @@ def gradcheck_mf_bp(seed=13, batch=2):
         v_target = x if l == 0 else q_rec[l - 1]
         frozen.append((v_in.copy(), topdown, state.masks[l].copy(),
                        np.asarray(v_target).copy()))
-    grads = estimators.mf_bp_gradients(x, y, q_rec, state, params)
+    grads = estimators.mf_bp_gradients(x, y, q_rec, state, params,
+                                       np.full(batch, 1.0 / batch))
 
     def loss():
         return _mf_bp_surrogate(params, x, y, frozen)

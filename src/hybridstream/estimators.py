@@ -21,41 +21,39 @@ def _positive_phase(x, q_rec):
     return [(q_rec[l], x if l == 0 else q_rec[l - 1]) for l in range(len(q_rec))]
 
 
-def mf_cd_gradients(x, y_probs, y_hat, q_rec, mf_state, params, out=None):
+def mf_cd_gradients(x, y_probs, y_hat, q_rec, mf_state, params, w, out=None):
     """Mean-field contrastive divergence.
 
     Positive phase from the recognition statistics (data clamped), negative
     phase from the mean-field posterior; per layer dW = <h+ v+'> - <h- v-'>
-    and dU = <h+ e_y'> - <h- e_yhat'>, batch-averaged.  Written into `out`
-    (every entry), a fresh container when None.
+    and dU = <h+ e_y'> - <h- e_yhat'>, each a sum over rows weighted by
+    `w` (one weight per row; 1/n everywhere is the batch average).
+    Written into `out` (every entry), a fresh container when None.
     """
     x = np.atleast_2d(x)
-    n = x.shape[0]
+    wc = w[:, None]
     out = params.zeros_like() if out is None else out
     for l, (h_pos, v_pos) in enumerate(_positive_phase(x, q_rec)):
         h_neg = mf_state.layer_means[l]
         v_neg = mf_state.input_recon if l == 0 else mf_state.layer_means[l - 1]
+        hw_pos = h_pos * wc
+        hw_neg = h_neg * wc
         g = out.layers[l]
-        # (pos - neg) / n, evaluated in that order in the view
-        np.matmul(h_pos.T, v_pos, out=g.W)
-        np.subtract(g.W, h_neg.T @ v_neg, out=g.W)
-        np.divide(g.W, n, out=g.W)
-        np.matmul(h_pos.T, y_probs, out=g.U)
-        np.subtract(g.U, h_neg.T @ y_hat, out=g.U)
-        np.divide(g.U, n, out=g.U)
-        np.sum(h_pos - h_neg, axis=0, out=g.b_hidden)
-        np.divide(g.b_hidden, n, out=g.b_hidden)
+        # pos - neg, evaluated in that order in the view
+        np.matmul(hw_pos.T, v_pos, out=g.W)
+        np.subtract(g.W, hw_neg.T @ v_neg, out=g.W)
+        np.matmul(hw_pos.T, y_probs, out=g.U)
+        np.subtract(g.U, hw_neg.T @ y_hat, out=g.U)
+        np.matmul(w, h_pos - h_neg, out=g.b_hidden)
         if l == 0:
-            np.sum(v_pos - v_neg, axis=0, out=g.b_visible)
-            np.divide(g.b_visible, n, out=g.b_visible)
+            np.matmul(w, v_pos - v_neg, out=g.b_visible)
         else:
             g.b_visible[...] = 0.0
-    np.sum(y_probs - y_hat, axis=0, out=out.b_class)
-    np.divide(out.b_class, n, out=out.b_class)
+    np.matmul(w, y_probs - y_hat, out=out.b_class)
     return out
 
 
-def mf_bp_gradients(x, y_probs, q_rec, state, params, dropout_masks=None,
+def mf_bp_gradients(x, y_probs, q_rec, state, params, w, dropout_masks=None,
                     out=None):
     """Layer-local back-propagation for the DHDA.
 
@@ -64,17 +62,18 @@ def mf_bp_gradients(x, y_probs, q_rec, state, params, dropout_masks=None,
     layers) plus the shared softmax log-loss; mean-field statistics entering
     from other layers are constants.  Reconstruction corruption masks are
     part of the forward function and therefore of the gradient.  Drop-out
-    masks, when given, are re-applied to the hidden error deltas.
+    masks, when given, are re-applied to the hidden error deltas.  Each
+    row's loss is weighted by `w` (1/n everywhere is the batch average).
 
     Returns the negation of the descent gradient (ascent convention),
     written into `out` (every entry), a fresh container when None.
     """
     x = np.atleast_2d(x)
-    n = x.shape[0]
+    wc = w[:, None]
     L = params.n_layers
     out = params.zeros_like() if out is None else out
-    # softmax + log-loss output delta: (p - e_y), batch-averaged
-    xi_out = (state.class_probs - y_probs) / n
+    # softmax + log-loss output delta: (p - e_y), row-weighted
+    xi_out = (state.class_probs - y_probs) * wc
     for l in range(L):
         lp = params.layers[l]
         h = state.hidden[l]
@@ -83,7 +82,7 @@ def mf_bp_gradients(x, y_probs, q_rec, state, params, dropout_masks=None,
         v_target = x if l == 0 else q_rec[l - 1]
         z = state.recons[l]
         # cross-entropy through the output sigmoid collapses to (z - target)
-        xi_recon = (z - v_target) / n
+        xi_recon = (z - v_target) * wc
         hid_prime = sigmoid_prime_from_output(h)
         xi_hid = (xi_recon @ lp.W.T) * state.masks[l] * hid_prime
         xi_hid_out = (xi_out @ lp.U.T) * hid_prime
@@ -136,36 +135,37 @@ class FantasyParticles:
         return self
 
 
-def sap_gradients(x, y_probs, q_rec, particles, params, rng, out=None):
+def sap_gradients(x, y_probs, q_rec, particles, params, rng, w, out=None):
     """Stochastic approximation procedure (persistent contrastive divergence).
 
-    Positive phase as in MF-CD; negative phase from the fantasy particles,
-    each advanced one block-Gibbs sweep, averaged over the M chains with
-    their own sampled labels.  Written into `out` (every entry), a fresh
-    container when None.
+    Positive phase as in MF-CD, a sum over rows weighted by `w`; negative
+    phase from the fantasy particles, each advanced one block-Gibbs sweep
+    per call, averaged over the M chains with their own sampled labels and
+    weighted by the total weight w.sum().  Written into `out` (every
+    entry), a fresh container when None.
     """
     x = np.atleast_2d(x)
-    n = x.shape[0]
+    wc = w[:, None]
     particles.advance(params, rng, n_sweeps=1)
-    m = particles.n_particles
+    neg_weight = w.sum() / particles.n_particles
     ey_neg = one_hot(particles.y, params.n_classes)
     out = params.zeros_like() if out is None else out
 
     def finish(view, neg):
-        # the view holds pos: pos / n - neg / m, evaluated in that order
-        np.divide(view, n, out=view)
-        np.subtract(view, np.divide(neg, m, out=neg), out=view)
+        # the view holds pos: pos - neg * (w.sum() / m), evaluated in that order
+        np.subtract(view, np.multiply(neg, neg_weight, out=neg), out=view)
 
     for l, (h_pos, v_pos) in enumerate(_positive_phase(x, q_rec)):
         h_neg = particles.hs[l]
         v_neg = particles.x if l == 0 else particles.hs[l - 1]
+        hw_pos = h_pos * wc
         g = out.layers[l]
-        finish(np.matmul(h_pos.T, v_pos, out=g.W), h_neg.T @ v_neg)
-        finish(np.matmul(h_pos.T, y_probs, out=g.U), h_neg.T @ ey_neg)
-        finish(np.sum(h_pos, axis=0, out=g.b_hidden), h_neg.sum(axis=0))
+        finish(np.matmul(hw_pos.T, v_pos, out=g.W), h_neg.T @ v_neg)
+        finish(np.matmul(hw_pos.T, y_probs, out=g.U), h_neg.T @ ey_neg)
+        finish(np.matmul(w, h_pos, out=g.b_hidden), h_neg.sum(axis=0))
         if l == 0:
-            finish(np.sum(v_pos, axis=0, out=g.b_visible), v_neg.sum(axis=0))
+            finish(np.matmul(w, v_pos, out=g.b_visible), v_neg.sum(axis=0))
         else:
             g.b_visible[...] = 0.0
-    finish(np.sum(y_probs, axis=0, out=out.b_class), ey_neg.sum(axis=0))
+    finish(np.matmul(w, y_probs, out=out.b_class), ey_neg.sum(axis=0))
     return out

@@ -54,9 +54,11 @@ class MlpPseudoLabelModel:
         self.rng = rng
         self.workspaces = {}    # gradient containers kept across updates
 
-    def update(self, x_lab=None, y_lab=None, x_unlab=None):
+    def update(self, x, labels):
+        """One step on a batch; a negative label marks an unlabeled row."""
         cfg = self.config
-        baseline.mlp_update(self.params, x_lab, y_lab, x_unlab, cfg.lr,
+        lab = labels >= 0
+        baseline.mlp_update(self.params, x[lab], labels[lab], x[~lab], cfg.lr,
                             cfg.beta_f, cfg.keep_prob, self.rng, self.workspaces)
 
     def predict(self, x):
@@ -79,14 +81,6 @@ def build_model(kind, n_visible, hidden_dims, n_classes, config, rng):
     cfg = TrainerConfig(**cfg_dict)
     params = HybridParams.initialize(n_visible, hidden_dims, n_classes, rng)
     return Trainer(params, cfg, rng)
-
-
-def _split_batch(batch):
-    lab = batch.labels >= 0
-    x_lab = batch.features[lab]
-    y_lab = batch.labels[lab]
-    x_unlab = batch.features[~lab]
-    return x_lab, y_lab, x_unlab
 
 
 def run_stream_trial(config, trial, out_dir):
@@ -122,11 +116,10 @@ def run_stream_trial(config, trial, out_dir):
             batch = stream.next_batch(n)
             masked = streams.mask_labels(batch, stream_cfg.label_fraction,
                                           stream_rng)
-            x_lab, y_lab, x_unlab = _split_batch(masked)
             for kind, model in models.items():
                 pred = np.argmax(model.predict(batch.features), axis=1)
                 preq[kind].update_many((pred != batch.labels).astype(np.float64))
-                model.update(x_lab, y_lab, x_unlab)
+                model.update(masked.features, masked.labels)
             seen += n
             if seen >= next_point or seen >= iterations:
                 for kind in models:
@@ -183,6 +176,13 @@ def _trial_worker(args):
 
 def run_mnist_trial(config, trial, dataset, test_set):
     """Offline semi-supervised run with validation-based model selection."""
+    n_visible, hidden_dims, n_classes = parse_architecture(config["architecture"])
+    n_pixels = dataset.images.shape[1]
+    n_labels = int(max(dataset.labels.max(), test_set.labels.max())) + 1
+    if (n_visible, n_classes) != (n_pixels, n_labels):
+        raise ValueError(
+            f"architecture {config['architecture']!r} does not fit the data, "
+            f"which has {n_pixels} pixels per image and labels 0-{n_labels - 1}")
     trial_seed = int(config.get("seed", 0)) + 1000 * trial
     rng = make_rng(trial_seed)
     n_labeled = int(config.get("n_labeled", 1000))
@@ -192,7 +192,6 @@ def run_mnist_trial(config, trial, dataset, test_set):
         dataset, n_labeled, n_valid, rng)
     if n_unlabeled is not None:
         unlabeled = unlabeled[:int(n_unlabeled)]
-    n_visible, hidden_dims, n_classes = parse_architecture(config["architecture"])
     base_cfg = dict(config.get("trainer", {}))
     base_cfg.setdefault("anneal", True)
     base_cfg.setdefault("labeled_epoch_size", n_labeled)
@@ -216,10 +215,7 @@ def run_mnist_trial(config, trial, dataset, test_set):
             order = epoch_rng.permutation(len(pool_x))
             for start in range(0, len(order), batch_size):
                 idx = order[start:start + batch_size]
-                x_lab = pool_x[idx][pool_y[idx] >= 0]
-                y_lab = pool_y[idx][pool_y[idx] >= 0]
-                x_unlab = pool_x[idx][pool_y[idx] < 0]
-                model.update(x_lab, y_lab, x_unlab)
+                model.update(pool_x[idx], pool_y[idx])
             val_err = test_error(model.predict, validation.images,
                                  validation.labels)
             if val_err < best_val:

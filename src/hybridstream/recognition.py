@@ -108,19 +108,20 @@ def kl_loss(v_list, mu_list):
     return total / n
 
 
-def rec_gradients(rec, x, mu_list, v_list=None, out=None):
+def rec_gradients(rec, x, mu_list, w, v_list=None, out=None):
     """Descent gradients of kl_loss w.r.t. every R^l and bias.
 
     The targets mu are constants.  The delta at each layer is (v - mu) plus
     the contribution backpropagated from the layer above; weight gradients
-    carry the doubling factor of their own layer.  `v_list` is
-    ``recognize(rec, x)`` when the caller already holds it.  The gradients
-    are written into `out` (every entry), a fresh container when None.
+    carry the doubling factor of their own layer.  Each row's loss is
+    weighted by `w` (one weight per row; 1/n everywhere is kl_loss's batch
+    average).  `v_list` is ``recognize(rec, x)`` when the caller already
+    holds it.  The gradients are written into `out` (every entry), a fresh
+    container when None.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if v_list is None:
         v_list = recognize(rec, x)
-    n = x.shape[0] if x.ndim == 2 else 1
     L = rec.n_layers
     inputs = [x] + v_list[:-1]
     deltas = [None] * L
@@ -131,29 +132,8 @@ def rec_gradients(rec, x, mu_list, v_list=None, out=None):
             + back * sigmoid_prime_from_output(v_list[l])
     grads = rec.zeros_like() if out is None else out
     for l, g in enumerate(grads.layers):
-        d = np.atleast_2d(deltas[l])
-        inp = np.atleast_2d(inputs[l])
-        np.matmul(d.T, inp, out=g.R)
+        dw = deltas[l] * w[:, None]
+        np.matmul(dw.T, inputs[l], out=g.R)
         np.multiply(g.R, _doubling(l, L), out=g.R)
-        np.divide(g.R, n, out=g.R)
-        np.sum(d, axis=0, out=g.b)
-        np.divide(g.b, n, out=g.b)
+        np.matmul(w, deltas[l], out=g.b)
     return grads
-
-
-def rec_update(rec, grad_lab, grad_unlab, lam, beta):
-    """In-place descent step: R <- R - lam * (g_lab + beta * g_unlab).
-
-    A missing side (None) contributes zero.  The step is built in the
-    gradients' own vectors, so they are overwritten.
-    """
-    step = None
-    if grad_unlab is not None:
-        step = np.multiply(grad_unlab.data, beta, out=grad_unlab.data)
-    if grad_lab is not None:
-        step = grad_lab.data if step is None \
-            else np.add(grad_lab.data, step, out=grad_lab.data)
-    if step is not None:
-        np.multiply(step, lam, out=step)
-        np.subtract(rec.data, step, out=rec.data)
-    return rec

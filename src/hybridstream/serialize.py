@@ -4,9 +4,8 @@ Parameter container layout (little-endian): magic, version, layer count L,
 class count C, visible dimension D, the L hidden dimensions, then the
 float64 payload: the model's flat parameter vector, whose layout (per layer
 W, U, b_hidden, b_visible; then the class bias, each row-major) is
-HybridParams'.  A human-readable JSON sidecar (`<path>.meta.json`)
-describes the shapes.  Recognition containers likewise hold a header of
-per-layer R shapes and the network's flat vector (per layer R, b).
+HybridParams'.  Recognition containers likewise hold a header of per-layer
+R shapes and the network's flat vector (per layer R, b).
 
 A checkpoint bundles model + recognition parameters, fantasy particles,
 the rng state and step counters in one file.
@@ -40,11 +39,6 @@ def _read_array(f, shape):
     return np.frombuffer(data, dtype="<f8").reshape(shape).copy()
 
 
-def _params_header(params):
-    return {"layers": params.n_layers, "classes": params.n_classes,
-            "visible": params.n_visible, "hidden": params.hidden_dims}
-
-
 def dump_params(params, f):
     f.write(PARAM_MAGIC)
     f.write(struct.pack("<III", VERSION, params.n_layers, params.n_classes))
@@ -65,19 +59,6 @@ def load_params(f):
     params = HybridParams.from_dims(n_visible, hidden, n_classes)
     params.data[...] = _read_array(f, params.data.shape)
     return params
-
-
-def save_params(params, path):
-    with open(path, "wb") as f:
-        dump_params(params, f)
-    with open(str(path) + ".meta.json", "w") as f:
-        json.dump({"format": "hybridstream-params", "version": VERSION,
-                   **_params_header(params)}, f, indent=2)
-
-
-def load_params_file(path):
-    with open(path, "rb") as f:
-        return load_params(f)
 
 
 def dump_rec(rec, f):

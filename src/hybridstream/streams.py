@@ -146,13 +146,6 @@ class LedStream(_DriftingStream):
         return feats, digits.astype(np.int64)
 
 
-def waveform_instance(cls_idx, u, eps_signal, eps_noise):
-    """One raw waveform instance before normalization (pure function)."""
-    a, b = WAVEFORM_PAIRS[cls_idx]
-    signal = u * WAVEFORM_BASES[a] + (1.0 - u) * WAVEFORM_BASES[b] + eps_signal
-    return np.concatenate([signal, eps_noise])
-
-
 def waveform_normalize(raw):
     scaled = (raw - WAVEFORM_LO) / (WAVEFORM_HI - WAVEFORM_LO)
     return np.clip(scaled, 0.0, 1.0)

@@ -1,6 +1,7 @@
-"""Single-parameter-update orchestration: recognition, pseudo-labeling,
-mean-field, recognition-net step, estimator dispatch, weighted model step,
-drop-out masking, beta annealing, and prediction.
+"""Single-parameter-update orchestration: one weighted pass per batch of
+recognition, pseudo-labeling, mean-field, estimator dispatch, model and
+recognition-net steps, with drop-out masking, beta annealing, and
+prediction.
 """
 
 from dataclasses import dataclass, field
@@ -73,8 +74,9 @@ class Trainer:
                 model, config.n_particles, rng)
         self.labeled_seen = 0
         self.updates = 0
-        # side -> (model gradient, recognition gradient), kept across updates
-        self._workspaces = {}
+        # gradient containers, overwritten by every update
+        self._model_grad = model.zeros_like()
+        self._rec_grad = self.rec.zeros_like()
 
     def current_beta(self):
         if not self.config.anneal:
@@ -96,13 +98,6 @@ class Trainer:
             offset += s.size
         return masks
 
-    def _workspace(self, side):
-        """The gradient containers of one side, built on its first update."""
-        if side not in self._workspaces:
-            self._workspaces[side] = (self.model.zeros_like(),
-                                      self.rec.zeros_like())
-        return self._workspaces[side]
-
     def _masked(self, stats, masks):
         """The statistics times their masks; `stats` itself when unmasked,
         because nothing downstream writes them."""
@@ -110,87 +105,75 @@ class Trainer:
             return stats
         return [s * m for s, m in zip(stats, masks)]
 
-    def _side(self, x, y_onehot, side):
-        """Gradients and bookkeeping for one (labeled or unlabeled) batch,
-        written into that side's workspace."""
-        cfg = self.config
-        model_out, rec_out = self._workspace(side)
+    def update(self, x, labels):
+        """One Algorithm-1 step over a batch: one recognition-net step, one
+        model step.
+
+        `labels` holds a class index per row of `x`, negative where the row
+        is unlabeled; such a row is trained toward its pseudo-label.  Rows
+        are weighted so that the model ascends alpha * (labeled mean) +
+        beta * (unlabeled mean) and the recognition net descends (labeled
+        mean) + beta * (unlabeled mean).  An empty batch changes nothing and
+        the report says so.
+        """
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        v = [np.atleast_2d(s) for s in recognition.recognize(self.rec, x)]
+        labels = np.asarray(labels)
+        n = len(labels)
+        if n == 0:
+            return {"updated": False, "beta": None}
+        cfg = self.config
+        beta = self.current_beta()
+        lab = labels >= 0
+        n_lab = int(np.count_nonzero(lab))
+        lab_w, unlab_w = 1.0 / max(n_lab, 1), beta / max(n - n_lab, 1)
+        w = np.where(lab, cfg.alpha * lab_w, unlab_w)
+        w_rec = np.where(lab, lab_w, unlab_w)
+
+        v = recognition.recognize(self.rec, x)
         v_stats = self._masked(v, self._dropout_masks(v))
-        class_probs = None
-        if y_onehot is None:
-            class_probs = dhbm.cond_y(self.model, v_stats)
-            y_onehot = pseudo_label(class_probs)
+        class_probs = dhbm.cond_y(self.model, v_stats)
+        targets = pseudo_label(class_probs)
+        targets[lab] = one_hot(labels[lab], self.model.n_classes)
         if cfg.estimator == "mf-bp":
             state = dhda.dhda_forward(self.model, x, v_stats, self.rng,
                                       cfg.corruption_p, cfg.num_steps)
-            mf_masks = self._dropout_masks(state.hidden)
             mu_clean = state.hidden
             model_grad = estimators.mf_bp_gradients(
-                x, y_onehot, v_stats, state, self.model,
-                dropout_masks=mf_masks, out=model_out)
+                x, targets, v_stats, state, self.model, w,
+                dropout_masks=self._dropout_masks(mu_clean),
+                out=self._model_grad)
         else:
-            if class_probs is None:
-                class_probs = dhbm.cond_y(self.model, v_stats)
             # mean_field_step builds new arrays and never writes its inputs
             state = dhbm.MeanFieldState(v_stats, class_probs,
                                         dhbm.cond_x(self.model, v_stats[0]))
             for _ in range(cfg.num_steps):
                 state = dhbm.mean_field_step(self.model, x, state)
-            mf_masks = self._dropout_masks(state.layer_means)
             mu_clean = state.layer_means
-            masked_state = dhbm.MeanFieldState(
-                self._masked(state.layer_means, mf_masks), state.class_probs,
-                state.input_recon)
             if cfg.estimator == "mf-cd":
+                masked_state = dhbm.MeanFieldState(
+                    self._masked(mu_clean, self._dropout_masks(mu_clean)),
+                    state.class_probs, state.input_recon)
                 model_grad = estimators.mf_cd_gradients(
-                    x, y_onehot, state.class_probs, v_stats, masked_state,
-                    self.model, out=model_out)
+                    x, targets, state.class_probs, v_stats, masked_state,
+                    self.model, w, out=self._model_grad)
             else:
                 model_grad = estimators.sap_gradients(
-                    x, y_onehot, v_stats, self.particles, self.model, self.rng,
-                    out=model_out)
+                    x, targets, v_stats, self.particles, self.model, self.rng,
+                    w, out=self._model_grad)
         # the recognition target is the clean mean-field statistic: drop-out
         # masks perturb only the statistics fed to the model-gradient
         # estimators, a masked target would collapse the network to constants
-        rec_grad = recognition.rec_gradients(self.rec, x, mu_clean, v,
-                                             out=rec_out)
-        return model_grad, rec_grad
-
-    def update(self, x_lab=None, y_lab=None, x_unlab=None):
-        """One Algorithm-1 step: one recognition-net step, one model step.
-
-        y_lab holds class indices (or a one-hot matrix).  Either batch may be
-        empty/None; with both empty nothing happens and the report says so.
-        """
-        has_lab = x_lab is not None and len(x_lab) > 0
-        has_unlab = x_unlab is not None and len(x_unlab) > 0
-        if not has_lab and not has_unlab:
-            return {"updated": False, "beta": None}
-        cfg = self.config
-        beta = self.current_beta()
-        g_model_lab = g_rec_lab = g_model_un = g_rec_un = None
-        if has_lab:
-            y_arr = np.asarray(y_lab)
-            y_onehot = y_arr if y_arr.ndim == 2 \
-                else one_hot(y_arr, self.model.n_classes)
-            g_model_lab, g_rec_lab = self._side(x_lab, y_onehot, "lab")
-        if has_unlab:
-            g_model_un, g_rec_un = self._side(x_unlab, None, "unlab")
-        recognition.rec_update(self.rec, g_rec_lab, g_rec_un, cfg.lr, beta)
-        # ascent step on the flat vector: model += lr * (alpha g_lab + beta g_unlab),
-        # built in the gradients' own vectors
-        step = None
-        if g_model_lab is not None:
-            step = np.multiply(g_model_lab.data, cfg.alpha, out=g_model_lab.data)
-        if g_model_un is not None:
-            scaled = np.multiply(g_model_un.data, beta, out=g_model_un.data)
-            step = scaled if step is None else np.add(step, scaled, out=step)
-        np.multiply(step, cfg.lr, out=step)
-        np.add(self.model.data, step, out=self.model.data)
-        if has_lab:
-            self.labeled_seen += np.atleast_2d(x_lab).shape[0]
+        rec_grad = recognition.rec_gradients(self.rec, x, mu_clean, w_rec, v,
+                                             out=self._rec_grad)
+        # ascent step for the model, descent step for the recognition net,
+        # each built in its gradient's own vector
+        np.add(self.model.data,
+               np.multiply(model_grad.data, cfg.lr, out=model_grad.data),
+               out=self.model.data)
+        np.subtract(self.rec.data,
+                    np.multiply(rec_grad.data, cfg.lr, out=rec_grad.data),
+                    out=self.rec.data)
+        self.labeled_seen += n_lab
         self.updates += 1
         return {"updated": True, "beta": beta}
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridstream import baseline, dhbm, dhda, estimators, kernels, recognition
 from hybridstream.numerics import bernoulli_mask, make_rng, one_hot, softmax
@@ -43,7 +45,7 @@ def test_mf_cd_zero_when_phases_agree():
     q = recognition.recognize(rec, x)
     y = one_hot(np.array([0, 1]), 3)
     state = dhbm.MeanFieldState([m.copy() for m in q], y.copy(), x.copy())
-    g = estimators.mf_cd_gradients(x, y, y, q, state, model)
+    g = estimators.mf_cd_gradients(x, y, y, q, state, model, np.full(2, 0.5))
     for layer in g.layers:
         assert np.allclose(layer.W, 0.0, atol=1e-12)
         assert np.allclose(layer.U, 0.0, atol=1e-12)
@@ -58,7 +60,8 @@ def test_mf_cd_visible_bias_only_on_first_layer():
     y = one_hot(np.array([0, 1]), 3)
     state = dhbm.MeanFieldState([np.clip(m + 0.1, 0, 1) for m in q],
                                 np.full((2, 3), 1 / 3), rng.random((2, 4)))
-    g = estimators.mf_cd_gradients(x, y, state.class_probs, q, state, model)
+    g = estimators.mf_cd_gradients(x, y, state.class_probs, q, state, model,
+                                   np.full(2, 0.5))
     assert not np.allclose(g.layers[0].b_visible, 0.0)
     assert np.allclose(g.layers[1].b_visible, 0.0, atol=1e-12)
 
@@ -90,7 +93,8 @@ def test_sap_gradients_advance_particles():
     y = one_hot(np.array([1, 2]), 3)
     particles = estimators.FantasyParticles.initialize(model, 5, make_rng(10))
     before = particles.x.copy()
-    g = estimators.sap_gradients(x, y, q, particles, model, make_rng(11))
+    g = estimators.sap_gradients(x, y, q, particles, model, make_rng(11),
+                                 np.full(2, 0.5))
     assert np.isfinite(g.data).all()
     # a full Gibbs sweep on a random model virtually always flips something
     assert not np.array_equal(before, particles.x)
@@ -118,17 +122,19 @@ def gradient_case(name):
     x = rng.random((4, 5))
     y = one_hot(rng.integers(0, 3, 4), 3)
     q = recognition.recognize(rec, x)
+    w = np.full(4, 0.25)
     if name == "mf-cd":
         state = dhbm.MeanFieldState([np.clip(m + 0.1, 0, 1) for m in q],
                                     softmax(rng.normal(size=(4, 3))),
                                     rng.random((4, 5)))
         return (lambda out: estimators.mf_cd_gradients(
-            x, y, state.class_probs, q, state, model, out=out)), model.zeros_like()
+            x, y, state.class_probs, q, state, model, w, out=out)), \
+            model.zeros_like()
     if name == "sap":
         def sap(out):
             particles = estimators.FantasyParticles.initialize(model, 5, make_rng(22))
             return estimators.sap_gradients(x, y, q, particles, model,
-                                            make_rng(23), out=out)
+                                            make_rng(23), w, out=out)
         return sap, model.zeros_like()
     if name == "mf-bp":
         masks = [bernoulli_mask(rng, 4, h, 0.5) for h in (4, 3)]
@@ -136,12 +142,12 @@ def gradient_case(name):
         def mf_bp(out):
             state = dhda.dhda_forward(model, x, recognition.recognize(rec, x),
                                       make_rng(24), 0.2, 2)
-            return estimators.mf_bp_gradients(x, y, q, state, model,
+            return estimators.mf_bp_gradients(x, y, q, state, model, w,
                                               dropout_masks=masks, out=out)
         return mf_bp, model.zeros_like()
     if name == "rec":
         mu = [rng.random((4, 4)), rng.random((4, 3))]
-        return (lambda out: recognition.rec_gradients(rec, x, mu, out=out)), \
+        return (lambda out: recognition.rec_gradients(rec, x, mu, w, out=out)), \
             rec.zeros_like()
     mlp = baseline.MlpParams.initialize(5, [4, 3], 3, make_rng(25), weight_std=0.5)
     return (lambda out: baseline.mlp_gradients(
@@ -159,3 +165,105 @@ def test_gradients_overwrite_every_workspace_entry(name):
         assert grad(workspace) is workspace
         assert np.array_equal(workspace.data.view(np.int64),
                               fresh.data.view(np.int64))
+
+
+def rows_case(name, dims, n, seed):
+    """g(rows, w): one gradient function on a fixed batch, evaluated over a
+    subset of its rows with one weight per row.  Every per-row input (data,
+    targets, masked statistics, mean-field or forward state, drop-out
+    masks) is built once for the whole batch and sliced; SAP gets copied
+    particles and an equally seeded generator on every call, so each call
+    draws the same negative phase."""
+    d, hidden, c = dims[0], list(dims[1:-1]), dims[-1]
+    model = dhbm.HybridParams.initialize(d, hidden, c, make_rng(seed),
+                                         weight_std=0.5)
+    rec = recognition.init_from_model(model)
+    rng = make_rng(seed + 1)
+    x = rng.random((n, d))
+    y = one_hot(rng.integers(0, c, n), c)
+    q = [s * bernoulli_mask(rng, n, s.shape[1], 0.5)
+         for s in recognition.recognize(rec, x)]
+
+    def rows(arrays, r):
+        return [a[r] for a in arrays]
+
+    if name == "mf-cd":
+        state = dhbm.MeanFieldState([rng.random((n, h)) for h in hidden],
+                                    softmax(rng.normal(size=(n, c))),
+                                    rng.random((n, d)))
+
+        def grad(r, w):
+            sub = dhbm.MeanFieldState(rows(state.layer_means, r),
+                                      state.class_probs[r], state.input_recon[r])
+            return estimators.mf_cd_gradients(x[r], y[r], sub.class_probs,
+                                              rows(q, r), sub, model, w)
+    elif name == "sap":
+        particles = estimators.FantasyParticles.initialize(model, 5,
+                                                           make_rng(seed + 2))
+
+        def grad(r, w):
+            copied = estimators.FantasyParticles(
+                particles.x.copy(), [h.copy() for h in particles.hs],
+                particles.y.copy())
+            return estimators.sap_gradients(x[r], y[r], rows(q, r), copied,
+                                            model, make_rng(seed + 3), w)
+    elif name == "mf-bp":
+        state = dhda.dhda_forward(model, x, q, rng, 0.2, 2)
+        masks = [bernoulli_mask(rng, n, h, 0.5) for h in hidden]
+
+        def grad(r, w):
+            sub = dhda.DhdaState(state.input_hat[r], rows(state.hidden, r),
+                                 rows(state.hidden_hat, r), rows(state.masks, r),
+                                 rows(state.recons, r), state.class_probs[r])
+            return estimators.mf_bp_gradients(x[r], y[r], rows(q, r), sub, model,
+                                              w, dropout_masks=rows(masks, r))
+    else:
+        mu = [rng.random((n, h)) for h in hidden]
+
+        def grad(r, w):
+            return recognition.rec_gradients(rec, x[r], rows(mu, r), w)
+    return grad
+
+
+def side_sum(grad, lab, alpha, beta):
+    """The oracle: alpha * g(labeled rows, 1/n_lab) + beta * g(unlabeled
+    rows, 1/n_unlab), one gradient per batch side."""
+    lab = np.asarray(lab)
+    n_lab = int(lab.sum())
+    n_unlab = len(lab) - n_lab
+    return alpha * grad(lab, np.full(n_lab, 1.0 / n_lab)).data \
+        + beta * grad(~lab, np.full(n_unlab, 1.0 / n_unlab)).data
+
+
+def assert_close(fused, sides):
+    assert np.abs(fused - sides).max() <= 1e-12 * np.abs(sides).max()
+
+
+@pytest.mark.parametrize("name", ["mf-cd", "mf-bp", "sap", "rec"])
+def test_weighted_gradient_is_the_weighted_sum_of_sides(name):
+    # the fused pass's weights: alpha/n_lab on labeled rows, beta/n_unlab
+    # on unlabeled ones
+    lab = np.array([True, False, True, True, False, False, True, False, False])
+    alpha, beta = 1.0, 0.3
+    grad = rows_case(name, (6, 5, 4, 3), len(lab), 40)
+    w = np.where(lab, alpha / lab.sum(), beta / (~lab).sum())
+    assert_close(grad(np.arange(len(lab)), w).data,
+                 side_sum(grad, lab, alpha, beta))
+
+
+@pytest.mark.parametrize("name", ["mf-cd", "mf-bp", "sap", "rec"])
+@settings(max_examples=20, deadline=None)
+@given(d=st.integers(1, 6), hidden=st.lists(st.integers(1, 5), min_size=1,
+                                             max_size=3),
+       c=st.integers(2, 4),
+       lab=st.lists(st.booleans(), min_size=2, max_size=8).filter(
+           lambda m: any(m) and not all(m)),
+       seed=st.integers(0, 1000))
+def test_uniform_weights_sum_the_sides(name, d, hidden, c, lab, seed):
+    # weights 1/n everywhere are the batch average: the side gradients
+    # weighted by their share of the rows
+    n = len(lab)
+    grad = rows_case(name, [d] + hidden + [c], n, seed)
+    share = sum(lab) / n
+    assert_close(grad(np.arange(n), np.full(n, 1.0 / n)).data,
+                 side_sum(grad, lab, share, 1.0 - share))

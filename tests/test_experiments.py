@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from hybridstream import baseline, dhbm, experiments, numerics, recognition
-from hybridstream.datasets import mnist_paths
+from hybridstream.datasets import load_idx, mnist_paths
 from hybridstream.evaluation import read_curve
 from hybridstream.numerics import make_rng
 from hybridstream.streams import StreamConfig
 from hybridstream.trainer import TrainerConfig
 from test_datasets import write_idx_pair
+from test_trainer import mixed_batch
 
 
 def test_parse_architecture():
@@ -98,15 +99,16 @@ def test_mlp_lab_ignores_unlabeled():
     u = rng.random((8, 6))
     a = experiments.build_model("mlp-lab", 6, [4], 3, cfg, make_rng(2))
     b = experiments.build_model("mlp-lab", 6, [4], 3, cfg, make_rng(2))
-    a.update(x, y, u)
-    b.update(x, y, None)
+    a.update(*mixed_batch(x, y, u))
+    b.update(x, y)
     assert np.array_equal(a.params.Ws[0], b.params.Ws[0])
 
 
 @pytest.mark.parametrize("kind", ["dhbm-mf", "dhbm-sap", "dhda", "mlp-pl", "mlp-lab"])
 def test_updates_after_the_first_build_no_container(kind, monkeypatch):
-    # every model keeps its gradient workspaces: once each batch side has
-    # occurred, an update builds no parameter container
+    # every model keeps its gradient containers: a hybrid builds them with
+    # the model, the MLP on the first update that has each batch side; after
+    # that an update builds no parameter container
     cfg = TrainerConfig(keep_prob=0.5, beta_f=0.3, n_particles=4)
     model = experiments.build_model(kind, 6, [5, 4], 3, cfg, make_rng(30))
     rng = make_rng(31)
@@ -119,11 +121,13 @@ def test_updates_after_the_first_build_no_container(kind, monkeypatch):
 
     for module in (numerics, dhbm, recognition, baseline):
         monkeypatch.setattr(module, "flat_views", counting)
-    model.update(rng.random((4, 6)), rng.integers(0, 3, 4), rng.random((3, 6)))
-    assert built
+    model.update(*mixed_batch(rng.random((4, 6)), rng.integers(0, 3, 4),
+                              rng.random((3, 6))))
+    assert bool(built) == kind.startswith("mlp")
     built.clear()
     for _ in range(3):
-        model.update(rng.random((4, 6)), rng.integers(0, 3, 4), rng.random((3, 6)))
+        model.update(*mixed_batch(rng.random((4, 6)), rng.integers(0, 3, 4),
+                                  rng.random((3, 6))))
     assert built == []
     if kind == "mlp-lab":
         assert set(model.workspaces) == {"lab"}
@@ -145,11 +149,12 @@ def write_tiny_mnist(root, seed=0, n_classes=4, side=6):
             os.replace(written, wanted)
 
 
-# sha256 of the summary.csv below (test errors 0.2667 for dhbm-mf, 0.0167
-# for mlp-lab), recorded before gradient containers were kept across
-# updates; the same under one and two BLAS threads
+# sha256 of the summary.csv below (test errors 0.0167 for dhbm-mf, 0.0167
+# for mlp-lab), recorded when the hybrid's two batch sides were fused into
+# one weighted pass (dhbm-mf read 0.2667 before; the mlp-lab line did not
+# change); the same under one and two BLAS threads
 OFFLINE_SUMMARY_SHA256 = \
-    "19d103cc5d0a838368297b523b5337031fff4319cd8673036f33e53e65a05d94"
+    "4f6c9b809ff6c6a01b6b48e4b559b6eecfa9ff5fe55fa7103af90b6bbc8284ed"
 
 
 def test_run_mnist_experiment_offline_path(tmp_path):
@@ -206,3 +211,20 @@ def test_architecture_must_fit_the_stream(arch, tmp_path):
 def test_removed_config_fields_raise(cls, field):
     with pytest.raises(TypeError):
         cls(**{field: 0})
+
+
+@pytest.mark.parametrize("arch", ["36-16-10", "36-16-3", "784-16-4"])
+def test_architecture_must_fit_the_images(arch, tmp_path, monkeypatch):
+    # the IDX pair holds 6x6 images with labels 0-3: input size and class
+    # count are checked before any model is built
+    write_tiny_mnist(tmp_path)
+    train = load_idx(*mnist_paths(str(tmp_path), "train"))
+    test = load_idx(*mnist_paths(str(tmp_path), "test"))
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr(experiments, "build_model", no_build)
+    config = {"architecture": arch, "n_labeled": 40, "n_valid": 20, "epochs": 1}
+    with pytest.raises(ValueError, match="does not fit"):
+        experiments.run_mnist_trial(config, 0, train, test)

@@ -2,6 +2,7 @@ import numpy as np
 
 from hybridstream import dhbm, recognition
 from hybridstream.numerics import make_rng, sigmoid
+from hybridstream.trainer import Trainer, TrainerConfig
 
 
 def small_net(seed=0, dims=(3, 4, 3)):
@@ -43,7 +44,7 @@ def test_gradients_vanish_at_target():
     _, rec = small_net()
     x = make_rng(3).random((2, 3))
     v = recognition.recognize(rec, x)
-    grads = recognition.rec_gradients(rec, x, v)
+    grads = recognition.rec_gradients(rec, x, v, np.full(2, 0.5))
     for g in grads.layers:
         assert np.allclose(g.R, 0.0, atol=1e-12)
         assert np.allclose(g.b, 0.0, atol=1e-12)
@@ -54,8 +55,9 @@ def test_gradients_from_passed_activations_match():
     rng = make_rng(5)
     x = rng.random((5, 3))
     mu = [rng.random((5, 4)), rng.random((5, 3))]
-    fresh = recognition.rec_gradients(rec, x, mu)
-    reused = recognition.rec_gradients(rec, x, mu, recognition.recognize(rec, x))
+    w = np.full(5, 0.2)
+    fresh = recognition.rec_gradients(rec, x, mu, w)
+    reused = recognition.rec_gradients(rec, x, mu, w, recognition.recognize(rec, x))
     assert np.array_equal(fresh.data.view(np.int64), reused.data.view(np.int64))
 
 
@@ -65,24 +67,26 @@ def test_gradients_match_finite_differences():
 
 
 def test_rec_update_descends_loss():
+    # the trainer's recognition step, rec -= lr * gradient, lowers the loss
     _, rec = small_net(5)
     rng = make_rng(6)
     x = rng.random((4, 3))
     mu = [rng.random((4, 4)), rng.random((4, 3))]
     before = recognition.kl_loss(recognition.recognize(rec, x), mu)
     for _ in range(50):
-        g = recognition.rec_gradients(rec, x, mu)
-        recognition.rec_update(rec, g, None, 0.1, 0.0)
+        g = recognition.rec_gradients(rec, x, mu, np.full(4, 0.25))
+        rec.data -= 0.1 * g.data
     after = recognition.kl_loss(recognition.recognize(rec, x), mu)
     assert after < before
 
 
 def test_rec_update_handles_missing_sides():
-    _, rec = small_net(7)
+    # a batch of only labeled or only unlabeled rows still takes a
+    # recognition-net step
     x = make_rng(8).random((2, 3))
-    mu = recognition.recognize(rec, x)
-    mu = [np.clip(m + 0.2, 0, 1) for m in mu]
-    g = recognition.rec_gradients(rec, x, mu)
-    before = [l.R.copy() for l in rec.layers]
-    recognition.rec_update(rec, None, g, 0.1, 0.5)
-    assert not np.array_equal(before[0], rec.layers[0].R)
+    for labels in (np.array([0, 1]), np.array([-1, -1])):
+        model, _ = small_net(7)
+        tr = Trainer(model, TrainerConfig(beta_f=0.5), make_rng(9))
+        before = tr.rec.data.copy()
+        tr.update(x, labels)
+        assert not np.array_equal(before, tr.rec.data)

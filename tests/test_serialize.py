@@ -1,6 +1,5 @@
 import hashlib
 import io
-import json
 import struct
 
 import numpy as np
@@ -9,6 +8,7 @@ import pytest
 from hybridstream import dhbm, serialize, trainer
 from hybridstream.numerics import make_rng
 from hybridstream.recognition import init_from_model
+from test_trainer import mixed_batch
 
 
 def random_model(seed=0):
@@ -19,11 +19,13 @@ def random_model(seed=0):
 
 
 # sha256 of containers built from fixed seeds: the version-1 byte format,
-# which must not change without a version bump
+# which must not change without a version bump.  The checkpoint's was
+# re-recorded when the two batch sides were fused into one weighted pass,
+# which changes the trained parameters, not the format
 PINNED_SHA256 = {
     "params": "f29c187250f27a284d6e462d042fc54e33c5db3599377eba6f26b1ab9cf8b3c5",
     "rec": "fe95028ca841485a6876059608c011b730daf3a0850d2620712f8f15c7af1026",
-    "checkpoint": "be024dffa99d709ac04da027fe926dcaf0013805ce11f023c5c66279b8654e13",
+    "checkpoint": "12360c3f6f6233a895c5a1ccf768ff47ad507c9e9de39e48d3e0baf11410b771",
 }
 
 
@@ -32,7 +34,8 @@ def sap_trainer_after_updates():
     tr = trainer.Trainer(random_model(7), cfg, make_rng(8))
     rng = make_rng(9)
     for _ in range(5):
-        tr.update(rng.random((3, 4)), rng.integers(0, 3, 3), rng.random((2, 4)))
+        tr.update(*mixed_batch(rng.random((3, 4)), rng.integers(0, 3, 3),
+                               rng.random((2, 4))))
     return cfg, tr
 
 
@@ -82,16 +85,6 @@ def test_params_truncated():
     data = buf.getvalue()[:-8]
     with pytest.raises(ValueError, match="truncated"):
         serialize.load_params(io.BytesIO(data))
-
-
-def test_save_params_writes_sidecar(tmp_path):
-    path = tmp_path / "model.hspm"
-    serialize.save_params(random_model(), path)
-    loaded = serialize.load_params_file(path)
-    assert loaded.hidden_dims == [3, 2]
-    meta = json.loads((tmp_path / "model.hspm.meta.json").read_text())
-    assert meta["hidden"] == [3, 2]
-    assert meta["classes"] == 3
 
 
 def test_rec_roundtrip():

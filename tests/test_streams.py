@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -63,13 +65,25 @@ def test_waveform_features_unit_interval():
 
 
 def test_waveform_instance_pure_function():
-    u = 0.3
-    eps_s = np.zeros(21)
-    eps_n = np.zeros(19)
-    raw = streams.waveform_instance(0, u, eps_s, eps_n)
-    expect = u * streams.WAVEFORM_BASES[0] + (1 - u) * streams.WAVEFORM_BASES[1]
-    assert np.allclose(raw[:21], expect)
-    assert np.array_equal(raw[21:], eps_n)
+    # oracle: each instance from the per-instance formula, drawing from a
+    # clone of the stream's generator in _raw_chunk's order (classes, mixing
+    # weights, signal noise, pure noise)
+    stream = streams.make_stream(streams.StreamConfig(kind="waveform"), make_rng(7))
+    clone = copy.deepcopy(stream.rng)
+    n = 6
+    feats, classes = stream._raw_chunk(n)
+    want_classes = clone.integers(0, streams.WAVEFORM_CLASSES, size=n)
+    u = clone.random(n)
+    eps_signal = clone.standard_normal((n, streams.WAVEFORM_SIGNAL))
+    eps_noise = clone.standard_normal(
+        (n, streams.WAVEFORM_FEATURES - streams.WAVEFORM_SIGNAL))
+    assert np.array_equal(classes, want_classes)
+    for i in range(n):
+        a, b = streams.WAVEFORM_PAIRS[want_classes[i]]
+        signal = u[i] * streams.WAVEFORM_BASES[a] \
+            + (1.0 - u[i]) * streams.WAVEFORM_BASES[b] + eps_signal[i]
+        raw = np.concatenate([signal, eps_noise[i]])
+        assert np.array_equal(feats[i], streams.waveform_normalize(raw))
 
 
 def test_waveform_normalize_clamps():

@@ -3,9 +3,15 @@ import hashlib
 import numpy as np
 import pytest
 
-from hybridstream import dhbm, trainer
+from hybridstream import dhbm, dhda, kernels, numerics, recognition, trainer
 from hybridstream.numerics import bernoulli_mask, make_rng
 from hybridstream.trainer import Trainer, TrainerConfig, beta_schedule, pseudo_label
+
+
+def mixed_batch(x_lab, y_lab, x_unlab):
+    """One batch of labeled rows, then unlabeled rows (label -1)."""
+    return (np.vstack([x_lab, x_unlab]),
+            np.concatenate([y_lab, np.full(len(x_unlab), -1)]))
 
 
 def make_trainer(estimator="mf-cd", seed=0, **kw):
@@ -45,7 +51,7 @@ def test_config_validation():
 def test_update_both_empty_is_noop():
     tr = make_trainer()
     before = tr.model.copy()
-    report = tr.update(None, None, None)
+    report = tr.update(np.empty((0, 4)), np.empty(0, dtype=int))
     assert report == {"updated": False, "beta": None}
     assert np.array_equal(before.layers[0].W, tr.model.layers[0].W)
     assert tr.updates == 0
@@ -65,8 +71,8 @@ def test_empty_unlabeled_matches_beta_zero():
     y = np.array([0, 1, 0, 1, 0, 1])
     tr_a = make_trainer(seed=5, keep_prob=1.0, beta_f=0.1)
     tr_b = make_trainer(seed=5, keep_prob=1.0, beta_f=0.0)
-    tr_a.update(x, y, None)
-    tr_b.update(x, y, None)
+    tr_a.update(x, y)
+    tr_b.update(x, y)
     assert np.array_equal(tr_a.model.layers[0].W, tr_b.model.layers[0].W)
 
 
@@ -76,7 +82,7 @@ def test_update_changes_parameters_every_estimator():
     for est in ("mf-cd", "mf-bp", "sap"):
         tr = make_trainer(est, seed=7)
         before = tr.model.copy()
-        report = tr.update(x, y, x[:2])
+        report = tr.update(*mixed_batch(x, y, x[:2]))
         assert report["updated"]
         assert not np.array_equal(before.layers[0].W, tr.model.layers[0].W)
 
@@ -114,6 +120,42 @@ def test_dropout_masks_match_per_layer_draws():
     assert tr.rng.random() == rng.random()
 
 
+@pytest.mark.parametrize("estimator", trainer.ESTIMATORS)
+def test_one_pass_per_batch(estimator, monkeypatch):
+    # a batch of labeled and unlabeled rows takes one recognition pass and
+    # one class posterior before mean-field (or the DHDA forward pass), SAP
+    # advances its particles one sweep, and no update builds a container
+    tr = make_trainer(estimator, seed=50, n_particles=4)
+    calls = []
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append((name, args))
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapped)
+
+    for module, name in ((recognition, "recognize"), (dhbm, "cond_y"),
+                         (dhbm, "mean_field_step"), (dhda, "dhda_forward"),
+                         (kernels, "gibbs_sweeps"), (numerics, "flat_views"),
+                         (dhbm, "flat_views"), (recognition, "flat_views")):
+        counting(module, name)
+    rng = make_rng(51)
+    for _ in range(3):
+        calls.clear()
+        tr.update(*mixed_batch(rng.random((4, 4)), rng.integers(0, 2, 4),
+                               rng.random((3, 4))))
+        names = [name for name, _ in calls]
+        first = names.index("dhda_forward" if estimator == "mf-bp"
+                            else "mean_field_step")
+        assert names[:first] == ["recognize", "cond_y"]
+        assert names.count("recognize") == 1
+        sweeps = [args[5] for name, args in calls if name == "gibbs_sweeps"]
+        assert sweeps == ([1] if estimator == "sap" else [])
+        assert "flat_views" not in names
+
+
 def test_predict_shapes_and_normalization():
     tr = make_trainer()
     probs = tr.predict(make_rng(8).random((7, 4)))
@@ -127,7 +169,7 @@ def test_seeded_reproducibility():
         rng = make_rng(99)
         for _ in range(10):
             x = rng.random((4, 4))
-            tr.update(x, rng.integers(0, 2, 4), rng.random((3, 4)))
+            tr.update(*mixed_batch(x, rng.integers(0, 2, 4), rng.random((3, 4))))
         return tr.predict(np.full((1, 4), 0.5))
 
     assert np.array_equal(run(11), run(11))
@@ -146,27 +188,28 @@ def test_keep_prob_one_has_no_masking_noise():
 
 
 # sha256 of (model.data, rec.data) after ten updates of a 24-12-12-10 model
-# with drop-out and both batch sides, recorded before the update path moved
-# to in-place arithmetic; the same under one and two BLAS threads
+# with drop-out and batches of labeled and unlabeled rows, recorded when the
+# two batch sides were fused into one weighted pass; the same under one and
+# two BLAS threads
 PINNED_UPDATE_SHA256 = {
-    "mf-cd": ("da7346fb744b3ca19fe8dc12aee951955a693559c2a334dc74971d17e94a3342",
-              "0344c70569d7ee06d0650f5c39fccfdb7121b117cb4c95272d12535c9858d285"),
-    "sap": ("ce9156c9b9bd4fb711a1e7cc09bc24f370199cfbfc96cfb77fff1dcfa8c4650f",
-            "3b3a42048a896967efe773c40fb9bf2cdb0d3eacd33c0c6443a4be17b89c09e3"),
-    "mf-bp": ("44c67ed6c7be2ca6531081d4f71a703fadf12307e2ee1d77095b34ec4fca107d",
-              "5ad3d7a76ea2a525794341038aef6b67fd70497313975f9e9b1f372cdf66beb8"),
+    "mf-cd": ("1c19c4ef452eec1938f65759ea6c56b3c8047cc223eacf15c6e93a398c20f775",
+              "c6a0883d04cea2a02a593d70e5fbeea4cb02d7ef20d3244fb7e433d6a74f81e9"),
+    "sap": ("29faeb2610d7e0d0c41fef14a095a809dbce2adad515df16a223c47d0722f3aa",
+            "c25899607989d05f1399a5b71a29935f98015cdf85cb94b95ca78d0d6ae68833"),
+    "mf-bp": ("cccde733542da4f5d15a193bff7c5518c3f4d7cb700a2855a0d90a6ae6b574d2",
+              "29bfa718b22f1e55c237640452afe4675e01eedaf3c09a1f6b4bd71e59e379f7"),
 }
 
 
 # the same run without drop-out (keep_prob 1), where the unmasked statistics
-# reach the estimators uncopied; recorded while the trainer still copied them
+# reach the estimators uncopied
 PINNED_UPDATE_KEEP_ALL_SHA256 = {
-    "mf-cd": ("83d94d8c1f188f493145c368a5f6ca07f13734156d2c81b13d76b38327a6d85c",
-              "02b70937581d4879c79afb1d59d76b219c237bbfffbdee2b8186c390a2753633"),
-    "sap": ("d54042bdcec50eff39aea44a6bc2abead4b25d4cc662c016cecf15d2ded9dc18",
-            "2600ab29fdc36f3f3d5e185d1b844846eb53a0bdd4d5a93af6c119025b5c7a7e"),
-    "mf-bp": ("fb81614fb4d1ba1a7a17f078f1a75f0065634365a6b506665dbfb60f420facf2",
-              "6d20a7d10975b171c7bf8a08cf8274d874fb36dbe7e30908948628399d75e12b"),
+    "mf-cd": ("3a67a711269281a7bdb74f4de5e0f24c94fc70695ffe8340b7e958c1beacbae1",
+              "cc023cfb8939fc9981b2b6d9e1e6fdbeb4e352b3159eee8d68210405cb747ad6"),
+    "sap": ("ab13a18cb7f1f7d801eea7c211d84c0bf71a90845131d63418fa30d5d6379f6e",
+            "c80f2d129542b7b0da0d71413d582e8df2bfedba28285ecdd875cda06827224b"),
+    "mf-bp": ("c4f75e9f40dc9f1160eefc77e234babc6a55f3c8e584537f99b5f114e47b1156",
+              "6c1288aa3b8c14899da1f49250a036d3a3ce96b6724691778bb75e74cb43cb34"),
 }
 
 
@@ -178,7 +221,8 @@ def _update_digests(estimator, keep_prob):
     tr = Trainer(model, cfg, make_rng(22))
     rng = make_rng(23)
     for _ in range(10):
-        tr.update(rng.random((6, 24)), rng.integers(0, 10, 6), rng.random((4, 24)))
+        tr.update(*mixed_batch(rng.random((6, 24)), rng.integers(0, 10, 6),
+                               rng.random((4, 24))))
     return tuple(hashlib.sha256(a.tobytes()).hexdigest()
                  for a in (tr.model.data, tr.rec.data))
 
