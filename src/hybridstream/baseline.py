@@ -125,8 +125,7 @@ def mlp_update(params, x_lab, y_lab, x_unlab, lr, beta, keep_prob=1.0, rng=None,
 
     grads = []
     if x_lab is not None and len(x_lab) > 0:
-        y_arr = np.asarray(y_lab)
-        y_oh = y_arr if y_arr.ndim == 2 else one_hot(y_arr, params.n_classes)
+        y_oh = one_hot(y_lab, params.n_classes)
         grads.append((1.0, mlp_gradients(params, x_lab, y_oh, keep_prob,
                                          train_mode=True, rng=rng,
                                          out=workspace("lab"))))

@@ -90,9 +90,11 @@ class HybridParams(ViewRecord):
 
 @dataclass
 class MeanFieldState:
+    """A mean-field iterate; `input_recon`, cond_x of h^1 for MF-CD's
+    negative phase, is None unless the caller sets it."""
     layer_means: list
     class_probs: np.ndarray
-    input_recon: np.ndarray
+    input_recon: np.ndarray = None
 
 
 def energy(params, y, x, hs):
@@ -147,20 +149,22 @@ def cond_y(params, h_means):
     """Class distribution from all layers jointly: softmax(sum_l U_l' h_l + b)."""
     if len(h_means) != params.n_layers:
         raise ValueError(f"expected {params.n_layers} layer means, got {len(h_means)}")
-    logits = np.asarray(h_means[0]) @ params.layers[0].U + params.b_class
+    logits = np.asarray(h_means[0]) @ params.layers[0].U
+    np.add(logits, params.b_class, out=logits)
     for lp, h in zip(params.layers[1:], h_means[1:]):
-        logits = logits + h @ lp.U
+        np.add(logits, h @ lp.U, out=logits)
     return softmax(logits)
 
 
 def mean_field_step(params, x, state, clamped_y=None):
-    """One full fixed-point cycle: h^1, ..., h^L, then y, then x-reconstruction.
+    """One full fixed-point cycle: h^1, ..., h^L, then y.
 
-    x stays clamped to the data; `input_recon` holds the model's reconstruction.
-    If `clamped_y` (a batch x C one-hot matrix) is given the class distribution
-    is held fixed at it.
+    x stays clamped to the data, so no step reads a reconstruction of it;
+    a caller that needs one takes cond_x of the final h^1.  If `clamped_y`
+    (a batch x C one-hot matrix) is given the class distribution is held
+    fixed at it.
     """
-    means = [m for m in state.layer_means]
+    means = list(state.layer_means)
     y_probs = clamped_y if clamped_y is not None else state.class_probs
     L = params.n_layers
     for l in range(L):
@@ -169,7 +173,7 @@ def mean_field_step(params, x, state, clamped_y=None):
         means[l] = cond_h(params, l, y_probs, below, above)
     if clamped_y is None:
         y_probs = cond_y(params, means)
-    return MeanFieldState(means, y_probs, cond_x(params, means[0]))
+    return MeanFieldState(means, y_probs)
 
 
 def _enumerate_binary(n):

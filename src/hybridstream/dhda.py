@@ -45,18 +45,22 @@ class DhdaState:
 def encode_h(params, l, below_hat, above_hat=None):
     """sigma(W_l v-hat + W_{l+1}' h-hat^{l+1} + b); top layer has no feedback."""
     lp = params.layers[l]
-    pre = below_hat @ lp.W.T + lp.b_hidden
+    # the terms are summed left to right in one array
+    pre = below_hat @ lp.W.T
+    np.add(pre, lp.b_hidden, out=pre)
     if l + 1 < params.n_layers:
         if above_hat is None:
             raise ValueError(f"layer {l} requires the corrupted state of layer {l + 1}")
-        pre = pre + above_hat @ params.layers[l + 1].W
-    return sigmoid(pre)
+        np.add(pre, above_hat @ params.layers[l + 1].W, out=pre)
+    return sigmoid(pre, out=pre)
 
 
 def decode(params, l, h_hat):
     """sigma(W_l' h-hat + b_visible): tied weights, transpose of the encoder."""
     lp = params.layers[l]
-    return sigmoid(h_hat @ lp.W + lp.b_visible)
+    pre = h_hat @ lp.W
+    np.add(pre, lp.b_visible, out=pre)
+    return sigmoid(pre, out=pre)
 
 
 def recon_cross_entropy(x, z):

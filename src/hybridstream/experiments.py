@@ -128,20 +128,17 @@ def run_stream_trial(config, trial, out_dir):
     return {kind: preq[kind].error for kind in models}
 
 
-def _echo_config(config, out_dir, extra=None):
+def _echo_config(config, out_dir, trials):
     os.makedirs(out_dir, exist_ok=True)
-    echo = dict(config)
-    if extra:
-        echo.update(extra)
     with open(os.path.join(out_dir, "config_echo.json"), "w") as f:
-        json.dump(echo, f, indent=2, default=str)
+        json.dump(dict(config, resolved_trials=trials), f, indent=2, default=str)
 
 
 def run_stream_experiment(config, out_dir, jobs=1):
     """All trials; emits per-trial curves, a summary CSV and a config echo."""
     _check_keys(config, STREAM_KEYS)
     trials = int(config.get("trials", 5))
-    _echo_config(config, out_dir, {"resolved_trials": trials})
+    _echo_config(config, out_dir, trials)
     finals = {}
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -249,7 +246,7 @@ def run_mnist_experiment(config, out_dir):
     train = load_idx(*mnist_paths(data_root, "train"))
     test = load_idx(*mnist_paths(data_root, "test"))
     trials = int(config.get("trials", 1))
-    _echo_config(config, out_dir, {"resolved_trials": trials})
+    _echo_config(config, out_dir, trials)
     finals = {}
     for t in range(trials):
         for kind, err in run_mnist_trial(config, t, train, test).items():

@@ -84,19 +84,15 @@ def sigmoid_prime_from_output(s):
 
 
 def relu(v):
-    v = np.asarray(v, dtype=np.float64)
-    out = np.maximum(v, 0.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return np.maximum(np.asarray(v, dtype=np.float64), 0.0)
 
 
 def softmax(v, axis=-1):
     """Shift-invariant softmax along `axis`; rows sum to 1."""
     v = np.asarray(v, dtype=np.float64)
-    shifted = v - np.max(v, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    e = v - v.max(axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    return np.divide(e, e.sum(axis=axis, keepdims=True), out=e)
 
 
 def bernoulli_mask(rng, rows, cols, keep_prob):

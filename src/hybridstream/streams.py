@@ -146,6 +146,17 @@ class LedStream(_DriftingStream):
         return feats, digits.astype(np.int64)
 
 
+def led_bayes_error(noise_fraction):
+    """Exact error of the Bayes classifier of the LED stream, from the 2^7
+    segment patterns each digit shows with every segment flipped with
+    probability `noise_fraction`; the other 17 attributes carry no
+    information.  Ties cost the same whichever digit they pick."""
+    patterns = (np.arange(1 << 7)[:, None] >> np.arange(7)) & 1
+    flips = (patterns[:, None, :] != LED_SEGMENTS).sum(axis=2)
+    likelihood = noise_fraction ** flips * (1.0 - noise_fraction) ** (7 - flips)
+    return 1.0 - float(likelihood.max(axis=1).sum()) / LED_CLASSES
+
+
 def waveform_normalize(raw):
     scaled = (raw - WAVEFORM_LO) / (WAVEFORM_HI - WAVEFORM_LO)
     return np.clip(scaled, 0.0, 1.0)

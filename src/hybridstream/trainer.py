@@ -4,7 +4,7 @@ recognition-net steps, with drop-out masking, beta annealing, and
 prediction.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,12 +55,18 @@ class TrainerConfig:
             raise ValueError(f"estimator must be one of {ESTIMATORS}")
         if self.t1 > self.t2:
             raise ValueError("t1 must not exceed t2")
+        if self.num_steps < 1:
+            raise ValueError("num_steps must be >= 1")
+        if not 0.0 <= self.corruption_p <= 1.0:
+            raise ValueError("corruption_p must lie in [0, 1]")
+        if self.n_particles < 1:
+            raise ValueError("n_particles must be >= 1")
 
 
 class Trainer:
     """Owns a hybrid model, its recognition co-network and update state.
 
-    Not safe for concurrent update() calls on the same instance.
+    Not safe for concurrent calls on the same instance.
     """
 
     def __init__(self, model, config, rng):
@@ -77,6 +83,8 @@ class Trainer:
         # gradient containers, overwritten by every update
         self._model_grad = model.zeros_like()
         self._rec_grad = self.rec.zeros_like()
+        # (x, recognize(rec, x)) of the last predict, until the next update
+        self._recognized = None
 
     def current_beta(self):
         if not self.config.anneal:
@@ -114,8 +122,12 @@ class Trainer:
         are weighted so that the model ascends alpha * (labeled mean) +
         beta * (unlabeled mean) and the recognition net descends (labeled
         mean) + beta * (unlabeled mean).  An empty batch changes nothing and
-        the report says so.
+        the report says so.  The recognition pass of the last predict() is
+        reused when `x` is the array object it was given (and not written
+        since), and dropped either way.
         """
+        recognized, self._recognized = self._recognized, None
+        v = recognized[1] if recognized is not None and recognized[0] is x else None
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         labels = np.asarray(labels)
         n = len(labels)
@@ -129,7 +141,8 @@ class Trainer:
         w = np.where(lab, cfg.alpha * lab_w, unlab_w)
         w_rec = np.where(lab, lab_w, unlab_w)
 
-        v = recognition.recognize(self.rec, x)
+        if v is None:
+            v = recognition.recognize(self.rec, x)
         v_stats = self._masked(v, self._dropout_masks(v))
         class_probs = dhbm.cond_y(self.model, v_stats)
         targets = pseudo_label(class_probs)
@@ -144,15 +157,14 @@ class Trainer:
                 out=self._model_grad)
         else:
             # mean_field_step builds new arrays and never writes its inputs
-            state = dhbm.MeanFieldState(v_stats, class_probs,
-                                        dhbm.cond_x(self.model, v_stats[0]))
+            state = dhbm.MeanFieldState(v_stats, class_probs)
             for _ in range(cfg.num_steps):
                 state = dhbm.mean_field_step(self.model, x, state)
             mu_clean = state.layer_means
             if cfg.estimator == "mf-cd":
                 masked_state = dhbm.MeanFieldState(
                     self._masked(mu_clean, self._dropout_masks(mu_clean)),
-                    state.class_probs, state.input_recon)
+                    state.class_probs, dhbm.cond_x(self.model, mu_clean[0]))
                 model_grad = estimators.mf_cd_gradients(
                     x, targets, state.class_probs, v_stats, masked_state,
                     self.model, w, out=self._model_grad)
@@ -180,9 +192,11 @@ class Trainer:
     def predict(self, x):
         """Class distribution from the recognition network.
 
-        Hidden statistics are scaled by keep_prob (drop-out expectation).
+        Hidden statistics are scaled by keep_prob (drop-out expectation), in
+        copies: the unscaled pass is kept for the next update() of `x`.
         """
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        v = [np.atleast_2d(s) for s in recognition.recognize(self.rec, x)]
-        stats = [np.multiply(s, self.config.keep_prob, out=s) for s in v]
-        return dhbm.cond_y(self.model, stats)
+        v = recognition.recognize(self.rec, np.atleast_2d(
+            np.asarray(x, dtype=np.float64)))
+        self._recognized = (x, v)
+        return dhbm.cond_y(self.model,
+                           [np.multiply(s, self.config.keep_prob) for s in v])

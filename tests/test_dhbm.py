@@ -29,8 +29,7 @@ def zero_model(d=3, hidden=(2, 2), c=2):
 def bottom_up_state(params, x):
     """Mean-field start from the recognition pass of a fresh network."""
     means = recognize(init_from_model(params), x)
-    return dhbm.MeanFieldState(means, dhbm.cond_y(params, means),
-                               dhbm.cond_x(params, means[0]))
+    return dhbm.MeanFieldState(means, dhbm.cond_y(params, means))
 
 
 def test_zero_params_conditionals_are_uniform():
@@ -98,7 +97,8 @@ def test_mean_field_zero_params_fixed_point():
     assert np.allclose(nxt.layer_means[0], 0.5)
     assert np.allclose(nxt.layer_means[1], 0.5)
     assert np.allclose(nxt.class_probs, 0.5)
-    assert np.allclose(nxt.input_recon, 0.5)
+    assert nxt.input_recon is None
+    assert np.allclose(dhbm.cond_x(params, nxt.layer_means[0]), 0.5)
 
 
 def test_mean_field_converges_on_tiny_model():

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hybridstream.numerics import (bernoulli_mask, make_rng, one_hot, relu,
                                    sigmoid, softmax)
@@ -62,6 +65,44 @@ def test_sigmoid_bits_match_masked_oracle_at_extremes():
     assert_same_bits(sigmoid(v), masked_sigmoid(v))
     for x in v:
         assert_same_bits(sigmoid(x), masked_sigmoid(x))
+
+
+def wrapper_softmax(v, axis=-1):
+    """The softmax that called np.max/np.sum and divided out of place: the
+    oracle of the in-place form."""
+    v = np.asarray(v, dtype=np.float64)
+    shifted = v - np.max(v, axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / np.sum(e, axis=axis, keepdims=True)
+
+
+# signed zeros, infinities, exp's overflow edge and subnormals
+EDGE_VALUES = [0.0, -0.0, np.inf, -np.inf, 750.0, -750.0, 5e-324, -5e-324,
+               2.2e-308, -1e-310]
+FLOATS = st.one_of(st.sampled_from(EDGE_VALUES),
+                   st.floats(allow_nan=False, allow_infinity=True))
+SHAPES = hnp.array_shapes(min_dims=1, max_dims=2, max_side=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, SHAPES, elements=FLOATS))
+def test_sigmoid_bits_match_masked_oracle_at_any_value(v):
+    want = masked_sigmoid(v)
+    assert_same_bits(sigmoid(v), want)
+    w = v.copy()
+    assert_same_bits(sigmoid(w, out=w), want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, SHAPES, elements=FLOATS), st.booleans())
+def test_softmax_bits_match_wrapper_oracle(v, equal_rows):
+    if equal_rows:
+        # every row holds one value repeated: exp(0) / n per entry
+        v = np.repeat(v[..., :1], v.shape[-1], axis=-1)
+    for axis in range(-v.ndim, v.ndim):
+        with np.errstate(invalid="ignore", over="ignore"):
+            got, want = softmax(v, axis=axis), wrapper_softmax(v, axis=axis)
+        assert_same_bits(got, want)
 
 
 def test_sigmoid_nan_propagates():

@@ -28,6 +28,32 @@ def test_led_noise_free_decodable():
     assert np.array_equal(np.argmin(dists, axis=1), batch.labels)
 
 
+def test_led_bayes_error_exact_values():
+    assert streams.led_bayes_error(0.0) == 0.0
+    assert streams.led_bayes_error(0.1) == pytest.approx(0.25998, abs=5e-6)
+    # at p = 0.5 every pattern is equally likely under every digit
+    assert streams.led_bayes_error(0.5) == pytest.approx(0.9, abs=1e-12)
+
+
+@pytest.mark.parametrize("noise", [0.1, 0.25])
+def test_led_bayes_error_matches_the_generator(noise):
+    # the Bayes classifier picks the digit of highest likelihood, which for
+    # p < 1/2 is the one nearest in segment flips; ties cost the same either
+    # way.  Its error on 200k generated instances lies within 4 standard
+    # errors of the enumerated value.
+    cfg = streams.StreamConfig(kind="led", noise_fraction=noise,
+                               drift_attr_count=0)
+    stream = streams.make_stream(cfg, make_rng(17))
+    errors = 0
+    n = 200_000
+    for _ in range(n // 50_000):
+        batch = stream.next_batch(50_000)
+        flips = (batch.features[:, None, :7] != streams.LED_SEGMENTS).sum(axis=2)
+        errors += int(np.count_nonzero(np.argmin(flips, axis=1) != batch.labels))
+    want = streams.led_bayes_error(noise)
+    assert abs(errors / n - want) < 4 * np.sqrt(want * (1 - want) / n)
+
+
 def test_led_feature_space():
     cfg = streams.StreamConfig(kind="led")
     batch = streams.make_stream(cfg, make_rng(1)).next_batch(100)

@@ -48,6 +48,24 @@ def test_config_validation():
         TrainerConfig(lr=-0.1)
 
 
+@pytest.mark.parametrize("num_steps", [0, -1])
+def test_config_rejects_num_steps_below_one(num_steps):
+    with pytest.raises(ValueError, match="num_steps"):
+        TrainerConfig(num_steps=num_steps)
+
+
+@pytest.mark.parametrize("corruption_p", [-0.01, 1.01])
+def test_config_rejects_corruption_p_outside_unit_interval(corruption_p):
+    with pytest.raises(ValueError, match="corruption_p"):
+        TrainerConfig(corruption_p=corruption_p)
+
+
+@pytest.mark.parametrize("n_particles", [0, -3])
+def test_config_rejects_n_particles_below_one(n_particles):
+    with pytest.raises(ValueError, match="n_particles"):
+        TrainerConfig(n_particles=n_particles)
+
+
 def test_update_both_empty_is_noop():
     tr = make_trainer()
     before = tr.model.copy()
@@ -120,12 +138,8 @@ def test_dropout_masks_match_per_layer_draws():
     assert tr.rng.random() == rng.random()
 
 
-@pytest.mark.parametrize("estimator", trainer.ESTIMATORS)
-def test_one_pass_per_batch(estimator, monkeypatch):
-    # a batch of labeled and unlabeled rows takes one recognition pass and
-    # one class posterior before mean-field (or the DHDA forward pass), SAP
-    # advances its particles one sweep, and no update builds a container
-    tr = make_trainer(estimator, seed=50, n_particles=4)
+def count_calls(monkeypatch, targets):
+    """Record (name, args) of every call to the given module functions."""
     calls = []
 
     def counting(module, name):
@@ -136,24 +150,99 @@ def test_one_pass_per_batch(estimator, monkeypatch):
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapped)
 
-    for module, name in ((recognition, "recognize"), (dhbm, "cond_y"),
-                         (dhbm, "mean_field_step"), (dhda, "dhda_forward"),
-                         (kernels, "gibbs_sweeps"), (numerics, "flat_views"),
-                         (dhbm, "flat_views"), (recognition, "flat_views")):
+    for module, name in targets:
         counting(module, name)
+    return calls
+
+
+@pytest.mark.parametrize("estimator", trainer.ESTIMATORS)
+def test_one_pass_per_batch(estimator, monkeypatch):
+    # a batch of labeled and unlabeled rows takes one recognition pass and
+    # one class posterior before mean-field (or the DHDA forward pass), SAP
+    # advances its particles one sweep, MF-CD reconstructs the input once,
+    # and no update builds a container; a predict of the same batch before
+    # the update leaves one recognition pass for the two calls
+    tr = make_trainer(estimator, seed=50, n_particles=4, num_steps=3)
+    calls = count_calls(monkeypatch, (
+        (recognition, "recognize"), (dhbm, "cond_y"), (dhbm, "cond_x"),
+        (dhbm, "mean_field_step"), (dhda, "dhda_forward"),
+        (kernels, "gibbs_sweeps"), (numerics, "flat_views"),
+        (dhbm, "flat_views"), (recognition, "flat_views")))
     rng = make_rng(51)
-    for _ in range(3):
+    for step in range(6):
+        x, labels = mixed_batch(rng.random((4, 4)), rng.integers(0, 2, 4),
+                                rng.random((3, 4)))
         calls.clear()
-        tr.update(*mixed_batch(rng.random((4, 4)), rng.integers(0, 2, 4),
-                               rng.random((3, 4))))
+        if step % 2:
+            tr.predict(x)
+            assert [name for name, _ in calls] == ["recognize", "cond_y"]
+            calls.clear()
+        tr.update(x, labels)
         names = [name for name, _ in calls]
         first = names.index("dhda_forward" if estimator == "mf-bp"
                             else "mean_field_step")
-        assert names[:first] == ["recognize", "cond_y"]
-        assert names.count("recognize") == 1
+        assert names[:first] == (["cond_y"] if step % 2
+                                 else ["recognize", "cond_y"])
+        assert names.count("recognize") == (0 if step % 2 else 1)
+        assert names.count("cond_x") == (1 if estimator == "mf-cd" else 0)
         sweeps = [args[5] for name, args in calls if name == "gibbs_sweeps"]
         assert sweeps == ([1] if estimator == "sap" else [])
         assert "flat_views" not in names
+
+
+def trainer_state(tr):
+    """Bytes of everything an update writes: parameters, particles, rng."""
+    parts = [tr.model.data.tobytes(), tr.rec.data.tobytes(),
+             repr(tr.rng.bit_generator.state).encode()]
+    if tr.particles is not None:
+        parts += [a.tobytes() for a in (tr.particles.x, *tr.particles.hs,
+                                         tr.particles.y)]
+    return parts
+
+
+@pytest.mark.parametrize("keep_prob", [0.5, 1.0])
+@pytest.mark.parametrize("estimator", trainer.ESTIMATORS)
+def test_predict_then_update_matches_update_alone(estimator, keep_prob):
+    # predict's kept recognition pass gives the update the same bits as the
+    # update's own pass: parameters, particles and rng state agree after
+    # every step
+    def run(with_predict):
+        tr = make_trainer(estimator, seed=60, keep_prob=keep_prob,
+                          n_particles=4, num_steps=2)
+        rng = make_rng(61)
+        states = []
+        for _ in range(5):
+            x, labels = mixed_batch(rng.random((4, 4)), rng.integers(0, 2, 4),
+                                    rng.random((3, 4)))
+            if with_predict:
+                tr.predict(x)
+            tr.update(x, labels)
+            states.append(trainer_state(tr))
+        return states
+
+    assert run(True) == run(False)
+
+
+@pytest.mark.parametrize("estimator", trainer.ESTIMATORS)
+def test_update_of_another_array_recognizes_afresh(estimator, monkeypatch):
+    # the kept pass serves only the array object predict was given: an equal
+    # copy, or another batch, takes its own recognition pass, and the pass is
+    # dropped after one update whatever it was given
+    tr = make_trainer(estimator, seed=70, n_particles=4)
+    calls = count_calls(monkeypatch, ((recognition, "recognize"),))
+    rng = make_rng(71)
+    x, labels = mixed_batch(rng.random((4, 4)), rng.integers(0, 2, 4),
+                            rng.random((3, 4)))
+    other = rng.random(x.shape)
+    for predicted, updated, fresh in ((x, x.copy(), 1), (x, other, 1),
+                                      (x, x, 0)):
+        tr.predict(predicted)
+        calls.clear()
+        tr.update(updated, labels)
+        assert len(calls) == fresh
+        calls.clear()
+        tr.update(x, labels)
+        assert len(calls) == 1
 
 
 def test_predict_shapes_and_normalization():
