@@ -1,6 +1,7 @@
 """Comparison model: drop-out rectifier feed-forward network trained with
 supervised back-propagation plus a weighted pseudo-label gradient on
-unlabeled samples (entropy-regularization self-training).
+unlabeled samples (entropy-regularization self-training), one weighted
+pass per batch.
 """
 
 from dataclasses import dataclass
@@ -85,16 +86,18 @@ def log_loss(probs, y_onehot):
     return float(-np.sum(y_onehot * np.log(np.clip(probs, EPS, 1.0)))) / n
 
 
-def mlp_gradients(params, x, y_onehot, keep_prob=1.0, train_mode=False, rng=None,
-                  out=None):
-    """Descent gradients of the batch-averaged softmax log-loss, written into
-    `out` (every entry), a fresh container when None."""
+def mlp_gradients(params, x, y_onehot, w, keep_prob=1.0, train_mode=False,
+                  rng=None, out=None):
+    """Descent gradients of the row-weighted softmax log-loss
+    sum_i w_i * loss_i, written into `out` (every entry), a fresh container
+    when None.  Weights of 1/n give the batch average."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    n = x.shape[0]
     hidden, probs, masks = mlp_forward(params, x, keep_prob, train_mode, rng)
     inputs = [x] + hidden[:-1]
     grads = params.zeros_like() if out is None else out
-    delta = (probs - y_onehot) / n
+    # the forward pass's probabilities are not needed again: delta takes them
+    delta = np.subtract(probs, y_onehot, out=probs)
+    np.multiply(delta, np.asarray(w, dtype=np.float64)[:, None], out=delta)
     # matmul straight into the views: a wide layer's gradient is not copied
     np.matmul(delta.T, hidden[-1] if hidden else x, out=grads.Ws[-1])
     np.sum(delta, axis=0, out=grads.bs[-1])
@@ -107,37 +110,42 @@ def mlp_gradients(params, x, y_onehot, keep_prob=1.0, train_mode=False, rng=None
     return grads
 
 
-def mlp_update(params, x_lab, y_lab, x_unlab, lr, beta, keep_prob=1.0, rng=None,
-               workspaces=None):
-    """Descent step on log-loss(lab) + beta * log-loss(unlab, pseudo-labels).
+def mlp_update(params, x, labels, lr, beta, keep_prob=1.0, rng=None,
+               probs=None, out=None):
+    """One descent step on log-loss(labeled) + beta * log-loss(unlabeled,
+    pseudo-labels), each the mean over its rows, in one weighted pass.
 
-    Pseudo-labels are the model's own eval-mode argmax predictions.
-    Mutates params in place.  `workspaces` is a dict the caller keeps across
-    steps: it holds the gradient container of each side ("lab", "unlab"),
-    built the first time that side occurs (fresh ones each step when None).
+    `labels` holds a class index per row of `x`, negative where the row is
+    unlabeled.  Labeled rows weigh 1/n_lab, unlabeled rows beta/n_unlab and
+    carry the argmax of the eval-mode class probabilities as their target:
+    `probs`, which must be mlp_predict(params, x, keep_prob) at the current
+    parameters, or a fresh eval pass over the whole batch when None.  Rows
+    of weight zero (every unlabeled row when beta is 0) are left out of the
+    pass.  The batch takes one train-mode forward pass, with one drop-out
+    draw per layer, one backward pass and one in-place step through the
+    gradient container `out` (a fresh one when None).  Mutates params.
     """
-    workspaces = {} if workspaces is None else workspaces
-
-    def workspace(side):
-        if side not in workspaces:
-            workspaces[side] = params.zeros_like()
-        return workspaces[side]
-
-    grads = []
-    if x_lab is not None and len(x_lab) > 0:
-        y_oh = one_hot(y_lab, params.n_classes)
-        grads.append((1.0, mlp_gradients(params, x_lab, y_oh, keep_prob,
-                                         train_mode=True, rng=rng,
-                                         out=workspace("lab"))))
-    if beta != 0.0 and x_unlab is not None and len(x_unlab) > 0:
-        _, probs, _ = mlp_forward(params, x_unlab, keep_prob, train_mode=False)
-        y_pseudo = one_hot(np.argmax(probs, axis=1), params.n_classes)
-        grads.append((beta, mlp_gradients(params, x_unlab, y_pseudo, keep_prob,
-                                          train_mode=True, rng=rng,
-                                          out=workspace("unlab"))))
-    for weight, g in grads:
-        np.multiply(g.data, lr * weight, out=g.data)
-        np.subtract(params.data, g.data, out=params.data)
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    labels = np.asarray(labels)
+    lab = labels >= 0
+    n_lab = int(np.count_nonzero(lab))
+    n_unlab = len(labels) - n_lab
+    if beta != 0.0 and n_unlab > 0:
+        if probs is None:
+            probs = mlp_predict(params, x, keep_prob)
+        targets = np.where(lab, labels, np.argmax(probs, axis=1))
+        w = np.where(lab, 1.0 / max(n_lab, 1), beta / n_unlab)
+    elif n_lab > 0:
+        if n_unlab > 0:
+            x = x[lab]
+        targets = labels[lab]
+        w = np.full(n_lab, 1.0 / n_lab)
+    else:
+        return params
+    grads = mlp_gradients(params, x, one_hot(targets, params.n_classes), w,
+                          keep_prob, train_mode=True, rng=rng, out=out)
+    np.multiply(grads.data, lr, out=grads.data)
+    np.subtract(params.data, grads.data, out=params.data)
     return params
 
 

@@ -157,17 +157,20 @@ def gradcheck_mf_bp(seed=13, batch=2):
 
 
 def gradcheck_mlp(seed=17, batch=3):
-    """Baseline-MLP log-loss gradients vs central differences."""
+    """Baseline-MLP row-weighted log-loss gradients vs central differences,
+    with a different weight on every row."""
     rng = make_rng(seed)
     d, hidden, c = 4, [5, 4], 3
     params = baseline.MlpParams.initialize(d, hidden, c, rng, weight_std=0.5)
     x = rng.random((batch, d))
     y = one_hot(rng.integers(0, c, batch), c)
-    grads = baseline.mlp_gradients(params, x, y)
+    w = rng.uniform(0.1, 1.0, batch)
+    grads = baseline.mlp_gradients(params, x, y, w)
 
     def loss():
         _, probs, _ = baseline.mlp_forward(params, x)
-        return baseline.log_loss(probs, y)
+        return sum(w[i] * baseline.log_loss(probs[i:i + 1], y[i:i + 1])
+                   for i in range(batch))
 
     worst = 0.0
     for W, b, gW, gb in zip(params.Ws, params.bs, grads.Ws, grads.bs):

@@ -145,14 +145,20 @@ def cond_x(params, h1):
     return sigmoid(pre, out=pre)
 
 
-def cond_y(params, h_means):
-    """Class distribution from all layers jointly: softmax(sum_l U_l' h_l + b)."""
+def cond_y(params, h_means, scale=1.0):
+    """Class distribution from all layers jointly: softmax(sum_l U_l' h_l + b),
+    with each h_l times `scale`.  A scaled layer is a temporary that lives
+    only while its product is taken, so one copy exists at a time."""
     if len(h_means) != params.n_layers:
         raise ValueError(f"expected {params.n_layers} layer means, got {len(h_means)}")
-    logits = np.asarray(h_means[0]) @ params.layers[0].U
+
+    def scaled(h):
+        return h if scale == 1.0 else np.multiply(h, scale)
+
+    logits = scaled(np.asarray(h_means[0])) @ params.layers[0].U
     np.add(logits, params.b_class, out=logits)
     for lp, h in zip(params.layers[1:], h_means[1:]):
-        np.add(logits, h @ lp.U, out=logits)
+        np.add(logits, scaled(h) @ lp.U, out=logits)
     return softmax(logits)
 
 

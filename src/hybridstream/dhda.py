@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dhbm import cond_y
-from .numerics import sigmoid
+from .numerics import sigmoid, split_views
 
 EPS = 1e-7
 
@@ -87,9 +87,15 @@ def dhda_forward(params, x, hidden, rng, corruption_p, num_steps):
         raise ValueError("num_steps must be >= 1")
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     L = params.n_layers
+    # every cycle's masks, input first and then layer by layer, cut from one
+    # draw: the same uniforms, in the same order, as one draw per mask
+    shapes = ([x.shape] + [(x.shape[0], lp.W.shape[0])
+                           for lp in params.layers]) * num_steps
+    draws = iter(split_views(corruption_mask(
+        rng, sum(rows * cols for rows, cols in shapes), corruption_p), shapes))
     hidden_hat = hidden
     for _ in range(num_steps):
-        x_hat = x * corruption_mask(rng, x.shape, corruption_p)
+        x_hat = x * next(draws)
         prev_hat = hidden_hat
         hidden = []
         masks = []
@@ -98,7 +104,7 @@ def dhda_forward(params, x, hidden, rng, corruption_p, num_steps):
             below = x_hat if l == 0 else hidden_hat[l - 1]
             above = prev_hat[l + 1] if l + 1 < L else None
             h = encode_h(params, l, below, above)
-            m = corruption_mask(rng, h.shape, corruption_p)
+            m = next(draws)
             hidden.append(h)
             masks.append(m)
             hidden_hat.append(h * m)

@@ -52,17 +52,26 @@ class MlpPseudoLabelModel:
             n_visible, hidden_dims, n_classes, rng)
         self.config = config
         self.rng = rng
-        self.workspaces = {}    # gradient containers kept across updates
+        self._grad = self.params.zeros_like()   # overwritten by every update
+        # (x, mlp_predict(params, x)) of the last predict, until the next update
+        self._predicted = None
 
     def update(self, x, labels):
-        """One step on a batch; a negative label marks an unlabeled row."""
+        """One step on a batch; a negative label marks an unlabeled row.  The
+        class probabilities of the last predict() give the pseudo-labels when
+        `x` is the array object it was given (and not written since); they
+        are dropped either way."""
+        predicted, self._predicted = self._predicted, None
+        probs = predicted[1] if predicted is not None and predicted[0] is x else None
         cfg = self.config
-        lab = labels >= 0
-        baseline.mlp_update(self.params, x[lab], labels[lab], x[~lab], cfg.lr,
-                            cfg.beta_f, cfg.keep_prob, self.rng, self.workspaces)
+        baseline.mlp_update(self.params, x, labels, cfg.lr, cfg.beta_f,
+                            cfg.keep_prob, self.rng, probs, self._grad)
 
     def predict(self, x):
-        return baseline.mlp_predict(self.params, x, self.config.keep_prob)
+        """Eval-mode class probabilities, kept for the next update() of `x`."""
+        probs = baseline.mlp_predict(self.params, x, self.config.keep_prob)
+        self._predicted = (x, probs)
+        return probs
 
 
 def build_model(kind, n_visible, hidden_dims, n_classes, config, rng):

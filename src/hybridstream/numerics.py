@@ -24,19 +24,25 @@ def flat_views(shapes, data=None):
     is built here, so copying, updating or writing a whole model is one
     operation on the vector, and writing through a view writes the vector.
     """
-    sizes = [math.prod(shape) for shape in shapes]
+    total = sum(math.prod(shape) for shape in shapes)
     if data is None:
-        data = np.zeros(sum(sizes))
-    elif (data.dtype != np.float64 or data.shape != (sum(sizes),)
+        data = np.zeros(total)
+    elif (data.dtype != np.float64 or data.shape != (total,)
           or not data.flags.c_contiguous):
-        raise ValueError(f"expected a contiguous float64 vector of {sum(sizes)} "
+        raise ValueError(f"expected a contiguous float64 vector of {total} "
                          f"parameters, got {data.dtype} {data.shape}")
+    return data, split_views(data, shapes)
+
+
+def split_views(flat, shapes):
+    """Consecutive views of the vector `flat`, one of each shape in turn."""
     views = []
     offset = 0
-    for shape, size in zip(shapes, sizes):
-        views.append(data[offset:offset + size].reshape(shape))
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[offset:offset + size].reshape(shape))
         offset += size
-    return data, views
+    return views
 
 
 class ViewRecord:

@@ -88,6 +88,8 @@ class _DriftingStream:
         self.perm = np.arange(self.n_features)
         if config.drift_attr_count > self.n_features:
             raise ValueError("drift_attr_count exceeds the feature count")
+        # (rotation, permutation) of the last _current_perm call
+        self._rotated = (0, self.perm)
 
     def _drift_rotations(self):
         if self.config.drift_interval <= 0:
@@ -95,13 +97,17 @@ class _DriftingStream:
         return self.instances // self.config.drift_interval
 
     def _current_perm(self):
+        """self.perm with its first drift_attr_count entries rolled by the
+        rotation count, built once per rotation."""
         k = self.config.drift_attr_count
         if k <= 1:
             return self.perm
-        perm = self.perm.copy()
         rot = self._drift_rotations() % k
-        perm[:k] = np.roll(perm[:k], rot)
-        return perm
+        if rot != self._rotated[0]:
+            perm = self.perm.copy()
+            perm[:k] = np.roll(perm[:k], rot)
+            self._rotated = (rot, perm)
+        return self._rotated[1]
 
     def _raw_chunk(self, n):
         raise NotImplementedError
@@ -124,6 +130,8 @@ class _DriftingStream:
             labels.append(y)
             self.instances += chunk
             remaining -= chunk
+        if len(feats) == 1:
+            return StreamBatch(feats[0], labels[0])
         return StreamBatch(np.concatenate(feats), np.concatenate(labels))
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dhbm, dhda, estimators, recognition
-from .numerics import bernoulli_mask, one_hot
+from .numerics import bernoulli_mask, one_hot, split_views
 
 ESTIMATORS = ("mf-cd", "mf-bp", "sap")
 
@@ -99,12 +99,7 @@ class Trainer:
             return None
         flat = bernoulli_mask(self.rng, 1, sum(s.size for s in stats),
                               self.config.keep_prob)[0]
-        masks = []
-        offset = 0
-        for s in stats:
-            masks.append(flat[offset:offset + s.size].reshape(s.shape))
-            offset += s.size
-        return masks
+        return split_views(flat, [s.shape for s in stats])
 
     def _masked(self, stats, masks):
         """The statistics times their masks; `stats` itself when unmasked,
@@ -193,10 +188,11 @@ class Trainer:
         """Class distribution from the recognition network.
 
         Hidden statistics are scaled by keep_prob (drop-out expectation), in
-        copies: the unscaled pass is kept for the next update() of `x`.
+        copies made one layer at a time: the unscaled pass is kept for the
+        next update() of `x`.
         """
+        self._recognized = None     # freed before the new pass, not after
         v = recognition.recognize(self.rec, np.atleast_2d(
             np.asarray(x, dtype=np.float64)))
         self._recognized = (x, v)
-        return dhbm.cond_y(self.model,
-                           [np.multiply(s, self.config.keep_prob) for s in v])
+        return dhbm.cond_y(self.model, v, scale=self.config.keep_prob)

@@ -2,9 +2,12 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridstream import baseline
 from hybridstream.numerics import make_rng, one_hot
+from test_trainer import mixed_batch
 
 
 def test_zero_params_uniform_output():
@@ -42,19 +45,23 @@ def test_update_zero_lr_is_identity():
     p = baseline.MlpParams.initialize(4, [3], 2, make_rng(4), weight_std=0.5)
     before = p.copy()
     x = make_rng(5).random((4, 4))
-    baseline.mlp_update(p, x, np.array([0, 1, 0, 1]), x, 0.0, 0.5)
-    assert np.array_equal(before.Ws[0], p.Ws[0])
+    baseline.mlp_update(p, *mixed_batch(x, np.array([0, 1, 0, 1]), x), 0.0, 0.5)
+    assert np.array_equal(before.data, p.data)
 
 
 def test_beta_zero_ignores_unlabeled():
+    # at beta 0 the unlabeled rows are left out before the pass: the same
+    # drop-out draws and the same bits as a batch of the labeled rows alone
     x = make_rng(6).random((4, 4))
     y = np.array([0, 1, 1, 0])
     u = make_rng(7).random((6, 4))
     p1 = baseline.MlpParams.initialize(4, [3], 2, make_rng(8), weight_std=0.5)
     p2 = p1.copy()
-    baseline.mlp_update(p1, x, y, u, 0.1, 0.0)
-    baseline.mlp_update(p2, x, y, None, 0.1, 0.0)
-    assert np.array_equal(p1.Ws[0], p2.Ws[0])
+    rng1, rng2 = make_rng(9), make_rng(9)
+    baseline.mlp_update(p1, *mixed_batch(x, y, u), 0.1, 0.0, 0.5, rng1)
+    baseline.mlp_update(p2, x, y, 0.1, 0.0, 0.5, rng2)
+    assert np.array_equal(p1.data, p2.data)
+    assert rng1.bit_generator.state == rng2.bit_generator.state
 
 
 def test_supervised_training_fits_toy_set():
@@ -64,9 +71,69 @@ def test_supervised_training_fits_toy_set():
     y = (x[:, 0] + x[:, 1] > x[:, 2] + x[:, 3]).astype(int)
     p = baseline.MlpParams.initialize(4, [16], 2, make_rng(10), weight_std=0.3)
     for _ in range(400):
-        baseline.mlp_update(p, x, y, None, 0.2, 0.0)
+        baseline.mlp_update(p, x, y, 0.2, 0.0)
     pred = np.argmax(baseline.mlp_predict(p, x), axis=1)
     assert np.mean(pred != y) < 0.1
+
+
+def weighted_sides(dims, lab, beta, seed):
+    """(fused, sides): the gradient of one pass over the batch with weights
+    1/n_lab and beta/n_unlab, and the oracle g(labeled rows, 1/n_lab) +
+    beta * g(unlabeled rows, 1/n_unlab), both at keep_prob 1."""
+    lab = np.asarray(lab)
+    n_lab, n_unlab = int(lab.sum()), int((~lab).sum())
+    rng = make_rng(seed)
+    p = baseline.MlpParams.initialize(dims[0], dims[1:-1], dims[-1], rng,
+                                      weight_std=0.5)
+    x = rng.random((len(lab), dims[0]))
+    y = one_hot(rng.integers(0, dims[-1], len(lab)), dims[-1])
+
+    def grad(rows, w):
+        return baseline.mlp_gradients(p, x[rows], y[rows], w).data
+
+    fused = grad(np.arange(len(lab)), np.where(lab, 1.0 / n_lab, beta / n_unlab))
+    sides = grad(lab, np.full(n_lab, 1.0 / n_lab)) \
+        + beta * grad(~lab, np.full(n_unlab, 1.0 / n_unlab))
+    return fused, sides
+
+
+def assert_close(fused, sides):
+    assert np.abs(fused - sides).max() <= 1e-12 * np.abs(sides).max()
+
+
+def test_update_steps_along_the_sum_of_sides():
+    # one update at keep_prob 1 is a step of lr along g(labeled rows,
+    # 1/n_lab) + beta * g(unlabeled rows, 1/n_unlab), the unlabeled rows
+    # carrying the argmax of the eval pass as their targets
+    rng = make_rng(41)
+    p = baseline.MlpParams.initialize(6, [5, 4], 3, rng, weight_std=0.5)
+    x_lab, x_unlab = rng.random((4, 6)), rng.random((5, 6))
+    y_lab = one_hot(rng.integers(0, 3, 4), 3)
+    y_unlab = one_hot(np.argmax(baseline.mlp_predict(p, x_unlab), axis=1), 3)
+    lr, beta = 0.2, 0.3
+    sides = baseline.mlp_gradients(p, x_lab, y_lab, np.full(4, 0.25)).data \
+        + beta * baseline.mlp_gradients(p, x_unlab, y_unlab, np.full(5, 0.2)).data
+    before = p.data.copy()
+    baseline.mlp_update(p, *mixed_batch(x_lab, np.argmax(y_lab, axis=1), x_unlab),
+                        lr, beta)
+    assert_close((before - p.data) / lr, sides)
+
+
+def test_weighted_gradient_is_the_weighted_sum_of_sides():
+    lab = [True, False, True, True, False, False, True, False, False]
+    assert_close(*weighted_sides([6, 5, 4, 3], lab, 0.3, 40))
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.integers(1, 6), hidden=st.lists(st.integers(1, 6), min_size=0,
+                                             max_size=3),
+       c=st.integers(2, 4),
+       lab=st.lists(st.booleans(), min_size=2, max_size=10).filter(
+           lambda m: any(m) and not all(m)),
+       beta=st.floats(0.05, 2.0), seed=st.integers(0, 1000))
+def test_weighted_gradient_sums_the_sides_at_any_shape(d, hidden, c, lab, beta,
+                                                       seed):
+    assert_close(*weighted_sides([d] + hidden + [c], lab, beta, seed))
 
 
 def test_log_loss_perfect_prediction():
@@ -82,12 +149,15 @@ def test_train_mode_dropout_requires_rng():
 
 def test_update_bits_pinned():
     # sha256 of the parameters after ten steps of a 24-12-12-10 network with
-    # drop-out and both batch sides, recorded before the step moved to
-    # in-place arithmetic; the same under one and two BLAS threads
+    # drop-out and both batch sides, recorded when the two sides were fused
+    # into one weighted pass with one drop-out draw; the same under one and
+    # two BLAS threads
     rng = make_rng(24)
     p = baseline.MlpParams.initialize(24, [12, 12], 10, rng, weight_std=0.1)
     for _ in range(10):
-        baseline.mlp_update(p, rng.random((6, 24)), rng.integers(0, 10, 6),
-                            rng.random((4, 24)), 0.1, 0.3, keep_prob=0.5, rng=rng)
+        baseline.mlp_update(p, *mixed_batch(rng.random((6, 24)),
+                                            rng.integers(0, 10, 6),
+                                            rng.random((4, 24))),
+                            0.1, 0.3, keep_prob=0.5, rng=rng)
     assert hashlib.sha256(p.data.tobytes()).hexdigest() == \
-        "b5353859b876a334c49c1fbddc1437b3260a7ac29f674d0a79271af34444f31e"
+        "e7b874eb615b68cbe363fe89125416eaf57b5fa1d250f027dd9bd3befec70922"

@@ -86,3 +86,22 @@ def test_forward_no_corruption_matches_clean_encoding():
     assert np.array_equal(state.input_hat, x)
     for h, h_hat in zip(state.hidden, state.hidden_hat):
         assert np.array_equal(h, h_hat)
+
+
+def test_forward_masks_match_per_mask_draws():
+    # every cycle's masks are cut from one draw: the same uniforms, in the
+    # same order, as one draw per mask (input, then each layer, per cycle),
+    # and the generator ends in the same state; the last cycle's are kept
+    model, rec = setup_model(11, d=5, hidden=(4, 3))
+    x = make_rng(12).random((6, 5))
+    rng = make_rng(13)
+    state = dhda.dhda_forward(model, x, recognition.recognize(rec, x), rng,
+                              0.3, 3)
+    ref = make_rng(13)
+    for _ in range(3):
+        want = [dhda.corruption_mask(ref, shape, 0.3)
+                for shape in ((6, 5), (6, 4), (6, 3))]
+    assert np.array_equal(state.input_hat, x * want[0])
+    for m, w in zip(state.masks, want[1:]):
+        assert m.shape == w.shape and np.array_equal(m, w)
+    assert rng.random() == ref.random()

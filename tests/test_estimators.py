@@ -151,7 +151,8 @@ def gradient_case(name):
             rec.zeros_like()
     mlp = baseline.MlpParams.initialize(5, [4, 3], 3, make_rng(25), weight_std=0.5)
     return (lambda out: baseline.mlp_gradients(
-        mlp, x, y, 0.5, train_mode=True, rng=make_rng(26), out=out)), mlp.zeros_like()
+        mlp, x, y, w, 0.5, train_mode=True, rng=make_rng(26), out=out)), \
+        mlp.zeros_like()
 
 
 @pytest.mark.parametrize("name", ["mf-cd", "sap", "mf-bp", "rec", "mlp"])

@@ -106,9 +106,8 @@ def test_mlp_lab_ignores_unlabeled():
 
 @pytest.mark.parametrize("kind", ["dhbm-mf", "dhbm-sap", "dhda", "mlp-pl", "mlp-lab"])
 def test_updates_after_the_first_build_no_container(kind, monkeypatch):
-    # every model keeps its gradient containers: a hybrid builds them with
-    # the model, the MLP on the first update that has each batch side; after
-    # that an update builds no parameter container
+    # every model builds its gradient containers with the model and keeps
+    # them: no update, the first included, builds a parameter container
     cfg = TrainerConfig(keep_prob=0.5, beta_f=0.3, n_particles=4)
     model = experiments.build_model(kind, 6, [5, 4], 3, cfg, make_rng(30))
     rng = make_rng(31)
@@ -121,16 +120,68 @@ def test_updates_after_the_first_build_no_container(kind, monkeypatch):
 
     for module in (numerics, dhbm, recognition, baseline):
         monkeypatch.setattr(module, "flat_views", counting)
-    model.update(*mixed_batch(rng.random((4, 6)), rng.integers(0, 3, 4),
-                              rng.random((3, 6))))
-    assert bool(built) == kind.startswith("mlp")
-    built.clear()
-    for _ in range(3):
+    for _ in range(4):
         model.update(*mixed_batch(rng.random((4, 6)), rng.integers(0, 3, 4),
                                   rng.random((3, 6))))
     assert built == []
-    if kind == "mlp-lab":
-        assert set(model.workspaces) == {"lab"}
+
+
+def mlp_model(kind, seed):
+    cfg = TrainerConfig(keep_prob=0.5, beta_f=0.3)
+    return experiments.build_model(kind, 6, [5, 4], 3, cfg, make_rng(seed))
+
+
+@pytest.mark.parametrize("kind", ["mlp-pl", "mlp-lab"])
+def test_mlp_predict_then_update_matches_update_alone(kind):
+    # predict's kept probabilities give the update the same pseudo-labels as
+    # the update's own eval pass: parameters and rng state agree after every
+    # step
+    def run(with_predict):
+        model = mlp_model(kind, 80)
+        rng = make_rng(81)
+        states = []
+        for _ in range(5):
+            x, labels = mixed_batch(rng.random((4, 6)), rng.integers(0, 3, 4),
+                                    rng.random((3, 6)))
+            if with_predict:
+                model.predict(x)
+            model.update(x, labels)
+            states.append((model.params.data.tobytes(),
+                           repr(model.rng.bit_generator.state)))
+        return states
+
+    assert run(True) == run(False)
+
+
+@pytest.mark.parametrize("kind", ["mlp-pl", "mlp-lab"])
+def test_mlp_update_takes_the_kept_eval_pass(kind, monkeypatch):
+    # a predict and an update of the same array make one eval forward pass
+    # between them; an equal copy or another batch gets a fresh one, a kept
+    # pass serves one update only, and an mlp-lab update makes none
+    model = mlp_model(kind, 90)
+    modes = []
+    forward = baseline.mlp_forward
+
+    def counting(params, x, keep_prob=1.0, train_mode=False, rng=None):
+        modes.append("train" if train_mode else "eval")
+        return forward(params, x, keep_prob, train_mode, rng)
+
+    monkeypatch.setattr(baseline, "mlp_forward", counting)
+    rng = make_rng(91)
+    x, labels = mixed_batch(rng.random((4, 6)), rng.integers(0, 3, 4),
+                            rng.random((3, 6)))
+    other = rng.random(x.shape)
+    fresh = ["eval"] if kind == "mlp-pl" else []
+    for updated, expected in ((x, []), (x.copy(), fresh), (other, fresh)):
+        model.predict(x)
+        assert modes == ["eval"]
+        modes.clear()
+        model.update(updated, labels)
+        assert modes == expected + ["train"]
+        modes.clear()
+        model.update(x, labels)
+        assert modes == fresh + ["train"]
+        modes.clear()
 
 
 def write_tiny_mnist(root, seed=0, n_classes=4, side=6):

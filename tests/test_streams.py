@@ -131,6 +131,22 @@ def test_drift_rotates_attributes():
     assert list(stream._current_perm()) == list(range(24))
 
 
+def test_drift_permutation_matches_roll_formula():
+    # at every instance count over two full drift cycles, read in order and
+    # then out of order, the permutation rolls the first k attributes by the
+    # rotation count
+    k, interval = 4, 3
+    cfg = streams.StreamConfig(kind="led", drift_attr_count=k,
+                               drift_interval=interval)
+    stream = streams.make_stream(cfg, make_rng(6))
+    counts = list(range(2 * k * interval + 1))
+    for i in counts + counts[::-5]:
+        stream.instances = i
+        want = np.arange(24)
+        want[:k] = np.roll(want[:k], (i // interval) % k)
+        assert np.array_equal(stream._current_perm(), want)
+
+
 def test_drift_boundary_split_within_batch():
     cfg = streams.StreamConfig(kind="led", noise_fraction=0.0,
                                drift_attr_count=4, drift_interval=10)

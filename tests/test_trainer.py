@@ -245,6 +245,18 @@ def test_update_of_another_array_recognizes_afresh(estimator, monkeypatch):
         assert len(calls) == 1
 
 
+@pytest.mark.parametrize("keep_prob", [0.5, 1.0])
+def test_predict_scales_a_copy_of_each_layer(keep_prob):
+    # the same bits as cond_y of every recognition statistic times keep_prob,
+    # and the kept pass stays unscaled
+    tr = make_trainer(seed=45, keep_prob=keep_prob)
+    x = make_rng(46).random((5, 4))
+    v = recognition.recognize(tr.rec, x)
+    want = dhbm.cond_y(tr.model, [s * keep_prob for s in v])
+    assert np.array_equal(tr.predict(x).view(np.int64), want.view(np.int64))
+    assert all(np.array_equal(a, b) for a, b in zip(tr._recognized[1], v))
+
+
 def test_predict_shapes_and_normalization():
     tr = make_trainer()
     probs = tr.predict(make_rng(8).random((7, 4)))
