@@ -16,8 +16,24 @@ class IdxError(ValueError):
 
 @dataclass
 class IdxDataset:
-    images: np.ndarray  # (N, D) in [0, 1]
+    """Images and labels of an IDX pair.
+
+    The images stay as the file's ``uint8`` pixels, 1 byte each where
+    float64 takes 8; ``unit_scale`` turns rows into [0, 1] only when they
+    are used: each training batch as it is taken, and the validation and
+    test sets in 512-row chunks (``evaluation.test_error``).
+    """
+    images: np.ndarray  # (N, D) uint8 pixels
     labels: np.ndarray  # (N,) class indices
+
+
+def unit_scale(pixels):
+    """Pixel bytes in [0, 255] as float64 in [0, 1].
+
+    Elementwise, so the rows of a batch get the bits that the whole array's
+    ``astype(np.float64) / 255.0`` gives them.
+    """
+    return pixels / 255.0
 
 
 def _read_exact(f, n, path):
@@ -29,7 +45,7 @@ def _read_exact(f, n, path):
 
 
 def load_idx(images_path, labels_path):
-    """Big-endian IDX parsing; pixels are scaled from [0, 255] to [0, 1]."""
+    """Big-endian IDX parsing; the images are the file's uint8 pixels."""
     with open(images_path, "rb") as f:
         (magic,) = struct.unpack(">I", _read_exact(f, 4, images_path))
         if magic != IMAGE_MAGIC:
@@ -37,7 +53,6 @@ def load_idx(images_path, labels_path):
         n, rows, cols = struct.unpack(">III", _read_exact(f, 12, images_path))
         raw = _read_exact(f, n * rows * cols, images_path)
         images = np.frombuffer(raw, dtype=np.uint8).reshape(n, rows * cols)
-        images = images.astype(np.float64) / 255.0
     with open(labels_path, "rb") as f:
         (magic,) = struct.unpack(">I", _read_exact(f, 4, labels_path))
         if magic != LABEL_MAGIC:

@@ -96,11 +96,11 @@ def mf_bp_gradients(x, y_probs, q_rec, state, params, w, dropout_masks=None,
         np.negative(g.W, out=g.W)
         np.matmul(h.T, xi_out, out=g.U)
         np.negative(g.U, out=g.U)
-        np.sum(xi_hid_total, axis=0, out=g.b_hidden)
+        np.add.reduce(xi_hid_total, axis=0, out=g.b_hidden)
         np.negative(g.b_hidden, out=g.b_hidden)
-        np.sum(xi_recon, axis=0, out=g.b_visible)
+        np.add.reduce(xi_recon, axis=0, out=g.b_visible)
         np.negative(g.b_visible, out=g.b_visible)
-    np.sum(xi_out, axis=0, out=out.b_class)
+    np.add.reduce(xi_out, axis=0, out=out.b_class)
     np.negative(out.b_class, out=out.b_class)
     return out
 

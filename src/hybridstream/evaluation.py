@@ -7,6 +7,14 @@ import math
 
 import numpy as np
 
+from .datasets import unit_scale
+
+# rows per predict call in test_error: far below a 10k-image test set, so the
+# float64 rows and the model's activations stay small, and well above the
+# batch size, because a model's matmuls can round a small chunk's rows other
+# than the whole set's
+EVAL_CHUNK_ROWS = 512
+
 
 class PrequentialState:
     """Memoryless prequential error: S <- a*S + loss, B <- a*B + 1, P = S/B.
@@ -54,12 +62,25 @@ def prequential_direct(losses, alpha):
 
 
 def test_error(predict_fn, features, labels):
-    """Fraction misclassified under argmax prediction."""
+    """Fraction misclassified under argmax prediction.
+
+    `features` are pixel bytes (``IdxDataset.images``).  They are scored in
+    chunks of EVAL_CHUNK_ROWS rows, each scaled to [0, 1] by ``unit_scale``
+    just before its ``predict_fn`` call.  The count of misses over the
+    chunks, divided by the set size, is the one-pass mean to the last bit.
+    """
     labels = np.asarray(labels)
     if len(labels) == 0:
         raise ValueError("empty evaluation set")
-    pred = np.argmax(np.atleast_2d(predict_fn(features)), axis=1)
-    return float(np.mean(pred != labels))
+    if len(features) != len(labels):
+        raise ValueError(f"{len(features)} rows for {len(labels)} labels")
+    wrong = 0
+    for start in range(0, len(labels), EVAL_CHUNK_ROWS):
+        stop = start + EVAL_CHUNK_ROWS
+        probs = np.atleast_2d(predict_fn(unit_scale(features[start:stop])))
+        wrong += int(np.count_nonzero(np.argmax(probs, axis=1)
+                                      != labels[start:stop]))
+    return wrong / len(labels)
 
 
 class CurveWriter:

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import baseline, streams
 from .dhbm import HybridParams
-from .datasets import load_idx, mnist_paths, split_semi_supervised
+from .datasets import load_idx, mnist_paths, split_semi_supervised, unit_scale
 from .evaluation import CurveWriter, PrequentialState, summarize_trials, test_error
 from .numerics import make_rng
 from .trainer import Trainer, TrainerConfig
@@ -207,8 +207,8 @@ def run_mnist_trial(config, trial, dataset, test_set):
     pool_x = np.concatenate([labeled.images, unlabeled])
     pool_y = np.concatenate([labeled.labels,
                              -np.ones(len(unlabeled), dtype=np.int64)])
-    # the pool is the one copy of the training images kept through training
-    # and the final test prediction, where memory peaks
+    # the pool is the one copy of the training pixels kept through training
+    # and the final test prediction; a batch becomes float64 only when taken
     del labeled, unlabeled
     results = {}
     for i, kind in enumerate(config.get("models", ["dhbm-mf", "mlp-lab"])):
@@ -221,7 +221,7 @@ def run_mnist_trial(config, trial, dataset, test_set):
             order = epoch_rng.permutation(len(pool_x))
             for start in range(0, len(order), batch_size):
                 idx = order[start:start + batch_size]
-                model.update(pool_x[idx], pool_y[idx])
+                model.update(unit_scale(pool_x[idx]), pool_y[idx])
             val_err = test_error(model.predict, validation.images,
                                  validation.labels)
             if val_err < best_val:

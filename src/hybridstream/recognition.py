@@ -126,14 +126,17 @@ def rec_gradients(rec, x, mu_list, w, v_list=None, out=None):
     inputs = [x] + v_list[:-1]
     deltas = [None] * L
     deltas[L - 1] = v_list[L - 1] - mu_list[L - 1]
+    # the doubling factors are powers of two, which commute with rounding,
+    # so they go where the array is small: on the back-propagated product
+    # (not a copy of R) and on the row weights (not the weight gradient)
     for l in range(L - 2, -1, -1):
-        back = deltas[l + 1] @ (_doubling(l + 1, L) * rec.layers[l + 1].R)
+        back = deltas[l + 1] @ rec.layers[l + 1].R
+        np.multiply(back, _doubling(l + 1, L), out=back)
         deltas[l] = (v_list[l] - mu_list[l]) \
             + back * sigmoid_prime_from_output(v_list[l])
     grads = rec.zeros_like() if out is None else out
     for l, g in enumerate(grads.layers):
-        dw = deltas[l] * w[:, None]
+        dw = deltas[l] * (w * _doubling(l, L))[:, None]
         np.matmul(dw.T, inputs[l], out=g.R)
-        np.multiply(g.R, _doubling(l, L), out=g.R)
         np.matmul(w, deltas[l], out=g.b)
     return grads

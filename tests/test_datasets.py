@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hybridstream.datasets import (IdxDataset, IdxError, load_idx, mnist_paths,
-                                   split_semi_supervised)
+                                   split_semi_supervised, unit_scale)
 from hybridstream.numerics import make_rng
 
 
@@ -25,10 +25,20 @@ def test_load_idx_roundtrip(tmp_path):
     rng = make_rng(0)
     images = rng.integers(0, 256, (5, 4, 3)).astype(np.uint8)
     labels = np.array([0, 1, 2, 1, 0], dtype=np.uint8)
+    images[0, 0, :2] = 0, 255
     ds = load_idx(*write_idx_pair(tmp_path, images, labels))
-    assert ds.images.shape == (5, 12)
-    assert ds.images.max() <= 1.0 and ds.images.min() >= 0.0
-    assert np.allclose(ds.images, images.reshape(5, 12) / 255.0)
+    # the images are the file's bytes; unit_scale gives the [0, 1] rows
+    # that the whole-array conversion gives, to the last bit
+    assert ds.images.dtype == np.uint8 and ds.images.shape == (5, 12)
+    assert np.array_equal(ds.images, images.reshape(5, 12))
+    scaled = unit_scale(ds.images)
+    assert scaled.dtype == np.float64
+    assert scaled.min() == 0.0 and scaled.max() == 1.0
+    whole = images.reshape(5, 12).astype(np.float64) / 255.0
+    assert np.array_equal(scaled.view(np.int64), whole.view(np.int64))
+    every_byte = np.arange(256, dtype=np.uint8)
+    assert np.array_equal(unit_scale(every_byte).view(np.int64),
+                          (every_byte.astype(np.float64) / 255.0).view(np.int64))
     assert np.array_equal(ds.labels, labels)
 
 

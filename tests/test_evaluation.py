@@ -59,10 +59,40 @@ def test_test_error():
     def predict(x):
         return np.tile([0.9, 0.1], (len(x), 1))
 
-    err = evaluation.test_error(predict, np.zeros((4, 2)), np.array([0, 0, 1, 1]))
+    pixels = np.zeros((4, 2), dtype=np.uint8)
+    err = evaluation.test_error(predict, pixels, np.array([0, 0, 1, 1]))
     assert err == pytest.approx(0.5)
     with pytest.raises(ValueError):
-        evaluation.test_error(predict, np.zeros((0, 2)), np.array([]))
+        evaluation.test_error(predict, pixels[:0], np.array([]))
+    with pytest.raises(ValueError, match="3 rows for 4 labels"):
+        evaluation.test_error(predict, pixels[:3], np.array([0, 0, 1, 1]))
+
+
+def test_test_error_scores_in_chunks():
+    # 1100 rows: two full chunks and a short one
+    rng = make_rng(4)
+    pixels = rng.integers(0, 256, (1100, 6), dtype=np.uint8)
+    labels = rng.integers(0, 3, 1100)
+    seen = []
+
+    def predict(rows):
+        # row-wise: each row's scores depend on that row alone
+        seen.append(rows)
+        return rows[:, :3]
+
+    err = evaluation.test_error(predict, pixels, labels)
+    assert [len(rows) for rows in seen] == [512, 512, 76]
+    assert evaluation.EVAL_CHUNK_ROWS == 512
+    for rows in seen:
+        assert rows.dtype == np.float64
+        assert rows.min() >= 0.0 and rows.max() <= 1.0
+    scaled = pixels.astype(np.float64) / 255.0
+    assert np.array_equal(np.concatenate(seen).view(np.int64),
+                          scaled.view(np.int64))
+    one_pass = float(np.mean(np.argmax(scaled[:, :3], axis=1) != labels))
+    assert 0.0 < one_pass < 1.0
+    assert type(err) is float
+    assert np.float64(err).view(np.int64) == np.float64(one_pass).view(np.int64)
 
 
 def test_curve_writer_roundtrip(tmp_path):

@@ -231,6 +231,40 @@ def test_run_mnist_experiment_offline_path(tmp_path):
     assert digest == OFFLINE_SUMMARY_SHA256
 
 
+def test_offline_batches_are_scaled_as_taken(tmp_path, monkeypatch):
+    # the data stays as bytes; each batch reaching update is float64 and
+    # has the bits of the whole-array conversion of its rows
+    write_tiny_mnist(tmp_path)
+    train = load_idx(*mnist_paths(str(tmp_path), "train"))
+    test = load_idx(*mnist_paths(str(tmp_path), "test"))
+    assert train.images.dtype == np.uint8
+    whole = train.images.astype(np.float64) / 255.0
+    converted = {row.tobytes() for row in whole}
+    batches = []
+    build_model = experiments.build_model
+
+    def recording_build(*args, **kwargs):
+        model = build_model(*args, **kwargs)
+        update = model.update
+
+        def record(x, labels):
+            batches.append(x)
+            return update(x, labels)
+
+        model.update = record
+        return model
+
+    monkeypatch.setattr(experiments, "build_model", recording_build)
+    config = {"architecture": "36-16-4", "n_labeled": 40, "n_valid": 20,
+              "n_unlabeled": 60, "epochs": 2, "batch_size": 10,
+              "models": ["dhbm-mf", "mlp-lab"], "seed": 5}
+    experiments.run_mnist_trial(config, 0, train, test)
+    assert len(batches) == 2 * 2 * (40 + 60) // 10
+    for x in batches:
+        assert x.dtype == np.float64 and x.shape == (10, 36)
+        assert all(row.tobytes() in converted for row in x)
+
+
 @pytest.mark.parametrize("key", ["iteration", "label_fraction_uniform"])
 def test_unknown_stream_config_key_raises(key, tmp_path):
     config = small_config(**{key: 1})
