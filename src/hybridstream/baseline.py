@@ -116,14 +116,15 @@ def mlp_update(params, x, labels, lr, beta, keep_prob=1.0, rng=None,
     pseudo-labels), each the mean over its rows, in one weighted pass.
 
     `labels` holds a class index per row of `x`, negative where the row is
-    unlabeled.  Labeled rows weigh 1/n_lab, unlabeled rows beta/n_unlab and
-    carry the argmax of the eval-mode class probabilities as their target:
+    unlabeled.  Labeled rows weigh lr/n_lab, unlabeled rows lr*beta/n_unlab
+    and carry the argmax of the eval-mode class probabilities as their target:
     `probs`, which must be mlp_predict(params, x, keep_prob) at the current
     parameters, or a fresh eval pass over the whole batch when None.  Rows
     of weight zero (every unlabeled row when beta is 0) are left out of the
     pass.  The batch takes one train-mode forward pass, with one drop-out
-    draw per layer, one backward pass and one in-place step through the
-    gradient container `out` (a fresh one when None).  Mutates params.
+    draw per layer, and one backward pass into the gradient container `out`
+    (a fresh one when None).  The weights carry lr, so that gradient is the
+    step, taken with one in-place subtract.  Mutates params.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     labels = np.asarray(labels)
@@ -134,17 +135,16 @@ def mlp_update(params, x, labels, lr, beta, keep_prob=1.0, rng=None,
         if probs is None:
             probs = mlp_predict(params, x, keep_prob)
         targets = np.where(lab, labels, np.argmax(probs, axis=1))
-        w = np.where(lab, 1.0 / max(n_lab, 1), beta / n_unlab)
+        w = np.where(lab, lr / max(n_lab, 1), lr * beta / n_unlab)
     elif n_lab > 0:
         if n_unlab > 0:
             x = x[lab]
         targets = labels[lab]
-        w = np.full(n_lab, 1.0 / n_lab)
+        w = np.full(n_lab, lr / n_lab)
     else:
         return params
     grads = mlp_gradients(params, x, one_hot(targets, params.n_classes), w,
                           keep_prob, train_mode=True, rng=rng, out=out)
-    np.multiply(grads.data, lr, out=grads.data)
     np.subtract(params.data, grads.data, out=params.data)
     return params
 

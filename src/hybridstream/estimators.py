@@ -2,10 +2,13 @@
 mean-field back-propagation, and the stochastic approximation procedure with
 persistent fantasy particles.
 
-All estimators return an ASCENT direction as a HybridParams of the model's
-layout: the trainer applies them with a single "+ learning rate" update rule
-on the flat vectors, so the back-propagation estimator negates its descent
-gradients internally.
+Each estimator returns the sum over rows of its per-row gradient times that
+row's weight, an ASCENT direction in a HybridParams of the model's layout.
+The caller puts everything a step scales by (the learning rate included)
+into the weights, so a step is one add of the returned vector.  The two
+contrastive estimators stack their positive and negative phases as rows of
+one weighted pass, the negative rows' weights negated; back-propagation
+takes its ascent sign from negated row weights.
 """
 
 from dataclasses import dataclass
@@ -16,9 +19,28 @@ from . import kernels
 from .numerics import one_hot, sigmoid_prime_from_output
 
 
-def _positive_phase(x, q_rec):
-    """Per-layer (h+, v+): recognition statistics, with the data at the bottom."""
-    return [(q_rec[l], x if l == 0 else q_rec[l - 1]) for l in range(len(q_rec))]
+def _contrast(v_pos, hs_pos, y_pos, v_neg, hs_neg, y_neg, w_pos, w_neg, out):
+    """Positive minus negative phase as one weighted pass: the phases'
+    rows are stacked and the negative rows weighted by -w_neg, so per layer
+    dW = sum_i w_i h_i v_i', dU = sum_i w_i h_i y_i' and the biases are
+    weighted sums of h (and, at layer 0, of v) and of y.  Every entry of
+    `out` is written."""
+    w = np.concatenate([w_pos, -w_neg])
+    ys = np.concatenate([y_pos, y_neg])
+    below = np.concatenate([v_pos, v_neg])
+    for l, g in enumerate(out.layers):
+        h = np.concatenate([hs_pos[l], hs_neg[l]])
+        hw = h * w[:, None]
+        np.matmul(hw.T, below, out=g.W)
+        np.matmul(hw.T, ys, out=g.U)
+        np.add.reduce(hw, axis=0, out=g.b_hidden)
+        if l == 0:
+            np.matmul(w, below, out=g.b_visible)
+        else:
+            g.b_visible[...] = 0.0
+        below = h
+    np.matmul(w, ys, out=out.b_class)
+    return out
 
 
 def mf_cd_gradients(x, y_probs, y_hat, q_rec, mf_state, params, w, out=None):
@@ -30,27 +52,9 @@ def mf_cd_gradients(x, y_probs, y_hat, q_rec, mf_state, params, w, out=None):
     `w` (one weight per row; 1/n everywhere is the batch average).
     Written into `out` (every entry), a fresh container when None.
     """
-    x = np.atleast_2d(x)
-    wc = w[:, None]
     out = params.zeros_like() if out is None else out
-    for l, (h_pos, v_pos) in enumerate(_positive_phase(x, q_rec)):
-        h_neg = mf_state.layer_means[l]
-        v_neg = mf_state.input_recon if l == 0 else mf_state.layer_means[l - 1]
-        hw_pos = h_pos * wc
-        hw_neg = h_neg * wc
-        g = out.layers[l]
-        # pos - neg, evaluated in that order in the view
-        np.matmul(hw_pos.T, v_pos, out=g.W)
-        np.subtract(g.W, hw_neg.T @ v_neg, out=g.W)
-        np.matmul(hw_pos.T, y_probs, out=g.U)
-        np.subtract(g.U, hw_neg.T @ y_hat, out=g.U)
-        np.matmul(w, h_pos - h_neg, out=g.b_hidden)
-        if l == 0:
-            np.matmul(w, v_pos - v_neg, out=g.b_visible)
-        else:
-            g.b_visible[...] = 0.0
-    np.matmul(w, y_probs - y_hat, out=out.b_class)
-    return out
+    return _contrast(np.atleast_2d(x), q_rec, y_probs, mf_state.input_recon,
+                     mf_state.layer_means, y_hat, w, w, out)
 
 
 def mf_bp_gradients(x, y_probs, q_rec, state, params, w, dropout_masks=None,
@@ -65,14 +69,16 @@ def mf_bp_gradients(x, y_probs, q_rec, state, params, w, dropout_masks=None,
     masks, when given, are re-applied to the hidden error deltas.  Each
     row's loss is weighted by `w` (1/n everywhere is the batch average).
 
-    Returns the negation of the descent gradient (ascent convention),
-    written into `out` (every entry), a fresh container when None.
+    Returns the ascent direction, the descent gradient negated through the
+    row weights, written into `out` (every entry), a fresh container when
+    None.
     """
     x = np.atleast_2d(x)
-    wc = w[:, None]
+    wc = -w[:, None]
     L = params.n_layers
     out = params.zeros_like() if out is None else out
-    # softmax + log-loss output delta: (p - e_y), row-weighted
+    # softmax + log-loss output delta (p - e_y), each row times -w: every
+    # delta below, and so every gradient entry, comes out negated
     xi_out = (state.class_probs - y_probs) * wc
     for l in range(L):
         lp = params.layers[l]
@@ -90,18 +96,13 @@ def mf_bp_gradients(x, y_probs, q_rec, state, params, w, dropout_masks=None,
         if dropout_masks is not None:
             xi_hid_total = xi_hid_total * dropout_masks[l]
         g = out.layers[l]
-        # -(a + b), evaluated in that order in the view
+        # a + b, evaluated in that order in the view
         np.matmul(xi_hid_total.T, v_in, out=g.W)
         np.add(g.W, h_hat.T @ xi_recon, out=g.W)
-        np.negative(g.W, out=g.W)
         np.matmul(h.T, xi_out, out=g.U)
-        np.negative(g.U, out=g.U)
         np.add.reduce(xi_hid_total, axis=0, out=g.b_hidden)
-        np.negative(g.b_hidden, out=g.b_hidden)
         np.add.reduce(xi_recon, axis=0, out=g.b_visible)
-        np.negative(g.b_visible, out=g.b_visible)
     np.add.reduce(xi_out, axis=0, out=out.b_class)
-    np.negative(out.b_class, out=out.b_class)
     return out
 
 
@@ -140,32 +141,13 @@ def sap_gradients(x, y_probs, q_rec, particles, params, rng, w, out=None):
 
     Positive phase as in MF-CD, a sum over rows weighted by `w`; negative
     phase from the fantasy particles, each advanced one block-Gibbs sweep
-    per call, averaged over the M chains with their own sampled labels and
-    weighted by the total weight w.sum().  Written into `out` (every
+    per call and weighted by w.sum() / M, so the M chains, with their own
+    sampled labels, carry the total weight.  Written into `out` (every
     entry), a fresh container when None.
     """
-    x = np.atleast_2d(x)
-    wc = w[:, None]
     particles.advance(params, rng, n_sweeps=1)
-    neg_weight = w.sum() / particles.n_particles
-    ey_neg = one_hot(particles.y, params.n_classes)
+    m = particles.n_particles
     out = params.zeros_like() if out is None else out
-
-    def finish(view, neg):
-        # the view holds pos: pos - neg * (w.sum() / m), evaluated in that order
-        np.subtract(view, np.multiply(neg, neg_weight, out=neg), out=view)
-
-    for l, (h_pos, v_pos) in enumerate(_positive_phase(x, q_rec)):
-        h_neg = particles.hs[l]
-        v_neg = particles.x if l == 0 else particles.hs[l - 1]
-        hw_pos = h_pos * wc
-        g = out.layers[l]
-        finish(np.matmul(hw_pos.T, v_pos, out=g.W), h_neg.T @ v_neg)
-        finish(np.matmul(hw_pos.T, y_probs, out=g.U), h_neg.T @ ey_neg)
-        finish(np.matmul(w, h_pos, out=g.b_hidden), h_neg.sum(axis=0))
-        if l == 0:
-            finish(np.matmul(w, v_pos, out=g.b_visible), v_neg.sum(axis=0))
-        else:
-            g.b_visible[...] = 0.0
-    finish(np.matmul(w, y_probs, out=out.b_class), ey_neg.sum(axis=0))
-    return out
+    return _contrast(np.atleast_2d(x), q_rec, y_probs, particles.x,
+                     particles.hs, one_hot(particles.y, params.n_classes),
+                     w, np.full(m, w.sum() / m), out)

@@ -4,6 +4,7 @@ recognition-net steps, with drop-out masking, beta annealing, and
 prediction.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,14 +48,22 @@ class TrainerConfig:
     labeled_epoch_size: int = 1000
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise ValueError("learning rate must be >= 0")
+        # lr, alpha and beta scale the row weights: a NaN or an infinity there
+        # would reach every parameter in one step
+        for name in ("lr", "alpha", "beta_f"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0")
         if not 0.0 < self.keep_prob <= 1.0:
             raise ValueError("keep_prob must lie in (0, 1]")
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"estimator must be one of {ESTIMATORS}")
+        if math.isnan(self.t1) or math.isnan(self.t2):
+            raise ValueError("t1 and t2 must be numbers")
         if self.t1 > self.t2:
             raise ValueError("t1 must not exceed t2")
+        if self.anneal and self.labeled_epoch_size < 1:
+            raise ValueError("labeled_epoch_size must be >= 1 when annealing")
         if self.num_steps < 1:
             raise ValueError("num_steps must be >= 1")
         if not 0.0 <= self.corruption_p <= 1.0:
@@ -116,8 +125,10 @@ class Trainer:
         is unlabeled; such a row is trained toward its pseudo-label.  Rows
         are weighted so that the model ascends alpha * (labeled mean) +
         beta * (unlabeled mean) and the recognition net descends (labeled
-        mean) + beta * (unlabeled mean).  An empty batch changes nothing and
-        the report says so.  The recognition pass of the last predict() is
+        mean) + beta * (unlabeled mean).  The row weights carry the learning
+        rate, so each estimator returns its step and each net takes it with
+        one add (or subtract) on its flat vector.  An empty batch changes
+        nothing and the report says so.  The recognition pass of the last predict() is
         reused when `x` is the array object it was given (and not written
         since), and dropped either way.
         """
@@ -132,7 +143,8 @@ class Trainer:
         beta = self.current_beta()
         lab = labels >= 0
         n_lab = int(np.count_nonzero(lab))
-        lab_w, unlab_w = 1.0 / max(n_lab, 1), beta / max(n - n_lab, 1)
+        lab_w = cfg.lr / max(n_lab, 1)
+        unlab_w = cfg.lr * beta / max(n - n_lab, 1)
         w = np.where(lab, cfg.alpha * lab_w, unlab_w)
         w_rec = np.where(lab, lab_w, unlab_w)
 
@@ -172,14 +184,10 @@ class Trainer:
         # estimators, a masked target would collapse the network to constants
         rec_grad = recognition.rec_gradients(self.rec, x, mu_clean, w_rec, v,
                                              out=self._rec_grad)
-        # ascent step for the model, descent step for the recognition net,
-        # each built in its gradient's own vector
-        np.add(self.model.data,
-               np.multiply(model_grad.data, cfg.lr, out=model_grad.data),
-               out=self.model.data)
-        np.subtract(self.rec.data,
-                    np.multiply(rec_grad.data, cfg.lr, out=rec_grad.data),
-                    out=self.rec.data)
+        # the weights carry lr: an ascent step for the model, a descent step
+        # for the recognition net, each one pass over the flat vectors
+        np.add(self.model.data, model_grad.data, out=self.model.data)
+        np.subtract(self.rec.data, rec_grad.data, out=self.rec.data)
         self.labeled_seen += n_lab
         self.updates += 1
         return {"updated": True, "beta": beta}

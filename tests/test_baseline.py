@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hybridstream import baseline
 from hybridstream.numerics import make_rng, one_hot
-from test_trainer import mixed_batch
+from test_trainer import mixed_batch, record_unit_weight_calls
 
 
 def test_zero_params_uniform_output():
@@ -119,6 +119,26 @@ def test_update_steps_along_the_sum_of_sides():
     assert_close((before - p.data) / lr, sides)
 
 
+def test_update_is_lr_times_the_unit_weight_gradient(monkeypatch):
+    # mlp_update puts lr into the row weights: the gradient it takes is lr
+    # times the gradient at weights 1/n_lab and beta/n_unlab, under the same
+    # drop-out draw, and the step is one subtract of it, to the last bit
+    lr, beta = 0.37, 0.3
+    rng = make_rng(42)
+    p = baseline.MlpParams.initialize(6, [5, 4], 3, rng, weight_std=0.5)
+    x, labels = mixed_batch(rng.random((4, 6)), rng.integers(0, 3, 4),
+                            rng.random((5, 6)))
+    w_unit = np.where(labels >= 0, 1.0 / 4, beta / 5)
+    seen = record_unit_weight_calls(monkeypatch, baseline, "mlp_gradients", 3,
+                                    w_unit)
+    before = p.data.copy()
+    baseline.mlp_update(p, x, labels, lr, beta, keep_prob=0.5,
+                        rng=make_rng(43))
+    assert_close(seen["w"], lr * w_unit)
+    assert_close(seen["step"].data, lr * seen["unit"])
+    assert np.array_equal(p.data, before - seen["step"].data)
+
+
 def test_weighted_gradient_is_the_weighted_sum_of_sides():
     lab = [True, False, True, True, False, False, True, False, False]
     assert_close(*weighted_sides([6, 5, 4, 3], lab, 0.3, 40))
@@ -149,8 +169,8 @@ def test_train_mode_dropout_requires_rng():
 
 def test_update_bits_pinned():
     # sha256 of the parameters after ten steps of a 24-12-12-10 network with
-    # drop-out and both batch sides, recorded when the two sides were fused
-    # into one weighted pass with one drop-out draw; the same under one and
+    # drop-out and both batch sides, recorded when the learning rate moved
+    # into the row weights of the one weighted pass; the same under one and
     # two BLAS threads
     rng = make_rng(24)
     p = baseline.MlpParams.initialize(24, [12, 12], 10, rng, weight_std=0.1)
@@ -160,4 +180,4 @@ def test_update_bits_pinned():
                                             rng.random((4, 24))),
                             0.1, 0.3, keep_prob=0.5, rng=rng)
     assert hashlib.sha256(p.data.tobytes()).hexdigest() == \
-        "e7b874eb615b68cbe363fe89125416eaf57b5fa1d250f027dd9bd3befec70922"
+        "67c76f34183806da40ce093b3bb0e9eaf9fad706bf1655efc3260345d57daea4"

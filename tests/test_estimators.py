@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridstream import baseline, dhbm, dhda, estimators, kernels, recognition
-from hybridstream.numerics import bernoulli_mask, make_rng, one_hot, softmax
+from hybridstream.numerics import (bernoulli_mask, make_rng, one_hot,
+                                  sigmoid_prime_from_output, softmax)
 
 
 def setup(seed=0, d=4, hidden=(3, 3), c=3, std=0.5):
@@ -268,3 +269,146 @@ def test_uniform_weights_sum_the_sides(name, d, hidden, c, lab, seed):
     share = sum(lab) / n
     assert_close(grad(np.arange(n), np.full(n, 1.0 / n)).data,
                  side_sum(grad, lab, share, 1.0 - share))
+
+
+# ---- oracles: the two-pass formulas the signed weighted pass replaced ----
+
+def mf_cd_two_phase(x, y_probs, y_hat, q_rec, mf_state, params, w):
+    """MF-CD as a positive-phase product minus a negative-phase product per
+    block, each weighted by `w`."""
+    x = np.atleast_2d(x)
+    wc = w[:, None]
+    out = params.zeros_like()
+    for l, g in enumerate(out.layers):
+        h_pos, v_pos = q_rec[l], x if l == 0 else q_rec[l - 1]
+        h_neg = mf_state.layer_means[l]
+        v_neg = mf_state.input_recon if l == 0 else mf_state.layer_means[l - 1]
+        g.W[...] = (h_pos * wc).T @ v_pos - (h_neg * wc).T @ v_neg
+        g.U[...] = (h_pos * wc).T @ y_probs - (h_neg * wc).T @ y_hat
+        g.b_hidden[...] = w @ (h_pos - h_neg)
+        if l == 0:
+            g.b_visible[...] = w @ (v_pos - v_neg)
+    out.b_class[...] = w @ (y_probs - y_hat)
+    return out
+
+
+def sap_two_phase(x, y_probs, q_rec, particles, params, rng, w):
+    """SAP as the weighted positive phase minus the particles' unweighted
+    sums scaled by w.sum() / M."""
+    x = np.atleast_2d(x)
+    wc = w[:, None]
+    particles.advance(params, rng, n_sweeps=1)
+    neg_weight = w.sum() / particles.n_particles
+    ey_neg = one_hot(particles.y, params.n_classes)
+    out = params.zeros_like()
+    for l, g in enumerate(out.layers):
+        h_pos, v_pos = q_rec[l], x if l == 0 else q_rec[l - 1]
+        h_neg = particles.hs[l]
+        v_neg = particles.x if l == 0 else particles.hs[l - 1]
+        g.W[...] = (h_pos * wc).T @ v_pos - (h_neg.T @ v_neg) * neg_weight
+        g.U[...] = (h_pos * wc).T @ y_probs - (h_neg.T @ ey_neg) * neg_weight
+        g.b_hidden[...] = w @ h_pos - h_neg.sum(axis=0) * neg_weight
+        if l == 0:
+            g.b_visible[...] = w @ v_pos - v_neg.sum(axis=0) * neg_weight
+    out.b_class[...] = w @ y_probs - ey_neg.sum(axis=0) * neg_weight
+    return out
+
+
+def mf_bp_negate_at_end(x, y_probs, q_rec, state, params, w,
+                        dropout_masks=None):
+    """MF-BP with positive row weights: the descent gradient, negated
+    entry by entry at the end."""
+    x = np.atleast_2d(x)
+    wc = w[:, None]
+    out = params.zeros_like()
+    xi_out = (state.class_probs - y_probs) * wc
+    for l, g in enumerate(out.layers):
+        lp = params.layers[l]
+        h = state.hidden[l]
+        v_in = state.input_hat if l == 0 else state.hidden_hat[l - 1]
+        v_target = x if l == 0 else q_rec[l - 1]
+        xi_recon = (state.recons[l] - v_target) * wc
+        hid_prime = sigmoid_prime_from_output(h)
+        xi_hid_total = (xi_recon @ lp.W.T) * state.masks[l] * hid_prime \
+            + (xi_out @ lp.U.T) * hid_prime
+        if dropout_masks is not None:
+            xi_hid_total = xi_hid_total * dropout_masks[l]
+        g.W[...] = -(xi_hid_total.T @ v_in + state.hidden_hat[l].T @ xi_recon)
+        g.U[...] = -(h.T @ xi_out)
+        g.b_hidden[...] = -np.add.reduce(xi_hid_total, axis=0)
+        g.b_visible[...] = -np.add.reduce(xi_recon, axis=0)
+    out.b_class[...] = -np.add.reduce(xi_out, axis=0)
+    return out
+
+
+@st.composite
+def estimator_case(draw):
+    """A random model of 1-3 hidden layers, widths 1-6, and a batch of 1-8
+    rows with weights in [0, 2], zeros included, plus masked recognition
+    statistics and a random mean-field state."""
+    dims = [draw(st.integers(1, 6)) for _ in range(draw(st.integers(3, 5)))]
+    n = draw(st.integers(1, 8))
+    w = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 2.0)),
+                               min_size=n, max_size=n)))
+    seed = draw(st.integers(0, 10_000))
+    d, hidden, c = dims[0], dims[1:-1], dims[-1]
+    rng = make_rng(seed)
+    model = dhbm.HybridParams.initialize(d, hidden, c, rng, weight_std=0.5)
+    rec = recognition.init_from_model(model)
+    x = rng.random((n, d))
+    y = one_hot(rng.integers(0, c, n), c)
+    q = [s * bernoulli_mask(rng, n, s.shape[1], 0.5)
+         for s in recognition.recognize(rec, x)]
+    state = dhbm.MeanFieldState([rng.random((n, h)) for h in hidden],
+                                softmax(rng.normal(size=(n, c))),
+                                rng.random((n, d)))
+    return model, rec, x, y, q, state, w, seed
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=estimator_case())
+def test_mf_cd_signed_pass_matches_two_phase_oracle(case):
+    model, _, x, y, q, state, w, _ = case
+    assert_close(estimators.mf_cd_gradients(x, y, state.class_probs, q, state,
+                                            model, w).data,
+                 mf_cd_two_phase(x, y, state.class_probs, q, state, model,
+                                 w).data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=estimator_case(), m=st.integers(1, 6))
+def test_sap_signed_pass_matches_two_phase_oracle(case, m):
+    # both sides advance equal particles with equally seeded generators
+    model, _, x, y, q, _, w, seed = case
+    grads = []
+    for estimate in (estimators.sap_gradients, sap_two_phase):
+        particles = estimators.FantasyParticles.initialize(model, m,
+                                                           make_rng(seed + 1))
+        grads.append(estimate(x, y, q, particles, model, make_rng(seed + 2),
+                              w).data)
+    assert_close(*grads)
+
+
+def zero_signed_bits(a):
+    """The bits of `a` with every zero made +0."""
+    return (a + 0.0).view(np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=estimator_case())
+def test_mf_bp_negated_weights_match_negate_at_end(case):
+    # negation is exact and rounding is sign-symmetric, so -w through the
+    # deltas gives the negated descent gradient to the last bit; the one
+    # difference is the sign of an exact zero (a sum that starts at +0
+    # against a negated +0), which is the same gradient entry
+    model, rec, x, y, q, _, w, seed = case
+    rng = make_rng(seed + 3)
+    state = dhda.dhda_forward(model, x, recognition.recognize(rec, x), rng,
+                              0.3, 2)
+    masks = [bernoulli_mask(rng, len(x), h, 0.5) for h in model.hidden_dims]
+    got = estimators.mf_bp_gradients(x, y, q, state, model, w,
+                                     dropout_masks=masks).data
+    want = mf_bp_negate_at_end(x, y, q, state, model, w, masks).data
+    assert np.array_equal(zero_signed_bits(got), zero_signed_bits(want))
+    differ = got.view(np.int64) != want.view(np.int64)
+    assert not got[differ].any()

@@ -20,12 +20,13 @@ def random_model(seed=0):
 
 # sha256 of containers built from fixed seeds: the version-1 byte format,
 # which must not change without a version bump.  The checkpoint's was
-# re-recorded when the two batch sides were fused into one weighted pass,
-# which changes the trained parameters, not the format
+# re-recorded when the learning rate moved into the row weights and SAP's
+# phases into one signed pass, which changes the trained parameters, not
+# the format
 PINNED_SHA256 = {
     "params": "f29c187250f27a284d6e462d042fc54e33c5db3599377eba6f26b1ab9cf8b3c5",
     "rec": "fe95028ca841485a6876059608c011b730daf3a0850d2620712f8f15c7af1026",
-    "checkpoint": "12360c3f6f6233a895c5a1ccf768ff47ad507c9e9de39e48d3e0baf11410b771",
+    "checkpoint": "74b31086d43c353212e8d319b249d883537a1c602e0725506024f88d46eaba82",
 }
 
 

@@ -1,9 +1,11 @@
+import copy
 import hashlib
 
 import numpy as np
 import pytest
 
-from hybridstream import dhbm, dhda, kernels, numerics, recognition, trainer
+from hybridstream import (dhbm, dhda, estimators, kernels, numerics,
+                          recognition, trainer)
 from hybridstream.numerics import bernoulli_mask, make_rng
 from hybridstream.trainer import Trainer, TrainerConfig, beta_schedule, pseudo_label
 
@@ -46,6 +48,17 @@ def test_config_validation():
         TrainerConfig(keep_prob=0.0)
     with pytest.raises(ValueError):
         TrainerConfig(lr=-0.1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lr", float("nan")), ("lr", float("inf")), ("alpha", -1.0),
+    ("alpha", float("nan")), ("beta_f", -0.5), ("beta_f", float("nan")),
+    ("t1", float("nan")), ("labeled_epoch_size", 0)])
+def test_config_rejects_values_that_poison_the_weights(field, value):
+    # lr, alpha and beta scale the row weights; a NaN t1 makes the annealed
+    # beta NaN, and an epoch size of 0 divides by zero at the first update
+    with pytest.raises(ValueError, match=field):
+        TrainerConfig(anneal=True, **{field: value})
 
 
 @pytest.mark.parametrize("num_steps", [0, -1])
@@ -190,6 +203,65 @@ def test_one_pass_per_batch(estimator, monkeypatch):
         assert "flat_views" not in names
 
 
+# (estimator function, position of its row weights)
+ESTIMATOR_CALLS = {"mf-cd": ("mf_cd_gradients", 6), "sap": ("sap_gradients", 6),
+                   "mf-bp": ("mf_bp_gradients", 5)}
+
+
+def record_unit_weight_calls(monkeypatch, module, name, w_at, unit_w):
+    """Wrap module.name so each call also runs, on deep copies of its
+    arguments (particles and generators included), with its row weights
+    replaced by `unit_w`; records the weights it was given, the container
+    it returned and that unit-weight result."""
+    fn = getattr(module, name)
+    seen = {}
+
+    def wrapped(*args, **kwargs):
+        unit_args = copy.deepcopy(list(args))
+        unit_args[w_at] = unit_w
+        unit_kwargs = {k: copy.deepcopy(v) for k, v in kwargs.items()
+                       if k != "out"}
+        seen["unit"] = fn(*unit_args, **unit_kwargs).data
+        seen["w"] = np.array(args[w_at])
+        seen["step"] = fn(*args, **kwargs)
+        return seen["step"]
+
+    monkeypatch.setattr(module, name, wrapped)
+    return seen
+
+
+def assert_close(got, want):
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("estimator", trainer.ESTIMATORS)
+def test_step_is_lr_times_the_unit_weight_estimate(estimator, monkeypatch):
+    # the trainer puts lr into the row weights: the estimator's output is
+    # lr times its output at the unscaled weights, and each step is one add
+    # (one subtract for the recognition net) of that output, to the last bit
+    lr, alpha, beta = 0.37, 0.8, 0.3
+    tr = make_trainer(estimator, seed=80, lr=lr, alpha=alpha, beta_f=beta,
+                      n_particles=4, num_steps=2)
+    rng = make_rng(81)
+    x, labels = mixed_batch(rng.random((4, 4)), rng.integers(0, 2, 4),
+                            rng.random((3, 4)))
+    lab = labels >= 0
+    name, w_at = ESTIMATOR_CALLS[estimator]
+    w_unit = np.where(lab, alpha / 4, beta / 3)
+    w_rec_unit = np.where(lab, 1.0 / 4, beta / 3)
+    model_seen = record_unit_weight_calls(monkeypatch, estimators, name, w_at,
+                                          w_unit)
+    rec_seen = record_unit_weight_calls(monkeypatch, recognition,
+                                        "rec_gradients", 3, w_rec_unit)
+    model_before, rec_before = tr.model.data.copy(), tr.rec.data.copy()
+    tr.update(x, labels)
+    for seen, unit_w in ((model_seen, w_unit), (rec_seen, w_rec_unit)):
+        assert_close(seen["w"], lr * unit_w)
+        assert_close(seen["step"].data, lr * seen["unit"])
+    assert np.array_equal(tr.model.data, model_before + model_seen["step"].data)
+    assert np.array_equal(tr.rec.data, rec_before - rec_seen["step"].data)
+
+
 def trainer_state(tr):
     """Bytes of everything an update writes: parameters, particles, rng."""
     parts = [tr.model.data.tobytes(), tr.rec.data.tobytes(),
@@ -290,27 +362,27 @@ def test_keep_prob_one_has_no_masking_noise():
 
 # sha256 of (model.data, rec.data) after ten updates of a 24-12-12-10 model
 # with drop-out and batches of labeled and unlabeled rows, recorded when the
-# two batch sides were fused into one weighted pass; the same under one and
-# two BLAS threads
+# learning rate moved into the row weights and the contrastive phases into
+# one signed pass; the same under one and two BLAS threads
 PINNED_UPDATE_SHA256 = {
-    "mf-cd": ("1c19c4ef452eec1938f65759ea6c56b3c8047cc223eacf15c6e93a398c20f775",
-              "c6a0883d04cea2a02a593d70e5fbeea4cb02d7ef20d3244fb7e433d6a74f81e9"),
-    "sap": ("29faeb2610d7e0d0c41fef14a095a809dbce2adad515df16a223c47d0722f3aa",
-            "c25899607989d05f1399a5b71a29935f98015cdf85cb94b95ca78d0d6ae68833"),
-    "mf-bp": ("cccde733542da4f5d15a193bff7c5518c3f4d7cb700a2855a0d90a6ae6b574d2",
-              "29bfa718b22f1e55c237640452afe4675e01eedaf3c09a1f6b4bd71e59e379f7"),
+    "mf-cd": ("60421b57d2cc60396ec9b1e850037de88dae3f55a5b7005be9fa9d4204bfcbb8",
+              "dd352321343b792b6127ba9fe5ce3f9472ff2fdfa9aee8524b22f49b3f8d61ff"),
+    "sap": ("7cebcbf3824819ce4f6df56c71d3a5a80e7871b89a06558e9b435fb49b94c60e",
+            "7fb030718f2db728c199d935e69c368179243e508a9470f944b69071d9ca63b5"),
+    "mf-bp": ("6c0b41eef9691ac6e84ea9ff90c9140be3c2b362bac008393d6a3c416e3310f4",
+              "9d0a1f8d0084f173e546034514fafc5fe32a18f206b858d0dfde52397fdd80de"),
 }
 
 
 # the same run without drop-out (keep_prob 1), where the unmasked statistics
 # reach the estimators uncopied
 PINNED_UPDATE_KEEP_ALL_SHA256 = {
-    "mf-cd": ("3a67a711269281a7bdb74f4de5e0f24c94fc70695ffe8340b7e958c1beacbae1",
-              "cc023cfb8939fc9981b2b6d9e1e6fdbeb4e352b3159eee8d68210405cb747ad6"),
-    "sap": ("ab13a18cb7f1f7d801eea7c211d84c0bf71a90845131d63418fa30d5d6379f6e",
-            "c80f2d129542b7b0da0d71413d582e8df2bfedba28285ecdd875cda06827224b"),
-    "mf-bp": ("c4f75e9f40dc9f1160eefc77e234babc6a55f3c8e584537f99b5f114e47b1156",
-              "6c1288aa3b8c14899da1f49250a036d3a3ce96b6724691778bb75e74cb43cb34"),
+    "mf-cd": ("3a738497ddc47e05bd729d25d04e793e6848f5651dce458cbe058db08a05c2c3",
+              "5b7f9a15ccb260b1b71b7dec7dc03ce3c7356b2522014b84b74b477e9480d053"),
+    "sap": ("7841ab03601dca60581d890368a30f6ae0912169cb8bef6ff8671320c09e5766",
+            "0eb6bae41905eec8913408c4722e8f6f0a69ff6305214dbf04446d1554c34a37"),
+    "mf-bp": ("50b1301dc944bc622d3bf2dff15cc90a74af49f5da86b01a40bb05c545b1da8a",
+              "b7ed4a2d77dd6be9190783de1498b2be6715877e2261354e1181feba5f96ec57"),
 }
 
 
