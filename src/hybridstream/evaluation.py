@@ -67,7 +67,12 @@ def test_error(predict_fn, features, labels):
     `features` are pixel bytes (``IdxDataset.images``).  They are scored in
     chunks of EVAL_CHUNK_ROWS rows, each scaled to [0, 1] by ``unit_scale``
     just before its ``predict_fn`` call.  The count of misses over the
-    chunks, divided by the set size, is the one-pass mean to the last bit.
+    chunks, divided by the set size, is the mean of a whole-set miss vector
+    to the last bit.  The predictions carry no such guarantee: a chunk of
+    fewer than about 400 rows, such as a short last one, can get other last
+    bits than the same rows inside a whole-set pass, because BLAS takes
+    another path for small products.  A near-tie argmax can then move, and
+    the error with it.
     """
     labels = np.asarray(labels)
     if len(labels) == 0:

@@ -29,11 +29,27 @@ MNIST_KEYS = frozenset({"architecture", "n_labeled", "n_unlabeled", "n_valid",
                         "trials", "data_root"})
 
 
+# the estimator each hybrid kind trains with; the kind is the only way to
+# pick one, and the MLP kinds have none
+KIND_ESTIMATORS = {"dhbm-mf": "mf-cd", "dhbm-sap": "sap", "dhda": "mf-bp"}
+
+
 def _check_keys(config, known):
     unknown = sorted(set(config) - known)
     if unknown:
         raise ValueError(f"unknown config keys {unknown}; "
                          f"known keys are {sorted(known)}")
+
+
+def _trainer_config(config, **defaults):
+    """The TrainerConfig of `config`'s "trainer" fields over `defaults`."""
+    fields = dict(defaults, **config.get("trainer", {}))
+    if "estimator" in fields:
+        picks = ", ".join(f"{kind}: {est}" for kind, est in KIND_ESTIMATORS.items())
+        raise ValueError(f"trainer.estimator is not a config key: the model "
+                         f"kind picks the estimator ({picks}), and the MLP "
+                         f"kinds take none")
+    return TrainerConfig(**fields)
 
 
 def parse_architecture(arch):
@@ -82,7 +98,7 @@ def build_model(kind, n_visible, hidden_dims, n_classes, config, rng):
         cfg_dict["beta_f"] = 0.0
         return MlpPseudoLabelModel(n_visible, hidden_dims, n_classes,
                                    TrainerConfig(**cfg_dict), rng)
-    estimator = {"dhbm-mf": "mf-cd", "dhbm-sap": "sap", "dhda": "mf-bp"}.get(kind)
+    estimator = KIND_ESTIMATORS.get(kind)
     if estimator is None:
         raise ValueError(f"unknown model kind {kind!r}")
     cfg_dict = asdict(config)
@@ -105,7 +121,7 @@ def run_stream_trial(config, trial, out_dir):
             f"architecture {config['architecture']!r} does not fit the "
             f"{stream_cfg.kind} stream, which has {stream.n_features} features "
             f"and {stream.n_classes} classes")
-    trainer_cfg = TrainerConfig(**config.get("trainer", {}))
+    trainer_cfg = _trainer_config(config)
     alpha_err = float(config.get("preq_alpha", 0.995))
     iterations = int(config["iterations"])
     curve_every = int(config.get("curve_every", 1000))
@@ -198,10 +214,8 @@ def run_mnist_trial(config, trial, dataset, test_set):
         dataset, n_labeled, n_valid, rng)
     if n_unlabeled is not None:
         unlabeled = unlabeled[:int(n_unlabeled)]
-    base_cfg = dict(config.get("trainer", {}))
-    base_cfg.setdefault("anneal", True)
-    base_cfg.setdefault("labeled_epoch_size", n_labeled)
-    trainer_cfg = TrainerConfig(**base_cfg)
+    trainer_cfg = _trainer_config(config, anneal=True,
+                                  labeled_epoch_size=n_labeled)
     batch_size = int(config.get("batch_size", 10))
     epochs = int(config.get("epochs", 6))
     pool_x = np.concatenate([labeled.images, unlabeled])

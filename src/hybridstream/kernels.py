@@ -9,7 +9,8 @@ uniforms_per_sweep() gives the stride.
 
 import numpy as np
 
-from .numerics import sigmoid, softmax
+from . import dhbm
+from .numerics import one_hot
 
 # There is no compiled kernel; the benchmark records this flag in its
 # environment line (perfbench/run.py).
@@ -25,39 +26,31 @@ def gibbs_sweeps(params, x, hs, y, uniforms, n_sweeps, counts=None):
     """Advance the particle block (x, hs, y) by n_sweeps full Gibbs sweeps.
 
     Mutates x, hs and y in place.  One sweep samples h^1..h^L, then y, then x,
-    each from its exact conditional under the current parameters.  When
-    `counts` (a 2^D x C array) is given, each sweep increments the occupancy
-    of every particle's (x, y) cell.
+    each from its exact conditional under the current parameters: dhbm's
+    cond_h, cond_y and cond_x, the formulas the enumeration oracle checks.
+    When `counts` (a 2^D x C array) is given, each sweep increments the
+    occupancy of every particle's (x, y) cell.
     """
     M = x.shape[0]
     L = params.n_layers
     C = params.n_classes
+    D = params.n_visible
     off = 0
     for _ in range(n_sweeps):
+        ey = one_hot(y, C)
         for l in range(L):
-            lp = params.layers[l]
-            H = lp.W.shape[0]
+            H = hs[l].shape[1]
             below = x if l == 0 else hs[l - 1]
-            pre = below @ lp.W.T
-            np.add(pre, lp.U.T[y], out=pre)
-            np.add(pre, lp.b_hidden, out=pre)
-            if l + 1 < L:
-                np.add(pre, hs[l + 1] @ params.layers[l + 1].W, out=pre)
+            above = hs[l + 1] if l + 1 < L else None
             u = uniforms[off:off + M * H].reshape(M, H)
-            hs[l][...] = u < sigmoid(pre, out=pre)
+            hs[l][...] = u < dhbm.cond_h(params, l, ey, below, above)
             off += M * H
-        logits = hs[0] @ params.layers[0].U + params.b_class
-        for l in range(1, L):
-            logits += hs[l] @ params.layers[l].U
-        cdf = np.cumsum(softmax(logits), axis=1)
+        cdf = np.cumsum(dhbm.cond_y(params, hs), axis=1)
         u = uniforms[off:off + M]
         y[...] = np.minimum((cdf <= u[:, None]).sum(axis=1), C - 1)
         off += M
-        D = params.n_visible
-        pre = hs[0] @ params.layers[0].W
-        np.add(pre, params.layers[0].b_visible, out=pre)
         u = uniforms[off:off + M * D].reshape(M, D)
-        x[...] = u < sigmoid(pre, out=pre)
+        x[...] = u < dhbm.cond_x(params, hs[0])
         off += M * D
         if counts is not None:
             ix = (x.astype(np.int64) @ (1 << np.arange(D))).astype(np.int64)

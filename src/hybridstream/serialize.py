@@ -1,160 +1,136 @@
-"""Binary parameter containers and training checkpoints.
+"""Training checkpoints: a Trainer's state in one file, format version 2.
 
-Parameter container layout (little-endian): magic, version, layer count L,
-class count C, visible dimension D, the L hidden dimensions, then the
-float64 payload: the model's flat parameter vector, whose layout (per layer
-W, U, b_hidden, b_visible; then the class bias, each row-major) is
-HybridParams'.  Recognition containers likewise hold a header of per-layer
-R shapes and the network's flat vector (per layer R, b).
-
-A checkpoint bundles model + recognition parameters, fantasy particles,
-the rng state and step counters in one file.
+Layout: the magic ``HSCK``, the header length as a little-endian uint32,
+and a JSON header holding the version, the model's dimensions
+(``n_visible``, ``hidden_dims``, ``n_classes``), the fantasy-particle count
+(0 unless SAP), the counters ``labeled_seen`` and ``updates`` and the
+generator state.  The raw little-endian arrays follow in a fixed order: the
+model's flat vector (``HybridParams.data``), the recognition net's
+(``RecognitionParams.data``) and, for SAP, the particles' x, each h^l and
+y (``<i8``); the others are ``<f8``.  Every array's size follows from the
+dimensions, so the header holds no byte counts, and a file with fewer or
+more bytes than they give is refused.
 """
 
-import io
 import json
 import struct
 
 import numpy as np
 
 from .dhbm import HybridParams
-from .estimators import FantasyParticles
-from .recognition import RecognitionParams
+from .numerics import split_views
+from .trainer import Trainer
 
-PARAM_MAGIC = b"HSPM"
-REC_MAGIC = b"HSRP"
 CHECKPOINT_MAGIC = b"HSCK"
-VERSION = 1
+VERSION = 2
+_HEADER_INTS = ("n_visible", "n_classes", "n_particles", "labeled_seen",
+                "updates")
 
 
-def _write_array(f, arr):
-    f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+def _is_int(value, least):
+    return type(value) is int and value >= least
 
 
-def _read_array(f, shape):
-    count = int(np.prod(shape))
-    data = f.read(count * 8)
-    if len(data) != count * 8:
-        raise ValueError("truncated parameter container")
-    return np.frombuffer(data, dtype="<f8").reshape(shape).copy()
-
-
-def dump_params(params, f):
-    f.write(PARAM_MAGIC)
-    f.write(struct.pack("<III", VERSION, params.n_layers, params.n_classes))
-    f.write(struct.pack("<I", params.n_visible))
-    for h in params.hidden_dims:
-        f.write(struct.pack("<I", h))
-    _write_array(f, params.data)
-
-
-def load_params(f):
-    if f.read(4) != PARAM_MAGIC:
-        raise ValueError("not a hybrid parameter container")
-    version, n_layers, n_classes = struct.unpack("<III", f.read(12))
-    if version != VERSION:
-        raise ValueError(f"unsupported container version {version}")
-    (n_visible,) = struct.unpack("<I", f.read(4))
-    hidden = [struct.unpack("<I", f.read(4))[0] for _ in range(n_layers)]
-    params = HybridParams.from_dims(n_visible, hidden, n_classes)
-    params.data[...] = _read_array(f, params.data.shape)
-    return params
-
-
-def dump_rec(rec, f):
-    f.write(REC_MAGIC)
-    f.write(struct.pack("<II", VERSION, rec.n_layers))
-    for layer in rec.layers:
-        f.write(struct.pack("<II", *layer.R.shape))
-    _write_array(f, rec.data)
-
-
-def load_rec(f):
-    if f.read(4) != REC_MAGIC:
-        raise ValueError("not a recognition parameter container")
-    version, n_layers = struct.unpack("<II", f.read(8))
-    if version != VERSION:
-        raise ValueError(f"unsupported container version {version}")
-    shapes = [struct.unpack("<II", f.read(8)) for _ in range(n_layers)]
-    if not shapes or any(s[1] != below[0] for below, s in zip(shapes, shapes[1:])):
-        raise ValueError(f"recognition layer shapes {shapes} do not chain")
-    rec = RecognitionParams.from_dims(shapes[0][1], [s[0] for s in shapes])
-    rec.data[...] = _read_array(f, rec.data.shape)
-    return rec
+def _float_arrays(trainer):
+    """The checkpoint's float64 arrays, in file order."""
+    arrays = [trainer.model.data, trainer.rec.data]
+    if trainer.particles is not None:
+        arrays += [trainer.particles.x, *trainer.particles.hs]
+    return arrays
 
 
 def save_checkpoint(path, trainer):
     """Model, recognition net, particles, rng state and counters in one file."""
-    model_buf = io.BytesIO()
-    dump_params(trainer.model, model_buf)
-    rec_buf = io.BytesIO()
-    dump_rec(trainer.rec, rec_buf)
-    particles = trainer.particles
-    part_buf = io.BytesIO()
-    part_meta = None
-    if particles is not None:
-        _write_array(part_buf, particles.x)
-        for h in particles.hs:
-            _write_array(part_buf, h)
-        part_buf.write(np.ascontiguousarray(particles.y, dtype="<i8").tobytes())
-        part_meta = {"m": particles.n_particles,
-                     "hidden": [h.shape[1] for h in particles.hs],
-                     "visible": particles.x.shape[1]}
+    model, particles = trainer.model, trainer.particles
     header = json.dumps({
         "version": VERSION,
-        "model_bytes": model_buf.tell(),
-        "rec_bytes": rec_buf.tell(),
-        "particle_bytes": part_buf.tell(),
-        "particles": part_meta,
+        "n_visible": model.n_visible,
+        "hidden_dims": model.hidden_dims,
+        "n_classes": model.n_classes,
+        "n_particles": 0 if particles is None else particles.n_particles,
         "labeled_seen": trainer.labeled_seen,
         "updates": trainer.updates,
-        "rng_state": _jsonable(trainer.rng.bit_generator.state),
-    }).encode()
+        "rng_state": trainer.rng.bit_generator.state,
+    }, default=int).encode()
     with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", len(header)))
-        f.write(header)
-        f.write(model_buf.getvalue())
-        f.write(rec_buf.getvalue())
-        f.write(part_buf.getvalue())
+        f.write(CHECKPOINT_MAGIC + struct.pack("<I", len(header)) + header)
+        for arr in _float_arrays(trainer):
+            f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        if particles is not None:
+            f.write(np.ascontiguousarray(particles.y, dtype="<i8").tobytes())
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, np.integer):
-        return int(obj)
-    return obj
+def load_checkpoint(path, config):
+    """A Trainer for `config` in the state that save_checkpoint wrote.
 
-
-def load_checkpoint(path, config, trainer_cls):
+    Raises ValueError naming `path` when the file is not a whole version-2
+    checkpoint (a bad magic or header, another version, an array cut short
+    or a byte after the last one) and when its particle count does not fit
+    `config`: only a SAP config takes particles, as many as its n_particles.
+    """
     with open(path, "rb") as f:
-        if f.read(4) != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a checkpoint")
-        (hlen,) = struct.unpack("<I", f.read(4))
-        header = json.loads(f.read(hlen).decode())
-        model = load_params(io.BytesIO(f.read(header["model_bytes"])))
-        rec = load_rec(io.BytesIO(f.read(header["rec_bytes"])))
-        part_buf = io.BytesIO(f.read(header["particle_bytes"]))
-    meta = header["particles"]
+        blob = f.read()
+
+    def refused(reason):
+        return ValueError(f"{path}: {reason}")
+
+    if blob[:4] != CHECKPOINT_MAGIC:
+        raise refused("not a checkpoint")
+    if len(blob) < 8:
+        raise refused("cut inside the header length")
+    start = 8 + struct.unpack_from("<I", blob, 4)[0]
+    try:
+        header = json.loads(blob[8:start])
+        version = header.get("version")
+    except (ValueError, AttributeError) as e:
+        raise refused("unreadable checkpoint header") from e
+    if version != VERSION:
+        raise refused(f"checkpoint format version {version!r}; this reader "
+                      f"takes version {VERSION}")
+    missing = [k for k in (*_HEADER_INTS, "hidden_dims", "rng_state")
+               if k not in header]
+    if missing:
+        raise refused(f"checkpoint header lacks {missing}")
+    hidden = header["hidden_dims"]
+    n_visible, n_classes, held, labeled_seen, updates = (
+        header[k] for k in _HEADER_INTS)
+    if not (isinstance(hidden, list) and hidden
+            and all(_is_int(v, 1) for v in [n_visible, n_classes, *hidden])
+            and all(_is_int(v, 0) for v in (held, labeled_seen, updates))):
+        raise refused("checkpoint header dimensions must be positive integers "
+                      "and its counters non-negative integers")
     # the particle block is the one trace of the estimator in the file: only
     # SAP keeps particles, as many as its config asks for
-    held = 0 if meta is None else meta["m"]
     needed = config.n_particles if config.estimator == "sap" else 0
     if held != needed:
-        raise ValueError(f"{path}: checkpoint holds {held} fantasy particles, "
-                         f"a {config.estimator} config needs {needed}")
+        raise refused(f"checkpoint holds {held} fantasy particles, "
+                      f"a {config.estimator} config needs {needed}")
+    # the weights alone bound the arrays' size from below: a header whose
+    # dimensions outgrow the file is refused before anything is allocated
+    below = [n_visible, *hidden[:-1]]
+    if 8 * sum(h * (b + n_classes) for h, b in zip(hidden, below)) > len(blob):
+        raise refused("cut short: its dimensions need more bytes than it holds")
     rng = np.random.Generator(np.random.PCG64())
-    trainer = trainer_cls(model, config, rng)
-    # reset after construction: building a SAP trainer draws from the rng
-    rng.bit_generator.state = header["rng_state"]
-    trainer.rec = rec
-    trainer.labeled_seen = header["labeled_seen"]
-    trainer.updates = header["updates"]
-    if meta is not None:
-        m = meta["m"]
-        x = _read_array(part_buf, (m, meta["visible"]))
-        hs = [_read_array(part_buf, (m, h)) for h in meta["hidden"]]
-        y = np.frombuffer(part_buf.read(m * 8), dtype="<i8").copy()
-        trainer.particles = FantasyParticles(x, hs, y)
+    trainer = Trainer(HybridParams.from_dims(n_visible, hidden, n_classes),
+                      config, rng)
+    arrays = _float_arrays(trainer)
+    n_floats = sum(arr.size for arr in arrays)
+    extra = len(blob) - start - 8 * (n_floats + held)
+    if extra < 0:
+        raise refused(f"cut {-extra} bytes short of its last array")
+    if extra > 0:
+        raise refused(f"{extra} bytes after its last array")
+    floats = np.frombuffer(blob, dtype="<f8", count=n_floats, offset=start)
+    for arr, saved in zip(arrays, split_views(floats, [a.shape for a in arrays])):
+        arr[...] = saved
+    if held:
+        trainer.particles.y[...] = np.frombuffer(
+            blob, dtype="<i8", count=held, offset=start + 8 * n_floats)
+    try:
+        # set after construction: building a SAP trainer draws from the rng
+        rng.bit_generator.state = header["rng_state"]
+    except (ValueError, KeyError, TypeError) as e:
+        raise refused("unreadable generator state") from e
+    trainer.labeled_seen = labeled_seen
+    trainer.updates = updates
     return trainer

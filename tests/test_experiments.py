@@ -313,3 +313,29 @@ def test_architecture_must_fit_the_images(arch, tmp_path, monkeypatch):
     config = {"architecture": arch, "n_labeled": 40, "n_valid": 20, "epochs": 1}
     with pytest.raises(ValueError, match="does not fit"):
         experiments.run_mnist_trial(config, 0, train, test)
+
+
+@pytest.mark.parametrize("run", ["stream", "offline"])
+def test_trainer_estimator_key_raises(run, tmp_path, monkeypatch):
+    # the model kind picks the estimator: a config's estimator would be
+    # overwritten for the hybrids and unread by the MLPs, so it is refused
+    # before any model is built
+    def no_build(*args, **kwargs):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr(experiments, "build_model", no_build)
+    trainer_cfg = {"estimator": "sap", "keep_prob": 0.5}
+    if run == "stream":
+        args = (small_config(models=["dhbm-mf"], trainer=trainer_cfg), 0,
+                str(tmp_path))
+        trial = experiments.run_stream_trial
+    else:
+        write_tiny_mnist(tmp_path)
+        args = ({"architecture": "36-16-4", "n_labeled": 40, "n_valid": 20,
+                 "epochs": 1, "models": ["dhbm-mf"], "trainer": trainer_cfg}, 0,
+                load_idx(*mnist_paths(str(tmp_path), "train")),
+                load_idx(*mnist_paths(str(tmp_path), "test")))
+        trial = experiments.run_mnist_trial
+    with pytest.raises(ValueError,
+                       match="dhbm-mf: mf-cd, dhbm-sap: sap, dhda: mf-bp"):
+        trial(*args)

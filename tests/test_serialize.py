@@ -1,5 +1,6 @@
 import hashlib
-import io
+import json
+import re
 import struct
 
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 
 from hybridstream import dhbm, serialize, trainer
 from hybridstream.numerics import make_rng
-from hybridstream.recognition import init_from_model
 from test_trainer import mixed_batch
 
 
@@ -18,113 +18,126 @@ def random_model(seed=0):
     return params
 
 
-# sha256 of containers built from fixed seeds: the version-1 byte format,
-# which must not change without a version bump.  The checkpoint's was
-# re-recorded when the learning rate moved into the row weights and SAP's
-# phases into one signed pass, which changes the trained parameters, not
-# the format
-PINNED_SHA256 = {
-    "params": "f29c187250f27a284d6e462d042fc54e33c5db3599377eba6f26b1ab9cf8b3c5",
-    "rec": "fe95028ca841485a6876059608c011b730daf3a0850d2620712f8f15c7af1026",
-    "checkpoint": "74b31086d43c353212e8d319b249d883537a1c602e0725506024f88d46eaba82",
-}
+# sha256 of a checkpoint built from fixed seeds: the version-2 byte format,
+# which must not change without a version bump
+PINNED_SHA256 = "c4304d6dd9fc31bf90fa12be867f603446ae7f558dbeec49236637c3dc3fa21b"
 
 
-def sap_trainer_after_updates():
-    cfg = trainer.TrainerConfig(estimator="sap", n_particles=4)
+def trainer_after_updates(cfg):
     tr = trainer.Trainer(random_model(7), cfg, make_rng(8))
     rng = make_rng(9)
     for _ in range(5):
         tr.update(*mixed_batch(rng.random((3, 4)), rng.integers(0, 3, 3),
                                rng.random((2, 4))))
-    return cfg, tr
+    return tr
 
 
-def test_params_bytes_pinned():
-    buf = io.BytesIO()
-    serialize.dump_params(random_model(), buf)
-    assert hashlib.sha256(buf.getvalue()).hexdigest() == PINNED_SHA256["params"]
+def sap_trainer_after_updates():
+    cfg = trainer.TrainerConfig(estimator="sap", n_particles=4)
+    return cfg, trainer_after_updates(cfg)
 
 
-def test_rec_bytes_pinned():
-    buf = io.BytesIO()
-    serialize.dump_rec(init_from_model(random_model()), buf)
-    assert hashlib.sha256(buf.getvalue()).hexdigest() == PINNED_SHA256["rec"]
+def saved_bytes(tmp_path, tr):
+    path = tmp_path / "whole.hsck"
+    serialize.save_checkpoint(path, tr)
+    return path.read_bytes()
+
+
+def kept_state(tr):
+    """The raw bytes of every array a checkpoint keeps, then the generator
+    state and both counters."""
+    arrays = [tr.model.data, tr.rec.data]
+    if tr.particles is not None:
+        arrays += [tr.particles.x, *tr.particles.hs, tr.particles.y]
+    return ([(a.dtype.str, a.shape, a.tobytes()) for a in arrays],
+            tr.rng.bit_generator.state, tr.labeled_seen, tr.updates)
 
 
 def test_checkpoint_bytes_pinned(tmp_path):
     _, tr = sap_trainer_after_updates()
-    path = tmp_path / "ckpt.hsck"
-    serialize.save_checkpoint(path, tr)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
-        PINNED_SHA256["checkpoint"]
-
-
-def test_params_roundtrip():
-    params = random_model()
-    buf = io.BytesIO()
-    serialize.dump_params(params, buf)
-    buf.seek(0)
-    loaded = serialize.load_params(buf)
-    for a, b in zip(params.layers, loaded.layers):
-        assert np.array_equal(a.W, b.W)
-        assert np.array_equal(a.U, b.U)
-        assert np.array_equal(a.b_hidden, b.b_hidden)
-        assert np.array_equal(a.b_visible, b.b_visible)
-    assert np.array_equal(params.b_class, loaded.b_class)
-
-
-def test_params_bad_magic():
-    with pytest.raises(ValueError):
-        serialize.load_params(io.BytesIO(b"XXXX" + b"\0" * 32))
-
-
-def test_params_truncated():
-    params = random_model()
-    buf = io.BytesIO()
-    serialize.dump_params(params, buf)
-    data = buf.getvalue()[:-8]
-    with pytest.raises(ValueError, match="truncated"):
-        serialize.load_params(io.BytesIO(data))
-
-
-def test_rec_roundtrip():
-    rec = init_from_model(random_model(3))
-    buf = io.BytesIO()
-    serialize.dump_rec(rec, buf)
-    buf.seek(0)
-    loaded = serialize.load_rec(buf)
-    for a, b in zip(rec.layers, loaded.layers):
-        assert np.array_equal(a.R, b.R)
-        assert np.array_equal(a.b, b.b)
-
-
-def test_rec_rejects_unchained_shapes():
-    buf = io.BytesIO()
-    buf.write(serialize.REC_MAGIC)
-    buf.write(struct.pack("<II", serialize.VERSION, 2))
-    buf.write(struct.pack("<IIII", 3, 4, 2, 5))   # layer 1 expects 5 inputs, not 3
-    buf.write(b"\0" * 8 * (3 * 4 + 3 + 2 * 5 + 2))
-    buf.seek(0)
-    with pytest.raises(ValueError, match="chain"):
-        serialize.load_rec(buf)
+    assert hashlib.sha256(saved_bytes(tmp_path, tr)).hexdigest() == PINNED_SHA256
 
 
 def test_checkpoint_resumes_identically(tmp_path):
+    for cfg in (trainer.TrainerConfig(estimator="mf-cd"),
+                trainer.TrainerConfig(estimator="mf-bp"),
+                trainer.TrainerConfig(estimator="sap", n_particles=4)):
+        tr = trainer_after_updates(cfg)
+        path = tmp_path / f"{cfg.estimator}.hsck"
+        serialize.save_checkpoint(path, tr)
+        resumed = serialize.load_checkpoint(path, cfg)
+        assert kept_state(resumed) == kept_state(tr), cfg.estimator
+        # continuing both must keep every array, the generator and the
+        # counters bit-identical
+        rng = make_rng(10)
+        for _ in range(3):
+            batch = mixed_batch(rng.random((3, 4)), rng.integers(0, 3, 3),
+                                rng.random((2, 4)))
+            tr.update(*batch)
+            resumed.update(*batch)
+            assert kept_state(resumed) == kept_state(tr), cfg.estimator
+
+
+def test_checkpoint_cut_at_any_length_is_refused(tmp_path):
     cfg, tr = sap_trainer_after_updates()
-    path = tmp_path / "ckpt.hsck"
-    serialize.save_checkpoint(path, tr)
-    resumed = serialize.load_checkpoint(path, cfg, trainer.Trainer)
-    assert resumed.updates == tr.updates
-    assert resumed.labeled_seen == tr.labeled_seen
-    assert np.array_equal(resumed.particles.x, tr.particles.x)
-    # continuing both must produce bit-identical parameters
-    x = make_rng(10).random((3, 4))
-    y = np.array([0, 1, 2])
-    tr.update(x, y)
-    resumed.update(x, y)
-    assert np.array_equal(tr.model.layers[0].W, resumed.model.layers[0].W)
-    assert np.array_equal(tr.particles.x, resumed.particles.x)
+    data = saved_bytes(tmp_path, tr)
+    path = tmp_path / "cut.hsck"
+    for n in range(len(data)):
+        path.write_bytes(data[:n])
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            serialize.load_checkpoint(path, cfg)
+
+
+def test_checkpoint_trailing_byte_is_refused(tmp_path):
+    cfg, tr = sap_trainer_after_updates()
+    path = tmp_path / "padded.hsck"
+    path.write_bytes(saved_bytes(tmp_path, tr) + b"\0")
+    with pytest.raises(ValueError, match="1 bytes after its last array"):
+        serialize.load_checkpoint(path, cfg)
+
+
+def with_header(data, change):
+    """The checkpoint `data` with its header replaced by change(header)."""
+    (hlen,) = struct.unpack_from("<I", data, 4)
+    header = change(json.loads(data[8:8 + hlen]))
+    raw = header if isinstance(header, bytes) else json.dumps(header).encode()
+    return data[:4] + struct.pack("<I", len(raw)) + raw + data[8 + hlen:]
+
+
+def test_version_1_checkpoint_is_refused_naming_both_versions(tmp_path):
+    cfg, tr = sap_trainer_after_updates()
+    # the version-1 header: byte counts of nested containers
+    v1 = {"version": 1, "model_bytes": 0, "rec_bytes": 0, "particle_bytes": 0,
+          "particles": None, "labeled_seen": 0, "updates": 0,
+          "rng_state": tr.rng.bit_generator.state}
+    path = tmp_path / "v1.hsck"
+    path.write_bytes(with_header(saved_bytes(tmp_path, tr), lambda _: v1))
+    with pytest.raises(ValueError, match="version 1.*version 2"):
+        serialize.load_checkpoint(path, cfg)
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda h: b"{not json", "unreadable checkpoint header"),
+    (lambda h: b"[2]", "unreadable checkpoint header"),
+    (lambda h: {k: v for k, v in h.items() if k != "n_particles"},
+     "lacks \\['n_particles'\\]"),
+    (lambda h: dict(h, hidden_dims=[]), "dimension"),
+    (lambda h: dict(h, n_visible=-4), "dimension"),
+    (lambda h: dict(h, hidden_dims=[3, 2.0]), "dimension"),
+    (lambda h: dict(h, hidden_dims=[10 ** 9, 2]), "cut short"),
+    (lambda h: dict(h, updates=-1), "counter"),
+    (lambda h: dict(h, rng_state={"bit_generator": "MT19937"}),
+     "generator state"),
+], ids=["not-json", "not-an-object", "missing-key", "no-hidden-layer",
+        "negative-dimension", "float-dimension", "outgrows-the-file",
+        "negative-counter",
+        "other-generator"])
+def test_bad_header_is_refused(tmp_path, change, message):
+    cfg, tr = sap_trainer_after_updates()
+    path = tmp_path / "bad.hsck"
+    path.write_bytes(with_header(saved_bytes(tmp_path, tr), change))
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + message):
+        serialize.load_checkpoint(path, cfg)
 
 
 @pytest.mark.parametrize("config", [
@@ -137,7 +150,7 @@ def test_sap_checkpoint_rejects_other_config(tmp_path, config):
     path = tmp_path / "ckpt.hsck"
     serialize.save_checkpoint(path, tr)
     with pytest.raises(ValueError, match="fantasy particles"):
-        serialize.load_checkpoint(path, config, trainer.Trainer)
+        serialize.load_checkpoint(path, config)
 
 
 def test_non_sap_checkpoint_rejects_sap_config(tmp_path):
@@ -146,15 +159,13 @@ def test_non_sap_checkpoint_rejects_sap_config(tmp_path):
     tr.update(make_rng(9).random((3, 4)), np.array([0, 1, 2]))
     path = tmp_path / "ckpt.hsck"
     serialize.save_checkpoint(path, tr)
-    assert serialize.load_checkpoint(path, cfg, trainer.Trainer).particles is None
+    assert serialize.load_checkpoint(path, cfg).particles is None
     with pytest.raises(ValueError, match="fantasy particles"):
-        serialize.load_checkpoint(
-            path, trainer.TrainerConfig(estimator="sap"), trainer.Trainer)
+        serialize.load_checkpoint(path, trainer.TrainerConfig(estimator="sap"))
 
 
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "bad.hsck"
     path.write_bytes(b"WHAT" + b"\0" * 8)
     with pytest.raises(ValueError):
-        serialize.load_checkpoint(path, trainer.TrainerConfig(),
-                                  trainer.Trainer)
+        serialize.load_checkpoint(path, trainer.TrainerConfig())

@@ -172,9 +172,10 @@ def count_calls(monkeypatch, targets):
 def test_one_pass_per_batch(estimator, monkeypatch):
     # a batch of labeled and unlabeled rows takes one recognition pass and
     # one class posterior before mean-field (or the DHDA forward pass), SAP
-    # advances its particles one sweep, MF-CD reconstructs the input once,
-    # and no update builds a container; a predict of the same batch before
-    # the update leaves one recognition pass for the two calls
+    # advances its particles one sweep (which draws x from cond_x once),
+    # MF-CD reconstructs the input once, and no update builds a container; a
+    # predict of the same batch before the update leaves one recognition
+    # pass for the two calls
     tr = make_trainer(estimator, seed=50, n_particles=4, num_steps=3)
     calls = count_calls(monkeypatch, (
         (recognition, "recognize"), (dhbm, "cond_y"), (dhbm, "cond_x"),
@@ -197,7 +198,7 @@ def test_one_pass_per_batch(estimator, monkeypatch):
         assert names[:first] == (["cond_y"] if step % 2
                                  else ["recognize", "cond_y"])
         assert names.count("recognize") == (0 if step % 2 else 1)
-        assert names.count("cond_x") == (1 if estimator == "mf-cd" else 0)
+        assert names.count("cond_x") == (0 if estimator == "mf-bp" else 1)
         sweeps = [args[5] for name, args in calls if name == "gibbs_sweeps"]
         assert sweeps == ([1] if estimator == "sap" else [])
         assert "flat_views" not in names
