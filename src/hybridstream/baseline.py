@@ -4,53 +4,20 @@ unlabeled samples (entropy-regularization self-training), one weighted
 pass per batch.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .numerics import ViewRecord, flat_views, one_hot, relu, softmax
+from .numerics import DenseParams, one_hot, relu, softmax
 
 EPS = 1e-12
 
 
-@dataclass
-class MlpParams(ViewRecord):
-    """Every weight in one float64 vector `data`, laid out per layer as W, b;
-    `Ws` and `bs` hold views of it.  Gradients share the type."""
-    data: np.ndarray
-    Ws: tuple
-    bs: tuple
-
-    @property
-    def n_classes(self):
-        return self.Ws[-1].shape[0]
-
-    @property
-    def dims(self):
-        """[n_visible, hidden sizes..., n_classes]."""
-        return [self.Ws[0].shape[1]] + [W.shape[0] for W in self.Ws]
-
-    @classmethod
-    def from_dims(cls, dims, data=None):
-        """Views over `data`, or over a zero vector when it is None."""
-        shapes = []
-        for below, above in zip(dims[:-1], dims[1:]):
-            shapes += [(above, below), (above,)]
-        data, views = flat_views(shapes, data)
-        return cls(data, tuple(views[::2]), tuple(views[1::2]))
-
-    def copy(self):
-        return self.from_dims(self.dims, self.data.copy())
-
-    def zeros_like(self):
-        return self.from_dims(self.dims)
-
-    @classmethod
-    def initialize(cls, n_visible, hidden_dims, n_classes, rng, weight_std=0.01):
-        params = cls.from_dims([n_visible] + list(hidden_dims) + [n_classes])
-        for W in params.Ws:
-            W[...] = rng.normal(0.0, weight_std, size=W.shape)
-        return params
+def init_mlp(n_visible, hidden_dims, n_classes, rng, weight_std=0.01):
+    """The MLP's start: Gaussian weights (mean 0, std `weight_std`), zero
+    biases."""
+    params = DenseParams.from_dims([n_visible, *hidden_dims, n_classes])
+    for W in params.Ws:
+        W[...] = rng.normal(0.0, weight_std, size=W.shape)
+    return params
 
 
 def mlp_forward(params, x, keep_prob=1.0, train_mode=False, rng=None):
@@ -143,7 +110,7 @@ def mlp_update(params, x, labels, lr, beta, keep_prob=1.0, rng=None,
         w = np.full(n_lab, lr / n_lab)
     else:
         return params
-    grads = mlp_gradients(params, x, one_hot(targets, params.n_classes), w,
+    grads = mlp_gradients(params, x, one_hot(targets, params.dims[-1]), w,
                           keep_prob, train_mode=True, rng=rng, out=out)
     np.subtract(params.data, grads.data, out=params.data)
     return params

@@ -89,9 +89,9 @@ def gradcheck_recognition(seed=11, dims=(3, 4, 3, 2), batch=3):
         return recognition.kl_loss(recognition.recognize(rec, x), mu)
 
     worst = 0.0
-    for layer, g in zip(rec.layers, grads.layers):
-        worst = max(worst, np.max(_rel_err(g.R, _fd(loss, layer.R))))
-        worst = max(worst, np.max(_rel_err(g.b, _fd(loss, layer.b))))
+    for W, b, gW, gb in zip(rec.Ws, rec.bs, grads.Ws, grads.bs):
+        worst = max(worst, np.max(_rel_err(gW, _fd(loss, W))))
+        worst = max(worst, np.max(_rel_err(gb, _fd(loss, b))))
     return worst
 
 
@@ -161,7 +161,7 @@ def gradcheck_mlp(seed=17, batch=3):
     with a different weight on every row."""
     rng = make_rng(seed)
     d, hidden, c = 4, [5, 4], 3
-    params = baseline.MlpParams.initialize(d, hidden, c, rng, weight_std=0.5)
+    params = baseline.init_mlp(d, hidden, c, rng, weight_std=0.5)
     x = rng.random((batch, d))
     y = one_hot(rng.integers(0, c, batch), c)
     w = rng.uniform(0.1, 1.0, batch)

@@ -7,7 +7,7 @@ models the identical semi-supervised batches.  Iterations count instances.
 
 import json
 import os
-from dataclasses import asdict
+from dataclasses import replace
 
 import numpy as np
 
@@ -57,6 +57,8 @@ def parse_architecture(arch):
     parts = [int(p) for p in arch.split("-")]
     if len(parts) < 3:
         raise ValueError(f"architecture {arch!r} needs at least D-H-C")
+    if min(parts) < 1:
+        raise ValueError(f"architecture {arch!r} has a size below 1")
     return parts[0], parts[1:-1], parts[-1]
 
 
@@ -64,8 +66,7 @@ class MlpPseudoLabelModel:
     """Adapter giving the baseline MLP the trainer's update/predict surface."""
 
     def __init__(self, n_visible, hidden_dims, n_classes, config, rng):
-        self.params = baseline.MlpParams.initialize(
-            n_visible, hidden_dims, n_classes, rng)
+        self.params = baseline.init_mlp(n_visible, hidden_dims, n_classes, rng)
         self.config = config
         self.rng = rng
         self._grad = self.params.zeros_like()   # overwritten by every update
@@ -94,18 +95,13 @@ def build_model(kind, n_visible, hidden_dims, n_classes, config, rng):
     if kind == "mlp-pl":
         return MlpPseudoLabelModel(n_visible, hidden_dims, n_classes, config, rng)
     if kind == "mlp-lab":
-        cfg_dict = asdict(config)
-        cfg_dict["beta_f"] = 0.0
         return MlpPseudoLabelModel(n_visible, hidden_dims, n_classes,
-                                   TrainerConfig(**cfg_dict), rng)
+                                   replace(config, beta_f=0.0), rng)
     estimator = KIND_ESTIMATORS.get(kind)
     if estimator is None:
         raise ValueError(f"unknown model kind {kind!r}")
-    cfg_dict = asdict(config)
-    cfg_dict["estimator"] = estimator
-    cfg = TrainerConfig(**cfg_dict)
     params = HybridParams.initialize(n_visible, hidden_dims, n_classes, rng)
-    return Trainer(params, cfg, rng)
+    return Trainer(params, replace(config, estimator=estimator), rng)
 
 
 def run_stream_trial(config, trial, out_dir):
@@ -198,6 +194,7 @@ def _trial_worker(args):
 
 def run_mnist_trial(config, trial, dataset, test_set):
     """Offline semi-supervised run with validation-based model selection."""
+    _check_keys(config, MNIST_KEYS)
     n_visible, hidden_dims, n_classes = parse_architecture(config["architecture"])
     n_pixels = dataset.images.shape[1]
     n_labels = int(max(dataset.labels.max(), test_set.labels.max())) + 1

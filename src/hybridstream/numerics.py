@@ -1,5 +1,5 @@
-"""Activation functions, seeded randomness and the flat parameter layout
-shared by every model component.
+"""Activation functions, seeded randomness, the flat parameter layout
+shared by every model component and the dense-network parameter type.
 
 All arithmetic is double precision.  Randomness is never global: callers
 construct a Generator with :func:`make_rng` and pass it explicitly so that
@@ -62,6 +62,38 @@ class ViewRecord:
 
     def __delattr__(self, name):
         raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+@dataclasses.dataclass
+class DenseParams(ViewRecord):
+    """A dense feed-forward network's weights in one float64 vector `data`,
+    laid out per layer as W (out, in), b (out,); `Ws` and `bs` hold views of
+    it.  The recognition net and the baseline MLP are both one; a gradient
+    shares the type (see :meth:`zeros_like`)."""
+    data: np.ndarray
+    Ws: tuple
+    bs: tuple
+
+    @property
+    def dims(self):
+        """[input size, each layer's output size...]."""
+        return [self.Ws[0].shape[1]] + [W.shape[0] for W in self.Ws]
+
+    @classmethod
+    def from_dims(cls, dims, data=None):
+        """Views over `data`, or over a zero vector when it is None."""
+        shapes = []
+        for below, above in zip(dims[:-1], dims[1:]):
+            shapes += [(above, below), (above,)]
+        data, views = flat_views(shapes, data)
+        return cls(data, tuple(views[::2]), tuple(views[1::2]))
+
+    def copy(self):
+        return self.from_dims(self.dims, self.data.copy())
+
+    def zeros_like(self):
+        """Zero parameters of the same layout, the container of a gradient."""
+        return self.from_dims(self.dims)
 
 
 def sigmoid(v, out=None):

@@ -6,8 +6,8 @@ and a JSON header holding the version, the model's dimensions
 (0 unless SAP), the counters ``labeled_seen`` and ``updates`` and the
 generator state.  The raw little-endian arrays follow in a fixed order: the
 model's flat vector (``HybridParams.data``), the recognition net's
-(``RecognitionParams.data``) and, for SAP, the particles' x, each h^l and
-y (``<i8``); the others are ``<f8``.  Every array's size follows from the
+(``DenseParams.data``) and, for SAP, the particles' x, each h^l and y
+(``<i8``); the others are ``<f8``.  Every array's size follows from the
 dimensions, so the header holds no byte counts, and a file with fewer or
 more bytes than they give is refused.
 """

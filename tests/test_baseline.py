@@ -11,13 +11,13 @@ from test_trainer import mixed_batch, record_unit_weight_calls
 
 
 def test_zero_params_uniform_output():
-    p = baseline.MlpParams.initialize(4, [3], 5, make_rng(0), weight_std=0.0)
+    p = baseline.init_mlp(4, [3], 5, make_rng(0), weight_std=0.0)
     _, probs, _ = baseline.mlp_forward(p, np.ones((2, 4)))
     assert np.allclose(probs, 0.2, atol=1e-12)
 
 
 def test_keep_prob_one_train_equals_eval():
-    p = baseline.MlpParams.initialize(4, [3, 3], 2, make_rng(1), weight_std=0.5)
+    p = baseline.init_mlp(4, [3, 3], 2, make_rng(1), weight_std=0.5)
     x = make_rng(2).random((3, 4))
     _, train_probs, _ = baseline.mlp_forward(p, x, keep_prob=1.0,
                                              train_mode=True, rng=make_rng(3))
@@ -26,7 +26,7 @@ def test_keep_prob_one_train_equals_eval():
 
 
 def test_one_unit_chain_hand_case():
-    p = baseline.MlpParams.initialize(1, [1], 2, make_rng(0), weight_std=0.0)
+    p = baseline.init_mlp(1, [1], 2, make_rng(0), weight_std=0.0)
     p.Ws[0][0, 0] = 2.0
     p.Ws[1][0, 0] = 1.0
     p.Ws[1][1, 0] = -1.0
@@ -42,7 +42,7 @@ def test_gradients_match_finite_differences():
 
 
 def test_update_zero_lr_is_identity():
-    p = baseline.MlpParams.initialize(4, [3], 2, make_rng(4), weight_std=0.5)
+    p = baseline.init_mlp(4, [3], 2, make_rng(4), weight_std=0.5)
     before = p.copy()
     x = make_rng(5).random((4, 4))
     baseline.mlp_update(p, *mixed_batch(x, np.array([0, 1, 0, 1]), x), 0.0, 0.5)
@@ -55,7 +55,7 @@ def test_beta_zero_ignores_unlabeled():
     x = make_rng(6).random((4, 4))
     y = np.array([0, 1, 1, 0])
     u = make_rng(7).random((6, 4))
-    p1 = baseline.MlpParams.initialize(4, [3], 2, make_rng(8), weight_std=0.5)
+    p1 = baseline.init_mlp(4, [3], 2, make_rng(8), weight_std=0.5)
     p2 = p1.copy()
     rng1, rng2 = make_rng(9), make_rng(9)
     baseline.mlp_update(p1, *mixed_batch(x, y, u), 0.1, 0.0, 0.5, rng1)
@@ -69,7 +69,7 @@ def test_supervised_training_fits_toy_set():
     n = 40
     x = rng.random((n, 4))
     y = (x[:, 0] + x[:, 1] > x[:, 2] + x[:, 3]).astype(int)
-    p = baseline.MlpParams.initialize(4, [16], 2, make_rng(10), weight_std=0.3)
+    p = baseline.init_mlp(4, [16], 2, make_rng(10), weight_std=0.3)
     for _ in range(400):
         baseline.mlp_update(p, x, y, 0.2, 0.0)
     pred = np.argmax(baseline.mlp_predict(p, x), axis=1)
@@ -83,8 +83,7 @@ def weighted_sides(dims, lab, beta, seed):
     lab = np.asarray(lab)
     n_lab, n_unlab = int(lab.sum()), int((~lab).sum())
     rng = make_rng(seed)
-    p = baseline.MlpParams.initialize(dims[0], dims[1:-1], dims[-1], rng,
-                                      weight_std=0.5)
+    p = baseline.init_mlp(dims[0], dims[1:-1], dims[-1], rng, weight_std=0.5)
     x = rng.random((len(lab), dims[0]))
     y = one_hot(rng.integers(0, dims[-1], len(lab)), dims[-1])
 
@@ -106,7 +105,7 @@ def test_update_steps_along_the_sum_of_sides():
     # 1/n_lab) + beta * g(unlabeled rows, 1/n_unlab), the unlabeled rows
     # carrying the argmax of the eval pass as their targets
     rng = make_rng(41)
-    p = baseline.MlpParams.initialize(6, [5, 4], 3, rng, weight_std=0.5)
+    p = baseline.init_mlp(6, [5, 4], 3, rng, weight_std=0.5)
     x_lab, x_unlab = rng.random((4, 6)), rng.random((5, 6))
     y_lab = one_hot(rng.integers(0, 3, 4), 3)
     y_unlab = one_hot(np.argmax(baseline.mlp_predict(p, x_unlab), axis=1), 3)
@@ -125,7 +124,7 @@ def test_update_is_lr_times_the_unit_weight_gradient(monkeypatch):
     # drop-out draw, and the step is one subtract of it, to the last bit
     lr, beta = 0.37, 0.3
     rng = make_rng(42)
-    p = baseline.MlpParams.initialize(6, [5, 4], 3, rng, weight_std=0.5)
+    p = baseline.init_mlp(6, [5, 4], 3, rng, weight_std=0.5)
     x, labels = mixed_batch(rng.random((4, 6)), rng.integers(0, 3, 4),
                             rng.random((5, 6)))
     w_unit = np.where(labels >= 0, 1.0 / 4, beta / 5)
@@ -162,7 +161,7 @@ def test_log_loss_perfect_prediction():
 
 
 def test_train_mode_dropout_requires_rng():
-    p = baseline.MlpParams.initialize(4, [3], 2, make_rng(11))
+    p = baseline.init_mlp(4, [3], 2, make_rng(11))
     with pytest.raises(ValueError):
         baseline.mlp_forward(p, np.ones((1, 4)), keep_prob=0.5, train_mode=True)
 
@@ -173,7 +172,7 @@ def test_update_bits_pinned():
     # into the row weights of the one weighted pass; the same under one and
     # two BLAS threads
     rng = make_rng(24)
-    p = baseline.MlpParams.initialize(24, [12, 12], 10, rng, weight_std=0.1)
+    p = baseline.init_mlp(24, [12, 12], 10, rng, weight_std=0.1)
     for _ in range(10):
         baseline.mlp_update(p, *mixed_batch(rng.random((6, 24)),
                                             rng.integers(0, 10, 6),

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from hybridstream import dhbm
-from hybridstream.baseline import MlpParams
+from hybridstream.baseline import init_mlp
 from hybridstream.numerics import make_rng, one_hot
-from hybridstream.recognition import RecognitionParams, init_from_model, recognize
+from hybridstream.recognition import init_from_model, recognize
 
 
 def tiny_model(seed=0, d=3, hidden=(2, 2), c=2, scale=1.0):
@@ -133,15 +133,13 @@ def _views_in_layout_order(p):
     if isinstance(p, dhbm.HybridParams):
         return [a for lp in p.layers
                 for a in (lp.W, lp.U, lp.b_hidden, lp.b_visible)] + [p.b_class]
-    if isinstance(p, RecognitionParams):
-        return [a for layer in p.layers for a in (layer.R, layer.b)]
     return [a for W, b in zip(p.Ws, p.bs) for a in (W, b)]
 
 
 @pytest.mark.parametrize("make", [
     lambda: tiny_model(0),
     lambda: init_from_model(tiny_model(1)),
-    lambda: MlpParams.initialize(3, [4, 2], 3, make_rng(2)),
+    lambda: init_mlp(3, [4, 2], 3, make_rng(2)),
 ], ids=["hybrid", "recognition", "mlp"])
 def test_views_tile_the_flat_vector(make):
     p = make()
@@ -171,18 +169,18 @@ def test_views_tile_the_flat_vector(make):
 def test_plus_equals_on_views_updates_data_once():
     hybrid = tiny_model(3)
     rec = init_from_model(tiny_model(4))
-    mlp = MlpParams.initialize(3, [4], 3, make_rng(2))
+    mlp = init_mlp(3, [4], 3, make_rng(2))
     expected = [p.copy() for p in (hybrid, rec, mlp)]
     lp = hybrid.layers[1]
     lp.W += 1.0
     hybrid.b_class -= 0.5
-    layer = rec.layers[0]
-    layer.R += 1.0
+    W = rec.Ws[0]
+    W += 1.0
     rec.data *= 2.0
     mlp.data += 1.0
     expected[0].layers[1].W[...] += 1.0
     expected[0].b_class[...] -= 0.5
-    expected[1].layers[0].R[...] += 1.0
+    expected[1].Ws[0][...] += 1.0
     expected[1].data[...] *= 2.0
     expected[2].data[...] += 1.0
     for p, want in zip((hybrid, rec, mlp), expected):

@@ -150,7 +150,7 @@ def gradient_case(name):
         mu = [rng.random((4, 4)), rng.random((4, 3))]
         return (lambda out: recognition.rec_gradients(rec, x, mu, w, out=out)), \
             rec.zeros_like()
-    mlp = baseline.MlpParams.initialize(5, [4, 3], 3, make_rng(25), weight_std=0.5)
+    mlp = baseline.init_mlp(5, [4, 3], 3, make_rng(25), weight_std=0.5)
     return (lambda out: baseline.mlp_gradients(
         mlp, x, y, w, 0.5, train_mode=True, rng=make_rng(26), out=out)), \
         mlp.zeros_like()

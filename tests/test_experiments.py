@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from hybridstream import baseline, dhbm, experiments, numerics, recognition
+from hybridstream import baseline, dhbm, experiments, numerics
 from hybridstream.datasets import load_idx, mnist_paths
 from hybridstream.evaluation import read_curve
 from hybridstream.numerics import make_rng
@@ -21,6 +21,13 @@ def test_parse_architecture():
     assert experiments.parse_architecture("4-3-2") == (4, [3], 2)
     with pytest.raises(ValueError):
         experiments.parse_architecture("4-2")
+
+
+@pytest.mark.parametrize("arch", ["24-0-10", "0-24-10", "24-24-0"])
+def test_architecture_size_below_one_raises(arch):
+    # a zero-unit layer would train every kind to a constant predictor
+    with pytest.raises(ValueError, match=arch):
+        experiments.parse_architecture(arch)
 
 
 def small_config(**kw):
@@ -118,7 +125,8 @@ def test_updates_after_the_first_build_no_container(kind, monkeypatch):
         built.append(args)
         return flat_views(*args, **kwargs)
 
-    for module in (numerics, dhbm, recognition, baseline):
+    # the modules that import flat_views: numerics builds every DenseParams
+    for module in (numerics, dhbm):
         monkeypatch.setattr(module, "flat_views", counting)
     for _ in range(4):
         model.update(*mixed_batch(rng.random((4, 6)), rng.integers(0, 3, 4),
@@ -279,6 +287,12 @@ def test_unknown_offline_config_key_raises(tmp_path):
     config = {"architecture": "36-16-4", "epoch": 2, "data_root": str(tmp_path)}
     with pytest.raises(ValueError, match="epoch"):
         experiments.run_mnist_experiment(config, str(tmp_path / "out"))
+    # a trial called directly checks its keys too
+    write_tiny_mnist(tmp_path)
+    with pytest.raises(ValueError, match="epoch"):
+        experiments.run_mnist_trial(
+            config, 0, load_idx(*mnist_paths(str(tmp_path), "train")),
+            load_idx(*mnist_paths(str(tmp_path), "test")))
 
 
 @pytest.mark.parametrize("arch", ["24-8-12", "24-8-5", "20-8-10", "40-8-10"])

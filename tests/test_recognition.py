@@ -13,21 +13,22 @@ def small_net(seed=0, dims=(3, 4, 3)):
 
 def test_init_copies_model_weights():
     model, rec = small_net()
-    for lp, layer in zip(model.layers, rec.layers):
-        assert np.array_equal(lp.W, layer.R)
-        assert np.array_equal(lp.b_hidden, layer.b)
+    assert rec.dims == [3, 4, 3]
+    for lp, W, b in zip(model.layers, rec.Ws, rec.bs):
+        assert np.array_equal(lp.W, W)
+        assert np.array_equal(lp.b_hidden, b)
     # independent storage after init
-    rec.layers[0].R[...] += 1.0
-    assert not np.array_equal(model.layers[0].W, rec.layers[0].R)
+    rec.Ws[0][...] += 1.0
+    assert not np.array_equal(model.layers[0].W, rec.Ws[0])
 
 
 def test_recognize_doubling():
     _, rec = small_net()
     x = make_rng(1).random((2, 3))
     v = recognition.recognize(rec, x)
-    expect0 = sigmoid(2.0 * (x @ rec.layers[0].R.T) + rec.layers[0].b)
+    expect0 = sigmoid(2.0 * (x @ rec.Ws[0].T) + rec.bs[0])
     assert np.allclose(v[0], expect0, atol=1e-12)
-    expect1 = sigmoid(expect0 @ rec.layers[1].R.T + rec.layers[1].b)
+    expect1 = sigmoid(expect0 @ rec.Ws[1].T + rec.bs[1])
     assert np.allclose(v[1], expect1, atol=1e-12)
 
 
@@ -45,9 +46,9 @@ def test_gradients_vanish_at_target():
     x = make_rng(3).random((2, 3))
     v = recognition.recognize(rec, x)
     grads = recognition.rec_gradients(rec, x, v, np.full(2, 0.5))
-    for g in grads.layers:
-        assert np.allclose(g.R, 0.0, atol=1e-12)
-        assert np.allclose(g.b, 0.0, atol=1e-12)
+    for gW, gb in zip(grads.Ws, grads.bs):
+        assert np.allclose(gW, 0.0, atol=1e-12)
+        assert np.allclose(gb, 0.0, atol=1e-12)
 
 
 def test_gradients_from_passed_activations_match():

@@ -181,7 +181,7 @@ def test_one_pass_per_batch(estimator, monkeypatch):
         (recognition, "recognize"), (dhbm, "cond_y"), (dhbm, "cond_x"),
         (dhbm, "mean_field_step"), (dhda, "dhda_forward"),
         (kernels, "gibbs_sweeps"), (numerics, "flat_views"),
-        (dhbm, "flat_views"), (recognition, "flat_views")))
+        (dhbm, "flat_views")))
     rng = make_rng(51)
     for step in range(6):
         x, labels = mixed_batch(rng.random((4, 4)), rng.integers(0, 2, 4),
