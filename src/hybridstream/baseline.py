@@ -6,7 +6,8 @@ pass per batch.
 
 import numpy as np
 
-from .numerics import DenseParams, one_hot, relu, softmax
+from .numerics import (DenseParams, bernoulli_mask, one_hot, relu, row_weights,
+                       softmax)
 
 EPS = 1e-12
 
@@ -37,7 +38,7 @@ def mlp_forward(params, x, keep_prob=1.0, train_mode=False, rng=None):
             if train_mode:
                 if rng is None:
                     raise ValueError("train-mode drop-out needs an rng")
-                m = (rng.random(h.shape) < keep_prob).astype(np.float64)
+                m = bernoulli_mask(rng, *h.shape, keep_prob)
                 h = h * m
                 masks.append(m)
             else:
@@ -95,19 +96,15 @@ def mlp_update(params, x, labels, lr, beta, keep_prob=1.0, rng=None,
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     labels = np.asarray(labels)
-    lab = labels >= 0
-    n_lab = int(np.count_nonzero(lab))
-    n_unlab = len(labels) - n_lab
-    if beta != 0.0 and n_unlab > 0:
+    lab, w = row_weights(labels, lr, beta)
+    if beta != 0.0 and not lab.all():
         if probs is None:
             probs = mlp_predict(params, x, keep_prob)
         targets = np.where(lab, labels, np.argmax(probs, axis=1))
-        w = np.where(lab, lr / max(n_lab, 1), lr * beta / n_unlab)
-    elif n_lab > 0:
-        if n_unlab > 0:
-            x = x[lab]
+    elif lab.any():
+        if not lab.all():
+            x, w = x[lab], w[lab]
         targets = labels[lab]
-        w = np.full(n_lab, lr / n_lab)
     else:
         return params
     grads = mlp_gradients(params, x, one_hot(targets, params.dims[-1]), w,

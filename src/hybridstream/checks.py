@@ -6,8 +6,8 @@ for every back-propagated gradient.
 import numpy as np
 
 from . import baseline, dhbm, estimators, recognition
-from .dhda import dhda_forward, recon_cross_entropy
-from .numerics import make_rng, one_hot, softmax
+from .dhda import dhda_forward
+from .numerics import cross_entropy, make_rng, one_hot, sigmoid
 
 FD_STEP = 1e-5
 
@@ -95,27 +95,21 @@ def gradcheck_recognition(seed=11, dims=(3, 4, 3, 2), batch=3):
     return worst
 
 
-def _mf_bp_surrogate(params, x, y_onehot, frozen):
+def _mf_bp_surrogate(params, y_onehot, frozen):
     """The layer-local loss the MF-BP estimator differentiates.
 
     `frozen` captures every cross-layer quantity as a constant: encoder
     inputs, top-down pre-activation contributions, corruption masks and
     reconstruction targets.
     """
-    from .numerics import sigmoid
-    n = x.shape[0]
-    logits = params.b_class.copy()[None, :].repeat(n, axis=0)
+    hs = []
     recon_total = 0.0
     for l, lp in enumerate(params.layers):
         v_in, topdown, mask, v_target = frozen[l]
         h = sigmoid(v_in @ lp.W.T + topdown + lp.b_hidden)
-        h_hat = h * mask
-        z = sigmoid(h_hat @ lp.W + lp.b_visible)
-        recon_total += recon_cross_entropy(v_target, z)
-        logits = logits + h @ lp.U
-    p = softmax(logits)
-    logloss = float(-np.sum(y_onehot * np.log(np.clip(p, 1e-12, 1.0)))) / n
-    return recon_total + logloss
+        recon_total += cross_entropy(v_target, dhbm.cond_x(params, h * mask, l))
+        hs.append(h)
+    return recon_total + baseline.log_loss(dhbm.cond_y(params, hs), y_onehot)
 
 
 def gradcheck_mf_bp(seed=13, batch=2):
@@ -143,7 +137,7 @@ def gradcheck_mf_bp(seed=13, batch=2):
                                        np.full(batch, 1.0 / batch))
 
     def loss():
-        return _mf_bp_surrogate(params, x, y, frozen)
+        return _mf_bp_surrogate(params, y, frozen)
 
     worst = 0.0
     for lp, g in zip(params.layers, grads.layers):

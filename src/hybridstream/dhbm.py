@@ -124,23 +124,26 @@ def cond_h(params, l, y_probs, below, above=None):
 
     sigma(U_l y + W_l v_{l-1} + W_{l+1}' h_{l+1} + b); accepts mean vectors in
     place of binary states, and batches (rows) in place of single vectors.
+    With `y_probs` None there is no class term: the DHDA's encoder.
     """
     lp = params.layers[l]
     if l + 1 < params.n_layers and above is None:
         raise ValueError(f"layer {l} requires the state of layer {l + 1}")
     # the terms are summed left to right in one array
     pre = below @ lp.W.T
-    np.add(pre, y_probs @ lp.U.T, out=pre)
+    if y_probs is not None:
+        np.add(pre, y_probs @ lp.U.T, out=pre)
     np.add(pre, lp.b_hidden, out=pre)
     if l + 1 < params.n_layers:
         np.add(pre, above @ params.layers[l + 1].W, out=pre)
     return sigmoid(pre, out=pre)
 
 
-def cond_x(params, h1):
-    """Mean of the visible layer given h^1: sigma(W1' h1 + b_visible)."""
-    lp = params.layers[0]
-    pre = h1 @ lp.W
+def cond_x(params, h, l=0):
+    """Mean of layer l's input given its state h, sigma(W_l' h + b_visible_l):
+    the visible layer's conditional at l = 0, the DHDA's tied decoder at any l."""
+    lp = params.layers[l]
+    pre = h @ lp.W
     np.add(pre, lp.b_visible, out=pre)
     return sigmoid(pre, out=pre)
 

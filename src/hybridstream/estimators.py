@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .numerics import one_hot, sigmoid_prime_from_output
+from .numerics import bernoulli_mask, one_hot, sigmoid_prime_from_output
 
 
 def _contrast(v_pos, hs_pos, y_pos, v_neg, hs_neg, y_neg, w_pos, w_neg, out):
@@ -121,9 +121,8 @@ class FantasyParticles:
     def initialize(cls, params, n_particles, rng):
         if n_particles < 1:
             raise ValueError("need at least one fantasy particle")
-        x = (rng.random((n_particles, params.n_visible)) < 0.5).astype(np.float64)
-        hs = [(rng.random((n_particles, h)) < 0.5).astype(np.float64)
-              for h in params.hidden_dims]
+        x = bernoulli_mask(rng, n_particles, params.n_visible, 0.5)
+        hs = [bernoulli_mask(rng, n_particles, h, 0.5) for h in params.hidden_dims]
         y = rng.integers(0, params.n_classes, size=n_particles).astype(np.int64)
         return cls(x, hs, y)
 

@@ -36,14 +36,9 @@ class PrequentialState:
             raise ValueError("prequential error undefined before any sample")
         return float(self.weighted_loss / self.weighted_count)
 
-    def update(self, loss):
-        self.weighted_loss = self.alpha * self.weighted_loss + loss
-        self.weighted_count = self.alpha * self.weighted_count + 1.0
-        return self.error
-
     def update_many(self, losses):
-        """update() for each loss in turn (the same arithmetic, in one loop);
-        returns the error after the last one."""
+        """S <- a*S + loss, B <- a*B + 1 for each loss in turn; returns the
+        error after the last one."""
         a = self.alpha
         s, b = self.weighted_loss, self.weighted_count
         for loss in np.asarray(losses, dtype=np.float64).tolist():

@@ -54,7 +54,10 @@ def _trainer_config(config, **defaults):
 
 def parse_architecture(arch):
     """'D-H1-...-HL-C' -> (n_visible, hidden_dims, n_classes)."""
-    parts = [int(p) for p in arch.split("-")]
+    try:
+        parts = [int(p) for p in arch.split("-")]
+    except ValueError as e:
+        raise ValueError(f"architecture {arch!r} has a non-integer size") from e
     if len(parts) < 3:
         raise ValueError(f"architecture {arch!r} needs at least D-H-C")
     if min(parts) < 1:

@@ -1,5 +1,6 @@
 """Activation functions, seeded randomness, the flat parameter layout
-shared by every model component and the dense-network parameter type.
+shared by every model component, the dense-network parameter type, and the
+mask draw, row weights and cross-entropy that every model shares.
 
 All arithmetic is double precision.  Randomness is never global: callers
 construct a Generator with :func:`make_rng` and pass it explicitly so that
@@ -10,6 +11,8 @@ import dataclasses
 import math
 
 import numpy as np
+
+EPS = 1e-7     # cross_entropy clips probabilities to [EPS, 1 - EPS]
 
 
 def make_rng(seed):
@@ -133,11 +136,32 @@ def softmax(v, axis=-1):
     return np.divide(e, e.sum(axis=axis, keepdims=True), out=e)
 
 
-def bernoulli_mask(rng, rows, cols, keep_prob):
-    """Matrix of i.i.d. {0,1} entries with P(1) = keep_prob."""
-    if not 0.0 <= keep_prob <= 1.0:
-        raise ValueError(f"keep_prob must lie in [0, 1], got {keep_prob}")
-    return (rng.random((rows, cols)) < keep_prob).astype(np.float64)
+def bernoulli_mask(rng, rows, cols, p):
+    """Matrix of i.i.d. {0,1} entries, 1 where a uniform draw is below p."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"mask probability must lie in [0, 1], got {p}")
+    return (rng.random((rows, cols)) < p).astype(np.float64)
+
+
+def row_weights(labels, lr, beta):
+    """(labeled-row mask, step weights) of a batch whose negative labels mark
+    unlabeled rows: lr/n_lab on each labeled row, lr*beta/n_unlab on each
+    unlabeled one, a count of 0 taken as 1."""
+    lab = np.asarray(labels) >= 0
+    n_lab = int(np.count_nonzero(lab))
+    return lab, np.where(lab, lr / max(n_lab, 1),
+                         lr * beta / max(len(lab) - n_lab, 1))
+
+
+def cross_entropy(target, p):
+    """-sum target log p + (1 - target) log(1 - p), p clipped to [EPS, 1 - EPS],
+    averaged over the rows of a batch (a vector is one row)."""
+    if target.shape != p.shape:
+        raise ValueError(f"shape mismatch {target.shape} vs {p.shape}")
+    pc = np.clip(p, EPS, 1.0 - EPS)
+    n = target.shape[0] if target.ndim == 2 else 1
+    return float(np.sum(-target * np.log(pc)
+                        - (1.0 - target) * np.log(1.0 - pc))) / n
 
 
 def one_hot(indices, n_classes):

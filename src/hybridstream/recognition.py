@@ -7,9 +7,8 @@ inference and is trained by cross-entropy toward the mean-field statistics
 
 import numpy as np
 
-from .numerics import DenseParams, sigmoid, sigmoid_prime_from_output
-
-EPS = 1e-7
+from .numerics import (DenseParams, cross_entropy, sigmoid,
+                       sigmoid_prime_from_output)
 
 
 def init_from_model(model):
@@ -50,15 +49,7 @@ def kl_loss(v_list, mu_list):
     """
     if len(v_list) != len(mu_list):
         raise ValueError("layer count mismatch")
-    total = 0.0
-    n = None
-    for v, mu in zip(v_list, mu_list):
-        if v.shape != mu.shape:
-            raise ValueError(f"shape mismatch {v.shape} vs {mu.shape}")
-        n = v.shape[0] if v.ndim == 2 else 1
-        vc = np.clip(v, EPS, 1.0 - EPS)
-        total += float(np.sum(-mu * np.log(vc) - (1.0 - mu) * np.log(1.0 - vc)))
-    return total / n
+    return sum(cross_entropy(mu, v) for mu, v in zip(mu_list, v_list))
 
 
 def rec_gradients(rec, x, mu_list, w, v_list=None, out=None):

@@ -1,17 +1,19 @@
 """Training checkpoints: a Trainer's state in one file, format version 2.
 
 Layout: the magic ``HSCK``, the header length as a little-endian uint32,
-and a JSON header holding the version, the model's dimensions
-(``n_visible``, ``hidden_dims``, ``n_classes``), the fantasy-particle count
-(0 unless SAP), the counters ``labeled_seen`` and ``updates`` and the
-generator state.  The raw little-endian arrays follow in a fixed order: the
-model's flat vector (``HybridParams.data``), the recognition net's
-(``DenseParams.data``) and, for SAP, the particles' x, each h^l and y
-(``<i8``); the others are ``<f8``.  Every array's size follows from the
-dimensions, so the header holds no byte counts, and a file with fewer or
-more bytes than they give is refused.
+and a JSON header holding the version, the trainer's ``TrainerConfig``
+(``config``), the model's dimensions (``n_visible``, ``hidden_dims``,
+``n_classes``), the fantasy-particle count (0 unless SAP), the counters
+``labeled_seen`` and ``updates`` and the generator state.  The raw
+little-endian arrays follow in a fixed order: the model's flat vector
+(``HybridParams.data``), the recognition net's (``DenseParams.data``) and,
+for SAP, the particles' x, each h^l and y (``<i8``); the others are
+``<f8``.  Every array's size follows from the dimensions, so the header
+holds no byte counts, and a file with fewer or more bytes than they give is
+refused.
 """
 
+import dataclasses
 import json
 import struct
 
@@ -19,7 +21,7 @@ import numpy as np
 
 from .dhbm import HybridParams
 from .numerics import split_views
-from .trainer import Trainer
+from .trainer import Trainer, TrainerConfig
 
 CHECKPOINT_MAGIC = b"HSCK"
 VERSION = 2
@@ -44,6 +46,7 @@ def save_checkpoint(path, trainer):
     model, particles = trainer.model, trainer.particles
     header = json.dumps({
         "version": VERSION,
+        "config": dataclasses.asdict(trainer.config),
         "n_visible": model.n_visible,
         "hidden_dims": model.hidden_dims,
         "n_classes": model.n_classes,
@@ -60,13 +63,14 @@ def save_checkpoint(path, trainer):
             f.write(np.ascontiguousarray(particles.y, dtype="<i8").tobytes())
 
 
-def load_checkpoint(path, config):
-    """A Trainer for `config` in the state that save_checkpoint wrote.
+def load_checkpoint(path):
+    """The Trainer that save_checkpoint wrote, under the config it carries.
 
     Raises ValueError naming `path` when the file is not a whole version-2
-    checkpoint (a bad magic or header, another version, an array cut short
-    or a byte after the last one) and when its particle count does not fit
-    `config`: only a SAP config takes particles, as many as its n_particles.
+    checkpoint (a bad magic or header, another version, a config with a
+    missing, unknown or bad field, an array cut short or a byte after the
+    last one) and when its particle count does not fit its config: only a
+    SAP config takes particles, as many as its n_particles.
     """
     with open(path, "rb") as f:
         blob = f.read()
@@ -87,10 +91,16 @@ def load_checkpoint(path, config):
     if version != VERSION:
         raise refused(f"checkpoint format version {version!r}; this reader "
                       f"takes version {VERSION}")
-    missing = [k for k in (*_HEADER_INTS, "hidden_dims", "rng_state")
+    missing = [k for k in ("config", *_HEADER_INTS, "hidden_dims", "rng_state")
                if k not in header]
     if missing:
         raise refused(f"checkpoint header lacks {missing}")
+    try:
+        config = TrainerConfig(**header["config"])
+    except (TypeError, ValueError) as e:
+        raise refused(f"checkpoint config refused: {e}") from e
+    if dataclasses.asdict(config) != header["config"]:
+        raise refused("checkpoint config lacks a TrainerConfig field")
     hidden = header["hidden_dims"]
     n_visible, n_classes, held, labeled_seen, updates = (
         header[k] for k in _HEADER_INTS)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dhbm, dhda, estimators, recognition
-from .numerics import bernoulli_mask, one_hot, split_views
+from .numerics import bernoulli_mask, one_hot, row_weights, split_views
 
 ESTIMATORS = ("mf-cd", "mf-bp", "sap")
 
@@ -136,17 +136,12 @@ class Trainer:
         v = recognized[1] if recognized is not None and recognized[0] is x else None
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         labels = np.asarray(labels)
-        n = len(labels)
-        if n == 0:
+        if len(labels) == 0:
             return {"updated": False, "beta": None}
         cfg = self.config
         beta = self.current_beta()
-        lab = labels >= 0
-        n_lab = int(np.count_nonzero(lab))
-        lab_w = cfg.lr / max(n_lab, 1)
-        unlab_w = cfg.lr * beta / max(n - n_lab, 1)
-        w = np.where(lab, cfg.alpha * lab_w, unlab_w)
-        w_rec = np.where(lab, lab_w, unlab_w)
+        lab, w_rec = row_weights(labels, cfg.lr, beta)
+        w = np.where(lab, cfg.alpha * w_rec, w_rec)
 
         if v is None:
             v = recognition.recognize(self.rec, x)
@@ -188,7 +183,7 @@ class Trainer:
         # for the recognition net, each one pass over the flat vectors
         np.add(self.model.data, model_grad.data, out=self.model.data)
         np.subtract(self.rec.data, rec_grad.data, out=self.rec.data)
-        self.labeled_seen += n_lab
+        self.labeled_seen += int(np.count_nonzero(lab))
         self.updates += 1
         return {"updated": True, "beta": beta}
 

@@ -14,7 +14,7 @@ import pytest
 from hybridstream import checks, dhbm, dhda, experiments, trainer
 from hybridstream.datasets import mnist_paths
 from hybridstream.evaluation import PrequentialState, prequential_direct
-from hybridstream.numerics import bernoulli_mask, make_rng
+from hybridstream.numerics import bernoulli_mask, cross_entropy, make_rng
 from hybridstream.recognition import recognize
 from hybridstream.trainer import beta_schedule
 
@@ -70,8 +70,8 @@ def test_criterion_4_prequential_evaluator():
         ok = False
         detail.append("alpha=1 running-mean mismatch")
     hand = PrequentialState(0.5)
-    hand.update(1.0)
-    if abs(hand.update(0.0) - 1.0 / 3.0) >= 1e-15:
+    hand.update_many([1.0])
+    if abs(hand.update_many([0.0]) - 1.0 / 3.0) >= 1e-15:
         ok = False
         detail.append("hand case [1,0] != 1/3")
     _report(4, "prequential evaluator", ok, "; ".join(detail))
@@ -113,7 +113,7 @@ def test_criterion_5_learning_sanity():
     def recon_ce():
         state = dhda.dhda_forward(tr2.model, xb, recognize(tr2.rec, xb),
                                   make_rng(0), corruption_p=0.0, num_steps=1)
-        return dhda.recon_cross_entropy(xb, state.recons[0])
+        return cross_entropy(xb, state.recons[0])
 
     before = recon_ce()
     for _ in range(200):

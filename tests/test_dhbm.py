@@ -2,10 +2,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridstream import dhbm
 from hybridstream.baseline import init_mlp
-from hybridstream.numerics import make_rng, one_hot
+from hybridstream.numerics import make_rng, one_hot, sigmoid, softmax
 from hybridstream.recognition import init_from_model, recognize
 
 
@@ -187,3 +189,87 @@ def test_plus_equals_on_views_updates_data_once():
         assert np.array_equal(p.data, want.data)
     with pytest.raises(dataclasses.FrozenInstanceError):
         lp.W = lp.W.copy()
+
+
+def encode_h(params, l, below_hat, above_hat=None):
+    """The DHDA encoder as it was written beside cond_h (test oracle):
+    sigma(W_l v-hat + b + W_{l+1}' h-hat^{l+1}), summed in that order."""
+    lp = params.layers[l]
+    pre = below_hat @ lp.W.T
+    np.add(pre, lp.b_hidden, out=pre)
+    if l + 1 < params.n_layers:
+        np.add(pre, above_hat @ params.layers[l + 1].W, out=pre)
+    return sigmoid(pre, out=pre)
+
+
+def decode(params, l, h_hat):
+    """The DHDA's tied decoder as it was written beside cond_x (test
+    oracle): sigma(W_l' h-hat + b_visible)."""
+    lp = params.layers[l]
+    pre = h_hat @ lp.W
+    np.add(pre, lp.b_visible, out=pre)
+    return sigmoid(pre, out=pre)
+
+
+@st.composite
+def conditional_case(draw):
+    """A model of 1-4 hidden layers, every width 1-6, with every visible-side
+    bias set, and a batch of inputs, layer means and class distributions."""
+    d = draw(st.integers(1, 6))
+    hidden = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    c = draw(st.integers(2, 6))
+    n = draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2 ** 16))
+    params = tiny_model(seed, d, hidden, c, scale=3.0)
+    rng = make_rng(seed + 1)
+    for lp in params.layers:
+        lp.b_visible[...] = rng.uniform(-3.0, 3.0, lp.b_visible.shape)
+    x = rng.random((n, d))
+    hs = [rng.random((n, h)) for h in hidden]
+    y_probs = softmax(rng.normal(0.0, 2.0, (n, c)))
+    return params, x, hs, y_probs
+
+
+def neighbours(x, hs, l):
+    return (x if l == 0 else hs[l - 1]), (hs[l + 1] if l + 1 < len(hs) else None)
+
+
+def assert_probabilities(a, shape):
+    assert a.shape == shape
+    assert np.all((a >= 0.0) & (a <= 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=conditional_case())
+def test_conditionals_shapes_and_ranges(case):
+    params, x, hs, y_probs = case
+    n, c = y_probs.shape
+    for l in range(params.n_layers):
+        below, above = neighbours(x, hs, l)
+        for y in (y_probs, None):
+            assert_probabilities(dhbm.cond_h(params, l, y, below, above),
+                                 hs[l].shape)
+        assert_probabilities(dhbm.cond_x(params, hs[l], l), below.shape)
+    p = dhbm.cond_y(params, hs)
+    assert_probabilities(p, (n, c))
+    assert np.allclose(p.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+    state = dhbm.mean_field_step(params, x, dhbm.MeanFieldState(hs, y_probs))
+    for mean, h in zip(state.layer_means, hs):
+        assert_probabilities(mean, h.shape)
+    assert_probabilities(state.class_probs, (n, c))
+    assert np.allclose(state.class_probs.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=conditional_case())
+def test_class_free_conditionals_are_the_dhda_encoder_and_decoder(case):
+    # the DHDA encodes with cond_h without a class term and decodes with
+    # cond_x at each layer: the same bits as its own formulas gave
+    params, x, hs, _ = case
+    for l in range(params.n_layers):
+        below, above = neighbours(x, hs, l)
+        assert np.array_equal(
+            dhbm.cond_h(params, l, None, below, above).view(np.int64),
+            encode_h(params, l, below, above).view(np.int64))
+        assert np.array_equal(dhbm.cond_x(params, hs[l], l).view(np.int64),
+                              decode(params, l, hs[l]).view(np.int64))

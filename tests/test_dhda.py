@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hybridstream import dhbm, dhda, recognition
-from hybridstream.numerics import make_rng, sigmoid
+from hybridstream.numerics import cross_entropy, make_rng, sigmoid
 
 
 def setup_model(seed=0, d=4, hidden=(3, 3), c=2, std=0.5):
@@ -11,24 +11,34 @@ def setup_model(seed=0, d=4, hidden=(3, 3), c=2, std=0.5):
     return model, recognition.init_from_model(model)
 
 
+def corrupted_input(x, rng, p):
+    """The corrupted input of a one-cycle forward pass over `x`."""
+    model, rec = setup_model(d=x.shape[1])
+    return dhda.dhda_forward(model, x, recognition.recognize(rec, x), rng, p,
+                             1).input_hat
+
+
 def test_corrupt_identity_at_p0():
     v = make_rng(0).random((5, 7))
-    assert np.array_equal(v * dhda.corruption_mask(make_rng(1), v.shape, 0.0), v)
+    assert np.array_equal(corrupted_input(v, make_rng(1), 0.0), v)
 
 
 def test_corrupt_zeros_at_p1():
     v = make_rng(0).random((5, 7))
-    assert np.array_equal(v * dhda.corruption_mask(make_rng(1), v.shape, 1.0),
+    assert np.array_equal(corrupted_input(v, make_rng(1), 1.0),
                           np.zeros_like(v))
 
 
 def test_corrupt_rejects_bad_probability():
-    with pytest.raises(ValueError):
-        dhda.corruption_mask(make_rng(0), (3,), -0.1)
+    for p in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError):
+            corrupted_input(np.ones((1, 3)), make_rng(0), p)
 
 
 def test_corruption_rate_within_binomial_bounds():
-    mask = dhda.corruption_mask(make_rng(2), (1000, 100), 0.15)
+    # an input of ones: the corrupted input is the keep-mask
+    mask = corrupted_input(np.ones((1000, 100)), make_rng(2), 0.15)
+    assert set(np.unique(mask)) <= {0.0, 1.0}
     surviving = mask.mean()
     assert 0.843 <= surviving <= 0.857
 
@@ -38,7 +48,7 @@ def test_encode_hand_case():
     model, _ = setup_model(d=1, hidden=(1, 1), std=0.0)
     model.layers[0].W[0, 0] = 1.0
     model.layers[1].W[0, 0] = 1.0
-    h1 = dhda.encode_h(model, 0, np.array([[1.0]]), np.array([[1.0]]))
+    h1 = dhbm.cond_h(model, 0, None, np.array([[1.0]]), np.array([[1.0]]))
     assert np.allclose(h1, sigmoid(2.0), atol=1e-12)
     assert abs(float(h1[0, 0]) - 0.88080) < 1e-4
 
@@ -46,15 +56,16 @@ def test_encode_hand_case():
 def test_decode_uses_tied_transpose():
     model, _ = setup_model(3)
     h = make_rng(4).random((2, 3))
-    z = dhda.decode(model, 0, h)
-    assert np.allclose(z, sigmoid(h @ model.layers[0].W
-                                  + model.layers[0].b_visible), atol=1e-12)
+    for l in range(model.n_layers):
+        z = dhbm.cond_x(model, h, l)
+        assert np.allclose(z, sigmoid(h @ model.layers[l].W
+                                      + model.layers[l].b_visible), atol=1e-12)
 
 
 def test_recon_cross_entropy_perfect_reconstruction():
     x = np.array([[1.0, 0.0, 1.0]])
     near = np.clip(x, 1e-9, 1 - 1e-9)
-    assert dhda.recon_cross_entropy(x, near) < 1e-6
+    assert cross_entropy(x, near) < 1e-6
 
 
 def test_forward_shapes_and_determinism():
@@ -99,7 +110,7 @@ def test_forward_masks_match_per_mask_draws():
                               0.3, 3)
     ref = make_rng(13)
     for _ in range(3):
-        want = [dhda.corruption_mask(ref, shape, 0.3)
+        want = [(ref.random(shape) >= 0.3).astype(np.float64)
                 for shape in ((6, 5), (6, 4), (6, 3))]
     assert np.array_equal(state.input_hat, x * want[0])
     for m, w in zip(state.masks, want[1:]):

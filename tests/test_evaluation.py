@@ -10,8 +10,8 @@ from hybridstream.numerics import make_rng
 
 def test_hand_case_alpha_half():
     p = PrequentialState(0.5)
-    p.update(1.0)
-    assert p.update(0.0) == pytest.approx(1.0 / 3.0, abs=1e-15)
+    p.update_many([1.0])
+    assert p.update_many([0.0]) == pytest.approx(1.0 / 3.0, abs=1e-15)
 
 
 def test_incremental_equals_direct():
@@ -31,9 +31,11 @@ def test_alpha_one_is_running_mean():
 
 @pytest.mark.parametrize("alpha", [0.995, 1.0])
 def test_update_many_matches_update_bits(alpha):
+    # one loss per call and uneven chunks give the same bits, and both the
+    # weighted-sum definition
     losses = (make_rng(1).random(500) < 0.3).astype(np.float64)
     one = PrequentialState(alpha)
-    errors = [one.update(loss) for loss in losses]
+    errors = [one.update_many([loss]) for loss in losses]
     many = PrequentialState(alpha)
     assert many.update_many(losses[:200]) == errors[199]
     got = many.update_many(losses[200:])
@@ -41,6 +43,8 @@ def test_update_many_matches_update_bits(alpha):
     for a, b in ((many.weighted_loss, one.weighted_loss),
                  (many.weighted_count, one.weighted_count)):
         assert np.float64(a).view(np.int64) == np.float64(b).view(np.int64)
+    for i in (1, 200, 500):
+        assert abs(errors[i - 1] - prequential_direct(losses[:i], alpha)) < 1e-12
 
 
 def test_error_undefined_before_samples():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,12 @@ def test_parse_architecture():
 def test_architecture_size_below_one_raises(arch):
     # a zero-unit layer would train every kind to a constant predictor
     with pytest.raises(ValueError, match=arch):
+        experiments.parse_architecture(arch)
+
+
+@pytest.mark.parametrize("arch", ["24-x-10", "24-2.5-10", "24--10"])
+def test_architecture_size_not_an_integer_raises(arch):
+    with pytest.raises(ValueError, match=re.escape(repr(arch))):
         experiments.parse_architecture(arch)
 
 

@@ -173,7 +173,8 @@ def test_one_pass_per_batch(estimator, monkeypatch):
     # a batch of labeled and unlabeled rows takes one recognition pass and
     # one class posterior before mean-field (or the DHDA forward pass), SAP
     # advances its particles one sweep (which draws x from cond_x once),
-    # MF-CD reconstructs the input once, and no update builds a container; a
+    # MF-CD reconstructs the input once, the DHDA decodes each layer's input
+    # once through cond_x at that layer, and no update builds a container; a
     # predict of the same batch before the update leaves one recognition
     # pass for the two calls
     tr = make_trainer(estimator, seed=50, n_particles=4, num_steps=3)
@@ -198,7 +199,9 @@ def test_one_pass_per_batch(estimator, monkeypatch):
         assert names[:first] == (["cond_y"] if step % 2
                                  else ["recognize", "cond_y"])
         assert names.count("recognize") == (0 if step % 2 else 1)
-        assert names.count("cond_x") == (0 if estimator == "mf-bp" else 1)
+        decoded = [args[2] if len(args) > 2 else 0
+                   for name, args in calls if name == "cond_x"]
+        assert decoded == ([0, 1] if estimator == "mf-bp" else [0])
         sweeps = [args[5] for name, args in calls if name == "gibbs_sweeps"]
         assert sweeps == ([1] if estimator == "sap" else [])
         assert "flat_views" not in names
