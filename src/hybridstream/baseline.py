@@ -54,13 +54,14 @@ def log_loss(probs, y_onehot):
     return float(-np.sum(y_onehot * np.log(np.clip(probs, EPS, 1.0)))) / n
 
 
-def mlp_gradients(params, x, y_onehot, w, keep_prob=1.0, train_mode=False,
-                  rng=None, out=None):
+def mlp_gradients(params, x, y_onehot, w, keep_prob=1.0, rng=None, out=None):
     """Descent gradients of the row-weighted softmax log-loss
-    sum_i w_i * loss_i, written into `out` (every entry), a fresh container
-    when None.  Weights of 1/n give the batch average."""
+    sum_i w_i * loss_i through a train-mode pass (one drop-out draw per
+    layer when keep_prob < 1), written into `out` (every entry), a fresh
+    container when None.  Weights of 1/n give the batch average."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    hidden, probs, masks = mlp_forward(params, x, keep_prob, train_mode, rng)
+    hidden, probs, masks = mlp_forward(params, x, keep_prob, train_mode=True,
+                                        rng=rng)
     inputs = [x] + hidden[:-1]
     grads = params.zeros_like() if out is None else out
     # the forward pass's probabilities are not needed again: delta takes them
@@ -89,14 +90,16 @@ def mlp_update(params, x, labels, lr, beta, keep_prob=1.0, rng=None,
     `probs`, which must be mlp_predict(params, x, keep_prob) at the current
     parameters, or a fresh eval pass over the whole batch when None.  Rows
     of weight zero (every unlabeled row when beta is 0) are left out of the
-    pass.  The batch takes one train-mode forward pass, with one drop-out
-    draw per layer, and one backward pass into the gradient container `out`
-    (a fresh one when None).  The weights carry lr, so that gradient is the
-    step, taken with one in-place subtract.  Mutates params.
+    pass.  A label count other than the row count raises ValueError before
+    anything is drawn or written.  The batch takes one train-mode forward
+    pass, with one drop-out draw per layer, and one backward pass into the
+    gradient container `out` (a fresh one when None).  The weights carry lr,
+    so that gradient is the step, taken with one in-place subtract.  Mutates
+    params.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     labels = np.asarray(labels)
-    lab, w = row_weights(labels, lr, beta)
+    lab, w = row_weights(labels, len(x), lr, beta)
     if beta != 0.0 and not lab.all():
         if probs is None:
             probs = mlp_predict(params, x, keep_prob)
@@ -108,7 +111,7 @@ def mlp_update(params, x, labels, lr, beta, keep_prob=1.0, rng=None,
     else:
         return params
     grads = mlp_gradients(params, x, one_hot(targets, params.dims[-1]), w,
-                          keep_prob, train_mode=True, rng=rng, out=out)
+                          keep_prob, rng, out)
     np.subtract(params.data, grads.data, out=params.data)
     return params
 

@@ -83,7 +83,8 @@ def gradcheck_recognition(seed=11, dims=(3, 4, 3, 2), batch=3):
     rec = recognition.init_from_model(model)
     x = rng.random((batch, dims[0]))
     mu = [rng.random((batch, h)) for h in dims[1:]]
-    grads = recognition.rec_gradients(rec, x, mu, np.full(batch, 1.0 / batch))
+    grads = recognition.rec_gradients(rec, x, mu, np.full(batch, 1.0 / batch),
+                                      recognition.recognize(rec, x))
 
     def loss():
         return recognition.kl_loss(recognition.recognize(rec, x), mu)
@@ -181,23 +182,25 @@ def run_all_gradchecks(seed=0):
     }
 
 
-def sap_chain_fidelity(seed=23, n_sweeps=100_000, n_particles=10,
-                       chunk=5_000):
+def sap_chain_fidelity(seed=23, n_sweeps=100_000, n_particles=10):
     """Total-variation gap between the empirical particle marginal over
-    (x, y) and the enumerated one, on a frozen tiny model."""
+    (x, y) and the enumerated one, on a frozen tiny model.
+
+    The chain advances one sweep at a time through FantasyParticles.advance,
+    the sampler SAP trains with; after a burn-in of min(1000, n_sweeps // 10)
+    sweeps, every particle's (x, y) cell is counted after each sweep."""
     rng = make_rng(seed)
     params = random_tiny_model(rng, max_dim=2, max_classes=2)
-    oracle = dhbm.BruteForceJoint(params)
-    target = oracle.marginal_xy()
+    target = dhbm.BruteForceJoint(params).marginal_xy()
     particles = estimators.FantasyParticles.initialize(params, n_particles, rng)
-    counts = np.zeros_like(target)
     burn_in = min(1000, n_sweeps // 10)
     if burn_in:
         particles.advance(params, rng, n_sweeps=burn_in)
-    done = burn_in
-    while done < n_sweeps:
-        step = min(chunk, n_sweeps - done)
-        particles.advance(params, rng, n_sweeps=step, counts=counts)
-        done += step
+    counts = np.zeros_like(target)
+    bits = 1 << np.arange(params.n_visible)
+    for _ in range(n_sweeps - burn_in):
+        particles.advance(params, rng)
+        ix = particles.x.astype(np.int64) @ bits
+        np.add.at(counts, (ix, particles.y), 1.0)
     empirical = counts / counts.sum()
     return 0.5 * float(np.abs(empirical - target).sum())

@@ -70,10 +70,6 @@ class HybridParams(ViewRecord):
                        for i in range(0, len(views) - 1, 4))
         return cls(data, layers, views[-1])
 
-    def copy(self):
-        return self.from_dims(self.n_visible, self.hidden_dims, self.n_classes,
-                              self.data.copy())
-
     def zeros_like(self):
         """Zero parameters of the same layout, the container of a gradient."""
         return self.from_dims(self.n_visible, self.hidden_dims, self.n_classes)

@@ -126,12 +126,9 @@ class FantasyParticles:
         y = rng.integers(0, params.n_classes, size=n_particles).astype(np.int64)
         return cls(x, hs, y)
 
-    def advance(self, params, rng, n_sweeps=1, counts=None):
+    def advance(self, params, rng, n_sweeps=1):
         """Advance every chain by full block-Gibbs sweeps (in place)."""
-        stride = kernels.uniforms_per_sweep(params, self.n_particles)
-        uniforms = rng.random(stride * n_sweeps)
-        kernels.gibbs_sweeps(params, self.x, self.hs, self.y, uniforms, n_sweeps,
-                             counts=counts)
+        kernels.gibbs_sweeps(params, self.x, self.hs, self.y, rng, n_sweeps)
         return self
 
 

@@ -91,9 +91,6 @@ class DenseParams(ViewRecord):
         data, views = flat_views(shapes, data)
         return cls(data, tuple(views[::2]), tuple(views[1::2]))
 
-    def copy(self):
-        return self.from_dims(self.dims, self.data.copy())
-
     def zeros_like(self):
         """Zero parameters of the same layout, the container of a gradient."""
         return self.from_dims(self.dims)
@@ -143,11 +140,16 @@ def bernoulli_mask(rng, rows, cols, p):
     return (rng.random((rows, cols)) < p).astype(np.float64)
 
 
-def row_weights(labels, lr, beta):
-    """(labeled-row mask, step weights) of a batch whose negative labels mark
-    unlabeled rows: lr/n_lab on each labeled row, lr*beta/n_unlab on each
-    unlabeled one, a count of 0 taken as 1."""
-    lab = np.asarray(labels) >= 0
+def row_weights(labels, n_rows, lr, beta):
+    """(labeled-row mask, step weights) of a batch of `n_rows` rows whose
+    negative labels mark unlabeled rows: lr/n_lab on each labeled row,
+    lr*beta/n_unlab on each unlabeled one, a count of 0 taken as 1.  Raises
+    ValueError unless `labels` holds one label per row."""
+    labels = np.asarray(labels)
+    if labels.shape != (n_rows,):
+        raise ValueError(f"labels of shape {labels.shape} for a batch of "
+                         f"{n_rows} rows: one label per row is needed")
+    lab = labels >= 0
     n_lab = int(np.count_nonzero(lab))
     return lab, np.where(lab, lr / max(n_lab, 1),
                          lr * beta / max(len(lab) - n_lab, 1))

@@ -52,20 +52,17 @@ def kl_loss(v_list, mu_list):
     return sum(cross_entropy(mu, v) for mu, v in zip(mu_list, v_list))
 
 
-def rec_gradients(rec, x, mu_list, w, v_list=None, out=None):
+def rec_gradients(rec, x, mu_list, w, v_list, out=None):
     """Descent gradients of kl_loss w.r.t. every weight W^l and bias.
 
     The targets mu are constants.  The delta at each layer is (v - mu) plus
     the contribution backpropagated from the layer above; weight gradients
     carry the doubling factor of their own layer.  Each row's loss is
     weighted by `w` (one weight per row; 1/n everywhere is kl_loss's batch
-    average).  `v_list` is ``recognize(rec, x)`` when the caller already
-    holds it.  The gradients are written into `out` (every entry), a fresh
-    container when None.
+    average).  `v_list` is ``recognize(rec, x)``.  The gradients are
+    written into `out` (every entry), a fresh container when None.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if v_list is None:
-        v_list = recognize(rec, x)
     L = len(rec.Ws)
     inputs = [x] + v_list[:-1]
     deltas = [None] * L

@@ -5,6 +5,7 @@ prediction.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,12 @@ class TrainerConfig:
     labeled_epoch_size: int = 1000
 
     def __post_init__(self):
+        for name in ("num_steps", "n_particles", "labeled_epoch_size"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.anneal, bool):
+            raise ValueError(f"anneal must be a bool, got {self.anneal!r}")
         # lr, alpha and beta scale the row weights: a NaN or an infinity there
         # would reach every parameter in one step
         for name in ("lr", "alpha", "beta_f"):
@@ -128,19 +135,21 @@ class Trainer:
         mean) + beta * (unlabeled mean).  The row weights carry the learning
         rate, so each estimator returns its step and each net takes it with
         one add (or subtract) on its flat vector.  An empty batch changes
-        nothing and the report says so.  The recognition pass of the last predict() is
-        reused when `x` is the array object it was given (and not written
-        since), and dropped either way.
+        nothing and the report says so; a label count other than the row
+        count raises ValueError before anything is drawn or written.  The
+        recognition pass of the last predict() is reused when `x` is the
+        array object it was given (and not written since), and dropped
+        either way.
         """
         recognized, self._recognized = self._recognized, None
         v = recognized[1] if recognized is not None and recognized[0] is x else None
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        labels = np.asarray(labels)
-        if len(labels) == 0:
-            return {"updated": False, "beta": None}
         cfg = self.config
         beta = self.current_beta()
-        lab, w_rec = row_weights(labels, cfg.lr, beta)
+        lab, w_rec = row_weights(labels, len(x), cfg.lr, beta)
+        if len(lab) == 0:
+            return {"updated": False, "beta": None}
+        labels = np.asarray(labels)
         w = np.where(lab, cfg.alpha * w_rec, w_rec)
 
         if v is None:

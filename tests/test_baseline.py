@@ -43,10 +43,10 @@ def test_gradients_match_finite_differences():
 
 def test_update_zero_lr_is_identity():
     p = baseline.init_mlp(4, [3], 2, make_rng(4), weight_std=0.5)
-    before = p.copy()
+    before = p.data.copy()
     x = make_rng(5).random((4, 4))
     baseline.mlp_update(p, *mixed_batch(x, np.array([0, 1, 0, 1]), x), 0.0, 0.5)
-    assert np.array_equal(before.data, p.data)
+    assert np.array_equal(before, p.data)
 
 
 def test_beta_zero_ignores_unlabeled():
@@ -56,7 +56,8 @@ def test_beta_zero_ignores_unlabeled():
     y = np.array([0, 1, 1, 0])
     u = make_rng(7).random((6, 4))
     p1 = baseline.init_mlp(4, [3], 2, make_rng(8), weight_std=0.5)
-    p2 = p1.copy()
+    p2 = p1.zeros_like()
+    p2.data[...] = p1.data
     rng1, rng2 = make_rng(9), make_rng(9)
     baseline.mlp_update(p1, *mixed_batch(x, y, u), 0.1, 0.0, 0.5, rng1)
     baseline.mlp_update(p2, x, y, 0.1, 0.0, 0.5, rng2)

@@ -1,9 +1,12 @@
+import copy
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridstream import baseline, dhbm, dhda, estimators, kernels, recognition
+from hybridstream import baseline, dhbm, dhda, estimators, recognition
 from hybridstream.numerics import (bernoulli_mask, make_rng, one_hot,
                                   sigmoid_prime_from_output, softmax)
 
@@ -28,7 +31,8 @@ def test_scaled_add_and_apply():
     # a weighted sum and ascent step on the flat vectors moves exactly the
     # views the gradient's own views name
     model, _ = setup(1)
-    before = model.copy()
+    before = model.zeros_like()
+    before.data[...] = model.data
     g = model.zeros_like()
     g.layers[0].W[...] += 1.0
     total = np.zeros_like(model.data)
@@ -101,17 +105,68 @@ def test_sap_gradients_advance_particles():
     assert not np.array_equal(before, particles.x)
 
 
-def test_kernel_uniform_stride():
-    model, _ = setup()
-    assert kernels.uniforms_per_sweep(model, 5) == 5 * (3 + 3 + 1 + 4)
+def chain_state(particles, rng):
+    """Bytes of a chain: x, each h, y and the generator's state."""
+    return [a.tobytes() for a in (particles.x, *particles.hs, particles.y)] \
+        + [repr(rng.bit_generator.state).encode()]
 
 
-def test_kernel_counts_accumulate_sweeps():
-    model, _ = setup(12, d=2, hidden=(2, 2), c=2)
-    p = estimators.FantasyParticles.initialize(model, 4, make_rng(13))
-    counts = np.zeros((4, 2))
-    p.advance(model, make_rng(14), n_sweeps=25, counts=counts)
-    assert counts.sum() == 25 * 4
+@pytest.mark.parametrize("k", [2, 7])
+@pytest.mark.parametrize("dims", [(4, 3, 3, 3), (2, 2, 2, 2), (6, 5, 1, 4, 2),
+                                  (1, 1, 2)])
+def test_single_sweeps_equal_one_call_of_k(dims, k):
+    # each sweep draws its blocks from the generator in turn, so k calls of
+    # one sweep and one call of k leave the same chain and generator state;
+    # the chain-fidelity oracle advances one sweep at a time on this
+    runs = []
+    for calls in ([1] * k, [k]):
+        rng = make_rng(30)
+        model = dhbm.HybridParams.initialize(dims[0], list(dims[1:-1]), dims[-1],
+                                             rng, weight_std=0.7)
+        particles = estimators.FantasyParticles.initialize(model, 5, rng)
+        for n in calls:
+            particles.advance(model, rng, n_sweeps=n)
+        runs.append(chain_state(particles, rng))
+    assert runs[0] == runs[1]
+
+
+def test_sweep_draws_each_block_in_order():
+    # one sweep of M particles takes an (M, H_l) block per hidden layer
+    # bottom-up, an (M, 1) block for y and an (M, D) block for x, each unit
+    # on when its uniform lies below its conditional
+    rng = make_rng(31)
+    model = dhbm.HybridParams.initialize(4, [3, 2], 3, rng, weight_std=0.7)
+    particles = estimators.FantasyParticles.initialize(model, 5, rng)
+    x, hs, y = (particles.x.copy(), [h.copy() for h in particles.hs],
+                particles.y.copy())
+    want = copy.deepcopy(rng)
+    particles.advance(model, rng)
+    u1, u2, uy, ux = (want.random(s) for s in ((5, 3), (5, 2), (5, 1), (5, 4)))
+    h1 = (u1 < dhbm.cond_h(model, 0, one_hot(y, 3), x, hs[1])).astype(float)
+    h2 = (u2 < dhbm.cond_h(model, 1, one_hot(y, 3), h1)).astype(float)
+    cdf = np.cumsum(dhbm.cond_y(model, [h1, h2]), axis=1)
+    y_new = np.minimum((cdf <= uy).sum(axis=1), 2)
+    x_new = (ux < dhbm.cond_x(model, h1)).astype(float)
+    assert chain_state(particles, rng) == chain_state(
+        estimators.FantasyParticles(x_new, [h1, h2], y_new), want)
+
+
+def test_chain_bits_pinned():
+    # sha256 over the chain after 1, then 7, then 50 more sweeps of a
+    # 24-24x5-10 model, and over four uniforms drawn after them; recorded
+    # when the sweeps drew from a pre-drawn buffer, and the same under one
+    # and two BLAS threads
+    rng = make_rng(3)
+    params = dhbm.HybridParams.initialize(24, [24] * 5, 10, rng, weight_std=0.5)
+    particles = estimators.FantasyParticles.initialize(params, 10, rng)
+    digest = hashlib.sha256()
+    for n in (1, 7, 50):
+        particles.advance(params, rng, n_sweeps=n)
+        for a in (particles.x, *particles.hs, particles.y):
+            digest.update(a.tobytes())
+    digest.update(rng.random(4).tobytes())
+    assert digest.hexdigest() == \
+        "d44e5eb41bf9e41b2b38718e8d7ab6a37ad5abac9599c179c47846d689178c63"
 
 
 def gradient_case(name):
@@ -148,11 +203,13 @@ def gradient_case(name):
         return mf_bp, model.zeros_like()
     if name == "rec":
         mu = [rng.random((4, 4)), rng.random((4, 3))]
-        return (lambda out: recognition.rec_gradients(rec, x, mu, w, out=out)), \
+        v = recognition.recognize(rec, x)
+        return (lambda out: recognition.rec_gradients(rec, x, mu, w, v,
+                                                      out=out)), \
             rec.zeros_like()
     mlp = baseline.init_mlp(5, [4, 3], 3, make_rng(25), weight_std=0.5)
     return (lambda out: baseline.mlp_gradients(
-        mlp, x, y, w, 0.5, train_mode=True, rng=make_rng(26), out=out)), \
+        mlp, x, y, w, 0.5, rng=make_rng(26), out=out)), \
         mlp.zeros_like()
 
 
@@ -221,9 +278,11 @@ def rows_case(name, dims, n, seed):
                                               w, dropout_masks=rows(masks, r))
     else:
         mu = [rng.random((n, h)) for h in hidden]
+        v = recognition.recognize(rec, x)
 
         def grad(r, w):
-            return recognition.rec_gradients(rec, x[r], rows(mu, r), w)
+            return recognition.rec_gradients(rec, x[r], rows(mu, r), w,
+                                             rows(v, r))
     return grad
 
 

@@ -11,9 +11,9 @@ from hybridstream.datasets import load_idx, mnist_paths
 from hybridstream.evaluation import read_curve
 from hybridstream.numerics import make_rng
 from hybridstream.streams import StreamConfig
-from hybridstream.trainer import TrainerConfig
+from hybridstream.trainer import Trainer, TrainerConfig
 from test_datasets import write_idx_pair
-from test_trainer import mixed_batch
+from test_trainer import mixed_batch, trainer_state
 
 
 def test_parse_architecture():
@@ -139,6 +139,42 @@ def test_updates_after_the_first_build_no_container(kind, monkeypatch):
         model.update(*mixed_batch(rng.random((4, 6)), rng.integers(0, 3, 4),
                                   rng.random((3, 6))))
     assert built == []
+
+
+MODEL_KINDS = ["dhbm-mf", "dhbm-sap", "dhda", "mlp-pl", "mlp-lab"]
+
+
+def written_state(model):
+    """Bytes of everything an update writes: parameters, particles, rng."""
+    if isinstance(model, Trainer):
+        return trainer_state(model)
+    return [model.params.data.tobytes(),
+            repr(model.rng.bit_generator.state).encode()]
+
+
+@pytest.mark.parametrize("n_labels", [1, 5, 30])
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_update_refuses_a_label_count_other_than_the_row_count(kind, n_labels):
+    # the MLP would broadcast such labels over the batch and the hybrids fail
+    # only after the drop-out draw: every kind refuses them, naming both
+    # lengths, before anything is drawn or written
+    cfg = TrainerConfig(keep_prob=0.5, beta_f=0.3, n_particles=4)
+    model = experiments.build_model(kind, 6, [5, 4], 3, cfg, make_rng(32))
+    rng = make_rng(33)
+    x, labels = rng.random((20, 6)), rng.integers(-1, 3, n_labels)
+    before = written_state(model)
+    with pytest.raises(ValueError, match=rf"\({n_labels},\).* 20 rows"):
+        model.update(x, labels)
+    assert written_state(model) == before
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_empty_batch_is_a_noop(kind):
+    cfg = TrainerConfig(keep_prob=0.5, beta_f=0.3, n_particles=4)
+    model = experiments.build_model(kind, 6, [5, 4], 3, cfg, make_rng(34))
+    before = written_state(model)
+    model.update(np.empty((0, 6)), np.empty(0, dtype=int))
+    assert written_state(model) == before
 
 
 def mlp_model(kind, seed):
@@ -300,6 +336,12 @@ def test_unknown_offline_config_key_raises(tmp_path):
         experiments.run_mnist_trial(
             config, 0, load_idx(*mnist_paths(str(tmp_path), "train")),
             load_idx(*mnist_paths(str(tmp_path), "test")))
+
+
+def test_trainer_config_value_of_another_type_raises(tmp_path):
+    with pytest.raises(ValueError, match="num_steps"):
+        experiments.run_stream_trial(small_config(trainer={"num_steps": 1.5}),
+                                     0, str(tmp_path))
 
 
 @pytest.mark.parametrize("arch", ["24-8-12", "24-8-5", "20-8-10", "40-8-10"])

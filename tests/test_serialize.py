@@ -144,11 +144,14 @@ def test_version_1_checkpoint_is_refused_naming_both_versions(tmp_path):
     (lambda h: dict(h, config=dict(h["config"], lr=-1.0)),
      "config refused: lr must be finite"),
     (lambda h: dict(h, config=dict(h["config"], lr="fast")), "config refused"),
+    (lambda h: dict(h, config=dict(h["config"], num_steps=1.5)),
+     "config refused: num_steps must be an integer"),
 ], ids=["not-json", "not-an-object", "missing-key", "no-hidden-layer",
         "negative-dimension", "float-dimension", "outgrows-the-file",
         "negative-counter", "other-generator", "no-config",
         "config-not-an-object", "unknown-config-key", "missing-config-field",
-        "bad-config-value", "config-value-of-another-type"])
+        "bad-config-value", "config-value-of-another-type",
+        "non-integral-num-steps"])
 def test_bad_header_is_refused(tmp_path, change, message):
     tr = sap_trainer_after_updates()
     path = tmp_path / "bad.hsck"

@@ -67,6 +67,24 @@ def test_config_rejects_num_steps_below_one(num_steps):
         TrainerConfig(num_steps=num_steps)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("num_steps", 1.5), ("num_steps", 2.0), ("num_steps", True),
+    ("num_steps", "2"), ("n_particles", 4.0), ("n_particles", True),
+    ("labeled_epoch_size", 10.5), ("labeled_epoch_size", False),
+    ("anneal", "no"), ("anneal", 1), ("anneal", None)])
+def test_config_requires_integer_counts_and_a_bool_anneal(field, value):
+    # a float count would reach range() or an array shape later, and any
+    # non-empty string, "no" included, would switch annealing on
+    with pytest.raises(ValueError, match=field):
+        TrainerConfig(**{field: value})
+
+
+def test_config_takes_numpy_integers():
+    cfg = TrainerConfig(num_steps=np.int64(2), n_particles=np.int32(3),
+                        labeled_epoch_size=np.uint16(7))
+    assert (cfg.num_steps, cfg.n_particles, cfg.labeled_epoch_size) == (2, 3, 7)
+
+
 @pytest.mark.parametrize("corruption_p", [-0.01, 1.01])
 def test_config_rejects_corruption_p_outside_unit_interval(corruption_p):
     with pytest.raises(ValueError, match="corruption_p"):
@@ -81,20 +99,19 @@ def test_config_rejects_n_particles_below_one(n_particles):
 
 def test_update_both_empty_is_noop():
     tr = make_trainer()
-    before = tr.model.copy()
+    before = tr.model.data.copy()
     report = tr.update(np.empty((0, 4)), np.empty(0, dtype=int))
     assert report == {"updated": False, "beta": None}
-    assert np.array_equal(before.layers[0].W, tr.model.layers[0].W)
+    assert np.array_equal(before, tr.model.data)
     assert tr.updates == 0
 
 
 def test_zero_lr_keeps_parameters():
     tr = make_trainer(lr=0.0, keep_prob=1.0)
-    before = tr.model.copy()
+    before = tr.model.data.copy()
     x = make_rng(2).random((5, 4))
     tr.update(x, np.zeros(5, dtype=int))
-    assert np.allclose(before.layers[0].W, tr.model.layers[0].W)
-    assert np.allclose(before.b_class, tr.model.b_class)
+    assert np.allclose(before, tr.model.data)
 
 
 def test_empty_unlabeled_matches_beta_zero():
@@ -112,10 +129,10 @@ def test_update_changes_parameters_every_estimator():
     y = np.array([0, 1, 1, 0, 1])
     for est in ("mf-cd", "mf-bp", "sap"):
         tr = make_trainer(est, seed=7)
-        before = tr.model.copy()
+        before = tr.model.layers[0].W.copy()
         report = tr.update(*mixed_batch(x, y, x[:2]))
         assert report["updated"]
-        assert not np.array_equal(before.layers[0].W, tr.model.layers[0].W)
+        assert not np.array_equal(before, tr.model.layers[0].W)
 
 
 def test_sap_trainer_owns_particles():
