@@ -1,6 +1,7 @@
 """Self-verification suites exposed on the CLI: exact-enumeration oracle
 checks for the Boltzmann conditionals, and central finite-difference checks
-for every back-propagated gradient.
+for every back-propagated gradient, each of which differences the whole flat
+parameter vector `data` of its network against the returned gradient's.
 """
 
 import numpy as np
@@ -10,6 +11,7 @@ from .dhda import dhda_forward
 from .numerics import cross_entropy, make_rng, one_hot, sigmoid
 
 FD_STEP = 1e-5
+CONFIGS_PER_MODEL = 3   # random (y, x, h^1, h^2) per model in oracle_check
 
 
 def _rel_err(a, b):
@@ -31,52 +33,44 @@ def random_tiny_model(rng, max_dim=3, max_classes=3):
     return params
 
 
-def oracle_check(n_models=50, seed=7, configs_per_model=3):
-    """Max deviation of every conditional from brute-force enumeration."""
+def oracle_check(n_models=50, seed=7):
+    """Max deviation of every conditional from enumerating dhbm.energy."""
     rng = make_rng(seed)
     worst = 0.0
     for _ in range(n_models):
         params = random_tiny_model(rng)
         oracle = dhbm.BruteForceJoint(params)
         assert abs(oracle.joint.sum() - 1.0) < 1e-12
-        d = params.n_visible
-        h1d, h2d = params.hidden_dims
-        c = params.n_classes
-        for _ in range(configs_per_model):
-            y = int(rng.integers(0, c))
-            x = rng.integers(0, 2, d).astype(np.float64)
-            h1 = rng.integers(0, 2, h1d).astype(np.float64)
-            h2 = rng.integers(0, 2, h2d).astype(np.float64)
-            ey = one_hot(y, c)
-            worst = max(worst, np.max(np.abs(
-                dhbm.cond_h(params, 0, ey, x, h2) - oracle.cond_h1(y, x, h2))))
-            worst = max(worst, np.max(np.abs(
-                dhbm.cond_h(params, 1, ey, h1) - oracle.cond_h2(y, h1))))
-            worst = max(worst, np.max(np.abs(
-                dhbm.cond_x(params, h1) - oracle.cond_x(h1))))
-            worst = max(worst, np.max(np.abs(
-                dhbm.cond_y(params, [h1, h2]) - oracle.cond_y(h1, h2))))
+        for _ in range(CONFIGS_PER_MODEL):
+            y = int(rng.integers(0, params.n_classes))
+            x, h1, h2 = (rng.integers(0, 2, n).astype(np.float64)
+                         for n in (params.n_visible, *params.hidden_dims))
+            ey = one_hot(y, params.n_classes)
+            worst = max(worst, *(np.max(np.abs(a - b)) for a, b in [
+                (dhbm.cond_h(params, 0, ey, x, h2), oracle.cond_h1(y, x, h2)),
+                (dhbm.cond_h(params, 1, ey, h1), oracle.cond_h2(y, h1)),
+                (dhbm.cond_x(params, h1), oracle.cond_x(h1)),
+                (dhbm.cond_y(params, [h1, h2]), oracle.cond_y(h1, h2))]))
     return worst
 
 
-def _fd(loss_fn, arr):
-    g = np.zeros_like(arr)
-    it = np.nditer(arr, flags=["multi_index"])
-    while not it.finished:
-        i = it.multi_index
-        orig = arr[i]
-        arr[i] = orig + FD_STEP
+def _fd(loss_fn, flat):
+    """Central differences of loss_fn() in each entry of the vector `flat`."""
+    g = np.empty_like(flat)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + FD_STEP
         up = loss_fn()
-        arr[i] = orig - FD_STEP
+        flat[i] = orig - FD_STEP
         down = loss_fn()
-        arr[i] = orig
+        flat[i] = orig
         g[i] = (up - down) / (2.0 * FD_STEP)
-        it.iternext()
     return g
 
 
-def gradcheck_recognition(seed=11, dims=(3, 4, 3, 2), batch=3):
+def gradcheck_recognition(seed=11):
     """Recognition-net KL gradients vs central differences."""
+    dims, batch = (3, 4, 3, 2), 3
     rng = make_rng(seed)
     model = dhbm.HybridParams.initialize(dims[0], list(dims[1:]), 2, rng,
                                          weight_std=0.5)
@@ -89,11 +83,7 @@ def gradcheck_recognition(seed=11, dims=(3, 4, 3, 2), batch=3):
     def loss():
         return recognition.kl_loss(recognition.recognize(rec, x), mu)
 
-    worst = 0.0
-    for W, b, gW, gb in zip(rec.Ws, rec.bs, grads.Ws, grads.bs):
-        worst = max(worst, np.max(_rel_err(gW, _fd(loss, W))))
-        worst = max(worst, np.max(_rel_err(gb, _fd(loss, b))))
-    return worst
+    return float(np.max(_rel_err(grads.data, _fd(loss, rec.data))))
 
 
 def _mf_bp_surrogate(params, y_onehot, frozen):
@@ -113,8 +103,10 @@ def _mf_bp_surrogate(params, y_onehot, frozen):
     return recon_total + baseline.log_loss(dhbm.cond_y(params, hs), y_onehot)
 
 
-def gradcheck_mf_bp(seed=13, batch=2):
-    """MF-BP estimator vs central differences of its surrogate loss."""
+def gradcheck_mf_bp(seed=13):
+    """MF-BP estimator vs central differences of its surrogate loss, negated:
+    the estimator returns the ascent direction."""
+    batch = 2
     rng = make_rng(seed)
     d, hidden, c = 4, [3, 3], 3
     params = dhbm.HybridParams.initialize(d, hidden, c, rng, weight_std=0.5)
@@ -127,10 +119,8 @@ def gradcheck_mf_bp(seed=13, batch=2):
     frozen = []
     for l in range(params.n_layers):
         v_in = state.input_hat if l == 0 else state.hidden_hat[l - 1]
-        if l + 1 < params.n_layers:
-            topdown = q_rec[l + 1] @ params.layers[l + 1].W
-        else:
-            topdown = np.zeros((batch, params.hidden_dims[l]))
+        topdown = (q_rec[l + 1] @ params.layers[l + 1].W
+                   if l + 1 < params.n_layers else 0.0)
         v_target = x if l == 0 else q_rec[l - 1]
         frozen.append((v_in.copy(), topdown, state.masks[l].copy(),
                        np.asarray(v_target).copy()))
@@ -140,20 +130,13 @@ def gradcheck_mf_bp(seed=13, batch=2):
     def loss():
         return _mf_bp_surrogate(params, y, frozen)
 
-    worst = 0.0
-    for lp, g in zip(params.layers, grads.layers):
-        # estimator returns ascent direction: compare against -FD
-        worst = max(worst, np.max(_rel_err(g.W, -_fd(loss, lp.W))))
-        worst = max(worst, np.max(_rel_err(g.U, -_fd(loss, lp.U))))
-        worst = max(worst, np.max(_rel_err(g.b_hidden, -_fd(loss, lp.b_hidden))))
-        worst = max(worst, np.max(_rel_err(g.b_visible, -_fd(loss, lp.b_visible))))
-    worst = max(worst, np.max(_rel_err(grads.b_class, -_fd(loss, params.b_class))))
-    return worst
+    return float(np.max(_rel_err(grads.data, -_fd(loss, params.data))))
 
 
-def gradcheck_mlp(seed=17, batch=3):
+def gradcheck_mlp(seed=17):
     """Baseline-MLP row-weighted log-loss gradients vs central differences,
     with a different weight on every row."""
+    batch = 3
     rng = make_rng(seed)
     d, hidden, c = 4, [5, 4], 3
     params = baseline.init_mlp(d, hidden, c, rng, weight_std=0.5)
@@ -167,11 +150,7 @@ def gradcheck_mlp(seed=17, batch=3):
         return sum(w[i] * baseline.log_loss(probs[i:i + 1], y[i:i + 1])
                    for i in range(batch))
 
-    worst = 0.0
-    for W, b, gW, gb in zip(params.Ws, params.bs, grads.Ws, grads.bs):
-        worst = max(worst, np.max(_rel_err(gW, _fd(loss, W))))
-        worst = max(worst, np.max(_rel_err(gb, _fd(loss, b))))
-    return worst
+    return float(np.max(_rel_err(grads.data, _fd(loss, params.data))))
 
 
 def run_all_gradchecks(seed=0):

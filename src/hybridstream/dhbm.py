@@ -10,7 +10,8 @@ decoders; the Boltzmann energy uses layer 0's.
 
 Probabilities are proportional to exp(-E) with E as returned by
 :func:`energy`; under that convention every conditional below is the
-sigmoid / softmax form that the mean-field equations iterate.
+sigmoid / softmax form that the mean-field equations iterate, and the
+oracle BruteForceJoint enumerates energy itself.
 """
 
 from dataclasses import dataclass
@@ -94,25 +95,27 @@ class MeanFieldState:
 
 
 def energy(params, y, x, hs):
-    """E(y, x, h^1..h^L) = -sum_l h_l'W_l v_{l-1} - sum_l h_l'U_l e_y - biases."""
+    """E(y, x, h^1..h^L) = -sum_l h_l'W_l v_{l-1} - sum_l h_l'U_l e_y - biases.
+
+    The class index y, x and each h broadcast over their leading axes, units
+    on the last: one configuration gives a float, a grid of them an array (the
+    grid BruteForceJoint enumerates)."""
     x = np.asarray(x, dtype=np.float64)
     hs = [np.asarray(h, dtype=np.float64) for h in hs]
     if len(hs) != params.n_layers:
         raise ValueError(f"expected {params.n_layers} hidden vectors, got {len(hs)}")
     ey = one_hot(y, params.n_classes)
-    e = 0.0
+    e = -(ey @ params.b_class)
     below = x
     for lp, h in zip(params.layers, hs):
-        if lp.W.shape != (h.shape[0], below.shape[0]):
+        if lp.W.shape != (h.shape[-1], below.shape[-1]):
             raise ValueError(f"W shape {lp.W.shape} does not match "
-                             f"({h.shape[0]}, {below.shape[0]})")
-        e -= h @ lp.W @ below
-        e -= h @ lp.U @ ey
-        e -= lp.b_hidden @ h
+                             f"({h.shape[-1]}, {below.shape[-1]})")
+        e = (e - np.sum((h @ lp.W) * below, axis=-1)
+             - np.sum((h @ lp.U) * ey, axis=-1) - h @ lp.b_hidden)
         below = h
-    e -= params.layers[0].b_visible @ x
-    e -= params.b_class @ ey
-    return float(e)
+    e = e - x @ params.layers[0].b_visible
+    return float(e) if e.ndim == 0 else e
 
 
 def cond_h(params, l, y_probs, below, above=None):
@@ -195,9 +198,9 @@ def _state_index(v):
 class BruteForceJoint:
     """Exact joint p(y, x, h^1, h^2) of a tiny two-layer model by enumeration.
 
-    The table is built directly from exp(-E) over every configuration, so the
-    conditionals read off it are an oracle that is independent of the
-    sigmoid/softmax formulas in this module.
+    The table is exp(-E), normalized, with E from one :func:`energy` call on
+    the grid of every configuration, so the conditionals read off it are an
+    oracle independent of the sigmoid/softmax formulas in this module.
     """
 
     MAX_CONFIGS = 1 << 20
@@ -212,26 +215,15 @@ class BruteForceJoint:
         if total > self.MAX_CONFIGS:
             raise ValueError(f"{total} configurations exceed the "
                              f"{self.MAX_CONFIGS} enumeration bound")
-        X = _enumerate_binary(D)
-        A = _enumerate_binary(H1)
-        B = _enumerate_binary(H2)
-        W1, U1 = params.layers[0].W, params.layers[0].U
-        W2, U2 = params.layers[1].W, params.layers[1].U
-        # -E indexed [y, ix, i1, i2], assembled term by term via broadcasting
-        negE = np.zeros((C, len(X), len(A), len(B)))
-        negE += (A @ W1 @ X.T).T[None, :, :, None]
-        negE += (B @ W2 @ A.T).T[None, None, :, :]
-        negE += (A @ U1).T[:, None, :, None]
-        negE += (B @ U2).T[:, None, None, :]
-        negE += (A @ params.layers[0].b_hidden)[None, None, :, None]
-        negE += (B @ params.layers[1].b_hidden)[None, None, None, :]
-        negE += (X @ params.layers[0].b_visible)[None, :, None, None]
-        negE += params.b_class[:, None, None, None]
+        X, A, B = (_enumerate_binary(n) for n in (D, H1, H2))
+        # -E indexed [y, ix, i1, i2]
+        negE = -energy(params, np.arange(C)[:, None, None, None],
+                       X[None, :, None, None],
+                       [A[None, None, :, None], B[None, None, None, :]])
         w = np.exp(negE - negE.max())
         self.log_z = float(np.log(w.sum()) + negE.max())
         self.joint = w / w.sum()
         self._X, self._A, self._B = X, A, B
-        self._dims = (D, H1, H2, C)
 
     def marginal_xy(self):
         """p(x, y) as an array indexed [ix, y]."""

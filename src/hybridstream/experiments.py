@@ -15,18 +15,20 @@ from . import baseline, streams
 from .dhbm import HybridParams
 from .datasets import load_idx, mnist_paths, split_semi_supervised, unit_scale
 from .evaluation import CurveWriter, PrequentialState, summarize_trials, test_error
-from .numerics import make_rng
+from .numerics import check_type, make_rng
 from .trainer import Trainer, TrainerConfig
 
 STREAM_MODEL_KINDS = ("dhbm-mf", "dhbm-sap", "dhda", "mlp-pl")
 
-# the top-level config keys each experiment reads; any other key is an error
-STREAM_KEYS = frozenset({"stream", "architecture", "iterations", "models",
-                         "trainer", "seed", "trials", "preq_alpha",
-                         "curve_every"})
-MNIST_KEYS = frozenset({"architecture", "n_labeled", "n_unlabeled", "n_valid",
-                        "epochs", "batch_size", "models", "trainer", "seed",
-                        "trials", "data_root"})
+# the top-level config keys each experiment reads, each with its type and,
+# for a count, its least value; any other key is an error
+STREAM_KEYS = {"stream": (dict,), "architecture": (str,), "iterations": (int, 1),
+               "models": (list,), "trainer": (dict,), "seed": (int, 0),
+               "trials": (int, 1), "preq_alpha": (float,), "curve_every": (int, 1)}
+MNIST_KEYS = {"architecture": (str,), "n_labeled": (int, 1),
+              "n_unlabeled": (int, 0), "n_valid": (int, 1), "epochs": (int, 1),
+              "batch_size": (int, 1), "models": (list,), "trainer": (dict,),
+              "seed": (int, 0), "trials": (int, 1), "data_root": (str,)}
 
 
 # the estimator each hybrid kind trains with; the kind is the only way to
@@ -35,10 +37,16 @@ KIND_ESTIMATORS = {"dhbm-mf": "mf-cd", "dhbm-sap": "sap", "dhda": "mf-bp"}
 
 
 def _check_keys(config, known):
-    unknown = sorted(set(config) - known)
+    """Refuse a key not in `known`, and a value of another type or out of
+    range, before anything is built or written."""
+    unknown = sorted(set(config) - set(known))
     if unknown:
         raise ValueError(f"unknown config keys {unknown}; "
                          f"known keys are {sorted(known)}")
+    for key, value in config.items():
+        check_type(key, value, *known[key])
+    if not 0.0 < config.get("preq_alpha", 1.0) <= 1.0:
+        raise ValueError(f"preq_alpha must lie in (0, 1], got {config['preq_alpha']}")
 
 
 def _trainer_config(config, **defaults):
@@ -111,7 +119,7 @@ def run_stream_trial(config, trial, out_dir):
     """One seeded trial; returns {model: final prequential error}."""
     _check_keys(config, STREAM_KEYS)
     stream_cfg = streams.StreamConfig(**config["stream"])
-    trial_seed = int(config.get("seed", 0)) + 1000 * trial
+    trial_seed = config.get("seed", 0) + 1000 * trial
     stream_rng = make_rng(trial_seed)
     stream = streams.make_stream(stream_cfg, stream_rng)
     n_visible, hidden_dims, n_classes = parse_architecture(config["architecture"])
@@ -121,9 +129,9 @@ def run_stream_trial(config, trial, out_dir):
             f"{stream_cfg.kind} stream, which has {stream.n_features} features "
             f"and {stream.n_classes} classes")
     trainer_cfg = _trainer_config(config)
-    alpha_err = float(config.get("preq_alpha", 0.995))
-    iterations = int(config["iterations"])
-    curve_every = int(config.get("curve_every", 1000))
+    alpha_err = config.get("preq_alpha", 0.995)
+    iterations = config["iterations"]
+    curve_every = config.get("curve_every", 1000)
     models = {}
     preq = {}
     for i, kind in enumerate(config.get("models", list(STREAM_MODEL_KINDS))):
@@ -161,7 +169,7 @@ def _echo_config(config, out_dir, trials):
 def run_stream_experiment(config, out_dir, jobs=1):
     """All trials; emits per-trial curves, a summary CSV and a config echo."""
     _check_keys(config, STREAM_KEYS)
-    trials = int(config.get("trials", 5))
+    trials = config.get("trials", 5)
     _echo_config(config, out_dir, trials)
     finals = {}
     if jobs > 1:
@@ -205,19 +213,19 @@ def run_mnist_trial(config, trial, dataset, test_set):
         raise ValueError(
             f"architecture {config['architecture']!r} does not fit the data, "
             f"which has {n_pixels} pixels per image and labels 0-{n_labels - 1}")
-    trial_seed = int(config.get("seed", 0)) + 1000 * trial
+    trial_seed = config.get("seed", 0) + 1000 * trial
     rng = make_rng(trial_seed)
-    n_labeled = int(config.get("n_labeled", 1000))
-    n_valid = int(config.get("n_valid", 1000))
+    n_labeled = config.get("n_labeled", 1000)
+    n_valid = config.get("n_valid", 1000)
     n_unlabeled = config.get("n_unlabeled")
     labeled, unlabeled, validation = split_semi_supervised(
         dataset, n_labeled, n_valid, rng)
     if n_unlabeled is not None:
-        unlabeled = unlabeled[:int(n_unlabeled)]
+        unlabeled = unlabeled[:n_unlabeled]
     trainer_cfg = _trainer_config(config, anneal=True,
                                   labeled_epoch_size=n_labeled)
-    batch_size = int(config.get("batch_size", 10))
-    epochs = int(config.get("epochs", 6))
+    batch_size = config.get("batch_size", 10)
+    epochs = config.get("epochs", 6)
     pool_x = np.concatenate([labeled.images, unlabeled])
     pool_y = np.concatenate([labeled.labels,
                              -np.ones(len(unlabeled), dtype=np.int64)])
@@ -268,7 +276,7 @@ def run_mnist_experiment(config, out_dir):
     data_root = config.get("data_root")
     train = load_idx(*mnist_paths(data_root, "train"))
     test = load_idx(*mnist_paths(data_root, "test"))
-    trials = int(config.get("trials", 1))
+    trials = config.get("trials", 1)
     _echo_config(config, out_dir, trials)
     finals = {}
     for t in range(trials):

@@ -1,6 +1,7 @@
 """Activation functions, seeded randomness, the flat parameter layout
-shared by every model component, the dense-network parameter type, and the
-mask draw, row weights and cross-entropy that every model shares.
+shared by every model component, the dense-network parameter type, the
+mask draw, row weights and cross-entropy that every model shares, and the
+type check of every config value.
 
 All arithmetic is double precision.  Randomness is never global: callers
 construct a Generator with :func:`make_rng` and pass it explicitly so that
@@ -9,6 +10,7 @@ identical seeds reproduce identical runs.
 
 import dataclasses
 import math
+import numbers
 
 import numpy as np
 
@@ -94,6 +96,31 @@ class DenseParams(ViewRecord):
     def zeros_like(self):
         """Zero parameters of the same layout, the container of a gradient."""
         return self.from_dims(self.dims)
+
+
+def check_type(name, value, kind, least=None):
+    """Raise a ValueError naming `name` unless `value` is of type `kind` and,
+    when `least` is not None, >= `least`.  For int that is an integer (numpy's
+    too) that is not a bool, for float a finite real that is not a bool."""
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if kind is int:
+        ok, need = number and isinstance(value, numbers.Integral), "an integer"
+    elif kind is float:
+        ok, need = number and math.isfinite(value), "finite (a real, not a bool)"
+    else:
+        ok, need = isinstance(value, kind), f"a {kind.__name__}"
+    if least is not None:
+        ok, need = ok and value >= least, f"{need} and >= {least}"
+    if not ok:
+        raise ValueError(f"{name} must be {need}, got {value!r}")
+
+
+def check_fields(record, **least):
+    """check_type of each field of the dataclass `record` against its
+    annotated type and its least value in `least`, if one is given."""
+    for field in dataclasses.fields(record):
+        check_type(field.name, getattr(record, field.name), field.type,
+                   least.get(field.name))
 
 
 def sigmoid(v, out=None):

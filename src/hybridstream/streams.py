@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import check_fields
+
 # Seven-segment encodings per digit, segment order (a, b, c, d, e, f, g):
 # a = top, b = top-right, c = bottom-right, d = bottom, e = bottom-left,
 # f = top-left, g = middle.
@@ -55,14 +57,13 @@ class StreamConfig:
     batch_size: int = 20
 
     def __post_init__(self):
+        check_fields(self, drift_attr_count=0, batch_size=1)
         if self.kind not in ("led", "waveform"):
             raise ValueError(f"unknown stream kind {self.kind!r}")
         if not 0.0 <= self.noise_fraction <= 1.0:
             raise ValueError("noise_fraction must lie in [0, 1]")
         if not 0.0 <= self.label_fraction <= 1.0:
             raise ValueError("label_fraction must lie in [0, 1]")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
 
 
 @dataclass

@@ -4,14 +4,13 @@ recognition-net steps, with drop-out masking, beta annealing, and
 prediction.
 """
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import dhbm, dhda, estimators, recognition
-from .numerics import bernoulli_mask, one_hot, row_weights, split_views
+from .numerics import (bernoulli_mask, check_fields, one_hot, row_weights,
+                       split_views)
 
 ESTIMATORS = ("mf-cd", "mf-bp", "sap")
 
@@ -49,34 +48,20 @@ class TrainerConfig:
     labeled_epoch_size: int = 1000
 
     def __post_init__(self):
-        for name in ("num_steps", "n_particles", "labeled_epoch_size"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not isinstance(self.anneal, bool):
-            raise ValueError(f"anneal must be a bool, got {self.anneal!r}")
-        # lr, alpha and beta scale the row weights: a NaN or an infinity there
-        # would reach every parameter in one step
-        for name in ("lr", "alpha", "beta_f"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0")
+        # a float count would reach range(), any non-empty string would switch
+        # annealing on, and a NaN or an infinite lr, alpha or beta would reach
+        # every parameter in one step
+        check_fields(self, lr=0, alpha=0, beta_f=0, num_steps=1, n_particles=1)
         if not 0.0 < self.keep_prob <= 1.0:
             raise ValueError("keep_prob must lie in (0, 1]")
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"estimator must be one of {ESTIMATORS}")
-        if math.isnan(self.t1) or math.isnan(self.t2):
-            raise ValueError("t1 and t2 must be numbers")
         if self.t1 > self.t2:
             raise ValueError("t1 must not exceed t2")
         if self.anneal and self.labeled_epoch_size < 1:
             raise ValueError("labeled_epoch_size must be >= 1 when annealing")
-        if self.num_steps < 1:
-            raise ValueError("num_steps must be >= 1")
         if not 0.0 <= self.corruption_p <= 1.0:
             raise ValueError("corruption_p must lie in [0, 1]")
-        if self.n_particles < 1:
-            raise ValueError("n_particles must be >= 1")
 
 
 class Trainer:

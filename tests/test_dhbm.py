@@ -59,6 +59,60 @@ def test_energy_single_coupling():
     assert e == -2.0
 
 
+def _configurations(params):
+    """Every (y, x, [h^1, h^2]) of a tiny two-layer model, y slowest."""
+    d, (h1d, h2d), c = params.n_visible, params.hidden_dims, params.n_classes
+    for y, ix, i1, i2 in np.ndindex(c, 1 << d, 1 << h1d, 1 << h2d):
+        yield y, [((ix >> np.arange(d)) & 1).astype(np.float64),
+                  [((i1 >> np.arange(h1d)) & 1).astype(np.float64),
+                   ((i2 >> np.arange(h2d)) & 1).astype(np.float64)]]
+
+
+@pytest.mark.parametrize("seed, d, hidden, c", [(1, 3, (2, 2), 2),
+                                                (4, 2, (3, 1), 3)])
+def test_energy_on_a_grid_equals_each_configuration(seed, d, hidden, c):
+    params = tiny_model(seed, d, hidden, c)
+    configs = list(_configurations(params))
+    ys = np.array([y for y, _ in configs])
+    xs = np.array([x for _, (x, _) in configs])
+    h1s = np.array([hs[0] for _, (_, hs) in configs])
+    h2s = np.array([hs[1] for _, (_, hs) in configs])
+    one_by_one = np.array([dhbm.energy(params, y, x, hs)
+                           for y, (x, hs) in configs])
+    assert all(isinstance(e, float) for e in one_by_one.tolist())
+    # a flat batch, and the same batch as a (4, n / 4) grid of leading axes
+    assert np.allclose(dhbm.energy(params, ys, xs, [h1s, h2s]), one_by_one,
+                       rtol=0, atol=1e-12)
+    grid = dhbm.energy(params, ys.reshape(4, -1), xs.reshape(4, -1, d),
+                       [h1s.reshape(4, -1, hidden[0]),
+                        h2s.reshape(4, -1, hidden[1])])
+    assert np.allclose(grid.ravel(), one_by_one, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed, d, hidden, c", [(2, 3, (2, 2), 2),
+                                                (6, 2, (1, 3), 3)])
+def test_log_z_is_the_log_sum_exp_of_energies(seed, d, hidden, c):
+    params = tiny_model(seed, d, hidden, c)
+    neg_e = np.array([-dhbm.energy(params, y, x, hs)
+                      for y, (x, hs) in _configurations(params)])
+    log_z = neg_e.max() + np.log(np.exp(neg_e - neg_e.max()).sum())
+    oracle = dhbm.BruteForceJoint(params)
+    assert abs(oracle.log_z - log_z) < 1e-12
+    # the table is indexed [y, x, h^1, h^2] in the enumeration order
+    assert np.allclose(oracle.joint.ravel(), np.exp(neg_e - log_z),
+                       rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("x, hs, message", [
+    (np.ones(3), [np.ones(2)], "expected 2 hidden vectors, got 1"),
+    (np.ones(4), [np.ones(2), np.ones(2)], "does not match"),
+    (np.ones(3), [np.ones(2), np.ones(3)], "does not match"),
+], ids=["one-hidden-vector", "wide-x", "wide-h2"])
+def test_energy_refuses_states_that_do_not_fit(x, hs, message):
+    with pytest.raises(ValueError, match=message):
+        dhbm.energy(tiny_model(), 0, x, hs)
+
+
 def test_conditionals_match_enumeration():
     params = tiny_model(3)
     oracle = dhbm.BruteForceJoint(params)

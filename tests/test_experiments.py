@@ -37,6 +37,10 @@ def test_architecture_size_not_an_integer_raises(arch):
         experiments.parse_architecture(arch)
 
 
+def no_build(*args, **kwargs):
+    raise AssertionError("a model was built")
+
+
 def small_config(**kw):
     config = {
         "stream": {"kind": "led", "noise_fraction": 0.1, "label_fraction": 0.5,
@@ -338,6 +342,54 @@ def test_unknown_offline_config_key_raises(tmp_path):
             load_idx(*mnist_paths(str(tmp_path), "test")))
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("iterations", 250.9, "must be an integer"),
+    ("iterations", "300", "must be an integer"),
+    ("iterations", 0, "must be an integer and >= 1"),
+    ("seed", 1.9, "must be an integer"),
+    ("curve_every", 2.5, "must be an integer"),
+    ("curve_every", -100, "must be an integer and >= 1"),
+    ("models", "dhbm-mf", "must be a list"),
+    ("trials", 0, "must be an integer and >= 1"),
+    ("preq_alpha", 0.0, "must lie in"),
+    ("preq_alpha", "0.9", "must be finite")])
+def test_bad_stream_run_key_is_refused_before_any_build_or_write(
+        key, value, message, tmp_path, monkeypatch):
+    # int() would truncate 250.9 and read "300"; a string is not a model list
+    monkeypatch.setattr(experiments, "build_model", no_build)
+    config = small_config(**{key: value})
+    with pytest.raises(ValueError, match=f"^{key} {message}"):
+        experiments.run_stream_trial(config, 0, str(tmp_path))
+    with pytest.raises(ValueError, match=f"^{key} {message}"):
+        experiments.run_stream_experiment(config, str(tmp_path))
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("n_unlabeled", -5, "must be an integer and >= 0"),
+    ("n_unlabeled", 30.5, "must be an integer"),
+    ("seed", 1.9, "must be an integer"),
+    ("epochs", 2.5, "must be an integer"),
+    ("batch_size", 0, "must be an integer and >= 1"),
+    ("n_labeled", 0, "must be an integer and >= 1"),
+    ("n_valid", "20", "must be an integer"),
+    ("models", "mlp-lab", "must be a list")])
+def test_bad_offline_run_key_is_refused_before_any_build_or_write(
+        key, value, message, tmp_path, monkeypatch):
+    write_tiny_mnist(tmp_path)
+    monkeypatch.setattr(experiments, "build_model", no_build)
+    config = {"architecture": "36-16-4", "n_labeled": 40, "n_valid": 20,
+              "epochs": 1, "data_root": str(tmp_path), key: value}
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=f"^{key} {message}"):
+        experiments.run_mnist_experiment(config, str(out))
+    assert not out.exists()
+    with pytest.raises(ValueError, match=f"^{key} {message}"):
+        experiments.run_mnist_trial(
+            config, 0, load_idx(*mnist_paths(str(tmp_path), "train")),
+            load_idx(*mnist_paths(str(tmp_path), "test")))
+
+
 def test_trainer_config_value_of_another_type_raises(tmp_path):
     with pytest.raises(ValueError, match="num_steps"):
         experiments.run_stream_trial(small_config(trainer={"num_steps": 1.5}),
@@ -369,9 +421,6 @@ def test_architecture_must_fit_the_images(arch, tmp_path, monkeypatch):
     train = load_idx(*mnist_paths(str(tmp_path), "train"))
     test = load_idx(*mnist_paths(str(tmp_path), "test"))
 
-    def no_build(*args, **kwargs):
-        raise AssertionError("a model was built")
-
     monkeypatch.setattr(experiments, "build_model", no_build)
     config = {"architecture": arch, "n_labeled": 40, "n_valid": 20, "epochs": 1}
     with pytest.raises(ValueError, match="does not fit"):
@@ -383,9 +432,6 @@ def test_trainer_estimator_key_raises(run, tmp_path, monkeypatch):
     # the model kind picks the estimator: a config's estimator would be
     # overwritten for the hybrids and unread by the MLPs, so it is refused
     # before any model is built
-    def no_build(*args, **kwargs):
-        raise AssertionError("a model was built")
-
     monkeypatch.setattr(experiments, "build_model", no_build)
     trainer_cfg = {"estimator": "sap", "keep_prob": 0.5}
     if run == "stream":

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hybridstream.numerics import (bernoulli_mask, make_rng, one_hot, relu,
-                                   sigmoid, softmax)
+from hybridstream.numerics import (bernoulli_mask, check_type, make_rng,
+                                   one_hot, relu, sigmoid, softmax)
 
 
 def test_sigmoid_symmetry():
@@ -163,3 +163,30 @@ def test_one_hot():
 
 def test_make_rng_reproducible():
     assert make_rng(42).random(5).tolist() == make_rng(42).random(5).tolist()
+
+
+@pytest.mark.parametrize("kind, value", [
+    (int, 3), (int, np.int64(-2)), (int, np.uint8(7)), (float, 0.5),
+    (float, 2), (float, np.float32(1.5)), (float, np.int64(4)), (bool, False),
+    (str, "led"), (list, ["mlp-pl"]), (dict, {})])
+def test_check_type_takes_values_of_the_type(kind, value):
+    check_type("field", value, kind)
+
+
+@pytest.mark.parametrize("kind, value, need", [
+    (int, 2.0, "an integer"), (int, True, "an integer"), (int, "3", "an integer"),
+    (float, float("nan"), "finite"), (float, -float("inf"), "finite"),
+    (float, False, "finite"), (float, "0.5", "finite"), (float, None, "finite"),
+    (bool, 1, "a bool"), (str, 3, "a str"), (list, "mlp-pl", "a list")])
+def test_check_type_names_the_field_it_refuses(kind, value, need):
+    with pytest.raises(ValueError, match=f"^field must be {need}.*got"):
+        check_type("field", value, kind)
+
+
+@pytest.mark.parametrize("kind, value, least, need", [
+    (int, 0, 1, "an integer and >= 1"), (int, 1.5, 1, "an integer and >= 1"),
+    (float, -0.5, 0, r"finite \(a real, not a bool\) and >= 0")])
+def test_check_type_refuses_a_value_below_its_least(kind, value, least, need):
+    check_type("field", least, kind, least)
+    with pytest.raises(ValueError, match=f"^field must be {need}, got"):
+        check_type("field", value, kind, least)

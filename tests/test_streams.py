@@ -182,3 +182,16 @@ def test_stream_reproducible_from_seed():
     b = streams.make_stream(cfg, make_rng(13)).next_batch(50)
     assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.labels, b.labels)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("drift_attr_count", 2.5, "must be an integer"),
+    ("drift_attr_count", -3, "must be an integer and >= 0"),
+    ("batch_size", 2.5, "must be an integer"),
+    ("label_fraction", True, "must be finite"),
+    ("noise_fraction", "0.1", "must be finite")])
+def test_config_refuses_a_value_of_another_type_or_range(field, value, message):
+    # a float drift count would fail only at the first drift boundary, and a
+    # negative one would silently mean no drift
+    with pytest.raises(ValueError, match=f"^{field} {message}"):
+        streams.StreamConfig(**{field: value})

@@ -79,6 +79,16 @@ def test_config_requires_integer_counts_and_a_bool_anneal(field, value):
         TrainerConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("lr", "fast"), ("t1", None), ("keep_prob", "0.5"), ("corruption_p", "x"),
+    ("alpha", True), ("t2", float("inf"))])
+def test_config_requires_finite_real_numbers(field, value):
+    # a string or None would fail with a TypeError that names no field, and
+    # a bool or an infinite t2 would be taken as a number
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        TrainerConfig(**{field: value})
+
+
 def test_config_takes_numpy_integers():
     cfg = TrainerConfig(num_steps=np.int64(2), n_particles=np.int32(3),
                         labeled_epoch_size=np.uint16(7))
