@@ -6,8 +6,8 @@ pass per batch.
 
 import numpy as np
 
-from .numerics import (DenseParams, bernoulli_mask, one_hot, relu, row_weights,
-                       softmax)
+from .numerics import (DenseParams, dropout_masks, one_hot, relu, row_targets,
+                       row_weights, softmax)
 
 EPS = 1e-12
 
@@ -21,32 +21,19 @@ def init_mlp(n_visible, hidden_dims, n_classes, rng, weight_std=0.01):
     return params
 
 
-def mlp_forward(params, x, keep_prob=1.0, train_mode=False, rng=None):
-    """Rectifier layers with drop-out, softmax head.
-
-    Train mode applies fresh binary masks to each hidden layer (rng
-    required when keep_prob < 1); eval mode scales activations by
-    keep_prob.  Returns (hidden activations, class probs, masks).
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+def mlp_forward(params, x, scales):
+    """(hidden activations, class probs) of rectifier layers over the 2-D
+    float64 row batch `x`, hidden layer l times scales[l] (drop-out masks in
+    training, keep_prob in prediction, None for neither), and a softmax."""
     hidden = []
-    masks = []
     below = x
-    for W, b in zip(params.Ws[:-1], params.bs[:-1]):
+    for l, (W, b) in enumerate(zip(params.Ws[:-1], params.bs[:-1])):
         h = relu(below @ W.T + b)
-        if keep_prob < 1.0:
-            if train_mode:
-                if rng is None:
-                    raise ValueError("train-mode drop-out needs an rng")
-                m = bernoulli_mask(rng, *h.shape, keep_prob)
-                h = h * m
-                masks.append(m)
-            else:
-                h = h * keep_prob
+        if scales is not None:
+            np.multiply(h, scales[l], out=h)
         hidden.append(h)
         below = h
-    probs = softmax(below @ params.Ws[-1].T + params.bs[-1])
-    return hidden, probs, masks
+    return hidden, softmax(below @ params.Ws[-1].T + params.bs[-1])
 
 
 def log_loss(probs, y_onehot):
@@ -54,68 +41,58 @@ def log_loss(probs, y_onehot):
     return float(-np.sum(y_onehot * np.log(np.clip(probs, EPS, 1.0)))) / n
 
 
-def mlp_gradients(params, x, y_onehot, w, keep_prob=1.0, rng=None, out=None):
+def mlp_gradients(params, x, y_onehot, w, keep_prob=1.0, rng=None, *, out):
     """Descent gradients of the row-weighted softmax log-loss
-    sum_i w_i * loss_i through a train-mode pass (one drop-out draw per
-    layer when keep_prob < 1), written into `out` (every entry), a fresh
-    container when None.  Weights of 1/n give the batch average."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    hidden, probs, masks = mlp_forward(params, x, keep_prob, train_mode=True,
-                                        rng=rng)
+    sum_i w_i * loss_i over the 2-D float64 row batch `x`, through one pass
+    under dropout_masks, written into `out` (every entry).  Weights of 1/n
+    give the batch average."""
+    masks = dropout_masks(rng, [(len(x), d) for d in params.dims[1:-1]], keep_prob)
+    hidden, probs = mlp_forward(params, x, masks)
     inputs = [x] + hidden[:-1]
-    grads = params.zeros_like() if out is None else out
     # the forward pass's probabilities are not needed again: delta takes them
     delta = np.subtract(probs, y_onehot, out=probs)
-    np.multiply(delta, np.asarray(w, dtype=np.float64)[:, None], out=delta)
+    np.multiply(delta, w[:, None], out=delta)
     # matmul straight into the views: a wide layer's gradient is not copied
-    np.matmul(delta.T, hidden[-1] if hidden else x, out=grads.Ws[-1])
-    np.sum(delta, axis=0, out=grads.bs[-1])
+    np.matmul(delta.T, hidden[-1] if hidden else x, out=out.Ws[-1])
+    np.sum(delta, axis=0, out=out.bs[-1])
     for l in range(len(hidden) - 1, -1, -1):
         delta = (delta @ params.Ws[l + 1]) * (hidden[l] > 0)
-        if masks:
+        if masks is not None:
             delta = delta * masks[l]
-        np.matmul(delta.T, inputs[l], out=grads.Ws[l])
-        np.sum(delta, axis=0, out=grads.bs[l])
-    return grads
+        np.matmul(delta.T, inputs[l], out=out.Ws[l])
+        np.sum(delta, axis=0, out=out.bs[l])
+    return out
 
 
 def mlp_update(params, x, labels, lr, beta, keep_prob=1.0, rng=None,
-               probs=None, out=None):
+               probs=None, *, out):
     """One descent step on log-loss(labeled) + beta * log-loss(unlabeled,
     pseudo-labels), each the mean over its rows, in one weighted pass.
 
     `labels` holds a class index per row of `x`, negative where the row is
-    unlabeled.  Labeled rows weigh lr/n_lab, unlabeled rows lr*beta/n_unlab
-    and carry the argmax of the eval-mode class probabilities as their target:
-    `probs`, which must be mlp_predict(params, x, keep_prob) at the current
-    parameters, or a fresh eval pass over the whole batch when None.  Rows
-    of weight zero (every unlabeled row when beta is 0) are left out of the
-    pass.  A label count other than the row count raises ValueError before
-    anything is drawn or written.  The batch takes one train-mode forward
-    pass, with one drop-out draw per layer, and one backward pass into the
-    gradient container `out` (a fresh one when None).  The weights carry lr,
-    so that gradient is the step, taken with one in-place subtract.  Mutates
-    params.
+    unlabeled.  Rows take their row_weights, which carry lr, and their
+    row_targets of `probs`: mlp_predict(params, x, keep_prob) at the current
+    parameters, or a fresh prediction when None.  Rows of weight zero (the
+    unlabeled ones when beta is 0) are left out.  One forward and one
+    backward pass write the step into `out`; one subtract takes it.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     labels = np.asarray(labels)
     lab, w = row_weights(labels, len(x), lr, beta)
-    if beta != 0.0 and not lab.all():
-        if probs is None:
-            probs = mlp_predict(params, x, keep_prob)
-        targets = np.where(lab, labels, np.argmax(probs, axis=1))
-    elif lab.any():
-        if not lab.all():
-            x, w = x[lab], w[lab]
-        targets = labels[lab]
-    else:
+    if beta == 0.0 and not lab.all():     # the unlabeled rows weigh 0
+        x, w, labels, lab = x[lab], w[lab], labels[lab], lab[lab]
+    if len(x) == 0:
         return params
-    grads = mlp_gradients(params, x, one_hot(targets, params.dims[-1]), w,
-                          keep_prob, rng, out)
+    if probs is None and not lab.all():
+        probs = mlp_predict(params, x, keep_prob)
+    targets = one_hot(row_targets(labels, lab, probs), params.dims[-1])
+    grads = mlp_gradients(params, x, targets, w, keep_prob, rng, out=out)
     np.subtract(params.data, grads.data, out=params.data)
     return params
 
 
 def mlp_predict(params, x, keep_prob=1.0):
-    _, probs, _ = mlp_forward(params, x, keep_prob, train_mode=False)
-    return probs
+    """Class probabilities of `x`, each hidden layer times keep_prob."""
+    scales = None if keep_prob >= 1.0 else [keep_prob] * (len(params.Ws) - 1)
+    return mlp_forward(params, np.atleast_2d(np.asarray(x, dtype=np.float64)),
+                       scales)[1]

@@ -78,7 +78,8 @@ def gradcheck_recognition(seed=11):
     x = rng.random((batch, dims[0]))
     mu = [rng.random((batch, h)) for h in dims[1:]]
     grads = recognition.rec_gradients(rec, x, mu, np.full(batch, 1.0 / batch),
-                                      recognition.recognize(rec, x))
+                                      recognition.recognize(rec, x),
+                                      out=rec.zeros_like())
 
     def loss():
         return recognition.kl_loss(recognition.recognize(rec, x), mu)
@@ -125,7 +126,8 @@ def gradcheck_mf_bp(seed=13):
         frozen.append((v_in.copy(), topdown, state.masks[l].copy(),
                        np.asarray(v_target).copy()))
     grads = estimators.mf_bp_gradients(x, y, q_rec, state, params,
-                                       np.full(batch, 1.0 / batch))
+                                       np.full(batch, 1.0 / batch),
+                                       out=params.zeros_like())
 
     def loss():
         return _mf_bp_surrogate(params, y, frozen)
@@ -143,10 +145,10 @@ def gradcheck_mlp(seed=17):
     x = rng.random((batch, d))
     y = one_hot(rng.integers(0, c, batch), c)
     w = rng.uniform(0.1, 1.0, batch)
-    grads = baseline.mlp_gradients(params, x, y, w)
+    grads = baseline.mlp_gradients(params, x, y, w, out=params.zeros_like())
 
     def loss():
-        _, probs, _ = baseline.mlp_forward(params, x)
+        _, probs = baseline.mlp_forward(params, x, None)
         return sum(w[i] * baseline.log_loss(probs[i:i + 1], y[i:i + 1])
                    for i in range(batch))
 

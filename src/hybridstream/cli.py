@@ -21,6 +21,18 @@ def _load_config(path):
         return json.load(f)
 
 
+def _run(experiment, measure, config, *args, **kwargs):
+    """Echo each model's mean `measure` over experiment(config, ...)'s trials;
+    its ValueError or TypeError (a refused config or data) is a usage error."""
+    try:
+        finals = experiment(config, *args, **kwargs)
+    except (ValueError, TypeError) as e:
+        raise click.UsageError(str(e)) from e
+    for kind, errs in finals.items():
+        click.echo(f"{kind}: {measure} {sum(errs) / len(errs):.4f} "
+                   f"over {len(errs)} trial(s)")
+
+
 @click.group()
 @click.version_option()
 def main():
@@ -59,13 +71,8 @@ def stream_run(config_path, out_dir, seed, iterations, trials, stream_kind,
     config.setdefault("architecture",
                       "24-24-24-10" if config["stream"].get("kind", "led") == "led"
                       else "40-40-40-3")
-    if "iterations" not in config:
-        raise click.UsageError("iterations required (config key or --iterations)")
-    finals = experiments.run_stream_experiment(config, out_dir, jobs=jobs)
-    for kind, errs in finals.items():
-        mean = sum(errs) / len(errs)
-        click.echo(f"{kind}: final prequential error "
-                   f"{mean:.4f} over {len(errs)} trial(s)")
+    _run(experiments.run_stream_experiment, "final prequential error", config,
+         out_dir, jobs=jobs)
 
 
 @main.command("mnist-run")
@@ -85,10 +92,7 @@ def mnist_run(config_path, out_dir, data_root, seed, epochs):
         config["seed"] = seed
     if epochs is not None:
         config["epochs"] = epochs
-    finals = experiments.run_mnist_experiment(config, out_dir)
-    for kind, errs in finals.items():
-        mean = sum(errs) / len(errs)
-        click.echo(f"{kind}: test error {mean:.4f} over {len(errs)} trial(s)")
+    _run(experiments.run_mnist_experiment, "test error", config, out_dir)
 
 
 @main.command("oracle-check")

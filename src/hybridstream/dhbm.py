@@ -87,11 +87,10 @@ class HybridParams(ViewRecord):
 
 @dataclass
 class MeanFieldState:
-    """A mean-field iterate; `input_recon`, cond_x of h^1 for MF-CD's
-    negative phase, is None unless the caller sets it."""
+    """A mean-field iterate: each hidden layer's means and the class
+    distribution."""
     layer_means: list
     class_probs: np.ndarray
-    input_recon: np.ndarray = None
 
 
 def energy(params, y, x, hs):
@@ -157,7 +156,7 @@ def cond_y(params, h_means, scale=1.0):
     def scaled(h):
         return h if scale == 1.0 else np.multiply(h, scale)
 
-    logits = scaled(np.asarray(h_means[0])) @ params.layers[0].U
+    logits = scaled(h_means[0]) @ params.layers[0].U
     np.add(logits, params.b_class, out=logits)
     for lp, h in zip(params.layers[1:], h_means[1:]):
         np.add(logits, scaled(h) @ lp.U, out=logits)

@@ -34,7 +34,8 @@ class DhdaState:
 
 
 def dhda_forward(params, x, hidden, rng, corruption_p, num_steps):
-    """Forward pass with `num_steps` cycles from the start state `hidden`.
+    """Forward pass over the 2-D float64 row batch `x` with `num_steps`
+    cycles from the start state `hidden`.
 
     `hidden` holds one activation matrix per layer, such as the recognition
     statistics; it is only read.  Each cycle corrupts the input and the
@@ -44,7 +45,6 @@ def dhda_forward(params, x, hidden, rng, corruption_p, num_steps):
     """
     if num_steps < 1:
         raise ValueError("num_steps must be >= 1")
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     L = params.n_layers
     # every cycle's keep-masks, input first and then layer by layer, cut
     # from one draw; an entry is kept where its uniform is >= corruption_p

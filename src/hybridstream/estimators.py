@@ -8,7 +8,8 @@ The caller puts everything a step scales by (the learning rate included)
 into the weights, so a step is one add of the returned vector.  The two
 contrastive estimators stack their positive and negative phases as rows of
 one weighted pass, the negative rows' weights negated; back-propagation
-takes its ascent sign from negated row weights.
+takes its ascent sign from negated row weights.  Each takes 2-D float64 row
+batches and writes every entry of the caller's gradient container `out`.
 """
 
 from dataclasses import dataclass
@@ -43,22 +44,20 @@ def _contrast(v_pos, hs_pos, y_pos, v_neg, hs_neg, y_neg, w_pos, w_neg, out):
     return out
 
 
-def mf_cd_gradients(x, y_probs, y_hat, q_rec, mf_state, params, w, out=None):
+def mf_cd_gradients(x, y_probs, q_rec, x_recon, means, y_hat, w, *, out):
     """Mean-field contrastive divergence.
 
-    Positive phase from the recognition statistics (data clamped), negative
-    phase from the mean-field posterior; per layer dW = <h+ v+'> - <h- v-'>
-    and dU = <h+ e_y'> - <h- e_yhat'>, each a sum over rows weighted by
-    `w` (one weight per row; 1/n everywhere is the batch average).
-    Written into `out` (every entry), a fresh container when None.
+    Positive phase: the data, the recognition statistics and the targets.
+    Negative phase: the reconstruction x_recon of the data from the first
+    mean-field layer, the mean-field layer means and class distribution.
+    Per layer dW = <h+ v+'> - <h- v-'> and dU = <h+ e_y'> - <h- e_yhat'>,
+    each a sum over rows weighted by `w` (1/n everywhere: the batch average).
     """
-    out = params.zeros_like() if out is None else out
-    return _contrast(np.atleast_2d(x), q_rec, y_probs, mf_state.input_recon,
-                     mf_state.layer_means, y_hat, w, w, out)
+    return _contrast(x, q_rec, y_probs, x_recon, means, y_hat, w, w, out)
 
 
 def mf_bp_gradients(x, y_probs, q_rec, state, params, w, dropout_masks=None,
-                    out=None):
+                    *, out):
     """Layer-local back-propagation for the DHDA.
 
     Differentiates, per layer, the tied encoder/decoder reconstruction loss
@@ -70,13 +69,10 @@ def mf_bp_gradients(x, y_probs, q_rec, state, params, w, dropout_masks=None,
     row's loss is weighted by `w` (1/n everywhere is the batch average).
 
     Returns the ascent direction, the descent gradient negated through the
-    row weights, written into `out` (every entry), a fresh container when
-    None.
+    row weights.
     """
-    x = np.atleast_2d(x)
     wc = -w[:, None]
     L = params.n_layers
-    out = params.zeros_like() if out is None else out
     # softmax + log-loss output delta (p - e_y), each row times -w: every
     # delta below, and so every gradient entry, comes out negated
     xi_out = (state.class_probs - y_probs) * wc
@@ -132,18 +128,16 @@ class FantasyParticles:
         return self
 
 
-def sap_gradients(x, y_probs, q_rec, particles, params, rng, w, out=None):
+def sap_gradients(x, y_probs, q_rec, particles, params, rng, w, *, out):
     """Stochastic approximation procedure (persistent contrastive divergence).
 
     Positive phase as in MF-CD, a sum over rows weighted by `w`; negative
     phase from the fantasy particles, each advanced one block-Gibbs sweep
     per call and weighted by w.sum() / M, so the M chains, with their own
-    sampled labels, carry the total weight.  Written into `out` (every
-    entry), a fresh container when None.
+    sampled labels, carry the total weight.
     """
     particles.advance(params, rng, n_sweeps=1)
     m = particles.n_particles
-    out = params.zeros_like() if out is None else out
-    return _contrast(np.atleast_2d(x), q_rec, y_probs, particles.x,
+    return _contrast(x, q_rec, y_probs, particles.x,
                      particles.hs, one_hot(particles.y, params.n_classes),
                      w, np.full(m, w.sum() / m), out)

@@ -7,6 +7,7 @@ models the identical semi-supervised batches.  Iterations count instances.
 
 import json
 import os
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
@@ -20,33 +21,45 @@ from .trainer import Trainer, TrainerConfig
 
 STREAM_MODEL_KINDS = ("dhbm-mf", "dhbm-sap", "dhda", "mlp-pl")
 
-# the top-level config keys each experiment reads, each with its type and,
-# for a count, its least value; any other key is an error
-STREAM_KEYS = {"stream": (dict,), "architecture": (str,), "iterations": (int, 1),
-               "models": (list,), "trainer": (dict,), "seed": (int, 0),
-               "trials": (int, 1), "preq_alpha": (float,), "curve_every": (int, 1)}
-MNIST_KEYS = {"architecture": (str,), "n_labeled": (int, 1),
-              "n_unlabeled": (int, 0), "n_valid": (int, 1), "epochs": (int, 1),
-              "batch_size": (int, 1), "models": (list,), "trainer": (dict,),
-              "seed": (int, 0), "trials": (int, 1), "data_root": (str,)}
+# the top-level config keys each experiment reads, each with its type, its
+# least value (for a count) and whether a run needs it; any other key is an error
+Key = namedtuple("Key", "kind least required", defaults=(None, False))
+STREAM_KEYS = {"stream": Key(dict, required=True),
+               "architecture": Key(str, required=True),
+               "iterations": Key(int, 1, required=True),
+               "models": Key(list), "trainer": Key(dict), "seed": Key(int, 0),
+               "trials": Key(int, 1), "preq_alpha": Key(float),
+               "curve_every": Key(int, 1)}
+MNIST_KEYS = {"architecture": Key(str, required=True), "n_labeled": Key(int, 1),
+              "n_unlabeled": Key(int, 0), "n_valid": Key(int, 1),
+              "epochs": Key(int, 1), "batch_size": Key(int, 1),
+              "models": Key(list), "trainer": Key(dict), "seed": Key(int, 0),
+              "trials": Key(int, 1), "data_root": Key(str)}
 
 
 # the estimator each hybrid kind trains with; the kind is the only way to
 # pick one, and the MLP kinds have none
 KIND_ESTIMATORS = {"dhbm-mf": "mf-cd", "dhbm-sap": "sap", "dhda": "mf-bp"}
+MODEL_KINDS = (*KIND_ESTIMATORS, "mlp-pl", "mlp-lab")
 
 
 def _check_keys(config, known):
-    """Refuse a key not in `known`, and a value of another type or out of
-    range, before anything is built or written."""
+    """Refuse a key not in `known`, a missing required key, a value of
+    another type or out of range, and a model kind build_model lacks."""
     unknown = sorted(set(config) - set(known))
     if unknown:
         raise ValueError(f"unknown config keys {unknown}; "
                          f"known keys are {sorted(known)}")
+    missing = [key for key, spec in known.items() if spec.required and key not in config]
+    if missing:
+        raise ValueError(f"missing config keys {missing}")
     for key, value in config.items():
-        check_type(key, value, *known[key])
+        check_type(key, value, known[key].kind, known[key].least)
     if not 0.0 < config.get("preq_alpha", 1.0) <= 1.0:
         raise ValueError(f"preq_alpha must lie in (0, 1], got {config['preq_alpha']}")
+    for kind in config.get("models", []):
+        if kind not in MODEL_KINDS:
+            raise ValueError(f"unknown model kind {kind!r}")
 
 
 def _trainer_config(config, **defaults):
@@ -73,6 +86,34 @@ def parse_architecture(arch):
     return parts[0], parts[1:-1], parts[-1]
 
 
+def _fit(config, n_inputs, n_classes, source):
+    """parse_architecture of config's "architecture", refused unless it maps
+    the `n_inputs` inputs of `source` to its `n_classes` classes."""
+    dims = parse_architecture(config["architecture"])
+    if (dims[0], dims[2]) != (n_inputs, n_classes):
+        raise ValueError(f"architecture {config['architecture']!r} does not fit "
+                         f"{source}, which has {n_inputs} inputs and {n_classes} classes")
+    return dims
+
+
+def _stream_run(config):
+    """(stream config, trainer config, architecture) of a checked config."""
+    _check_keys(config, STREAM_KEYS)
+    stream_cfg = streams.StreamConfig(**config["stream"])
+    source = streams.STREAMS[stream_cfg.kind]
+    return stream_cfg, _trainer_config(config), _fit(
+        config, source.n_features, source.n_classes, f"the {stream_cfg.kind} stream")
+
+
+def _offline_run(config, dataset, test_set):
+    """(trainer config, architecture) of a config checked against its data."""
+    _check_keys(config, MNIST_KEYS)
+    n_labels = int(max(dataset.labels.max(), test_set.labels.max())) + 1
+    return (_trainer_config(config, anneal=True,
+                            labeled_epoch_size=config.get("n_labeled", 1000)),
+            _fit(config, dataset.images.shape[1], n_labels, "the data"))
+
+
 class MlpPseudoLabelModel:
     """Adapter giving the baseline MLP the trainer's update/predict surface."""
 
@@ -93,7 +134,7 @@ class MlpPseudoLabelModel:
         probs = predicted[1] if predicted is not None and predicted[0] is x else None
         cfg = self.config
         baseline.mlp_update(self.params, x, labels, cfg.lr, cfg.beta_f,
-                            cfg.keep_prob, self.rng, probs, self._grad)
+                            cfg.keep_prob, self.rng, probs, out=self._grad)
 
     def predict(self, x):
         """Eval-mode class probabilities, kept for the next update() of `x`."""
@@ -117,24 +158,17 @@ def build_model(kind, n_visible, hidden_dims, n_classes, config, rng):
 
 def run_stream_trial(config, trial, out_dir):
     """One seeded trial; returns {model: final prequential error}."""
-    _check_keys(config, STREAM_KEYS)
-    stream_cfg = streams.StreamConfig(**config["stream"])
+    stream_cfg, trainer_cfg, (n_visible, hidden_dims, n_classes) = \
+        _stream_run(config)
     trial_seed = config.get("seed", 0) + 1000 * trial
     stream_rng = make_rng(trial_seed)
     stream = streams.make_stream(stream_cfg, stream_rng)
-    n_visible, hidden_dims, n_classes = parse_architecture(config["architecture"])
-    if (n_visible, n_classes) != (stream.n_features, stream.n_classes):
-        raise ValueError(
-            f"architecture {config['architecture']!r} does not fit the "
-            f"{stream_cfg.kind} stream, which has {stream.n_features} features "
-            f"and {stream.n_classes} classes")
-    trainer_cfg = _trainer_config(config)
     alpha_err = config.get("preq_alpha", 0.995)
     iterations = config["iterations"]
     curve_every = config.get("curve_every", 1000)
     models = {}
     preq = {}
-    for i, kind in enumerate(config.get("models", list(STREAM_MODEL_KINDS))):
+    for i, kind in enumerate(config.get("models", STREAM_MODEL_KINDS)):
         models[kind] = build_model(kind, n_visible, hidden_dims, n_classes,
                                    trainer_cfg, make_rng(trial_seed + i + 1))
         preq[kind] = PrequentialState(alpha_err)
@@ -168,7 +202,7 @@ def _echo_config(config, out_dir, trials):
 
 def run_stream_experiment(config, out_dir, jobs=1):
     """All trials; emits per-trial curves, a summary CSV and a config echo."""
-    _check_keys(config, STREAM_KEYS)
+    _stream_run(config)
     trials = config.get("trials", 5)
     _echo_config(config, out_dir, trials)
     finals = {}
@@ -205,14 +239,8 @@ def _trial_worker(args):
 
 def run_mnist_trial(config, trial, dataset, test_set):
     """Offline semi-supervised run with validation-based model selection."""
-    _check_keys(config, MNIST_KEYS)
-    n_visible, hidden_dims, n_classes = parse_architecture(config["architecture"])
-    n_pixels = dataset.images.shape[1]
-    n_labels = int(max(dataset.labels.max(), test_set.labels.max())) + 1
-    if (n_visible, n_classes) != (n_pixels, n_labels):
-        raise ValueError(
-            f"architecture {config['architecture']!r} does not fit the data, "
-            f"which has {n_pixels} pixels per image and labels 0-{n_labels - 1}")
+    trainer_cfg, (n_visible, hidden_dims, n_classes) = _offline_run(
+        config, dataset, test_set)
     trial_seed = config.get("seed", 0) + 1000 * trial
     rng = make_rng(trial_seed)
     n_labeled = config.get("n_labeled", 1000)
@@ -222,8 +250,6 @@ def run_mnist_trial(config, trial, dataset, test_set):
         dataset, n_labeled, n_valid, rng)
     if n_unlabeled is not None:
         unlabeled = unlabeled[:n_unlabeled]
-    trainer_cfg = _trainer_config(config, anneal=True,
-                                  labeled_epoch_size=n_labeled)
     batch_size = config.get("batch_size", 10)
     epochs = config.get("epochs", 6)
     pool_x = np.concatenate([labeled.images, unlabeled])
@@ -276,6 +302,7 @@ def run_mnist_experiment(config, out_dir):
     data_root = config.get("data_root")
     train = load_idx(*mnist_paths(data_root, "train"))
     test = load_idx(*mnist_paths(data_root, "test"))
+    _offline_run(config, train, test)
     trials = config.get("trials", 1)
     _echo_config(config, out_dir, trials)
     finals = {}

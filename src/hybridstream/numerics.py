@@ -1,7 +1,7 @@
 """Activation functions, seeded randomness, the flat parameter layout
 shared by every model component, the dense-network parameter type, the
-mask draw, row weights and cross-entropy that every model shares, and the
-type check of every config value.
+mask and drop-out draws, row weights, row targets and cross-entropy that
+every model shares, and the type check of every config value.
 
 All arithmetic is double precision.  Randomness is never global: callers
 construct a Generator with :func:`make_rng` and pass it explicitly so that
@@ -167,12 +167,23 @@ def bernoulli_mask(rng, rows, cols, p):
     return (rng.random((rows, cols)) < p).astype(np.float64)
 
 
+def dropout_masks(rng, shapes, keep_prob):
+    """A keep-mask of each shape, cut from one draw: the same bits as one
+    bernoulli_mask per shape.  None when keep_prob >= 1; drop-out without a
+    generator raises ValueError."""
+    if keep_prob >= 1.0:
+        return None
+    if rng is None:
+        raise ValueError("drop-out needs an rng")
+    flat = bernoulli_mask(rng, 1, sum(math.prod(s) for s in shapes), keep_prob)
+    return split_views(flat[0], shapes)
+
+
 def row_weights(labels, n_rows, lr, beta):
     """(labeled-row mask, step weights) of a batch of `n_rows` rows whose
-    negative labels mark unlabeled rows: lr/n_lab on each labeled row,
-    lr*beta/n_unlab on each unlabeled one, a count of 0 taken as 1.  Raises
-    ValueError unless `labels` holds one label per row."""
-    labels = np.asarray(labels)
+    negative labels (an array) mark unlabeled rows: lr/n_lab on each labeled
+    row, lr*beta/n_unlab on each unlabeled one, a count of 0 taken as 1.
+    Raises ValueError unless `labels` holds one label per row."""
     if labels.shape != (n_rows,):
         raise ValueError(f"labels of shape {labels.shape} for a batch of "
                          f"{n_rows} rows: one label per row is needed")
@@ -180,6 +191,14 @@ def row_weights(labels, n_rows, lr, beta):
     n_lab = int(np.count_nonzero(lab))
     return lab, np.where(lab, lr / max(n_lab, 1),
                          lr * beta / max(len(lab) - n_lab, 1))
+
+
+def row_targets(labels, lab, probs):
+    """Each row's class: its label where `lab`, else its pseudo-label, the
+    argmax (lowest on a tie) of its class probabilities `probs`."""
+    if lab.all():
+        return labels
+    return np.where(lab, labels, np.argmax(probs, axis=1))
 
 
 def cross_entropy(target, p):

@@ -26,9 +26,10 @@ def _doubling(l, n_layers):
 
 
 def recognize(rec, x):
-    """Feed-forward pass; returns the list of per-layer activation matrices."""
+    """Feed-forward pass over the 2-D float64 row batch `x`; returns the list
+    of per-layer activation matrices."""
     out = []
-    below = np.asarray(x, dtype=np.float64)
+    below = x
     L = len(rec.Ws)
     for l, (W, b) in enumerate(zip(rec.Ws, rec.bs)):
         # 2 * (below W') + b, evaluated in that order in one array
@@ -52,17 +53,16 @@ def kl_loss(v_list, mu_list):
     return sum(cross_entropy(mu, v) for mu, v in zip(mu_list, v_list))
 
 
-def rec_gradients(rec, x, mu_list, w, v_list, out=None):
+def rec_gradients(rec, x, mu_list, w, v_list, *, out):
     """Descent gradients of kl_loss w.r.t. every weight W^l and bias.
 
     The targets mu are constants.  The delta at each layer is (v - mu) plus
     the contribution backpropagated from the layer above; weight gradients
     carry the doubling factor of their own layer.  Each row's loss is
     weighted by `w` (one weight per row; 1/n everywhere is kl_loss's batch
-    average).  `v_list` is ``recognize(rec, x)``.  The gradients are
-    written into `out` (every entry), a fresh container when None.
+    average).  `x` is a 2-D float64 row batch, `v_list` is
+    ``recognize(rec, x)``, and `out` is written (every entry).
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     L = len(rec.Ws)
     inputs = [x] + v_list[:-1]
     deltas = [None] * L
@@ -75,9 +75,8 @@ def rec_gradients(rec, x, mu_list, w, v_list, out=None):
         np.multiply(back, _doubling(l + 1, L), out=back)
         deltas[l] = (v_list[l] - mu_list[l]) \
             + back * sigmoid_prime_from_output(v_list[l])
-    grads = rec.zeros_like() if out is None else out
     for l in range(L):
         dw = deltas[l] * (w * _doubling(l, L))[:, None]
-        np.matmul(dw.T, inputs[l], out=grads.Ws[l])
-        np.matmul(w, deltas[l], out=grads.bs[l])
-    return grads
+        np.matmul(dw.T, inputs[l], out=out.Ws[l])
+        np.matmul(w, deltas[l], out=out.bs[l])
+    return out

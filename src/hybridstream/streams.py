@@ -57,9 +57,11 @@ class StreamConfig:
     batch_size: int = 20
 
     def __post_init__(self):
-        check_fields(self, drift_attr_count=0, batch_size=1)
-        if self.kind not in ("led", "waveform"):
+        check_fields(self, drift_attr_count=0, drift_interval=1, batch_size=1)
+        if self.kind not in STREAMS:
             raise ValueError(f"unknown stream kind {self.kind!r}")
+        if self.drift_attr_count > STREAMS[self.kind].n_features:
+            raise ValueError("drift_attr_count exceeds the feature count")
         if not 0.0 <= self.noise_fraction <= 1.0:
             raise ValueError("noise_fraction must lie in [0, 1]")
         if not 0.0 <= self.label_fraction <= 1.0:
@@ -87,15 +89,8 @@ class _DriftingStream:
         self.rng = rng
         self.instances = 0
         self.perm = np.arange(self.n_features)
-        if config.drift_attr_count > self.n_features:
-            raise ValueError("drift_attr_count exceeds the feature count")
         # (rotation, permutation) of the last _current_perm call
         self._rotated = (0, self.perm)
-
-    def _drift_rotations(self):
-        if self.config.drift_interval <= 0:
-            return 0
-        return self.instances // self.config.drift_interval
 
     def _current_perm(self):
         """self.perm with its first drift_attr_count entries rolled by the
@@ -103,7 +98,7 @@ class _DriftingStream:
         k = self.config.drift_attr_count
         if k <= 1:
             return self.perm
-        rot = self._drift_rotations() % k
+        rot = self.instances // self.config.drift_interval % k
         if rot != self._rotated[0]:
             perm = self.perm.copy()
             perm[:k] = np.roll(perm[:k], rot)
@@ -121,7 +116,7 @@ class _DriftingStream:
         remaining = n
         while remaining > 0:
             chunk = remaining
-            if self.config.drift_interval > 0 and self.config.drift_attr_count > 1:
+            if self.config.drift_attr_count > 1:
                 to_boundary = self.config.drift_interval \
                     - self.instances % self.config.drift_interval
                 chunk = min(chunk, to_boundary)
@@ -191,11 +186,12 @@ class WaveformStream(_DriftingStream):
         return feats, classes.astype(np.int64)
 
 
+STREAMS = {"led": LedStream, "waveform": WaveformStream}
+
+
 def make_stream(config, rng):
     """The configured generator, drawing from `rng`."""
-    if config.kind == "led":
-        return LedStream(config, rng)
-    return WaveformStream(config, rng)
+    return STREAMS[config.kind](config, rng)
 
 
 def mask_labels(batch, label_fraction, rng):

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dhbm, dhda, estimators, recognition
-from .numerics import (bernoulli_mask, check_fields, one_hot, row_weights,
-                       split_views)
+from .numerics import (check_fields, dropout_masks, one_hot, row_targets,
+                       row_weights)
 
 ESTIMATORS = ("mf-cd", "mf-bp", "sap")
 
@@ -26,10 +26,12 @@ def beta_schedule(t, t1, t2, beta_f):
     return beta_f
 
 
-def pseudo_label(class_probs):
-    """Argmax proxy labels as a one-hot matrix; ties break to the lowest index."""
-    probs = np.atleast_2d(class_probs)
-    return one_hot(np.argmax(probs, axis=1), probs.shape[1])
+def _masked(stats, masks):
+    """The statistics times their drop-out masks; `stats` itself when
+    unmasked, because nothing downstream writes them."""
+    if masks is None:
+        return stats
+    return [s * m for s, m in zip(stats, masks)]
 
 
 @dataclass
@@ -93,63 +95,44 @@ class Trainer:
         t = self.labeled_seen / self.config.labeled_epoch_size
         return beta_schedule(t, self.config.t1, self.config.t2, self.config.beta_f)
 
-    def _dropout_masks(self, stats):
-        """One keep-mask per statistic, cut from a single draw: the same
-        uniforms, in the same order, as one draw per statistic."""
-        if self.config.keep_prob >= 1.0:
-            return None
-        flat = bernoulli_mask(self.rng, 1, sum(s.size for s in stats),
-                              self.config.keep_prob)[0]
-        return split_views(flat, [s.shape for s in stats])
-
-    def _masked(self, stats, masks):
-        """The statistics times their masks; `stats` itself when unmasked,
-        because nothing downstream writes them."""
-        if masks is None:
-            return stats
-        return [s * m for s, m in zip(stats, masks)]
-
     def update(self, x, labels):
         """One Algorithm-1 step over a batch: one recognition-net step, one
         model step.
 
         `labels` holds a class index per row of `x`, negative where the row
-        is unlabeled; such a row is trained toward its pseudo-label.  Rows
-        are weighted so that the model ascends alpha * (labeled mean) +
-        beta * (unlabeled mean) and the recognition net descends (labeled
-        mean) + beta * (unlabeled mean).  The row weights carry the learning
-        rate, so each estimator returns its step and each net takes it with
-        one add (or subtract) on its flat vector.  An empty batch changes
-        nothing and the report says so; a label count other than the row
-        count raises ValueError before anything is drawn or written.  The
-        recognition pass of the last predict() is reused when `x` is the
-        array object it was given (and not written since), and dropped
-        either way.
+        is unlabeled.  Rows train toward their row_targets with their
+        row_weights, times alpha on the model's labeled rows, so the model
+        ascends alpha * (labeled mean) + beta * (unlabeled mean) and the
+        recognition net descends (labeled mean) + beta * (unlabeled mean).
+        The weights carry lr: each net takes its step with one add (or
+        subtract) on its flat vector.  An empty batch changes nothing and
+        the report says so.  The recognition pass of the last predict() is
+        reused when `x` is the array object it was given (and not written
+        since), and dropped either way.
         """
         recognized, self._recognized = self._recognized, None
         v = recognized[1] if recognized is not None and recognized[0] is x else None
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        cfg = self.config
+        labels = np.asarray(labels)
+        cfg, rng = self.config, self.rng
         beta = self.current_beta()
         lab, w_rec = row_weights(labels, len(x), cfg.lr, beta)
         if len(lab) == 0:
             return {"updated": False, "beta": None}
-        labels = np.asarray(labels)
         w = np.where(lab, cfg.alpha * w_rec, w_rec)
 
         if v is None:
             v = recognition.recognize(self.rec, x)
-        v_stats = self._masked(v, self._dropout_masks(v))
+        v_stats = _masked(v, dropout_masks(rng, [s.shape for s in v], cfg.keep_prob))
         class_probs = dhbm.cond_y(self.model, v_stats)
-        targets = pseudo_label(class_probs)
-        targets[lab] = one_hot(labels[lab], self.model.n_classes)
+        targets = one_hot(row_targets(labels, lab, class_probs), self.model.n_classes)
         if cfg.estimator == "mf-bp":
-            state = dhda.dhda_forward(self.model, x, v_stats, self.rng,
+            state = dhda.dhda_forward(self.model, x, v_stats, rng,
                                       cfg.corruption_p, cfg.num_steps)
             mu_clean = state.hidden
             model_grad = estimators.mf_bp_gradients(
                 x, targets, v_stats, state, self.model, w,
-                dropout_masks=self._dropout_masks(mu_clean),
+                dropout_masks(rng, [m.shape for m in mu_clean], cfg.keep_prob),
                 out=self._model_grad)
         else:
             # mean_field_step builds new arrays and never writes its inputs
@@ -158,16 +141,15 @@ class Trainer:
                 state = dhbm.mean_field_step(self.model, x, state)
             mu_clean = state.layer_means
             if cfg.estimator == "mf-cd":
-                masked_state = dhbm.MeanFieldState(
-                    self._masked(mu_clean, self._dropout_masks(mu_clean)),
-                    state.class_probs, dhbm.cond_x(self.model, mu_clean[0]))
+                masks = dropout_masks(rng, [m.shape for m in mu_clean], cfg.keep_prob)
                 model_grad = estimators.mf_cd_gradients(
-                    x, targets, state.class_probs, v_stats, masked_state,
-                    self.model, w, out=self._model_grad)
+                    x, targets, v_stats, dhbm.cond_x(self.model, mu_clean[0]),
+                    _masked(mu_clean, masks), state.class_probs, w,
+                    out=self._model_grad)
             else:
                 model_grad = estimators.sap_gradients(
-                    x, targets, v_stats, self.particles, self.model, self.rng,
-                    w, out=self._model_grad)
+                    x, targets, v_stats, self.particles, self.model, rng, w,
+                    out=self._model_grad)
         # the recognition target is the clean mean-field statistic: drop-out
         # masks perturb only the statistics fed to the model-gradient
         # estimators, a masked target would collapse the network to constants

@@ -6,23 +6,78 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridstream import baseline
-from hybridstream.numerics import make_rng, one_hot
+from hybridstream.numerics import (bernoulli_mask, dropout_masks, make_rng,
+                                  one_hot, relu, softmax)
 from test_trainer import mixed_batch, record_unit_weight_calls
 
 
 def test_zero_params_uniform_output():
     p = baseline.init_mlp(4, [3], 5, make_rng(0), weight_std=0.0)
-    _, probs, _ = baseline.mlp_forward(p, np.ones((2, 4)))
+    _, probs = baseline.mlp_forward(p, np.ones((2, 4)), None)
     assert np.allclose(probs, 0.2, atol=1e-12)
 
 
 def test_keep_prob_one_train_equals_eval():
+    # at keep_prob 1 no mask is drawn, and a pass with masks of ones is the
+    # unscaled pass that mlp_predict takes
     p = baseline.init_mlp(4, [3, 3], 2, make_rng(1), weight_std=0.5)
     x = make_rng(2).random((3, 4))
-    _, train_probs, _ = baseline.mlp_forward(p, x, keep_prob=1.0,
-                                             train_mode=True, rng=make_rng(3))
-    _, eval_probs, _ = baseline.mlp_forward(p, x, keep_prob=1.0)
-    assert np.array_equal(train_probs, eval_probs)
+    rng = make_rng(3)
+    state = rng.bit_generator.state
+    assert dropout_masks(rng, [(3, 3), (3, 3)], 1.0) is None
+    assert rng.bit_generator.state == state
+    _, train_probs = baseline.mlp_forward(p, x, [np.ones((3, 3))] * 2)
+    assert np.array_equal(train_probs, baseline.mlp_predict(p, x, 1.0))
+
+
+def old_train_pass(params, x, keep_prob, rng):
+    """The training pass as written before drop-out moved into one draw: a
+    fresh mask per hidden layer, drawn as the layer is computed."""
+    hidden, masks, below = [], [], x
+    for W, b in zip(params.Ws[:-1], params.bs[:-1]):
+        h = relu(below @ W.T + b)
+        m = bernoulli_mask(rng, *h.shape, keep_prob)
+        h = h * m
+        hidden.append(h)
+        masks.append(m)
+        below = h
+    return hidden, softmax(below @ params.Ws[-1].T + params.bs[-1]), masks
+
+
+@pytest.mark.parametrize("hidden", [[5], [5, 4], [6, 3, 7]])
+def test_masked_pass_equals_the_per_layer_train_pass(hidden):
+    # the masks of one split draw reproduce the per-layer draws' pass bit
+    # for bit, and leave the generator where they left it
+    p = baseline.init_mlp(4, hidden, 3, make_rng(12), weight_std=0.5)
+    x = make_rng(13).random((6, 4))
+    rng_old, rng_new = make_rng(14), make_rng(14)
+    want_hidden, want_probs, want_masks = old_train_pass(p, x, 0.6, rng_old)
+    masks = dropout_masks(rng_new, [(6, h) for h in hidden], 0.6)
+    got_hidden, got_probs = baseline.mlp_forward(p, x, masks)
+    for got, want in zip([*got_hidden, got_probs, *masks],
+                         [*want_hidden, want_probs, *want_masks]):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert rng_old.bit_generator.state == rng_new.bit_generator.state
+
+
+def old_eval_pass(params, x, keep_prob):
+    """The prediction pass as written before: each hidden layer times
+    keep_prob below 1, untouched at 1."""
+    below = x
+    for W, b in zip(params.Ws[:-1], params.bs[:-1]):
+        below = relu(below @ W.T + b)
+        if keep_prob < 1.0:
+            below = below * keep_prob
+    return softmax(below @ params.Ws[-1].T + params.bs[-1])
+
+
+@pytest.mark.parametrize("keep_prob", [0.5, 1.0])
+def test_predict_scales_every_hidden_layer_by_keep_prob(keep_prob):
+    p = baseline.init_mlp(4, [5, 3], 2, make_rng(15), weight_std=0.5)
+    x = make_rng(16).random((3, 4))
+    assert np.array_equal(baseline.mlp_predict(p, x, keep_prob),
+                          old_eval_pass(p, x, keep_prob))
+
 
 
 def test_one_unit_chain_hand_case():
@@ -30,7 +85,7 @@ def test_one_unit_chain_hand_case():
     p.Ws[0][0, 0] = 2.0
     p.Ws[1][0, 0] = 1.0
     p.Ws[1][1, 0] = -1.0
-    _, probs, _ = baseline.mlp_forward(p, np.array([[1.0]]))
+    _, probs = baseline.mlp_forward(p, np.array([[1.0]]), None)
     h = 2.0  # relu(2*1)
     z = np.exp([h, -h])
     assert np.allclose(probs[0], z / z.sum(), atol=1e-12)
@@ -45,7 +100,8 @@ def test_update_zero_lr_is_identity():
     p = baseline.init_mlp(4, [3], 2, make_rng(4), weight_std=0.5)
     before = p.data.copy()
     x = make_rng(5).random((4, 4))
-    baseline.mlp_update(p, *mixed_batch(x, np.array([0, 1, 0, 1]), x), 0.0, 0.5)
+    baseline.mlp_update(p, *mixed_batch(x, np.array([0, 1, 0, 1]), x), 0.0, 0.5,
+                        out=p.zeros_like())
     assert np.array_equal(before, p.data)
 
 
@@ -59,8 +115,9 @@ def test_beta_zero_ignores_unlabeled():
     p2 = p1.zeros_like()
     p2.data[...] = p1.data
     rng1, rng2 = make_rng(9), make_rng(9)
-    baseline.mlp_update(p1, *mixed_batch(x, y, u), 0.1, 0.0, 0.5, rng1)
-    baseline.mlp_update(p2, x, y, 0.1, 0.0, 0.5, rng2)
+    baseline.mlp_update(p1, *mixed_batch(x, y, u), 0.1, 0.0, 0.5, rng1,
+                        out=p1.zeros_like())
+    baseline.mlp_update(p2, x, y, 0.1, 0.0, 0.5, rng2, out=p2.zeros_like())
     assert np.array_equal(p1.data, p2.data)
     assert rng1.bit_generator.state == rng2.bit_generator.state
 
@@ -71,8 +128,9 @@ def test_supervised_training_fits_toy_set():
     x = rng.random((n, 4))
     y = (x[:, 0] + x[:, 1] > x[:, 2] + x[:, 3]).astype(int)
     p = baseline.init_mlp(4, [16], 2, make_rng(10), weight_std=0.3)
+    grad = p.zeros_like()
     for _ in range(400):
-        baseline.mlp_update(p, x, y, 0.2, 0.0)
+        baseline.mlp_update(p, x, y, 0.2, 0.0, out=grad)
     pred = np.argmax(baseline.mlp_predict(p, x), axis=1)
     assert np.mean(pred != y) < 0.1
 
@@ -89,7 +147,8 @@ def weighted_sides(dims, lab, beta, seed):
     y = one_hot(rng.integers(0, dims[-1], len(lab)), dims[-1])
 
     def grad(rows, w):
-        return baseline.mlp_gradients(p, x[rows], y[rows], w).data
+        return baseline.mlp_gradients(p, x[rows], y[rows], w,
+                                      out=p.zeros_like()).data
 
     fused = grad(np.arange(len(lab)), np.where(lab, 1.0 / n_lab, beta / n_unlab))
     sides = grad(lab, np.full(n_lab, 1.0 / n_lab)) \
@@ -111,11 +170,13 @@ def test_update_steps_along_the_sum_of_sides():
     y_lab = one_hot(rng.integers(0, 3, 4), 3)
     y_unlab = one_hot(np.argmax(baseline.mlp_predict(p, x_unlab), axis=1), 3)
     lr, beta = 0.2, 0.3
-    sides = baseline.mlp_gradients(p, x_lab, y_lab, np.full(4, 0.25)).data \
-        + beta * baseline.mlp_gradients(p, x_unlab, y_unlab, np.full(5, 0.2)).data
+    sides = baseline.mlp_gradients(p, x_lab, y_lab, np.full(4, 0.25),
+                                   out=p.zeros_like()).data \
+        + beta * baseline.mlp_gradients(p, x_unlab, y_unlab, np.full(5, 0.2),
+                                        out=p.zeros_like()).data
     before = p.data.copy()
     baseline.mlp_update(p, *mixed_batch(x_lab, np.argmax(y_lab, axis=1), x_unlab),
-                        lr, beta)
+                        lr, beta, out=p.zeros_like())
     assert_close((before - p.data) / lr, sides)
 
 
@@ -133,7 +194,7 @@ def test_update_is_lr_times_the_unit_weight_gradient(monkeypatch):
                                     w_unit)
     before = p.data.copy()
     baseline.mlp_update(p, x, labels, lr, beta, keep_prob=0.5,
-                        rng=make_rng(43))
+                        rng=make_rng(43), out=p.zeros_like())
     assert_close(seen["w"], lr * w_unit)
     assert_close(seen["step"].data, lr * seen["unit"])
     assert np.array_equal(p.data, before - seen["step"].data)
@@ -161,10 +222,15 @@ def test_log_loss_perfect_prediction():
     assert baseline.log_loss(np.array([[0.0, 1.0]]), y) == pytest.approx(0.0)
 
 
-def test_train_mode_dropout_requires_rng():
+def test_dropout_requires_rng():
+    # drop-out asked for without a generator is refused, not skipped
     p = baseline.init_mlp(4, [3], 2, make_rng(11))
-    with pytest.raises(ValueError):
-        baseline.mlp_forward(p, np.ones((1, 4)), keep_prob=0.5, train_mode=True)
+    with pytest.raises(ValueError, match="rng"):
+        baseline.mlp_gradients(p, np.ones((1, 4)), one_hot([0], 2), np.ones(1),
+                               keep_prob=0.5, out=p.zeros_like())
+    with pytest.raises(ValueError, match="rng"):
+        baseline.mlp_update(p, np.ones((1, 4)), [0], 0.1, 0.3, keep_prob=0.5,
+                            out=p.zeros_like())
 
 
 def test_update_bits_pinned():
@@ -174,10 +240,11 @@ def test_update_bits_pinned():
     # two BLAS threads
     rng = make_rng(24)
     p = baseline.init_mlp(24, [12, 12], 10, rng, weight_std=0.1)
+    grad = p.zeros_like()
     for _ in range(10):
         baseline.mlp_update(p, *mixed_batch(rng.random((6, 24)),
                                             rng.integers(0, 10, 6),
                                             rng.random((4, 24))),
-                            0.1, 0.3, keep_prob=0.5, rng=rng)
+                            0.1, 0.3, keep_prob=0.5, rng=rng, out=grad)
     assert hashlib.sha256(p.data.tobytes()).hexdigest() == \
         "67c76f34183806da40ce093b3bb0e9eaf9fad706bf1655efc3260345d57daea4"

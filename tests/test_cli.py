@@ -82,3 +82,28 @@ def test_stream_run_requires_iterations(tmp_path):
     result = CliRunner().invoke(main, ["stream-run", "--out", str(tmp_path)])
     assert result.exit_code != 0
     assert "iterations" in result.output
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("stream-run", {"stream": {"kind": "led"}, "iterations": 200,
+                    "curve_every": 2.5}, "curve_every"),
+    ("stream-run", {"stream": {"kind": "led", "batch_size": 0},
+                    "iterations": 200}, "batch_size"),
+    ("stream-run", {"stream": {"kind": "led"}, "iterations": 200,
+                    "models": ["nope"]}, "nope"),
+    ("stream-run", {"stream": {"kind": "led"}, "iterations": 200,
+                    "trainer": {"momentum": 0.9}}, "momentum"),
+    ("mnist-run", {"epochs": 0}, "epochs")],
+    ids=["run-key", "stream-field", "model-kind", "trainer-field", "offline"])
+def test_bad_config_is_a_usage_error(tmp_path, command, config, key):
+    # exit code 2 and a one-line message naming the key, no traceback and
+    # no output file
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, [command, "--config", str(cfg_path),
+                                       "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert key in result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()

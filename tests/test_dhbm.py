@@ -153,7 +153,8 @@ def test_mean_field_zero_params_fixed_point():
     assert np.allclose(nxt.layer_means[0], 0.5)
     assert np.allclose(nxt.layer_means[1], 0.5)
     assert np.allclose(nxt.class_probs, 0.5)
-    assert nxt.input_recon is None
+    assert [f.name for f in dataclasses.fields(nxt)] == ["layer_means",
+                                                        "class_probs"]
     assert np.allclose(dhbm.cond_x(params, nxt.layer_means[0]), 0.5)
 
 

@@ -49,8 +49,9 @@ def test_mf_cd_zero_when_phases_agree():
     x = make_rng(3).random((2, 4))
     q = recognition.recognize(rec, x)
     y = one_hot(np.array([0, 1]), 3)
-    state = dhbm.MeanFieldState([m.copy() for m in q], y.copy(), x.copy())
-    g = estimators.mf_cd_gradients(x, y, y, q, state, model, np.full(2, 0.5))
+    g = estimators.mf_cd_gradients(x, y, q, x.copy(), [m.copy() for m in q],
+                                   y.copy(), np.full(2, 0.5),
+                                   out=model.zeros_like())
     for layer in g.layers:
         assert np.allclose(layer.W, 0.0, atol=1e-12)
         assert np.allclose(layer.U, 0.0, atol=1e-12)
@@ -63,10 +64,10 @@ def test_mf_cd_visible_bias_only_on_first_layer():
     x = rng.random((2, 4))
     q = recognition.recognize(rec, x)
     y = one_hot(np.array([0, 1]), 3)
-    state = dhbm.MeanFieldState([np.clip(m + 0.1, 0, 1) for m in q],
-                                np.full((2, 3), 1 / 3), rng.random((2, 4)))
-    g = estimators.mf_cd_gradients(x, y, state.class_probs, q, state, model,
-                                   np.full(2, 0.5))
+    means = [np.clip(m + 0.1, 0, 1) for m in q]
+    g = estimators.mf_cd_gradients(x, y, q, rng.random((2, 4)), means,
+                                   np.full((2, 3), 1 / 3), np.full(2, 0.5),
+                                   out=model.zeros_like())
     assert not np.allclose(g.layers[0].b_visible, 0.0)
     assert np.allclose(g.layers[1].b_visible, 0.0, atol=1e-12)
 
@@ -99,7 +100,7 @@ def test_sap_gradients_advance_particles():
     particles = estimators.FantasyParticles.initialize(model, 5, make_rng(10))
     before = particles.x.copy()
     g = estimators.sap_gradients(x, y, q, particles, model, make_rng(11),
-                                 np.full(2, 0.5))
+                                 np.full(2, 0.5), out=model.zeros_like())
     assert np.isfinite(g.data).all()
     # a full Gibbs sweep on a random model virtually always flips something
     assert not np.array_equal(before, particles.x)
@@ -180,12 +181,11 @@ def gradient_case(name):
     q = recognition.recognize(rec, x)
     w = np.full(4, 0.25)
     if name == "mf-cd":
-        state = dhbm.MeanFieldState([np.clip(m + 0.1, 0, 1) for m in q],
-                                    softmax(rng.normal(size=(4, 3))),
-                                    rng.random((4, 5)))
+        means = [np.clip(m + 0.1, 0, 1) for m in q]
+        y_hat = softmax(rng.normal(size=(4, 3)))
+        x_recon = rng.random((4, 5))
         return (lambda out: estimators.mf_cd_gradients(
-            x, y, state.class_probs, q, state, model, w, out=out)), \
-            model.zeros_like()
+            x, y, q, x_recon, means, y_hat, w, out=out)), model.zeros_like()
     if name == "sap":
         def sap(out):
             particles = estimators.FantasyParticles.initialize(model, 5, make_rng(22))
@@ -218,7 +218,7 @@ def test_gradients_overwrite_every_workspace_entry(name):
     # a workspace keeps the previous step's values; a gradient written into
     # one that holds NaN everywhere must equal one built in a fresh container
     grad, workspace = gradient_case(name)
-    fresh = grad(None)
+    fresh = grad(workspace.zeros_like())
     workspace.data[...] = np.nan
     for _ in range(2):
         assert grad(workspace) is workspace
@@ -247,15 +247,14 @@ def rows_case(name, dims, n, seed):
         return [a[r] for a in arrays]
 
     if name == "mf-cd":
-        state = dhbm.MeanFieldState([rng.random((n, h)) for h in hidden],
-                                    softmax(rng.normal(size=(n, c))),
-                                    rng.random((n, d)))
+        means = [rng.random((n, h)) for h in hidden]
+        y_hat = softmax(rng.normal(size=(n, c)))
+        x_recon = rng.random((n, d))
 
         def grad(r, w):
-            sub = dhbm.MeanFieldState(rows(state.layer_means, r),
-                                      state.class_probs[r], state.input_recon[r])
-            return estimators.mf_cd_gradients(x[r], y[r], sub.class_probs,
-                                              rows(q, r), sub, model, w)
+            return estimators.mf_cd_gradients(
+                x[r], y[r], rows(q, r), x_recon[r], rows(means, r), y_hat[r], w,
+                out=model.zeros_like())
     elif name == "sap":
         particles = estimators.FantasyParticles.initialize(model, 5,
                                                            make_rng(seed + 2))
@@ -265,7 +264,8 @@ def rows_case(name, dims, n, seed):
                 particles.x.copy(), [h.copy() for h in particles.hs],
                 particles.y.copy())
             return estimators.sap_gradients(x[r], y[r], rows(q, r), copied,
-                                            model, make_rng(seed + 3), w)
+                                            model, make_rng(seed + 3), w,
+                                            out=model.zeros_like())
     elif name == "mf-bp":
         state = dhda.dhda_forward(model, x, q, rng, 0.2, 2)
         masks = [bernoulli_mask(rng, n, h, 0.5) for h in hidden]
@@ -275,14 +275,15 @@ def rows_case(name, dims, n, seed):
                                  rows(state.hidden_hat, r), rows(state.masks, r),
                                  rows(state.recons, r), state.class_probs[r])
             return estimators.mf_bp_gradients(x[r], y[r], rows(q, r), sub, model,
-                                              w, dropout_masks=rows(masks, r))
+                                              w, dropout_masks=rows(masks, r),
+                                              out=model.zeros_like())
     else:
         mu = [rng.random((n, h)) for h in hidden]
         v = recognition.recognize(rec, x)
 
         def grad(r, w):
             return recognition.rec_gradients(rec, x[r], rows(mu, r), w,
-                                             rows(v, r))
+                                             rows(v, r), out=rec.zeros_like())
     return grad
 
 
@@ -332,16 +333,15 @@ def test_uniform_weights_sum_the_sides(name, d, hidden, c, lab, seed):
 
 # ---- oracles: the two-pass formulas the signed weighted pass replaced ----
 
-def mf_cd_two_phase(x, y_probs, y_hat, q_rec, mf_state, params, w):
+def mf_cd_two_phase(x, y_probs, q_rec, x_recon, means, y_hat, params, w):
     """MF-CD as a positive-phase product minus a negative-phase product per
     block, each weighted by `w`."""
-    x = np.atleast_2d(x)
     wc = w[:, None]
     out = params.zeros_like()
     for l, g in enumerate(out.layers):
         h_pos, v_pos = q_rec[l], x if l == 0 else q_rec[l - 1]
-        h_neg = mf_state.layer_means[l]
-        v_neg = mf_state.input_recon if l == 0 else mf_state.layer_means[l - 1]
+        h_neg = means[l]
+        v_neg = x_recon if l == 0 else means[l - 1]
         g.W[...] = (h_pos * wc).T @ v_pos - (h_neg * wc).T @ v_neg
         g.U[...] = (h_pos * wc).T @ y_probs - (h_neg * wc).T @ y_hat
         g.b_hidden[...] = w @ (h_pos - h_neg)
@@ -351,15 +351,13 @@ def mf_cd_two_phase(x, y_probs, y_hat, q_rec, mf_state, params, w):
     return out
 
 
-def sap_two_phase(x, y_probs, q_rec, particles, params, rng, w):
+def sap_two_phase(x, y_probs, q_rec, particles, params, rng, w, *, out):
     """SAP as the weighted positive phase minus the particles' unweighted
-    sums scaled by w.sum() / M."""
-    x = np.atleast_2d(x)
+    sums scaled by w.sum() / M, written into `out`."""
     wc = w[:, None]
     particles.advance(params, rng, n_sweeps=1)
     neg_weight = w.sum() / particles.n_particles
     ey_neg = one_hot(particles.y, params.n_classes)
-    out = params.zeros_like()
     for l, g in enumerate(out.layers):
         h_pos, v_pos = q_rec[l], x if l == 0 else q_rec[l - 1]
         h_neg = particles.hs[l]
@@ -377,7 +375,6 @@ def mf_bp_negate_at_end(x, y_probs, q_rec, state, params, w,
                         dropout_masks=None):
     """MF-BP with positive row weights: the descent gradient, negated
     entry by entry at the end."""
-    x = np.atleast_2d(x)
     wc = w[:, None]
     out = params.zeros_like()
     xi_out = (state.class_probs - y_probs) * wc
@@ -404,7 +401,8 @@ def mf_bp_negate_at_end(x, y_probs, q_rec, state, params, w,
 def estimator_case(draw):
     """A random model of 1-3 hidden layers, widths 1-6, and a batch of 1-8
     rows with weights in [0, 2], zeros included, plus masked recognition
-    statistics and a random mean-field state."""
+    statistics and a random mean-field negative phase (x_recon, means,
+    y_hat)."""
     dims = [draw(st.integers(1, 6)) for _ in range(draw(st.integers(3, 5)))]
     n = draw(st.integers(1, 8))
     w = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 2.0)),
@@ -418,20 +416,19 @@ def estimator_case(draw):
     y = one_hot(rng.integers(0, c, n), c)
     q = [s * bernoulli_mask(rng, n, s.shape[1], 0.5)
          for s in recognition.recognize(rec, x)]
-    state = dhbm.MeanFieldState([rng.random((n, h)) for h in hidden],
-                                softmax(rng.normal(size=(n, c))),
-                                rng.random((n, d)))
-    return model, rec, x, y, q, state, w, seed
+    means = [rng.random((n, h)) for h in hidden]
+    y_hat = softmax(rng.normal(size=(n, c)))
+    negative = (rng.random((n, d)), means, y_hat)
+    return model, rec, x, y, q, negative, w, seed
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=estimator_case())
 def test_mf_cd_signed_pass_matches_two_phase_oracle(case):
-    model, _, x, y, q, state, w, _ = case
-    assert_close(estimators.mf_cd_gradients(x, y, state.class_probs, q, state,
-                                            model, w).data,
-                 mf_cd_two_phase(x, y, state.class_probs, q, state, model,
-                                 w).data)
+    model, _, x, y, q, negative, w, _ = case
+    assert_close(estimators.mf_cd_gradients(x, y, q, *negative, w,
+                                            out=model.zeros_like()).data,
+                 mf_cd_two_phase(x, y, q, *negative, model, w).data)
 
 
 @settings(max_examples=60, deadline=None)
@@ -444,7 +441,7 @@ def test_sap_signed_pass_matches_two_phase_oracle(case, m):
         particles = estimators.FantasyParticles.initialize(model, m,
                                                            make_rng(seed + 1))
         grads.append(estimate(x, y, q, particles, model, make_rng(seed + 2),
-                              w).data)
+                              w, out=model.zeros_like()).data)
     assert_close(*grads)
 
 
@@ -466,7 +463,8 @@ def test_mf_bp_negated_weights_match_negate_at_end(case):
                               0.3, 2)
     masks = [bernoulli_mask(rng, len(x), h, 0.5) for h in model.hidden_dims]
     got = estimators.mf_bp_gradients(x, y, q, state, model, w,
-                                     dropout_masks=masks).data
+                                     dropout_masks=masks,
+                                     out=model.zeros_like()).data
     want = mf_bp_negate_at_end(x, y, q, state, model, w, masks).data
     assert np.array_equal(zero_signed_bits(got), zero_signed_bits(want))
     differ = got.view(np.int64) != want.view(np.int64)

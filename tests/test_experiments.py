@@ -215,13 +215,18 @@ def test_mlp_update_takes_the_kept_eval_pass(kind, monkeypatch):
     # pass serves one update only, and an mlp-lab update makes none
     model = mlp_model(kind, 90)
     modes = []
-    forward = baseline.mlp_forward
 
-    def counting(params, x, keep_prob=1.0, train_mode=False, rng=None):
-        modes.append("train" if train_mode else "eval")
-        return forward(params, x, keep_prob, train_mode, rng)
+    def counting(name, mode):
+        fn = getattr(baseline, name)
 
-    monkeypatch.setattr(baseline, "mlp_forward", counting)
+        def counted(*args, **kwargs):
+            modes.append(mode)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(baseline, name, counted)
+
+    # every forward pass is mlp_predict's or the one of mlp_gradients
+    counting("mlp_predict", "eval")
+    counting("mlp_gradients", "train")
     rng = make_rng(91)
     x, labels = mixed_batch(rng.random((4, 6)), rng.integers(0, 3, 4),
                             rng.random((3, 6)))
@@ -388,6 +393,58 @@ def test_bad_offline_run_key_is_refused_before_any_build_or_write(
         experiments.run_mnist_trial(
             config, 0, load_idx(*mnist_paths(str(tmp_path), "train")),
             load_idx(*mnist_paths(str(tmp_path), "test")))
+
+
+STREAM_RUN_ERRORS = [
+    ({"stream": None}, r"missing config keys \['stream'\]"),
+    ({"architecture": None}, r"missing config keys \['architecture'\]"),
+    ({"iterations": None}, r"missing config keys \['iterations'\]"),
+    ({"models": ["mlp-pl", "nope"]}, "unknown model kind 'nope'"),
+    ({"stream": {"kind": "led", "batch_size": 2.5}}, "^batch_size must be"),
+    ({"stream": {"kind": "led", "drift_attr_count": 30}}, "drift_attr_count"),
+    ({"stream": {"kind": "led", "window": 5}}, "window"),
+    ({"trainer": {"lr": -0.1}}, "^lr must be"),
+    ({"trainer": {"momentum": 0.9}}, "momentum"),
+    ({"architecture": "24-8-12"}, "does not fit the led stream"),
+]
+
+
+@pytest.mark.parametrize("edit, message", STREAM_RUN_ERRORS, ids=[
+    "no-stream", "no-architecture", "no-iterations", "bad-kind",
+    "stream-batch_size", "stream-drift", "stream-unknown-field", "trainer-lr",
+    "trainer-unknown-field", "misfit-architecture"])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_bad_stream_config_is_refused_before_any_build_or_write(
+        edit, message, jobs, tmp_path, monkeypatch):
+    # the keys, the stream and trainer fields, the model kinds and the fit
+    # of the architecture are all checked before config_echo.json
+    monkeypatch.setattr(experiments, "build_model", no_build)
+    config = {key: value for key, value in small_config(**edit).items()
+              if value is not None}
+    with pytest.raises((ValueError, TypeError), match=message):
+        experiments.run_stream_experiment(config, str(tmp_path), jobs=jobs)
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"architecture": None}, r"missing config keys \['architecture'\]"),
+    ({"models": ["dhbm-mf", "nope"]}, "unknown model kind 'nope'"),
+    ({"trainer": {"num_steps": 0}}, "^num_steps must be"),
+    ({"trainer": {"momentum": 0.9}}, "momentum"),
+    ({"architecture": "36-16-10"}, "does not fit the data")],
+    ids=["no-architecture", "bad-kind", "trainer-num_steps",
+         "trainer-unknown-field", "misfit-architecture"])
+def test_bad_offline_config_is_refused_before_any_build_or_write(
+        edit, message, tmp_path, monkeypatch):
+    write_tiny_mnist(tmp_path)
+    monkeypatch.setattr(experiments, "build_model", no_build)
+    config = {"architecture": "36-16-4", "n_labeled": 40, "n_valid": 20,
+              "epochs": 1, "data_root": str(tmp_path), **edit}
+    config = {key: value for key, value in config.items() if value is not None}
+    out = tmp_path / "out"
+    with pytest.raises((ValueError, TypeError), match=message):
+        experiments.run_mnist_experiment(config, str(out))
+    assert not out.exists()
 
 
 def test_trainer_config_value_of_another_type_raises(tmp_path):

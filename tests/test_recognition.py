@@ -45,7 +45,8 @@ def test_gradients_vanish_at_target():
     _, rec = small_net()
     x = make_rng(3).random((2, 3))
     v = recognition.recognize(rec, x)
-    grads = recognition.rec_gradients(rec, x, v, np.full(2, 0.5), v)
+    grads = recognition.rec_gradients(rec, x, v, np.full(2, 0.5), v,
+                                      out=rec.zeros_like())
     for gW, gb in zip(grads.Ws, grads.bs):
         assert np.allclose(gW, 0.0, atol=1e-12)
         assert np.allclose(gb, 0.0, atol=1e-12)
@@ -63,9 +64,10 @@ def test_rec_update_descends_loss():
     x = rng.random((4, 3))
     mu = [rng.random((4, 4)), rng.random((4, 3))]
     before = recognition.kl_loss(recognition.recognize(rec, x), mu)
+    g = rec.zeros_like()
     for _ in range(50):
-        g = recognition.rec_gradients(rec, x, mu, np.full(4, 0.25),
-                                      recognition.recognize(rec, x))
+        recognition.rec_gradients(rec, x, mu, np.full(4, 0.25),
+                                  recognition.recognize(rec, x), out=g)
         rec.data -= 0.1 * g.data
     after = recognition.kl_loss(recognition.recognize(rec, x), mu)
     assert after < before

@@ -187,11 +187,15 @@ def test_stream_reproducible_from_seed():
 @pytest.mark.parametrize("field, value, message", [
     ("drift_attr_count", 2.5, "must be an integer"),
     ("drift_attr_count", -3, "must be an integer and >= 0"),
+    ("drift_attr_count", 25, "exceeds the feature count"),
+    ("drift_interval", 0, "must be an integer and >= 1"),
+    ("drift_interval", -5, "must be an integer and >= 1"),
     ("batch_size", 2.5, "must be an integer"),
     ("label_fraction", True, "must be finite"),
     ("noise_fraction", "0.1", "must be finite")])
 def test_config_refuses_a_value_of_another_type_or_range(field, value, message):
-    # a float drift count would fail only at the first drift boundary, and a
-    # negative one would silently mean no drift
+    # a float drift count would fail only at the first drift boundary, a
+    # negative one or a drift interval below 1 would silently mean no drift,
+    # and LED has 24 attributes to rotate
     with pytest.raises(ValueError, match=f"^{field} {message}"):
         streams.StreamConfig(**{field: value})

@@ -1,13 +1,15 @@
 import copy
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
 
 from hybridstream import (dhbm, dhda, estimators, kernels, numerics,
                           recognition, trainer)
-from hybridstream.numerics import bernoulli_mask, make_rng
-from hybridstream.trainer import Trainer, TrainerConfig, beta_schedule, pseudo_label
+from hybridstream.numerics import (bernoulli_mask, dropout_masks, make_rng,
+                                  one_hot, row_targets)
+from hybridstream.trainer import Trainer, TrainerConfig, beta_schedule
 
 
 def mixed_batch(x_lab, y_lab, x_unlab):
@@ -37,8 +39,14 @@ def test_beta_schedule_rejects_inverted_interval():
 
 
 def test_pseudo_label_argmax_one_hot():
-    probs = np.array([[0.2, 0.8], [0.6, 0.4]])
-    assert np.array_equal(pseudo_label(probs), [[0, 1], [1, 0]])
+    # an unlabeled row (label -1) trains toward the argmax of its class
+    # probabilities, a tie going to the lowest class, and a labeled row
+    # toward its label; a batch of labeled rows needs no probabilities
+    probs = np.array([[0.2, 0.8], [0.6, 0.4], [0.5, 0.5], [0.9, 0.1]])
+    labels = np.array([-1, -1, -1, 1])
+    targets = row_targets(labels, labels >= 0, probs)
+    assert np.array_equal(one_hot(targets, 2), [[0, 1], [1, 0], [1, 0], [0, 1]])
+    assert np.array_equal(row_targets(labels[3:], labels[3:] >= 0, None), [1])
 
 
 def test_config_validation():
@@ -165,17 +173,19 @@ def test_labeled_counter_and_annealed_beta():
     assert tr.current_beta() == pytest.approx(0.4)
 
 
+DROPOUT_SHAPES = ([(5, 3), (5, 4), (5, 2)], [(1, 7)], [(4, 1), (4, 6)])
+
+
 def test_dropout_masks_match_per_layer_draws():
     # one draw cut into masks: the same uniforms, in the same order, as one
-    # draw per layer, and the generator ends in the same state
-    tr = make_trainer(seed=40, keep_prob=0.6)
-    stats = [np.zeros((5, 3)), np.zeros((5, 4)), np.zeros((5, 2))]
-    masks = tr._dropout_masks(stats)
-    rng = make_rng(41)
-    for m, s in zip(masks, stats):
-        want = bernoulli_mask(rng, s.shape[0], s.shape[1], 0.6)
-        assert m.shape == want.shape and np.array_equal(m, want)
-    assert tr.rng.random() == rng.random()
+    # draw per shape, and the generator ends in the same state
+    for shapes, keep_prob in itertools.product(DROPOUT_SHAPES, (0.6, 0.05)):
+        rng, want_rng = make_rng(41), make_rng(41)
+        masks = dropout_masks(rng, shapes, keep_prob)
+        for m, shape in zip(masks, shapes, strict=True):
+            want = bernoulli_mask(want_rng, *shape, keep_prob)
+            assert m.shape == want.shape and np.array_equal(m, want)
+        assert rng.random() == want_rng.random()
 
 
 def count_calls(monkeypatch, targets):
@@ -242,8 +252,9 @@ ESTIMATOR_CALLS = {"mf-cd": ("mf_cd_gradients", 6), "sap": ("sap_gradients", 6),
 def record_unit_weight_calls(monkeypatch, module, name, w_at, unit_w):
     """Wrap module.name so each call also runs, on deep copies of its
     arguments (particles and generators included), with its row weights
-    replaced by `unit_w`; records the weights it was given, the container
-    it returned and that unit-weight result."""
+    replaced by `unit_w` and its container `out` by a fresh one; records
+    the weights it was given, the container it returned and that
+    unit-weight result."""
     fn = getattr(module, name)
     seen = {}
 
@@ -252,7 +263,8 @@ def record_unit_weight_calls(monkeypatch, module, name, w_at, unit_w):
         unit_args[w_at] = unit_w
         unit_kwargs = {k: copy.deepcopy(v) for k, v in kwargs.items()
                        if k != "out"}
-        seen["unit"] = fn(*unit_args, **unit_kwargs).data
+        seen["unit"] = fn(*unit_args, out=kwargs["out"].zeros_like(),
+                          **unit_kwargs).data
         seen["w"] = np.array(args[w_at])
         seen["step"] = fn(*args, **kwargs)
         return seen["step"]
