@@ -7,7 +7,7 @@ pass per batch.
 import numpy as np
 
 from .numerics import (DenseParams, dropout_masks, one_hot, relu, row_targets,
-                       row_weights, softmax)
+                       softmax, weighted_rows)
 
 EPS = 1e-12
 
@@ -70,17 +70,16 @@ def mlp_update(params, x, labels, lr, beta, keep_prob=1.0, rng=None,
     pseudo-labels), each the mean over its rows, in one weighted pass.
 
     `labels` holds a class index per row of `x`, negative where the row is
-    unlabeled.  Rows take their row_weights, which carry lr, and their
-    row_targets of `probs`: mlp_predict(params, x, keep_prob) at the current
-    parameters, or a fresh prediction when None.  Rows of weight zero (the
-    unlabeled ones when beta is 0) are left out.  One forward and one
-    backward pass write the step into `out`; one subtract takes it.
+    unlabeled.  The rows of weighted_rows enter the step with their
+    weights, which carry lr, and their row_targets of `probs`:
+    mlp_predict(params, x, keep_prob) at the current parameters, or a fresh
+    prediction when None (an unlabeled row is kept only when every row is).
+    One forward and one backward pass write the step into `out`; one
+    subtract takes it.  A step that keeps no row changes nothing.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    labels = np.asarray(labels)
-    lab, w = row_weights(labels, len(x), lr, beta)
-    if beta == 0.0 and not lab.all():     # the unlabeled rows weigh 0
-        x, w, labels, lab = x[lab], w[lab], labels[lab], lab[lab]
+    x, labels, lab, w = weighted_rows(
+        np.atleast_2d(np.asarray(x, dtype=np.float64)), np.asarray(labels),
+        lr, beta)
     if len(x) == 0:
         return params
     if probs is None and not lab.all():

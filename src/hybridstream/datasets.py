@@ -44,16 +44,25 @@ def _read_exact(f, n, path):
     return data
 
 
+def _open(path):
+    """The file at `path` for reading; an IdxError naming it if it cannot
+    be opened."""
+    try:
+        return open(path, "rb")
+    except OSError as e:
+        raise IdxError(f"{path}: {e.strerror}") from e
+
+
 def load_idx(images_path, labels_path):
     """Big-endian IDX parsing; the images are the file's uint8 pixels."""
-    with open(images_path, "rb") as f:
+    with _open(images_path) as f:
         (magic,) = struct.unpack(">I", _read_exact(f, 4, images_path))
         if magic != IMAGE_MAGIC:
             raise IdxError(f"{images_path}: bad image magic 0x{magic:08x} at byte 0")
         n, rows, cols = struct.unpack(">III", _read_exact(f, 12, images_path))
         raw = _read_exact(f, n * rows * cols, images_path)
         images = np.frombuffer(raw, dtype=np.uint8).reshape(n, rows * cols)
-    with open(labels_path, "rb") as f:
+    with _open(labels_path) as f:
         (magic,) = struct.unpack(">I", _read_exact(f, 4, labels_path))
         if magic != LABEL_MAGIC:
             raise IdxError(f"{labels_path}: bad label magic 0x{magic:08x} at byte 0")

@@ -1,6 +1,6 @@
 """Activation functions, seeded randomness, the flat parameter layout
 shared by every model component, the dense-network parameter type, the
-mask and drop-out draws, row weights, row targets and cross-entropy that
+mask and drop-out draws, weighted rows, row targets and cross-entropy that
 every model shares, and the type check of every config value.
 
 All arithmetic is double precision.  Randomness is never global: callers
@@ -179,18 +179,23 @@ def dropout_masks(rng, shapes, keep_prob):
     return split_views(flat[0], shapes)
 
 
-def row_weights(labels, n_rows, lr, beta):
-    """(labeled-row mask, step weights) of a batch of `n_rows` rows whose
-    negative labels (an array) mark unlabeled rows: lr/n_lab on each labeled
-    row, lr*beta/n_unlab on each unlabeled one, a count of 0 taken as 1.
-    Raises ValueError unless `labels` holds one label per row."""
-    if labels.shape != (n_rows,):
+def weighted_rows(x, labels, lr, beta):
+    """(x, labels, labeled-row mask, step weights) of the rows of the batch
+    `x` that enter a step, given its labels (an array, negative where a row
+    is unlabeled): lr/n_lab on each labeled row, lr*beta/n_unlab on each
+    unlabeled one, a count of 0 taken as 1.  At beta 0 the unlabeled rows
+    weigh nothing and are left out; `x` and `labels` come back as given
+    when every row is kept.  Raises ValueError unless `labels` holds one
+    label per row."""
+    if labels.shape != (len(x),):
         raise ValueError(f"labels of shape {labels.shape} for a batch of "
-                         f"{n_rows} rows: one label per row is needed")
+                         f"{len(x)} rows: one label per row is needed")
     lab = labels >= 0
+    if beta == 0.0 and not lab.all():
+        x, labels, lab = x[lab], labels[lab], lab[lab]
     n_lab = int(np.count_nonzero(lab))
-    return lab, np.where(lab, lr / max(n_lab, 1),
-                         lr * beta / max(len(lab) - n_lab, 1))
+    return x, labels, lab, np.where(lab, lr / max(n_lab, 1),
+                                    lr * beta / max(len(lab) - n_lab, 1))
 
 
 def row_targets(labels, lab, probs):

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import dhbm, dhda, estimators, recognition
 from .numerics import (check_fields, dropout_masks, one_hot, row_targets,
-                       row_weights)
+                       weighted_rows)
 
 ESTIMATORS = ("mf-cd", "mf-bp", "sap")
 
@@ -100,28 +100,30 @@ class Trainer:
         model step.
 
         `labels` holds a class index per row of `x`, negative where the row
-        is unlabeled.  Rows train toward their row_targets with their
-        row_weights, times alpha on the model's labeled rows, so the model
-        ascends alpha * (labeled mean) + beta * (unlabeled mean) and the
-        recognition net descends (labeled mean) + beta * (unlabeled mean).
-        The weights carry lr: each net takes its step with one add (or
-        subtract) on its flat vector.  An empty batch changes nothing and
-        the report says so.  The recognition pass of the last predict() is
-        reused when `x` is the array object it was given (and not written
-        since), and dropped either way.
+        is unlabeled.  The rows of weighted_rows train toward their
+        row_targets with their weights, times alpha on the model's labeled
+        rows, so the model ascends alpha * (labeled mean) + beta * (unlabeled
+        mean) and the recognition net descends (labeled mean) + beta *
+        (unlabeled mean).  At beta 0 the unlabeled rows are left out: every
+        pass and draw below covers the kept rows only.  The weights carry
+        lr: each net takes its step with one add (or subtract) on its flat
+        vector.  An update that keeps no row changes nothing, draws nothing,
+        and the report says so.  The recognition pass of the last predict()
+        is reused when `x` is the array object it was given (and not written
+        since) and the update keeps every row; it is dropped either way.
         """
         recognized, self._recognized = self._recognized, None
         v = recognized[1] if recognized is not None and recognized[0] is x else None
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        labels = np.asarray(labels)
+        whole = np.atleast_2d(np.asarray(x, dtype=np.float64))
         cfg, rng = self.config, self.rng
         beta = self.current_beta()
-        lab, w_rec = row_weights(labels, len(x), cfg.lr, beta)
-        if len(lab) == 0:
+        x, labels, lab, w_rec = weighted_rows(whole, np.asarray(labels), cfg.lr,
+                                              beta)
+        if len(x) == 0:
             return {"updated": False, "beta": None}
         w = np.where(lab, cfg.alpha * w_rec, w_rec)
 
-        if v is None:
+        if v is None or x is not whole:     # the kept pass covers every row
             v = recognition.recognize(self.rec, x)
         v_stats = _masked(v, dropout_masks(rng, [s.shape for s in v], cfg.keep_prob))
         class_probs = dhbm.cond_y(self.model, v_stats)

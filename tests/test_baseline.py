@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybridstream import baseline
@@ -135,10 +135,11 @@ def test_supervised_training_fits_toy_set():
     assert np.mean(pred != y) < 0.1
 
 
-def weighted_sides(dims, lab, beta, seed):
-    """(fused, sides): the gradient of one pass over the batch with weights
-    1/n_lab and beta/n_unlab, and the oracle g(labeled rows, 1/n_lab) +
-    beta * g(unlabeled rows, 1/n_unlab), both at keep_prob 1."""
+def weighted_sides(dims, lab, beta, seed, scale=(1.0, 1.0)):
+    """(fused, sides, bound): the gradient of one pass over the batch with
+    weights 1/n_lab and beta/n_unlab, each side's times its `scale`; the
+    oracle g(labeled rows, 1/n_lab) + beta * g(unlabeled rows, 1/n_unlab),
+    both at keep_prob 1; and the entrywise bound on their rounding."""
     lab = np.asarray(lab)
     n_lab, n_unlab = int(lab.sum()), int((~lab).sum())
     rng = make_rng(seed)
@@ -150,10 +151,58 @@ def weighted_sides(dims, lab, beta, seed):
         return baseline.mlp_gradients(p, x[rows], y[rows], w,
                                       out=p.zeros_like()).data
 
-    fused = grad(np.arange(len(lab)), np.where(lab, 1.0 / n_lab, beta / n_unlab))
+    w = np.where(lab, 1.0 / n_lab, beta / n_unlab)
+    fused = grad(np.arange(len(lab)), w * np.where(lab, *scale))
     sides = grad(lab, np.full(n_lab, 1.0 / n_lab)) \
         + beta * grad(~lab, np.full(n_unlab, 1.0 / n_unlab))
-    return fused, sides
+    return fused, sides, roundings(dims, len(lab)) * EPS \
+        * term_magnitudes(p, x, y, w)
+
+
+EPS = np.finfo(np.float64).eps
+
+
+def roundings(dims, n_rows):
+    """Roundings along one term of the gradient in the two computations
+    together, in units of EPS = 2u, u the unit roundoff.  Each computation
+    rounds a term at most sum(dims[:-1]) + len(dims) - 1 times in the layer
+    sums and bias adds of its forward pass (their errors add up layer by
+    layer), dims[-1] + 3 times in the softmax, twice in w * (p - y),
+    sum(dims[1:-1]) times in the deltas' sums going back, n_rows times in
+    the sum over rows and twice in the beta product and the sides' sum.  A
+    sum of k roundings errs by at most gamma_k = k u / (1 - k u) of its
+    terms' magnitudes, and the two computations' errors add, so the
+    difference of the two is below (k + 1) * EPS of the magnitudes."""
+    k = (sum(dims[:-1]) + len(dims) - 1) + (dims[-1] + 3) + 2 \
+        + sum(dims[1:-1]) + n_rows + 2
+    return k + 1
+
+
+def term_magnitudes(p, x, y, w):
+    """Entrywise bounds on the sum of the magnitudes of the terms of
+    mlp_gradients(p, x, y, w) and of their rounding errors.  The forward
+    magnitudes a_l = |W_l| a_(l-1) + |b_l|, a_0 = |x|, bound each layer's
+    sums; an output delta w (p - y) is bounded by |w| (y + p (1 + 2 a)),
+    where a, the row's largest logit magnitude, carries a logit error
+    through the softmax, whose derivative is at most 2p; the deltas go back
+    through |W| and the gates of the pass."""
+    hidden, probs = baseline.mlp_forward(p, x, None)
+    a = [np.abs(x)]
+    for W, b in zip(p.Ws, p.bs):
+        a.append(a[-1] @ np.abs(W).T + np.abs(b))
+    m = np.abs(w)[:, None] * (y + probs * (1 + 2 * a[-1].max(axis=1,
+                                                            keepdims=True)))
+    out = p.zeros_like()
+    for l in range(len(p.Ws) - 1, -1, -1):
+        out.Ws[l][...] = m.T @ a[l]
+        out.bs[l][...] = m.sum(axis=0)
+        if l:
+            m = (m @ np.abs(p.Ws[l])) * (hidden[l - 1] > 0)
+    return out.data
+
+
+def within_rounding(fused, sides, bound):
+    return bool(np.all(np.abs(fused - sides) <= bound))
 
 
 def assert_close(fused, sides):
@@ -200,9 +249,25 @@ def test_update_is_lr_times_the_unit_weight_gradient(monkeypatch):
     assert np.array_equal(p.data, before - seen["step"].data)
 
 
+# (dims, labeled rows, beta, seed): a batch of both sides, and one whose
+# sides cancel to 2.5e-6 from terms of order 1 (beta near 1)
+SIDE_CASES = (
+    ([6, 5, 4, 3], [True, False, True, True, False, False, True, False, False],
+     0.3, 40),
+    ([6, 6, 5, 3, 4], [False, False, True, True], 0.99999, 377))
+
+
 def test_weighted_gradient_is_the_weighted_sum_of_sides():
-    lab = [True, False, True, True, False, False, True, False, False]
-    assert_close(*weighted_sides([6, 5, 4, 3], lab, 0.3, 40))
+    for case in SIDE_CASES:
+        assert within_rounding(*weighted_sides(*case))
+
+
+@pytest.mark.parametrize("scale", [(2.0, 1.0), (1.0, 2.0)],
+                         ids=["labeled", "unlabeled"])
+def test_rounding_bound_sees_a_side_of_double_weight(scale):
+    # the bound is not so loose that a wrong weight on one side passes
+    for case in SIDE_CASES:
+        assert not within_rounding(*weighted_sides(*case, scale=scale))
 
 
 @settings(max_examples=30, deadline=None)
@@ -212,9 +277,11 @@ def test_weighted_gradient_is_the_weighted_sum_of_sides():
        lab=st.lists(st.booleans(), min_size=2, max_size=10).filter(
            lambda m: any(m) and not all(m)),
        beta=st.floats(0.05, 2.0), seed=st.integers(0, 1000))
+@example(d=6, hidden=[6, 5, 3], c=4, lab=[False, False, True, True],
+         beta=0.99999, seed=377)
 def test_weighted_gradient_sums_the_sides_at_any_shape(d, hidden, c, lab, beta,
                                                        seed):
-    assert_close(*weighted_sides([d] + hidden + [c], lab, beta, seed))
+    assert within_rounding(*weighted_sides([d] + hidden + [c], lab, beta, seed))
 
 
 def test_log_loss_perfect_prediction():

@@ -107,3 +107,15 @@ def test_bad_config_is_a_usage_error(tmp_path, command, config, key):
     assert key in result.output
     assert "Traceback" not in result.output
     assert not out.exists()
+
+
+def test_mnist_run_without_idx_files_is_a_usage_error(tmp_path):
+    # a data root without the IDX files: exit code 2 and a one-line message
+    # naming the first file looked for, no traceback and no output file
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["mnist-run", "--out", str(out),
+                                       "--data-root", str(tmp_path)])
+    assert result.exit_code == 2, result.output
+    assert str(tmp_path / "train-images-idx3-ubyte") in result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()

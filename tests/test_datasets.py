@@ -71,6 +71,17 @@ def test_load_idx_count_mismatch(tmp_path):
         load_idx(img, lbl)
 
 
+@pytest.mark.parametrize("missing", ["images", "labels"])
+def test_load_idx_names_a_missing_file(tmp_path, missing):
+    # a file that is not there is a data error naming the file, as a
+    # truncated one is, not an OSError
+    paths = dict(zip(("images", "labels"), write_idx_pair(
+        tmp_path, np.zeros((1, 2, 2), np.uint8), np.zeros(1, np.uint8))))
+    paths[missing].unlink()
+    with pytest.raises(IdxError, match=f"{paths[missing]}: No such file"):
+        load_idx(paths["images"], paths["labels"])
+
+
 def test_mnist_paths_env_fallback(monkeypatch):
     monkeypatch.setenv("HYBRIDSTREAM_DATA", "/data/mnist")
     imgs, lbls = mnist_paths(None, "test")

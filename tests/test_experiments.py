@@ -260,12 +260,16 @@ def write_tiny_mnist(root, seed=0, n_classes=4, side=6):
             os.replace(written, wanted)
 
 
-# sha256 of the summary.csv below (test errors 0.0167 for dhbm-mf, 0.0167
-# for mlp-lab), recorded when the hybrid's two batch sides were fused into
-# one weighted pass (dhbm-mf read 0.2667 before; the mlp-lab line did not
-# change); the same under one and two BLAS threads
+# sha256 of the summary.csv below (test errors 0.3167 for dhbm-mf, 0.0167
+# for mlp-lab), recorded when the hybrid's updates at beta 0 came to leave
+# the unlabeled rows out, as the MLP's already did: the first epoch runs at
+# beta 0 (t1 = 1), and its drop-out draws shrank to the labeled rows.
+# dhbm-mf read 0.0167 before, and the mlp-lab line did not change.  Over
+# seeds 0-19 of this config dhbm-mf's mean test error went from 0.341 to
+# 0.302 (12 seeds better, 7 worse), so the move on seed 5 comes from the
+# draws, not from worse learning.  The same under one and two BLAS threads
 OFFLINE_SUMMARY_SHA256 = \
-    "4f6c9b809ff6c6a01b6b48e4b559b6eecfa9ff5fe55fa7103af90b6bbc8284ed"
+    "4da7daee5a673047a0834940ce49d6eee845001887ef2b1c81e6c3670e6c3f57"
 
 
 def test_run_mnist_experiment_offline_path(tmp_path):

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from hybridstream.numerics import (bernoulli_mask, check_type, make_rng,
-                                   one_hot, relu, sigmoid, softmax)
+                                   one_hot, relu, sigmoid, softmax,
+                                   weighted_rows)
 
 
 def test_sigmoid_symmetry():
@@ -159,6 +160,38 @@ def test_one_hot():
         got, want = one_hot(indices, 10), put_along_axis_one_hot(indices, 10)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("beta", [0.3, 0.0])
+def test_weighted_rows_weigh_each_side_by_its_mean(beta):
+    # lr/n_lab on each labeled row and lr*beta/n_unlab on each unlabeled
+    # one; at beta 0 the unlabeled rows are left out, and a batch that keeps
+    # every row comes back as the same arrays
+    x = np.arange(10.0).reshape(5, 2)
+    labels = np.array([-1, 2, -1, 0, -1])
+    kept_x, kept_labels, lab, w = weighted_rows(x, labels, 0.6, beta)
+    if beta:
+        assert kept_x is x and kept_labels is labels
+        assert np.array_equal(w, [0.06, 0.3, 0.06, 0.3, 0.06])
+    else:
+        assert np.array_equal(kept_x, x[[1, 3]])
+        assert np.array_equal(kept_labels, [2, 0])
+        assert np.array_equal(w, [0.3, 0.3])
+    assert np.array_equal(lab, kept_labels >= 0)
+    # a labeled batch keeps every row at any beta
+    x_lab, labeled = x[:2], np.array([1, 0])
+    got = weighted_rows(x_lab, labeled, 0.6, beta)
+    assert got[0] is x_lab and got[1] is labeled
+
+
+def test_weighted_rows_keep_no_unlabeled_row_at_beta_zero():
+    # an unlabeled batch at beta 0 keeps no row; at beta > 0 its rows share
+    # lr*beta, the empty labeled side counted as 1
+    x = np.ones((4, 3))
+    kept_x, kept_labels, lab, w = weighted_rows(x, np.full(4, -1), 0.5, 0.0)
+    assert kept_x.shape == (0, 3) and len(kept_labels) == len(lab) == len(w) == 0
+    assert np.array_equal(weighted_rows(x, np.full(4, -1), 0.5, 0.2)[3],
+                          np.full(4, 0.025))
 
 
 def test_make_rng_reproducible():

@@ -320,10 +320,18 @@ def trainer_state(tr):
 def test_predict_then_update_matches_update_alone(estimator, keep_prob):
     # predict's kept recognition pass gives the update the same bits as the
     # update's own pass: parameters, particles and rng state agree after
-    # every step
+    # every step.  At beta 0 the update keeps only the labeled rows and so
+    # makes its own pass over them; the annealed run leaves beta 0 after
+    # its second step
+    for beta_cfg in ({"beta_f": 0.1}, {"beta_f": 0.0},
+                     {"anneal": True, "t1": 1, "t2": 2, "labeled_epoch_size": 8}):
+        assert_predict_then_update_matches(estimator, keep_prob, beta_cfg)
+
+
+def assert_predict_then_update_matches(estimator, keep_prob, beta_cfg):
     def run(with_predict):
         tr = make_trainer(estimator, seed=60, keep_prob=keep_prob,
-                          n_particles=4, num_steps=2)
+                          n_particles=4, num_steps=2, **beta_cfg)
         rng = make_rng(61)
         states = []
         for _ in range(5):
@@ -336,6 +344,62 @@ def test_predict_then_update_matches_update_alone(estimator, keep_prob):
         return states
 
     assert run(True) == run(False)
+
+
+# a mixed batch whose labeled rows, 0-3 of mixed_batch's 7, keep their order
+# among unlabeled ones
+INTERLEAVED = [4, 0, 1, 5, 2, 6, 3]
+
+
+@pytest.mark.parametrize("estimator", trainer.ESTIMATORS)
+def test_beta_zero_update_is_the_update_of_the_labeled_rows(estimator):
+    # at beta 0 the unlabeled rows weigh nothing and leave the batch before
+    # any pass or draw: a mixed batch, predicted first or not, leaves the
+    # same parameters, particles, generator state, counters and report as
+    # its labeled rows alone
+    def run(mixed, with_predict):
+        tr = make_trainer(estimator, seed=90, beta_f=0.0, n_particles=4,
+                          num_steps=2)
+        rng = make_rng(91)
+        states = []
+        for _ in range(4):
+            x_lab, y_lab = rng.random((4, 4)), rng.integers(0, 2, 4)
+            x, labels = mixed_batch(x_lab, y_lab, rng.random((3, 4)))
+            x, labels = (x[INTERLEAVED], labels[INTERLEAVED]) if mixed \
+                else (x_lab, y_lab)
+            if with_predict:
+                tr.predict(x)
+            report = tr.update(x, labels)
+            states.append((trainer_state(tr), tr.labeled_seen, tr.updates,
+                           report))
+        return states
+
+    want = run(False, False)
+    assert want[-1][1:] == (16, 4, {"updated": True, "beta": 0.0})
+    assert run(True, False) == want
+    assert run(True, True) == want
+
+
+@pytest.mark.parametrize("estimator", trainer.ESTIMATORS)
+def test_beta_zero_update_of_unlabeled_rows_changes_nothing(estimator,
+                                                            monkeypatch):
+    # no row of the batch carries weight: no recognition pass, no drop-out
+    # or corruption draw, no sweep, and nothing written but the kept pass of
+    # the predict before it, which is dropped
+    tr = make_trainer(estimator, seed=93, beta_f=0.0, n_particles=4)
+    x = make_rng(94).random((5, 4))
+    tr.predict(x)
+    calls = count_calls(monkeypatch, (
+        (recognition, "recognize"), (dhbm, "cond_y"),
+        (dhbm, "mean_field_step"), (dhda, "dhda_forward"),
+        (kernels, "gibbs_sweeps"), (estimators, "mf_cd_gradients"),
+        (estimators, "mf_bp_gradients"), (estimators, "sap_gradients"),
+        (recognition, "rec_gradients")))
+    before = trainer_state(tr)
+    assert tr.update(x, np.full(5, -1)) == {"updated": False, "beta": None}
+    assert calls == []
+    assert trainer_state(tr) == before
+    assert (tr.labeled_seen, tr.updates, tr._recognized) == (0, 0, None)
 
 
 @pytest.mark.parametrize("estimator", trainer.ESTIMATORS)
