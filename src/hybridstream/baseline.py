@@ -6,8 +6,8 @@ pass per batch.
 
 import numpy as np
 
-from .numerics import (DenseParams, dropout_masks, one_hot, relu, row_targets,
-                       softmax, weighted_rows)
+from .numerics import (DenseParams, add_product, dropout_masks, one_hot, relu,
+                       row_targets, softmax, weighted_rows)
 
 EPS = 1e-12
 
@@ -44,28 +44,28 @@ def log_loss(probs, y_onehot):
 def mlp_gradients(params, x, y_onehot, w, keep_prob=1.0, rng=None, *, out):
     """Descent gradients of the row-weighted softmax log-loss
     sum_i w_i * loss_i over the 2-D float64 row batch `x`, through one pass
-    under dropout_masks, written into `out` (every entry).  Weights of 1/n
-    give the batch average."""
+    under dropout_masks, added into `out`.  Weights of 1/n give the batch
+    average; weights of -lr with `params` itself as `out` take a descent
+    step, as every layer's delta is computed before any weight moves."""
     masks = dropout_masks(rng, [(len(x), d) for d in params.dims[1:-1]], keep_prob)
     hidden, probs = mlp_forward(params, x, masks)
-    inputs = [x] + hidden[:-1]
+    inputs = [x] + hidden
     # the forward pass's probabilities are not needed again: delta takes them
     delta = np.subtract(probs, y_onehot, out=probs)
     np.multiply(delta, w[:, None], out=delta)
-    # matmul straight into the views: a wide layer's gradient is not copied
-    np.matmul(delta.T, hidden[-1] if hidden else x, out=out.Ws[-1])
-    np.sum(delta, axis=0, out=out.bs[-1])
+    deltas = [delta]
+    # a unit the mask dropped has hidden 0, so the gate zeroes its delta too
     for l in range(len(hidden) - 1, -1, -1):
-        delta = (delta @ params.Ws[l + 1]) * (hidden[l] > 0)
-        if masks is not None:
-            delta = delta * masks[l]
-        np.matmul(delta.T, inputs[l], out=out.Ws[l])
-        np.sum(delta, axis=0, out=out.bs[l])
+        deltas.append((deltas[-1] @ params.Ws[l + 1]) * (hidden[l] > 0))
+    for W, b, delta, below in zip(out.Ws[::-1], out.bs[::-1], deltas,
+                                  inputs[::-1]):
+        add_product(W, delta.T, below)
+        b += np.sum(delta, axis=0)
     return out
 
 
 def mlp_update(params, x, labels, lr, beta, keep_prob=1.0, rng=None,
-               probs=None, *, out):
+               probs=None):
     """One descent step on log-loss(labeled) + beta * log-loss(unlabeled,
     pseudo-labels), each the mean over its rows, in one weighted pass.
 
@@ -74,8 +74,8 @@ def mlp_update(params, x, labels, lr, beta, keep_prob=1.0, rng=None,
     weights, which carry lr, and their row_targets of `probs`:
     mlp_predict(params, x, keep_prob) at the current parameters, or a fresh
     prediction when None (an unlabeled row is kept only when every row is).
-    One forward and one backward pass write the step into `out`; one
-    subtract takes it.  A step that keeps no row changes nothing.
+    One forward and one backward pass add the step into `params` through
+    the negated weights.  A step that keeps no row changes nothing.
     """
     x, labels, lab, w = weighted_rows(
         np.atleast_2d(np.asarray(x, dtype=np.float64)), np.asarray(labels),
@@ -85,9 +85,7 @@ def mlp_update(params, x, labels, lr, beta, keep_prob=1.0, rng=None,
     if probs is None and not lab.all():
         probs = mlp_predict(params, x, keep_prob)
     targets = one_hot(row_targets(labels, lab, probs), params.dims[-1])
-    grads = mlp_gradients(params, x, targets, w, keep_prob, rng, out=out)
-    np.subtract(params.data, grads.data, out=params.data)
-    return params
+    return mlp_gradients(params, x, targets, -w, keep_prob, rng, out=params)
 
 
 def mlp_predict(params, x, keep_prob=1.0):

@@ -36,7 +36,9 @@ class LayerParams(ViewRecord):
 class HybridParams(ViewRecord):
     """Every parameter in one float64 vector `data`, laid out per layer as
     W, U, b_hidden, b_visible and then b_class; `layers` and `b_class` are
-    views of it.  A gradient is a HybridParams too (see :meth:`zeros_like`).
+    views of it.  The estimators add their step into one: the model itself
+    in training, or zero parameters (see :meth:`zeros_like`) to read a
+    gradient alone.
     """
     data: np.ndarray
     layers: tuple
@@ -72,7 +74,8 @@ class HybridParams(ViewRecord):
         return cls(data, layers, views[-1])
 
     def zeros_like(self):
-        """Zero parameters of the same layout, the container of a gradient."""
+        """Zero parameters of the same layout, into which an estimator adds
+        the gradient alone."""
         return self.from_dims(self.n_visible, self.hidden_dims, self.n_classes)
 
     @classmethod
@@ -117,20 +120,24 @@ def energy(params, y, x, hs):
     return float(e) if e.ndim == 0 else e
 
 
-def cond_h(params, l, y_probs, below, above=None):
-    """Mean of hidden layer l given its neighbours and the class distribution.
+def cond_h(params, l, y, below, above=None):
+    """Mean of hidden layer l given its neighbours and the class.
 
     sigma(U_l y + W_l v_{l-1} + W_{l+1}' h_{l+1} + b); accepts mean vectors in
     place of binary states, and batches (rows) in place of single vectors.
-    With `y_probs` None there is no class term: the DHDA's encoder.
+    `y` is the class distribution (a row of probabilities per row), or
+    integer class labels, whose term is the gathered column of U_l: the
+    bits of the one-hot product, whose other terms are exact zeros.  With
+    `y` None there is no class term: the DHDA's encoder.
     """
     lp = params.layers[l]
     if l + 1 < params.n_layers and above is None:
         raise ValueError(f"layer {l} requires the state of layer {l + 1}")
     # the terms are summed left to right in one array
     pre = below @ lp.W.T
-    if y_probs is not None:
-        np.add(pre, y_probs @ lp.U.T, out=pre)
+    if y is not None:
+        np.add(pre, lp.U.T.take(y, axis=0) if y.dtype.kind in "iu"
+               else y @ lp.U.T, out=pre)
     np.add(pre, lp.b_hidden, out=pre)
     if l + 1 < params.n_layers:
         np.add(pre, above @ params.layers[l + 1].W, out=pre)

@@ -2,14 +2,17 @@
 mean-field back-propagation, and the stochastic approximation procedure with
 persistent fantasy particles.
 
-Each estimator returns the sum over rows of its per-row gradient times that
-row's weight, an ASCENT direction in a HybridParams of the model's layout.
-The caller puts everything a step scales by (the learning rate included)
-into the weights, so a step is one add of the returned vector.  The two
-contrastive estimators stack their positive and negative phases as rows of
-one weighted pass, the negative rows' weights negated; back-propagation
-takes its ascent sign from negated row weights.  Each takes 2-D float64 row
-batches and writes every entry of the caller's gradient container `out`.
+Each estimator adds into `out`, a HybridParams of the model's layout, the
+sum over rows of its per-row gradient times that row's weight, an ASCENT
+direction.  The caller puts everything a step scales by (the learning rate
+included) into the weights and passes the model itself as `out`, so the
+step is taken inside the products, one band at a time
+(numerics.add_product); a zero container reads the gradient alone.  Every
+factor of every product is computed before the first add, so `out` may be
+the parameters the estimator reads.  The two contrastive estimators stack
+their positive and negative phases as rows of one weighted pass, the
+negative rows' weights negated; back-propagation takes its ascent sign from
+negated row weights.  Each takes 2-D float64 row batches.
 """
 
 from dataclasses import dataclass
@@ -17,30 +20,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .numerics import bernoulli_mask, one_hot, sigmoid_prime_from_output
+from .numerics import (add_product, bernoulli_mask, one_hot,
+                       sigmoid_prime_from_output)
 
 
 def _contrast(v_pos, hs_pos, y_pos, v_neg, hs_neg, y_neg, w_pos, w_neg, out):
-    """Positive minus negative phase as one weighted pass: the phases'
-    rows are stacked and the negative rows weighted by -w_neg, so per layer
-    dW = sum_i w_i h_i v_i', dU = sum_i w_i h_i y_i' and the biases are
-    weighted sums of h (and, at layer 0, of v) and of y.  Every entry of
-    `out` is written."""
+    """Positive minus negative phase as one weighted pass, added into `out`:
+    the phases' rows are stacked and the negative rows weighted by -w_neg,
+    so per layer dW = sum_i w_i h_i v_i', dU = sum_i w_i h_i y_i' and the
+    biases are weighted sums of h (and, at layer 0, of v) and of y.  The
+    visible-side biases above layer 0 get nothing."""
     w = np.concatenate([w_pos, -w_neg])
     ys = np.concatenate([y_pos, y_neg])
-    below = np.concatenate([v_pos, v_neg])
-    for l, g in enumerate(out.layers):
-        h = np.concatenate([hs_pos[l], hs_neg[l]])
-        hw = h * w[:, None]
-        np.matmul(hw.T, below, out=g.W)
-        np.matmul(hw.T, ys, out=g.U)
-        np.add.reduce(hw, axis=0, out=g.b_hidden)
+    # units[0] is the visible layer, units[l + 1] hidden layer l
+    units = [np.concatenate([v_pos, v_neg])] + [
+        np.concatenate([hp, hn]) for hp, hn in zip(hs_pos, hs_neg)]
+    hws = [h * w[:, None] for h in units[1:]]
+    for l, (g, hw) in enumerate(zip(out.layers, hws)):
+        add_product(g.W, hw.T, units[l])
+        add_product(g.U, hw.T, ys)
+        np.add(g.b_hidden, np.add.reduce(hw, axis=0), out=g.b_hidden)
         if l == 0:
-            np.matmul(w, below, out=g.b_visible)
-        else:
-            g.b_visible[...] = 0.0
-        below = h
-    np.matmul(w, ys, out=out.b_class)
+            add_product(g.b_visible, w, units[0])
+    add_product(out.b_class, w, ys)
     return out
 
 
@@ -68,37 +70,39 @@ def mf_bp_gradients(x, y_probs, q_rec, state, params, w, dropout_masks=None,
     masks, when given, are re-applied to the hidden error deltas.  Each
     row's loss is weighted by `w` (1/n everywhere is the batch average).
 
-    Returns the ascent direction, the descent gradient negated through the
-    row weights.
+    Adds the ascent direction, the descent gradient negated through the
+    row weights.  Every layer's deltas are computed before any weight moves,
+    and each weight gradient is added as W + (A + B), its two products
+    summed first.
     """
     wc = -w[:, None]
     L = params.n_layers
     # softmax + log-loss output delta (p - e_y), each row times -w: every
     # delta below, and so every gradient entry, comes out negated
     xi_out = (state.class_probs - y_probs) * wc
+    terms = []
     for l in range(L):
         lp = params.layers[l]
         h = state.hidden[l]
-        h_hat = state.hidden_hat[l]
-        v_in = state.input_hat if l == 0 else state.hidden_hat[l - 1]
         v_target = x if l == 0 else q_rec[l - 1]
-        z = state.recons[l]
         # cross-entropy through the output sigmoid collapses to (z - target)
-        xi_recon = (z - v_target) * wc
+        xi_recon = (state.recons[l] - v_target) * wc
         hid_prime = sigmoid_prime_from_output(h)
         xi_hid = (xi_recon @ lp.W.T) * state.masks[l] * hid_prime
         xi_hid_out = (xi_out @ lp.U.T) * hid_prime
         xi_hid_total = xi_hid + xi_hid_out
         if dropout_masks is not None:
             xi_hid_total = xi_hid_total * dropout_masks[l]
+        terms.append((h, xi_recon, xi_hid_total))
+    for l, (h, xi_recon, xi_hid_total) in enumerate(terms):
         g = out.layers[l]
-        # a + b, evaluated in that order in the view
-        np.matmul(xi_hid_total.T, v_in, out=g.W)
-        np.add(g.W, h_hat.T @ xi_recon, out=g.W)
-        np.matmul(h.T, xi_out, out=g.U)
-        np.add.reduce(xi_hid_total, axis=0, out=g.b_hidden)
-        np.add.reduce(xi_recon, axis=0, out=g.b_visible)
-    np.add.reduce(xi_out, axis=0, out=out.b_class)
+        v_in = state.input_hat if l == 0 else state.hidden_hat[l - 1]
+        np.add(g.W, xi_hid_total.T @ v_in + state.hidden_hat[l].T @ xi_recon,
+               out=g.W)
+        add_product(g.U, h.T, xi_out)
+        np.add(g.b_hidden, np.add.reduce(xi_hid_total, axis=0), out=g.b_hidden)
+        np.add(g.b_visible, np.add.reduce(xi_recon, axis=0), out=g.b_visible)
+    np.add(out.b_class, np.add.reduce(xi_out, axis=0), out=out.b_class)
     return out
 
 

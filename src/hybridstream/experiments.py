@@ -121,7 +121,6 @@ class MlpPseudoLabelModel:
         self.params = baseline.init_mlp(n_visible, hidden_dims, n_classes, rng)
         self.config = config
         self.rng = rng
-        self._grad = self.params.zeros_like()   # overwritten by every update
         # (x, mlp_predict(params, x)) of the last predict, until the next update
         self._predicted = None
 
@@ -134,7 +133,7 @@ class MlpPseudoLabelModel:
         probs = predicted[1] if predicted is not None and predicted[0] is x else None
         cfg = self.config
         baseline.mlp_update(self.params, x, labels, cfg.lr, cfg.beta_f,
-                            cfg.keep_prob, self.rng, probs, out=self._grad)
+                            cfg.keep_prob, self.rng, probs)
 
     def predict(self, x):
         """Eval-mode class probabilities, kept for the next update() of `x`."""

@@ -1,7 +1,8 @@
 """Activation functions, seeded randomness, the flat parameter layout
 shared by every model component, the dense-network parameter type, the
-mask and drop-out draws, weighted rows, row targets and cross-entropy that
-every model shares, and the type check of every config value.
+banded product-add every gradient function steps with, the mask and
+drop-out draws, weighted rows, row targets and cross-entropy that every
+model shares, and the type check of every config value.
 
 All arithmetic is double precision.  Randomness is never global: callers
 construct a Generator with :func:`make_rng` and pass it explicitly so that
@@ -15,6 +16,16 @@ import numbers
 import numpy as np
 
 EPS = 1e-7     # cross_entropy clips probabilities to [EPS, 1 - EPS]
+
+# add_product adds its product in bands of rows of `out` of about this many
+# bytes, each while it is still in cache
+BAND_BYTES = 1 << 18
+# OpenBLAS's AVX-512 double kernels work on 8 columns at a time and split a
+# depth above 384 into blocks; outside those bounds a band's rows were seen
+# to round other than the same rows of the whole product, so add_product
+# takes such a product whole
+BAND_COLUMNS = 8
+BAND_MAX_DEPTH = 384
 
 
 def make_rng(seed):
@@ -74,7 +85,7 @@ class DenseParams(ViewRecord):
     """A dense feed-forward network's weights in one float64 vector `data`,
     laid out per layer as W (out, in), b (out,); `Ws` and `bs` hold views of
     it.  The recognition net and the baseline MLP are both one; a gradient
-    shares the type (see :meth:`zeros_like`)."""
+    read on its own is added into a zero one (see :meth:`zeros_like`)."""
     data: np.ndarray
     Ws: tuple
     bs: tuple
@@ -94,8 +105,39 @@ class DenseParams(ViewRecord):
         return cls(data, tuple(views[::2]), tuple(views[1::2]))
 
     def zeros_like(self):
-        """Zero parameters of the same layout, the container of a gradient."""
+        """Zero parameters of the same layout, into which a gradient function
+        adds the gradient alone."""
         return self.from_dims(self.dims)
+
+
+def _band_edges(out, depth):
+    """Row edges of add_product's bands of the 2-D array `out` over a
+    product of inner size `depth`: about BAND_BYTES each and split evenly,
+    so no band has one row (a one-row product takes numpy's gemv path,
+    which can round differently).  None when the product is taken whole:
+    `out` fits one band, is a vector, or banding could move a bit (see
+    BAND_COLUMNS)."""
+    n = min(len(out) // 2, -(-out.nbytes // BAND_BYTES))
+    if (out.ndim != 2 or n < 2 or out.shape[1] % BAND_COLUMNS
+            or depth > BAND_MAX_DEPTH):
+        return None
+    return [len(out) * i // n for i in range(n + 1)]
+
+
+def add_product(out, a, b):
+    """out += a @ b in place, one band of rows (_band_edges) at a time, each
+    band's product added while it is still in cache: the bits of
+    ``out + a @ b`` without a whole-product temporary.  Returns `out`."""
+    # a block that fits one band, as every block of a stream model does,
+    # skips the band arithmetic
+    edges = _band_edges(out, b.shape[0]) if out.nbytes > BAND_BYTES else None
+    if edges is None:
+        out += a @ b
+        return out
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        band = out[lo:hi]
+        band += a[lo:hi] @ b
+    return out
 
 
 def check_type(name, value, kind, least=None):

@@ -7,7 +7,7 @@ inference and is trained by cross-entropy toward the mean-field statistics
 
 import numpy as np
 
-from .numerics import (DenseParams, cross_entropy, sigmoid,
+from .numerics import (DenseParams, add_product, cross_entropy, sigmoid,
                        sigmoid_prime_from_output)
 
 
@@ -54,14 +54,16 @@ def kl_loss(v_list, mu_list):
 
 
 def rec_gradients(rec, x, mu_list, w, v_list, *, out):
-    """Descent gradients of kl_loss w.r.t. every weight W^l and bias.
+    """Descent gradients of kl_loss w.r.t. every weight W^l and bias, added
+    into `out`.
 
     The targets mu are constants.  The delta at each layer is (v - mu) plus
     the contribution backpropagated from the layer above; weight gradients
     carry the doubling factor of their own layer.  Each row's loss is
     weighted by `w` (one weight per row; 1/n everywhere is kl_loss's batch
-    average).  `x` is a 2-D float64 row batch, `v_list` is
-    ``recognize(rec, x)``, and `out` is written (every entry).
+    average), so weights of -lr with `rec` itself as `out` take a descent
+    step.  Every delta is computed before the first add.  `x` is a 2-D
+    float64 row batch and `v_list` is ``recognize(rec, x)``.
     """
     L = len(rec.Ws)
     inputs = [x] + v_list[:-1]
@@ -75,8 +77,8 @@ def rec_gradients(rec, x, mu_list, w, v_list, *, out):
         np.multiply(back, _doubling(l + 1, L), out=back)
         deltas[l] = (v_list[l] - mu_list[l]) \
             + back * sigmoid_prime_from_output(v_list[l])
-    for l in range(L):
-        dw = deltas[l] * (w * _doubling(l, L))[:, None]
-        np.matmul(dw.T, inputs[l], out=out.Ws[l])
-        np.matmul(w, deltas[l], out=out.bs[l])
+    dws = [d * (w * _doubling(l, L))[:, None] for l, d in enumerate(deltas)]
+    for W, b, dw, delta, below in zip(out.Ws, out.bs, dws, deltas, inputs):
+        add_product(W, dw.T, below)
+        add_product(b, w, delta)
     return out

@@ -83,9 +83,6 @@ class Trainer:
                 model, config.n_particles, rng)
         self.labeled_seen = 0
         self.updates = 0
-        # gradient containers, overwritten by every update
-        self._model_grad = model.zeros_like()
-        self._rec_grad = self.rec.zeros_like()
         # (x, recognize(rec, x)) of the last predict, until the next update
         self._recognized = None
 
@@ -106,11 +103,13 @@ class Trainer:
         mean) and the recognition net descends (labeled mean) + beta *
         (unlabeled mean).  At beta 0 the unlabeled rows are left out: every
         pass and draw below covers the kept rows only.  The weights carry
-        lr: each net takes its step with one add (or subtract) on its flat
-        vector.  An update that keeps no row changes nothing, draws nothing,
-        and the report says so.  The recognition pass of the last predict()
-        is reused when `x` is the array object it was given (and not written
-        since) and the update keeps every row; it is dropped either way.
+        lr, and the recognition net's are negated: each gradient function
+        gets its net's own parameters as `out` and adds the step into them
+        inside its products.  An update that keeps no row changes nothing,
+        draws nothing, and the report says so.  The recognition pass of the
+        last predict() is reused when `x` is the array object it was given
+        (and not written since) and the update keeps every row; it is
+        dropped either way.
         """
         recognized, self._recognized = self._recognized, None
         v = recognized[1] if recognized is not None and recognized[0] is x else None
@@ -132,10 +131,10 @@ class Trainer:
             state = dhda.dhda_forward(self.model, x, v_stats, rng,
                                       cfg.corruption_p, cfg.num_steps)
             mu_clean = state.hidden
-            model_grad = estimators.mf_bp_gradients(
+            estimators.mf_bp_gradients(
                 x, targets, v_stats, state, self.model, w,
                 dropout_masks(rng, [m.shape for m in mu_clean], cfg.keep_prob),
-                out=self._model_grad)
+                out=self.model)
         else:
             # mean_field_step builds new arrays and never writes its inputs
             state = dhbm.MeanFieldState(v_stats, class_probs)
@@ -144,23 +143,21 @@ class Trainer:
             mu_clean = state.layer_means
             if cfg.estimator == "mf-cd":
                 masks = dropout_masks(rng, [m.shape for m in mu_clean], cfg.keep_prob)
-                model_grad = estimators.mf_cd_gradients(
+                estimators.mf_cd_gradients(
                     x, targets, v_stats, dhbm.cond_x(self.model, mu_clean[0]),
                     _masked(mu_clean, masks), state.class_probs, w,
-                    out=self._model_grad)
+                    out=self.model)
             else:
-                model_grad = estimators.sap_gradients(
+                estimators.sap_gradients(
                     x, targets, v_stats, self.particles, self.model, rng, w,
-                    out=self._model_grad)
+                    out=self.model)
         # the recognition target is the clean mean-field statistic: drop-out
         # masks perturb only the statistics fed to the model-gradient
-        # estimators, a masked target would collapse the network to constants
-        rec_grad = recognition.rec_gradients(self.rec, x, mu_clean, w_rec, v,
-                                             out=self._rec_grad)
-        # the weights carry lr: an ascent step for the model, a descent step
-        # for the recognition net, each one pass over the flat vectors
-        np.add(self.model.data, model_grad.data, out=self.model.data)
-        np.subtract(self.rec.data, rec_grad.data, out=self.rec.data)
+        # estimators, a masked target would collapse the network to
+        # constants.  Negated weights make the step a descent step, to the
+        # bit the subtraction of the gradient
+        recognition.rec_gradients(self.rec, x, mu_clean, -w_rec, v,
+                                  out=self.rec)
         self.labeled_seen += int(np.count_nonzero(lab))
         self.updates += 1
         return {"updated": True, "beta": beta}

@@ -100,8 +100,7 @@ def test_update_zero_lr_is_identity():
     p = baseline.init_mlp(4, [3], 2, make_rng(4), weight_std=0.5)
     before = p.data.copy()
     x = make_rng(5).random((4, 4))
-    baseline.mlp_update(p, *mixed_batch(x, np.array([0, 1, 0, 1]), x), 0.0, 0.5,
-                        out=p.zeros_like())
+    baseline.mlp_update(p, *mixed_batch(x, np.array([0, 1, 0, 1]), x), 0.0, 0.5)
     assert np.array_equal(before, p.data)
 
 
@@ -115,9 +114,8 @@ def test_beta_zero_ignores_unlabeled():
     p2 = p1.zeros_like()
     p2.data[...] = p1.data
     rng1, rng2 = make_rng(9), make_rng(9)
-    baseline.mlp_update(p1, *mixed_batch(x, y, u), 0.1, 0.0, 0.5, rng1,
-                        out=p1.zeros_like())
-    baseline.mlp_update(p2, x, y, 0.1, 0.0, 0.5, rng2, out=p2.zeros_like())
+    baseline.mlp_update(p1, *mixed_batch(x, y, u), 0.1, 0.0, 0.5, rng1)
+    baseline.mlp_update(p2, x, y, 0.1, 0.0, 0.5, rng2)
     assert np.array_equal(p1.data, p2.data)
     assert rng1.bit_generator.state == rng2.bit_generator.state
 
@@ -128,9 +126,8 @@ def test_supervised_training_fits_toy_set():
     x = rng.random((n, 4))
     y = (x[:, 0] + x[:, 1] > x[:, 2] + x[:, 3]).astype(int)
     p = baseline.init_mlp(4, [16], 2, make_rng(10), weight_std=0.3)
-    grad = p.zeros_like()
     for _ in range(400):
-        baseline.mlp_update(p, x, y, 0.2, 0.0, out=grad)
+        baseline.mlp_update(p, x, y, 0.2, 0.0)
     pred = np.argmax(baseline.mlp_predict(p, x), axis=1)
     assert np.mean(pred != y) < 0.1
 
@@ -225,14 +222,14 @@ def test_update_steps_along_the_sum_of_sides():
                                         out=p.zeros_like()).data
     before = p.data.copy()
     baseline.mlp_update(p, *mixed_batch(x_lab, np.argmax(y_lab, axis=1), x_unlab),
-                        lr, beta, out=p.zeros_like())
+                        lr, beta)
     assert_close((before - p.data) / lr, sides)
 
 
 def test_update_is_lr_times_the_unit_weight_gradient(monkeypatch):
-    # mlp_update puts lr into the row weights: the gradient it takes is lr
+    # mlp_update puts -lr into the row weights: the step it adds is -lr
     # times the gradient at weights 1/n_lab and beta/n_unlab, under the same
-    # drop-out draw, and the step is one subtract of it, to the last bit
+    # drop-out draw, and the parameters move by exactly that step
     lr, beta = 0.37, 0.3
     rng = make_rng(42)
     p = baseline.init_mlp(6, [5, 4], 3, rng, weight_std=0.5)
@@ -243,10 +240,10 @@ def test_update_is_lr_times_the_unit_weight_gradient(monkeypatch):
                                     w_unit)
     before = p.data.copy()
     baseline.mlp_update(p, x, labels, lr, beta, keep_prob=0.5,
-                        rng=make_rng(43), out=p.zeros_like())
-    assert_close(seen["w"], lr * w_unit)
-    assert_close(seen["step"].data, lr * seen["unit"])
-    assert np.array_equal(p.data, before - seen["step"].data)
+                        rng=make_rng(43))
+    assert_close(seen["w"], -lr * w_unit)
+    assert_close(seen["step"], -lr * seen["unit"])
+    assert np.array_equal(p.data, before + seen["step"])
 
 
 # (dims, labeled rows, beta, seed): a batch of both sides, and one whose
@@ -296,8 +293,7 @@ def test_dropout_requires_rng():
         baseline.mlp_gradients(p, np.ones((1, 4)), one_hot([0], 2), np.ones(1),
                                keep_prob=0.5, out=p.zeros_like())
     with pytest.raises(ValueError, match="rng"):
-        baseline.mlp_update(p, np.ones((1, 4)), [0], 0.1, 0.3, keep_prob=0.5,
-                            out=p.zeros_like())
+        baseline.mlp_update(p, np.ones((1, 4)), [0], 0.1, 0.3, keep_prob=0.5)
 
 
 def test_update_bits_pinned():
@@ -307,11 +303,10 @@ def test_update_bits_pinned():
     # two BLAS threads
     rng = make_rng(24)
     p = baseline.init_mlp(24, [12, 12], 10, rng, weight_std=0.1)
-    grad = p.zeros_like()
     for _ in range(10):
         baseline.mlp_update(p, *mixed_batch(rng.random((6, 24)),
                                             rng.integers(0, 10, 6),
                                             rng.random((4, 24))),
-                            0.1, 0.3, keep_prob=0.5, rng=rng, out=grad)
+                            0.1, 0.3, keep_prob=0.5, rng=rng)
     assert hashlib.sha256(p.data.tobytes()).hexdigest() == \
         "67c76f34183806da40ce093b3bb0e9eaf9fad706bf1655efc3260345d57daea4"

@@ -215,15 +215,21 @@ def gradient_case(name):
 
 @pytest.mark.parametrize("name", ["mf-cd", "sap", "mf-bp", "rec", "mlp"])
 def test_gradients_overwrite_every_workspace_entry(name):
-    # a workspace keeps the previous step's values; a gradient written into
-    # one that holds NaN everywhere must equal one built in a fresh container
+    # a gradient function adds into its workspace: one that holds finite
+    # values P (parameters, say) ends bit for bit P plus the gradient read
+    # in a fresh zero container, and one that holds NaN stays NaN in every
+    # entry, so no entry is overwritten or skipped
     grad, workspace = gradient_case(name)
-    fresh = grad(workspace.zeros_like())
-    workspace.data[...] = np.nan
+    fresh = grad(workspace.zeros_like()).data.copy()
+    held = make_rng(27).normal(size=workspace.data.shape)
     for _ in range(2):
+        workspace.data[...] = held
         assert grad(workspace) is workspace
         assert np.array_equal(workspace.data.view(np.int64),
-                              fresh.data.view(np.int64))
+                              (held + fresh).view(np.int64))
+    workspace.data[...] = np.nan
+    assert grad(workspace) is workspace
+    assert np.isnan(workspace.data).all()
 
 
 def rows_case(name, dims, n, seed):

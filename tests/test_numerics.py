@@ -1,11 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hybridstream.numerics import (bernoulli_mask, check_type, make_rng,
-                                   one_hot, relu, sigmoid, softmax,
+from hybridstream import numerics
+from hybridstream.numerics import (add_product, bernoulli_mask, check_type,
+                                   make_rng, one_hot, relu, sigmoid, softmax,
                                    weighted_rows)
 
 
@@ -223,3 +226,70 @@ def test_check_type_refuses_a_value_below_its_least(kind, value, least, need):
     check_type("field", least, kind, least)
     with pytest.raises(ValueError, match=f"^field must be {need}, got"):
         check_type("field", value, kind, least)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.integers(1, 64), depth=st.integers(1, 400),
+       cols=st.integers(1, 48), transposed=st.booleans(),
+       band_bytes=st.integers(8, 1 << 12), seed=st.integers(0, 1000))
+@example(rows=1, depth=20, cols=784, transposed=True, band_bytes=8, seed=0)
+@example(rows=7, depth=10, cols=16, transposed=True, band_bytes=128, seed=1)
+@example(rows=256, depth=20, cols=784, transposed=True,
+         band_bytes=numerics.BAND_BYTES, seed=2)
+@example(rows=256, depth=10, cols=784, transposed=False,
+         band_bytes=numerics.BAND_BYTES, seed=3)
+def test_add_product_is_out_plus_the_product(rows, depth, cols, transposed,
+                                             band_bytes, seed):
+    # the banded add leaves the bits of out + a @ b: bands with a remainder
+    # row, a transposed `a` (the gradient functions pass hw.T), a one-row
+    # `out` and criterion 7's 256x784 layer at the module's band size
+    rng = make_rng(seed)
+    a = rng.normal(size=(depth, rows)).T if transposed \
+        else rng.normal(size=(rows, depth))
+    b = (rng.random((depth, cols)) < 0.5).astype(np.float64) if seed % 2 \
+        else rng.random((depth, cols))
+    out = rng.normal(size=(rows, cols))
+    want = out + a @ b
+    with mock.patch.object(numerics, "BAND_BYTES", band_bytes):
+        assert add_product(out, a, b) is out
+    assert np.array_equal(out.view(np.int64), want.view(np.int64))
+
+
+def test_add_product_bands_criterion_7s_wide_layer():
+    # a 256x784 layer over a batch of 20 rows goes in even bands of about
+    # BAND_BYTES, which the test above shows leave the bits
+    sizes = np.diff(numerics._band_edges(np.empty((256, 784)), 20))
+    assert len(sizes) > 1 and sizes.max() - sizes.min() <= 1
+    assert sizes.max() * 784 * 8 <= numerics.BAND_BYTES + 784 * 8
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(1, 300), cols=st.integers(1, 100),
+       depth=st.integers(1, 500), band_bytes=st.integers(8, 1 << 16))
+def test_band_edges_split_evenly_into_bands_of_two_rows_or_more(
+        rows, cols, depth, band_bytes):
+    with mock.patch.object(numerics, "BAND_BYTES", band_bytes):
+        edges = numerics._band_edges(np.empty((rows, cols)), depth)
+    if edges is None:   # taken whole
+        assert (rows * cols * 8 <= band_bytes or rows < 4
+                or cols % numerics.BAND_COLUMNS
+                or depth > numerics.BAND_MAX_DEPTH)
+        return
+    sizes = np.diff(edges)
+    assert edges[0] == 0 and edges[-1] == rows
+    assert sizes.max() - sizes.min() <= 1 and sizes.min() >= 2
+    assert cols % numerics.BAND_COLUMNS == 0
+    assert depth <= numerics.BAND_MAX_DEPTH
+    # about band_bytes each, unless the two-row least sets the count
+    assert (sizes.max() - 1) * cols * 8 < band_bytes or sizes.min() == 2
+
+
+def test_add_product_adds_a_vector_product():
+    # the bias gradients add a row-weight vector times a batch; a vector is
+    # taken whole at any band size
+    rng = make_rng(5)
+    w, below, out = rng.normal(size=7), rng.random((7, 16)), rng.normal(size=16)
+    want = out + w @ below
+    with mock.patch.object(numerics, "BAND_BYTES", 8):
+        add_product(out, w, below)
+    assert np.array_equal(out.view(np.int64), want.view(np.int64))

@@ -2,6 +2,8 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridstream import streams
 from hybridstream.numerics import make_rng
@@ -145,6 +147,38 @@ def test_drift_permutation_matches_roll_formula():
         want = np.arange(24)
         want[:k] = np.roll(want[:k], (i // interval) % k)
         assert np.array_equal(stream._current_perm(), want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(sorted(streams.STREAMS)), data=st.data())
+def test_a_full_drift_cycle_restores_the_attribute_order(kind, data):
+    # drift_attr_count * drift_interval instances, drawn in batches cut
+    # anywhere, end with the attributes in their first order; every row on
+    # the way is permuted by its own instance's rotation.  Each raw row holds
+    # the attribute indices, so a row of the batch shows its permutation
+    n = streams.STREAMS[kind].n_features
+    k = data.draw(st.integers(0, n), label="drift_attr_count")
+    interval = data.draw(st.integers(1, 30), label="drift_interval")
+    cycle = k * interval
+    cuts = data.draw(st.lists(st.integers(1, max(cycle - 1, 1)), unique=True,
+                              max_size=20), label="cuts")
+    edges = [0] + sorted(c for c in cuts if c < cycle) + [cycle]
+    cfg = streams.StreamConfig(kind=kind, drift_attr_count=k,
+                               drift_interval=interval)
+    stream = streams.make_stream(cfg, make_rng(8))
+    stream._raw_chunk = lambda rows: (np.tile(np.arange(n, dtype=np.float64),
+                                              (rows, 1)),
+                                      np.zeros(rows, dtype=np.int64))
+    rows = [stream.next_batch(hi - lo).features
+            for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
+    assert stream.instances == cycle
+    assert np.array_equal(stream._current_perm(), np.arange(n))
+    assert np.array_equal(stream.next_batch(1).features[0], np.arange(n))
+    for i, row in enumerate(np.concatenate(rows) if rows else []):
+        want = np.arange(n)
+        if k > 1:
+            want[:k] = np.roll(want[:k], i // interval)
+        assert np.array_equal(row, want)
 
 
 def test_drift_boundary_split_within_batch():

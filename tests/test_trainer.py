@@ -250,24 +250,33 @@ ESTIMATOR_CALLS = {"mf-cd": ("mf_cd_gradients", 6), "sap": ("sap_gradients", 6),
 
 
 def record_unit_weight_calls(monkeypatch, module, name, w_at, unit_w):
-    """Wrap module.name so each call also runs, on deep copies of its
-    arguments (particles and generators included), with its row weights
-    replaced by `unit_w` and its container `out` by a fresh one; records
-    the weights it was given, the container it returned and that
+    """Wrap module.name so each call first runs twice into fresh zero
+    containers, on deep copies of its arguments (parameters, particles and
+    generators included): once as given, the fresh-container step, and once
+    with its row weights replaced by `unit_w`.  Then the call itself adds
+    into its `out`, which must end bit for bit the parameters before it
+    plus that step.  Records the weights it was given, the step and the
     unit-weight result."""
     fn = getattr(module, name)
     seen = {}
 
+    def fresh(args, kwargs, w=None):
+        args = copy.deepcopy(list(args))
+        if w is not None:
+            args[w_at] = w
+        copied = {k: copy.deepcopy(v) for k, v in kwargs.items() if k != "out"}
+        return fn(*args, out=kwargs["out"].zeros_like(), **copied).data
+
     def wrapped(*args, **kwargs):
-        unit_args = copy.deepcopy(list(args))
-        unit_args[w_at] = unit_w
-        unit_kwargs = {k: copy.deepcopy(v) for k, v in kwargs.items()
-                       if k != "out"}
-        seen["unit"] = fn(*unit_args, out=kwargs["out"].zeros_like(),
-                          **unit_kwargs).data
+        seen["unit"] = fresh(args, kwargs, unit_w)
+        seen["step"] = fresh(args, kwargs)
         seen["w"] = np.array(args[w_at])
-        seen["step"] = fn(*args, **kwargs)
-        return seen["step"]
+        before = kwargs["out"].data.copy()
+        result = fn(*args, **kwargs)
+        assert result is kwargs["out"]
+        assert np.array_equal(result.data.view(np.int64),
+                              (before + seen["step"]).view(np.int64))
+        return result
 
     monkeypatch.setattr(module, name, wrapped)
     return seen
@@ -279,9 +288,9 @@ def assert_close(got, want):
 
 @pytest.mark.parametrize("estimator", trainer.ESTIMATORS)
 def test_step_is_lr_times_the_unit_weight_estimate(estimator, monkeypatch):
-    # the trainer puts lr into the row weights: the estimator's output is
-    # lr times its output at the unscaled weights, and each step is one add
-    # (one subtract for the recognition net) of that output, to the last bit
+    # the trainer puts lr into the row weights, negated for the recognition
+    # net: each step is lr (-lr) times the gradient function's output at the
+    # unscaled weights, and each net moves by exactly its step
     lr, alpha, beta = 0.37, 0.8, 0.3
     tr = make_trainer(estimator, seed=80, lr=lr, alpha=alpha, beta_f=beta,
                       n_particles=4, num_steps=2)
@@ -298,11 +307,12 @@ def test_step_is_lr_times_the_unit_weight_estimate(estimator, monkeypatch):
                                         "rec_gradients", 3, w_rec_unit)
     model_before, rec_before = tr.model.data.copy(), tr.rec.data.copy()
     tr.update(x, labels)
-    for seen, unit_w in ((model_seen, w_unit), (rec_seen, w_rec_unit)):
-        assert_close(seen["w"], lr * unit_w)
-        assert_close(seen["step"].data, lr * seen["unit"])
-    assert np.array_equal(tr.model.data, model_before + model_seen["step"].data)
-    assert np.array_equal(tr.rec.data, rec_before - rec_seen["step"].data)
+    for seen, unit_w, sign in ((model_seen, w_unit, 1.0),
+                               (rec_seen, w_rec_unit, -1.0)):
+        assert_close(seen["w"], sign * lr * unit_w)
+        assert_close(seen["step"], sign * lr * seen["unit"])
+    assert np.array_equal(tr.model.data, model_before + model_seen["step"])
+    assert np.array_equal(tr.rec.data, rec_before + rec_seen["step"])
 
 
 def trainer_state(tr):
