@@ -6,7 +6,7 @@ pass per batch.
 
 import numpy as np
 
-from .numerics import (DenseParams, add_product, dropout_masks, one_hot, relu,
+from .numerics import (DenseParams, add_product, dropout_masks, one_hot,
                        row_targets, softmax, weighted_rows)
 
 EPS = 1e-12
@@ -28,12 +28,15 @@ def mlp_forward(params, x, scales):
     hidden = []
     below = x
     for l, (W, b) in enumerate(zip(params.Ws[:-1], params.bs[:-1])):
-        h = relu(below @ W.T + b)
+        h = np.dot(below, W.T)
+        np.add(h, b, out=h)
+        np.maximum(h, 0.0, out=h)
         if scales is not None:
             np.multiply(h, scales[l], out=h)
         hidden.append(h)
         below = h
-    return hidden, softmax(below @ params.Ws[-1].T + params.bs[-1])
+    logits = np.dot(below, params.Ws[-1].T)
+    return hidden, softmax(np.add(logits, params.bs[-1], out=logits))
 
 
 def log_loss(probs, y_onehot):
@@ -56,11 +59,12 @@ def mlp_gradients(params, x, y_onehot, w, keep_prob=1.0, rng=None, *, out):
     deltas = [delta]
     # a unit the mask dropped has hidden 0, so the gate zeroes its delta too
     for l in range(len(hidden) - 1, -1, -1):
-        deltas.append((deltas[-1] @ params.Ws[l + 1]) * (hidden[l] > 0))
+        back = np.dot(deltas[-1], params.Ws[l + 1])
+        deltas.append(np.multiply(back, hidden[l] > 0, out=back))
     for W, b, delta, below in zip(out.Ws[::-1], out.bs[::-1], deltas,
                                   inputs[::-1]):
         add_product(W, delta.T, below)
-        b += np.sum(delta, axis=0)
+        np.add(b, np.add.reduce(delta, axis=0), out=b)
     return out
 
 

@@ -88,8 +88,8 @@ def mf_bp_gradients(x, y_probs, q_rec, state, params, w, dropout_masks=None,
         # cross-entropy through the output sigmoid collapses to (z - target)
         xi_recon = (state.recons[l] - v_target) * wc
         hid_prime = sigmoid_prime_from_output(h)
-        xi_hid = (xi_recon @ lp.W.T) * state.masks[l] * hid_prime
-        xi_hid_out = (xi_out @ lp.U.T) * hid_prime
+        xi_hid = np.dot(xi_recon, lp.W.T) * state.masks[l] * hid_prime
+        xi_hid_out = np.dot(xi_out, lp.U.T) * hid_prime
         xi_hid_total = xi_hid + xi_hid_out
         if dropout_masks is not None:
             xi_hid_total = xi_hid_total * dropout_masks[l]
@@ -97,6 +97,9 @@ def mf_bp_gradients(x, y_probs, q_rec, state, params, w, dropout_masks=None,
     for l, (h, xi_recon, xi_hid_total) in enumerate(terms):
         g = out.layers[l]
         v_in = state.input_hat if l == 0 else state.hidden_hat[l - 1]
+        # two weight-sized products: np.dot, which clears its result first,
+        # took this function 1300 against 1230 us at 784-256-256-10 on 10
+        # rows, and saved 3 of 105 us at 24-24-24-24-24-10 on 20
         np.add(g.W, xi_hid_total.T @ v_in + state.hidden_hat[l].T @ xi_recon,
                out=g.W)
         add_product(g.U, h.T, xi_out)
@@ -144,4 +147,4 @@ def sap_gradients(x, y_probs, q_rec, particles, params, rng, w, *, out):
     m = particles.n_particles
     return _contrast(x, q_rec, y_probs, particles.x,
                      particles.hs, one_hot(particles.y, params.n_classes),
-                     w, np.full(m, w.sum() / m), out)
+                     w, np.full(m, np.add.reduce(w) / m), out)

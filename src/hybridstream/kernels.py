@@ -34,8 +34,9 @@ def gibbs_sweeps(params, x, hs, y, rng, n_sweeps):
             above = hs[l + 1] if l + 1 < L else None
             p = dhbm.cond_h(params, l, y, below, above)
             hs[l][...] = rng.random(p.shape) < p
-        cdf = np.cumsum(dhbm.cond_y(params, hs), axis=1)
-        y[...] = np.minimum((cdf <= rng.random((M, 1))).sum(axis=1), C - 1)
+        cdf = np.add.accumulate(dhbm.cond_y(params, hs), axis=1)
+        y[...] = np.minimum(np.add.reduce(cdf <= rng.random((M, 1)), axis=1),
+                            C - 1)
         p = dhbm.cond_x(params, hs[0])
         x[...] = rng.random(p.shape) < p
     return x, hs, y

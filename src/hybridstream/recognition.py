@@ -33,7 +33,7 @@ def recognize(rec, x):
     L = len(rec.Ws)
     for l, (W, b) in enumerate(zip(rec.Ws, rec.bs)):
         # 2 * (below W') + b, evaluated in that order in one array
-        pre = below @ W.T
+        pre = np.dot(below, W.T)
         np.multiply(pre, _doubling(l, L), out=pre)
         np.add(pre, b, out=pre)
         below = sigmoid(pre, out=pre)
@@ -73,7 +73,7 @@ def rec_gradients(rec, x, mu_list, w, v_list, *, out):
     # so they go where the array is small: on the back-propagated product
     # (not a copy of W) and on the row weights (not the weight gradient)
     for l in range(L - 2, -1, -1):
-        back = deltas[l + 1] @ rec.Ws[l + 1]
+        back = np.dot(deltas[l + 1], rec.Ws[l + 1])
         np.multiply(back, _doubling(l + 1, L), out=back)
         deltas[l] = (v_list[l] - mu_list[l]) \
             + back * sigmoid_prime_from_output(v_list[l])

@@ -43,6 +43,8 @@ WAVEFORM_BASES = np.array(
      for c in _centers])
 # Classes combine base pairs (1,2), (1,3), (2,3).
 WAVEFORM_PAIRS = [(0, 1), (0, 2), (1, 2)]
+# each class's two bases, indexed [class, first or second, attribute]
+_PAIR_BASES = WAVEFORM_BASES[np.array(WAVEFORM_PAIRS)]
 # Fixed affine normalization: [-3, 9] -> [0, 1], clamped.
 WAVEFORM_LO, WAVEFORM_HI = -3.0, 9.0
 
@@ -146,8 +148,8 @@ class LedStream(_DriftingStream):
         feats[:, 7:] = self.rng.integers(0, 2, size=(n, LED_FEATURES - 7))
         if self.config.noise_fraction > 0:
             flip = self.rng.random((n, LED_FEATURES)) < self.config.noise_fraction
-            feats = np.abs(feats - flip)
-        return feats, digits.astype(np.int64)
+            np.abs(np.subtract(feats, flip, out=feats), out=feats)
+        return feats, digits
 
 
 def led_bayes_error(noise_fraction):
@@ -162,8 +164,11 @@ def led_bayes_error(noise_fraction):
 
 
 def waveform_normalize(raw):
-    scaled = (raw - WAVEFORM_LO) / (WAVEFORM_HI - WAVEFORM_LO)
-    return np.clip(scaled, 0.0, 1.0)
+    """`raw` mapped affinely from [WAVEFORM_LO, WAVEFORM_HI] to [0, 1] and
+    clamped there, in one new array."""
+    scaled = np.subtract(raw, WAVEFORM_LO)
+    np.divide(scaled, WAVEFORM_HI - WAVEFORM_LO, out=scaled)
+    return np.clip(scaled, 0.0, 1.0, out=scaled)
 
 
 class WaveformStream(_DriftingStream):
@@ -176,14 +181,14 @@ class WaveformStream(_DriftingStream):
 
     def _raw_chunk(self, n):
         classes = self.rng.integers(0, WAVEFORM_CLASSES, size=n)
-        u = self.rng.random(n)
-        pairs = np.array(WAVEFORM_PAIRS)[classes]
-        signal = u[:, None] * WAVEFORM_BASES[pairs[:, 0]] \
-            + (1.0 - u[:, None]) * WAVEFORM_BASES[pairs[:, 1]]
-        signal = signal + self.rng.standard_normal((n, WAVEFORM_SIGNAL))
+        u = self.rng.random((n, 1))
+        bases = _PAIR_BASES[classes]
+        signal = u * bases[:, 0]
+        signal += (1.0 - u) * bases[:, 1]
+        signal += self.rng.standard_normal((n, WAVEFORM_SIGNAL))
         noise = self.rng.standard_normal((n, WAVEFORM_FEATURES - WAVEFORM_SIGNAL))
         feats = waveform_normalize(np.concatenate([signal, noise], axis=1))
-        return feats, classes.astype(np.int64)
+        return feats, classes
 
 
 STREAMS = {"led": LedStream, "waveform": WaveformStream}
@@ -199,5 +204,4 @@ def mask_labels(batch, label_fraction, rng):
     if not 0.0 <= label_fraction <= 1.0:
         raise ValueError("label_fraction must lie in [0, 1]")
     keep = rng.random(len(batch)) < label_fraction
-    labels = np.where(keep, batch.labels, -1)
-    return StreamBatch(batch.features, labels.astype(np.int64))
+    return StreamBatch(batch.features, np.where(keep, batch.labels, -1))

@@ -6,10 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hybridstream import numerics
-from hybridstream.numerics import (add_product, bernoulli_mask, check_type,
-                                   make_rng, one_hot, relu, sigmoid, softmax,
-                                   weighted_rows)
+from hybridstream import (baseline, dhbm, dhda, estimators, numerics,
+                         recognition)
+from hybridstream.numerics import (DenseParams, add_product, bernoulli_mask,
+                                   check_type, dropout_masks, make_rng,
+                                   one_hot, sigmoid, sigmoid_prime_from_output,
+                                   softmax, weighted_rows)
 
 
 def test_sigmoid_symmetry():
@@ -113,10 +115,6 @@ def test_sigmoid_nan_propagates():
     assert np.isnan(sigmoid(np.nan))
     out = sigmoid(np.array([np.nan, 1.0]))
     assert np.isnan(out[0]) and out[1] == masked_sigmoid(1.0)
-
-
-def test_relu():
-    assert np.array_equal(relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
 
 
 def test_softmax_rows_sum_to_one():
@@ -293,3 +291,183 @@ def test_add_product_adds_a_vector_product():
     with mock.patch.object(numerics, "BAND_BYTES", 8):
         add_product(out, w, below)
     assert np.array_equal(out.view(np.int64), want.view(np.int64))
+
+
+# The step's products as the @ operator spelled them before every one on the
+# predict/update path went through np.dot, and each add-into as the whole
+# ``out += a @ b`` that add_product's bands keep (see the tests above): the
+# oracles of the np.dot forms, bit for bit
+def operator_cond_h(params, l, y, below, above=None):
+    lp = params.layers[l]
+    pre = below @ lp.W.T
+    if y is not None:
+        np.add(pre, lp.U.T.take(y, axis=0) if y.dtype.kind in "iu"
+               else y @ lp.U.T, out=pre)
+    np.add(pre, lp.b_hidden, out=pre)
+    if l + 1 < params.n_layers:
+        np.add(pre, above @ params.layers[l + 1].W, out=pre)
+    return sigmoid(pre, out=pre)
+
+
+def operator_cond_x(params, h, l=0):
+    lp = params.layers[l]
+    pre = h @ lp.W
+    np.add(pre, lp.b_visible, out=pre)
+    return sigmoid(pre, out=pre)
+
+
+def operator_cond_y(params, h_means, scale=1.0):
+    def scaled(h):
+        return h if scale == 1.0 else np.multiply(h, scale)
+
+    logits = scaled(h_means[0]) @ params.layers[0].U
+    np.add(logits, params.b_class, out=logits)
+    for lp, h in zip(params.layers[1:], h_means[1:]):
+        np.add(logits, scaled(h) @ lp.U, out=logits)
+    return wrapper_softmax(logits)
+
+
+def operator_recognize(rec, x):
+    out = []
+    below = x
+    for l, (W, b) in enumerate(zip(rec.Ws, rec.bs)):
+        pre = below @ W.T
+        np.multiply(pre, 2.0 if l < len(rec.Ws) - 1 else 1.0, out=pre)
+        np.add(pre, b, out=pre)
+        below = sigmoid(pre, out=pre)
+        out.append(below)
+    return out
+
+
+def operator_rec_gradients(rec, x, mu_list, w, v_list, out):
+    L = len(rec.Ws)
+    doubling = [2.0] * (L - 1) + [1.0]
+    inputs = [x] + v_list[:-1]
+    deltas = [None] * L
+    deltas[L - 1] = v_list[L - 1] - mu_list[L - 1]
+    for l in range(L - 2, -1, -1):
+        back = deltas[l + 1] @ rec.Ws[l + 1]
+        np.multiply(back, doubling[l + 1], out=back)
+        deltas[l] = (v_list[l] - mu_list[l]) \
+            + back * sigmoid_prime_from_output(v_list[l])
+    dws = [d * (w * doubling[l])[:, None] for l, d in enumerate(deltas)]
+    for W, b, dw, delta, below in zip(out.Ws, out.bs, dws, deltas, inputs):
+        W += dw.T @ below
+        b += w @ delta
+    return out
+
+
+def operator_mf_bp_gradients(x, y_probs, q_rec, state, params, w,
+                             dropout_masks, out):
+    wc = -w[:, None]
+    xi_out = (state.class_probs - y_probs) * wc
+    terms = []
+    for l, lp in enumerate(params.layers):
+        h = state.hidden[l]
+        v_target = x if l == 0 else q_rec[l - 1]
+        xi_recon = (state.recons[l] - v_target) * wc
+        hid_prime = sigmoid_prime_from_output(h)
+        xi_hid = (xi_recon @ lp.W.T) * state.masks[l] * hid_prime
+        xi_hid_out = (xi_out @ lp.U.T) * hid_prime
+        xi_hid_total = (xi_hid + xi_hid_out) * dropout_masks[l]
+        terms.append((h, xi_recon, xi_hid_total))
+    for l, (h, xi_recon, xi_hid_total) in enumerate(terms):
+        g = out.layers[l]
+        v_in = state.input_hat if l == 0 else state.hidden_hat[l - 1]
+        g.W += xi_hid_total.T @ v_in + state.hidden_hat[l].T @ xi_recon
+        g.U += h.T @ xi_out
+        g.b_hidden += np.add.reduce(xi_hid_total, axis=0)
+        g.b_visible += np.add.reduce(xi_recon, axis=0)
+    out.b_class += np.add.reduce(xi_out, axis=0)
+    return out
+
+
+def operator_mlp_forward(params, x, scales):
+    hidden = []
+    below = x
+    for l, (W, b) in enumerate(zip(params.Ws[:-1], params.bs[:-1])):
+        h = np.maximum(below @ W.T + b, 0.0)
+        if scales is not None:
+            np.multiply(h, scales[l], out=h)
+        hidden.append(h)
+        below = h
+    return hidden, wrapper_softmax(below @ params.Ws[-1].T + params.bs[-1])
+
+
+def operator_mlp_gradients(params, x, y_onehot, w, masks, out):
+    hidden, probs = operator_mlp_forward(params, x, masks)
+    inputs = [x] + hidden
+    deltas = [(probs - y_onehot) * w[:, None]]
+    for l in range(len(hidden) - 1, -1, -1):
+        deltas.append((deltas[-1] @ params.Ws[l + 1]) * (hidden[l] > 0))
+    for W, b, delta, below in zip(out.Ws[::-1], out.bs[::-1], deltas,
+                                  inputs[::-1]):
+        W += delta.T @ below
+        b += np.sum(delta, axis=0)
+    return out
+
+
+@pytest.mark.parametrize("arch, n", [("24-24-24-24-24-10", 20),
+                                     ("40-40-40-40-40-3", 20),
+                                     ("784-256-256-10", 10),
+                                     ("784-256-256-10", 512)])
+def test_step_products_match_the_operator_forms(arch, n):
+    # the stream models' layers on a batch of 20, and criterion 7's wide
+    # layers on a training batch and on an evaluation chunk
+    *dims, c = [int(s) for s in arch.split("-")]
+    d, hidden = dims[0], dims[1:]
+    rng = make_rng(n)
+    params = dhbm.HybridParams.initialize(d, hidden, c, rng, weight_std=0.3)
+    params.data[...] += rng.normal(0.0, 0.1, params.data.shape)
+    rec = recognition.init_from_model(params)
+    mlp = baseline.init_mlp(d, hidden, c, rng, weight_std=0.1)
+    mlp.data[...] += rng.normal(0.0, 0.05, mlp.data.shape)
+    x = (rng.random((n, d)) < 0.4).astype(np.float64)
+    w = rng.random(n) / n
+    labels = rng.integers(0, c, n)
+    y_probs = softmax(rng.normal(size=(n, c)))
+    hs = [rng.random((n, h)) for h in hidden]
+
+    # the conditionals, with each kind of class term and the scaled cond_y
+    for l in range(len(hidden)):
+        below = x if l == 0 else hs[l - 1]
+        above = hs[l + 1] if l + 1 < len(hidden) else None
+        for y in (y_probs, labels, None):
+            assert_same_bits(dhbm.cond_h(params, l, y, below, above),
+                             operator_cond_h(params, l, y, below, above))
+        assert_same_bits(dhbm.cond_x(params, hs[l], l),
+                         operator_cond_x(params, hs[l], l))
+    for scale in (1.0, 0.5, 0.3):
+        assert_same_bits(dhbm.cond_y(params, hs, scale),
+                         operator_cond_y(params, hs, scale))
+
+    # the recognition net forward and its descent step into itself
+    v = recognition.recognize(rec, x)
+    for got, want in zip(v, operator_recognize(rec, x)):
+        assert_same_bits(got, want)
+    want = DenseParams.from_dims(rec.dims, rec.data.copy())
+    operator_rec_gradients(rec, x, hs, -w, v, out=want)
+    recognition.rec_gradients(rec, x, hs, -w, v, out=rec)
+    assert_same_bits(rec.data, want.data)
+
+    # the DHDA's back-propagation step into the model itself
+    state = dhda.dhda_forward(params, x, hs, make_rng(1), 0.15, 1)
+    masks = dropout_masks(make_rng(2), [(n, h) for h in hidden], 0.5)
+    want = dhbm.HybridParams.from_dims(d, hidden, c, params.data.copy())
+    operator_mf_bp_gradients(x, one_hot(labels, c), hs, state, params, w,
+                             masks, out=want)
+    estimators.mf_bp_gradients(x, one_hot(labels, c), hs, state, params, w,
+                               masks, out=params)
+    assert_same_bits(params.data, want.data)
+
+    # the MLP: prediction at keep_prob and a drop-out descent step
+    assert_same_bits(baseline.mlp_predict(mlp, x, 0.5),
+                     operator_mlp_forward(mlp, x, [0.5] * len(hidden))[1])
+    assert_same_bits(baseline.mlp_predict(mlp, x),
+                     operator_mlp_forward(mlp, x, None)[1])
+    masks = dropout_masks(make_rng(3), [(n, h) for h in hidden], 0.5)
+    want = DenseParams.from_dims(mlp.dims, mlp.data.copy())
+    operator_mlp_gradients(mlp, x, one_hot(labels, c), -w, masks, out=want)
+    baseline.mlp_gradients(mlp, x, one_hot(labels, c), -w, 0.5, make_rng(3),
+                           out=mlp)
+    assert_same_bits(mlp.data, want.data)

@@ -1,4 +1,6 @@
 import copy
+import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -179,6 +181,35 @@ def test_a_full_drift_cycle_restores_the_attribute_order(kind, data):
         if k > 1:
             want[:k] = np.roll(want[:k], i // interval)
         assert np.array_equal(row, want)
+
+
+STREAM_DIGESTS = {
+    "led": "adda299b565b131635fc1ddfac0c835494bbefd8379fc51ee0aa4cbbb04614e8",
+    "waveform": "d41b8140850a6b20d8d05d301ac2685db63505c8e6c355051ff4d0f69b66d045",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STREAM_DIGESTS))
+def test_stream_bits_pinned(kind):
+    # sha256 of 2000 drifting instances drawn in uneven batches, each batch
+    # masked as the prequential loop masks it: features, true labels and
+    # kept labels.  Recorded before the generators' constants were hoisted
+    # and their clipping made in place, which keep every bit
+    cfg = streams.StreamConfig(kind=kind, drift_attr_count=7,
+                               drift_interval=137, label_fraction=0.3)
+    stream = streams.make_stream(cfg, make_rng(21))
+    mask_rng = make_rng(22)
+    digest = hashlib.sha256()
+    for n in itertools.cycle((33, 13, 64, 20, 7, 1)):
+        n = min(n, 2000 - stream.instances)
+        if n == 0:
+            break
+        batch = stream.next_batch(n)
+        masked = streams.mask_labels(batch, cfg.label_fraction, mask_rng)
+        for a in (batch.features, batch.labels, masked.labels):
+            digest.update(a.tobytes())
+    assert stream.instances == 2000
+    assert digest.hexdigest() == STREAM_DIGESTS[kind]
 
 
 def test_drift_boundary_split_within_batch():
