@@ -28,14 +28,14 @@ def mlp_forward(params, x, scales):
     hidden = []
     below = x
     for l, (W, b) in enumerate(zip(params.Ws[:-1], params.bs[:-1])):
-        h = np.dot(below, W.T)
+        h = below.dot(W.T)
         np.add(h, b, out=h)
         np.maximum(h, 0.0, out=h)
         if scales is not None:
             np.multiply(h, scales[l], out=h)
         hidden.append(h)
         below = h
-    logits = np.dot(below, params.Ws[-1].T)
+    logits = below.dot(params.Ws[-1].T)
     return hidden, softmax(np.add(logits, params.bs[-1], out=logits))
 
 
@@ -59,7 +59,7 @@ def mlp_gradients(params, x, y_onehot, w, keep_prob=1.0, rng=None, *, out):
     deltas = [delta]
     # a unit the mask dropped has hidden 0, so the gate zeroes its delta too
     for l in range(len(hidden) - 1, -1, -1):
-        back = np.dot(deltas[-1], params.Ws[l + 1])
+        back = deltas[-1].dot(params.Ws[l + 1])
         deltas.append(np.multiply(back, hidden[l] > 0, out=back))
     for W, b, delta, below in zip(out.Ws[::-1], out.bs[::-1], deltas,
                                   inputs[::-1]):

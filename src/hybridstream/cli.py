@@ -15,10 +15,19 @@ from . import checks, experiments
 
 
 def _load_config(path):
+    """The JSON object in the file at `path` ({} when None); a file that is
+    not JSON, or whose top level is not an object, is a usage error."""
     if path is None:
         return {}
     with open(path) as f:
-        return json.load(f)
+        try:
+            config = json.load(f)
+        except ValueError as e:
+            raise click.UsageError(f"config {path} is not JSON: {e}") from e
+    if not isinstance(config, dict):
+        raise click.UsageError(f"config {path} must hold a JSON object, "
+                               f"not a {type(config).__name__}")
+    return config
 
 
 def _run(experiment, measure, config, *args, **kwargs):
@@ -58,6 +67,9 @@ def stream_run(config_path, out_dir, seed, iterations, trials, stream_kind,
     """Prequential test-then-train run on a drifting stream."""
     config = _load_config(config_path)
     config.setdefault("stream", {})
+    if not isinstance(config["stream"], dict):
+        raise click.UsageError(f"stream must be a JSON object, got "
+                               f"{config['stream']!r}")
     if seed is not None:
         config["seed"] = seed
     if iterations is not None:

@@ -134,13 +134,13 @@ def cond_h(params, l, y, below, above=None):
     if l + 1 < params.n_layers and above is None:
         raise ValueError(f"layer {l} requires the state of layer {l + 1}")
     # the terms are summed left to right in one array
-    pre = np.dot(below, lp.W.T)
+    pre = below.dot(lp.W.T)
     if y is not None:
         np.add(pre, lp.U.T.take(y, axis=0) if y.dtype.kind in "iu"
-               else np.dot(y, lp.U.T), out=pre)
+               else y.dot(lp.U.T), out=pre)
     np.add(pre, lp.b_hidden, out=pre)
     if l + 1 < params.n_layers:
-        np.add(pre, np.dot(above, params.layers[l + 1].W), out=pre)
+        np.add(pre, above.dot(params.layers[l + 1].W), out=pre)
     return sigmoid(pre, out=pre)
 
 
@@ -148,7 +148,7 @@ def cond_x(params, h, l=0):
     """Mean of layer l's input given its state h, sigma(W_l' h + b_visible_l):
     the visible layer's conditional at l = 0, the DHDA's tied decoder at any l."""
     lp = params.layers[l]
-    pre = np.dot(h, lp.W)
+    pre = h.dot(lp.W)
     np.add(pre, lp.b_visible, out=pre)
     return sigmoid(pre, out=pre)
 
@@ -163,10 +163,10 @@ def cond_y(params, h_means, scale=1.0):
     def scaled(h):
         return h if scale == 1.0 else np.multiply(h, scale)
 
-    logits = np.dot(scaled(h_means[0]), params.layers[0].U)
+    logits = scaled(h_means[0]).dot(params.layers[0].U)
     np.add(logits, params.b_class, out=logits)
     for lp, h in zip(params.layers[1:], h_means[1:]):
-        np.add(logits, np.dot(scaled(h), lp.U), out=logits)
+        np.add(logits, scaled(h).dot(lp.U), out=logits)
     return softmax(logits)
 
 
@@ -175,8 +175,8 @@ def mean_field_step(params, x, state, clamped_y=None):
 
     x stays clamped to the data, so no step reads a reconstruction of it;
     a caller that needs one takes cond_x of the final h^1.  If `clamped_y`
-    (a batch x C one-hot matrix) is given the class distribution is held
-    fixed at it.
+    (a batch x C matrix of class probabilities, such as one-hot labels) is
+    given the class distribution is held fixed at it and no cond_y is taken.
     """
     means = list(state.layer_means)
     y_probs = clamped_y if clamped_y is not None else state.class_probs

@@ -88,8 +88,8 @@ def mf_bp_gradients(x, y_probs, q_rec, state, params, w, dropout_masks=None,
         # cross-entropy through the output sigmoid collapses to (z - target)
         xi_recon = (state.recons[l] - v_target) * wc
         hid_prime = sigmoid_prime_from_output(h)
-        xi_hid = np.dot(xi_recon, lp.W.T) * state.masks[l] * hid_prime
-        xi_hid_out = np.dot(xi_out, lp.U.T) * hid_prime
+        xi_hid = xi_recon.dot(lp.W.T) * state.masks[l] * hid_prime
+        xi_hid_out = xi_out.dot(lp.U.T) * hid_prime
         xi_hid_total = xi_hid + xi_hid_out
         if dropout_masks is not None:
             xi_hid_total = xi_hid_total * dropout_masks[l]

@@ -9,19 +9,21 @@ construct a Generator with :func:`make_rng` and pass it explicitly so that
 identical seeds reproduce identical runs.
 
 The product rule: every matrix product on the predict/update path is taken
-with ``np.dot``, and every sum, maximum and running sum with its ufunc's
-``reduce`` or ``accumulate``, the calls that ``np.sum``, ``ndarray.max``
-and ``np.cumsum`` wrap.  For float64 operands of one or two dimensions
-``np.dot`` and the ``@`` operator reach the same BLAS routine (gemm, or
-gemv where one side is a vector) with the same operands, so the bits are
-the same, but ``np.dot`` gets there sooner: 1.70 against 2.0 us at
-20x24x24 and 0.67 against 0.95 us for a 40-row vector times a matrix
-(numpy 2.4, one BLAS thread), and a stream model's step takes about a
-hundred such products.  ``np.dot`` also clears its result before the BLAS
-call, a pass over the result that ``@`` does not make, so a product whose
-result is a weight block of a wide layer keeps ``@``: add_product's banded
-loop and estimators.mf_bp_gradients' weight products, each with its
-measurement.
+with the array method ``a.dot(b)``, and every sum, maximum and running sum
+with its ufunc's ``reduce`` or ``accumulate``, the calls that ``np.sum``,
+``ndarray.max`` and ``np.cumsum`` wrap.  For float64 operands of one or two
+dimensions ``a.dot(b)``, ``np.dot(a, b)`` and ``a @ b`` reach the same BLAS
+routine (gemm, or gemv where one side is a vector) with the same operands,
+so the bits are the same, but the method gets there soonest: ``np.dot``
+first runs numpy's Python-level ``__array_function__`` dispatcher, and
+``@`` the ufunc machinery.  At 20x24x24 they took 1.59, 1.83 and 2.31 us,
+and for a 40-row vector times a matrix 0.59, 0.81 and 1.12 us (numpy 2.4,
+one BLAS thread), and a stream model's step takes about a hundred such
+products.  The method clears its result before the BLAS call, a pass over
+the result that ``@`` does not make, so a product whose result is a large
+weight block keeps ``@``: add_product's banded loop, its whole blocks
+above DOT_MAX_BYTES, and estimators.mf_bp_gradients' weight products, each
+with its measurement.
 """
 
 import dataclasses
@@ -42,6 +44,13 @@ BAND_BYTES = 1 << 18
 # takes such a product whole
 BAND_COLUMNS = 8
 BAND_MAX_DEPTH = 384
+# add_product takes a whole product of at most this many bytes of result
+# with .dot and a larger one with @: .dot clears its result before the BLAS
+# call, and from about 80x80 that pass costs more than the dispatch it
+# saves.  At 10 rows, one BLAS thread, .dot against @ took 2.4 against
+# 3.0 us into a 64x64 block, 4.4 against 4.2 at 80x80, 10.7 against 7.7 at
+# 128x128 and 22.5 against 15.9 at 181x181
+DOT_MAX_BYTES = 48 << 10
 
 
 def make_rng(seed):
@@ -148,9 +157,9 @@ def add_product(out, a, b):
     # skips the band arithmetic
     edges = _band_edges(out, b.shape[0]) if out.nbytes > BAND_BYTES else None
     if edges is None:
-        out += np.dot(a, b)
+        out += a.dot(b) if out.nbytes <= DOT_MAX_BYTES else a @ b
         return out
-    # np.dot took a band of the transposed view slower than @: 27.1 against
+    # .dot took a band of the transposed view slower than @: 27.1 against
     # 21.1 us per 32-row band at 256x20x784 (241 against 195 us whole)
     for lo, hi in zip(edges[:-1], edges[1:]):
         band = out[lo:hi]

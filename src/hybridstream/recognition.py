@@ -20,21 +20,18 @@ def init_from_model(model):
     return rec
 
 
-def _doubling(l, n_layers):
-    # weights are doubled at every layer except the top one
-    return 2.0 if l < n_layers - 1 else 1.0
-
-
 def recognize(rec, x):
     """Feed-forward pass over the 2-D float64 row batch `x`; returns the list
-    of per-layer activation matrices."""
+    of per-layer activation matrices.  Weights are doubled at every layer
+    except the top one."""
     out = []
     below = x
-    L = len(rec.Ws)
+    top = len(rec.Ws) - 1
     for l, (W, b) in enumerate(zip(rec.Ws, rec.bs)):
         # 2 * (below W') + b, evaluated in that order in one array
-        pre = np.dot(below, W.T)
-        np.multiply(pre, _doubling(l, L), out=pre)
+        pre = below.dot(W.T)
+        if l < top:
+            np.multiply(pre, 2.0, out=pre)
         np.add(pre, b, out=pre)
         below = sigmoid(pre, out=pre)
         out.append(below)
@@ -69,15 +66,17 @@ def rec_gradients(rec, x, mu_list, w, v_list, *, out):
     inputs = [x] + v_list[:-1]
     deltas = [None] * L
     deltas[L - 1] = v_list[L - 1] - mu_list[L - 1]
-    # the doubling factors are powers of two, which commute with rounding,
-    # so they go where the array is small: on the back-propagated product
-    # (not a copy of W) and on the row weights (not the weight gradient)
+    # the doubling factor 2 commutes with rounding, so it goes where the
+    # array is small: on the back-propagated product (not a copy of W) and
+    # on the row weights (not the weight gradient); the top layer has none
     for l in range(L - 2, -1, -1):
-        back = np.dot(deltas[l + 1], rec.Ws[l + 1])
-        np.multiply(back, _doubling(l + 1, L), out=back)
+        back = deltas[l + 1].dot(rec.Ws[l + 1])
+        if l + 1 < L - 1:
+            np.multiply(back, 2.0, out=back)
         deltas[l] = (v_list[l] - mu_list[l]) \
             + back * sigmoid_prime_from_output(v_list[l])
-    dws = [d * (w * _doubling(l, L))[:, None] for l, d in enumerate(deltas)]
+    w2 = (w * 2.0)[:, None]
+    dws = [d * w2 for d in deltas[:-1]] + [deltas[-1] * w[:, None]]
     for W, b, dw, delta, below in zip(out.Ws, out.bs, dws, deltas, inputs):
         add_product(W, dw.T, below)
         add_product(b, w, delta)

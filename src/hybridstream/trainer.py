@@ -136,10 +136,14 @@ class Trainer:
                 dropout_masks(rng, [m.shape for m in mu_clean], cfg.keep_prob),
                 out=self.model)
         else:
-            # mean_field_step builds new arrays and never writes its inputs
+            # mean_field_step builds new arrays and never writes its inputs.
+            # SAP reads the layer means only, so its last step holds y where
+            # it is: the same means, without a posterior that nothing reads
             state = dhbm.MeanFieldState(v_stats, class_probs)
-            for _ in range(cfg.num_steps):
-                state = dhbm.mean_field_step(self.model, x, state)
+            for step in range(cfg.num_steps):
+                hold = cfg.estimator == "sap" and step == cfg.num_steps - 1
+                state = dhbm.mean_field_step(
+                    self.model, x, state, state.class_probs if hold else None)
             mu_clean = state.layer_means
             if cfg.estimator == "mf-cd":
                 masks = dropout_masks(rng, [m.shape for m in mu_clean], cfg.keep_prob)

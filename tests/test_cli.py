@@ -84,22 +84,29 @@ def test_stream_run_requires_iterations(tmp_path):
     assert "iterations" in result.output
 
 
-@pytest.mark.parametrize("command, config, key", [
-    ("stream-run", {"stream": {"kind": "led"}, "iterations": 200,
-                    "curve_every": 2.5}, "curve_every"),
-    ("stream-run", {"stream": {"kind": "led", "batch_size": 0},
-                    "iterations": 200}, "batch_size"),
-    ("stream-run", {"stream": {"kind": "led"}, "iterations": 200,
-                    "models": ["nope"]}, "nope"),
-    ("stream-run", {"stream": {"kind": "led"}, "iterations": 200,
-                    "trainer": {"momentum": 0.9}}, "momentum"),
-    ("mnist-run", {"epochs": 0}, "epochs")],
-    ids=["run-key", "stream-field", "model-kind", "trainer-field", "offline"])
-def test_bad_config_is_a_usage_error(tmp_path, command, config, key):
-    # exit code 2 and a one-line message naming the key, no traceback and
-    # no output file
+@pytest.mark.parametrize("command, text, key", [
+    ("stream-run", json.dumps({"stream": {"kind": "led"}, "iterations": 200,
+                               "curve_every": 2.5}), "curve_every"),
+    ("stream-run", json.dumps({"stream": {"kind": "led", "batch_size": 0},
+                               "iterations": 200}), "batch_size"),
+    ("stream-run", json.dumps({"stream": {"kind": "led"}, "iterations": 200,
+                               "models": ["nope"]}), "nope"),
+    ("stream-run", json.dumps({"stream": {"kind": "led"}, "iterations": 200,
+                               "trainer": {"momentum": 0.9}}), "momentum"),
+    ("mnist-run", json.dumps({"epochs": 0}), "epochs"),
+    ("stream-run", '{"stream": {"kind": "led"}, "iterations": 200', "cfg.json"),
+    ("stream-run", "[]", "cfg.json"),
+    ("mnist-run", '["epochs"]', "cfg.json"),
+    ("stream-run", '{"stream": "led", "iterations": 200}', "stream"),
+    ("stream-run", '{"stream": ["led"], "iterations": 200}', "stream")],
+    ids=["run-key", "stream-field", "model-kind", "trainer-field", "offline",
+         "not-json", "list-config", "offline-list-config", "stream-string",
+         "stream-list"])
+def test_bad_config_is_a_usage_error(tmp_path, command, text, key):
+    # the config file's raw text: exit code 2 and a one-line message naming
+    # the key or the file, no traceback and no output file
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(config))
+    cfg_path.write_text(text)
     out = tmp_path / "out"
     result = CliRunner().invoke(main, [command, "--config", str(cfg_path),
                                        "--out", str(out)])

@@ -236,11 +236,20 @@ def test_check_type_refuses_a_value_below_its_least(kind, value, least, need):
          band_bytes=numerics.BAND_BYTES, seed=2)
 @example(rows=256, depth=10, cols=784, transposed=False,
          band_bytes=numerics.BAND_BYTES, seed=3)
+@example(rows=64, depth=10, cols=64, transposed=True,
+         band_bytes=numerics.BAND_BYTES, seed=4)
+@example(rows=96, depth=10, cols=96, transposed=True,
+         band_bytes=numerics.BAND_BYTES, seed=5)
+@example(rows=128, depth=10, cols=128, transposed=True,
+         band_bytes=numerics.BAND_BYTES, seed=6)
+@example(rows=181, depth=10, cols=181, transposed=True,
+         band_bytes=numerics.BAND_BYTES, seed=7)
 def test_add_product_is_out_plus_the_product(rows, depth, cols, transposed,
                                              band_bytes, seed):
     # the banded add leaves the bits of out + a @ b: bands with a remainder
     # row, a transposed `a` (the gradient functions pass hw.T), a one-row
-    # `out` and criterion 7's 256x784 layer at the module's band size
+    # `out`, criterion 7's 256x784 layer at the module's band size, and
+    # whole blocks on each side of DOT_MAX_BYTES
     rng = make_rng(seed)
     a = rng.normal(size=(depth, rows)).T if transposed \
         else rng.normal(size=(rows, depth))

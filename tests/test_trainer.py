@@ -208,12 +208,14 @@ def count_calls(monkeypatch, targets):
 @pytest.mark.parametrize("estimator", trainer.ESTIMATORS)
 def test_one_pass_per_batch(estimator, monkeypatch):
     # a batch of labeled and unlabeled rows takes one recognition pass and
-    # one class posterior before mean-field (or the DHDA forward pass), SAP
-    # advances its particles one sweep (which draws x from cond_x once),
-    # MF-CD reconstructs the input once, the DHDA decodes each layer's input
-    # once through cond_x at that layer, and no update builds a container; a
-    # predict of the same batch before the update leaves one recognition
-    # pass for the two calls
+    # one class posterior before mean-field (or the DHDA forward pass), then
+    # one per MF-CD mean-field step, one per SAP step but the last (whose
+    # posterior nothing reads) and one from the DHDA forward pass; SAP
+    # advances its particles one sweep (which draws y from cond_y and x from
+    # cond_x once), MF-CD reconstructs the input once, the DHDA decodes each
+    # layer's input once through cond_x at that layer, and no update builds
+    # a container; a predict of the same batch before the update leaves one
+    # recognition pass for the two calls
     tr = make_trainer(estimator, seed=50, n_particles=4, num_steps=3)
     calls = count_calls(monkeypatch, (
         (recognition, "recognize"), (dhbm, "cond_y"), (dhbm, "cond_x"),
@@ -241,6 +243,9 @@ def test_one_pass_per_batch(estimator, monkeypatch):
         assert decoded == ([0, 1] if estimator == "mf-bp" else [0])
         sweeps = [args[5] for name, args in calls if name == "gibbs_sweeps"]
         assert sweeps == ([1] if estimator == "sap" else [])
+        steps = tr.config.num_steps
+        assert names.count("cond_y") == 1 + sum(sweeps) + {
+            "mf-cd": steps, "sap": steps - 1, "mf-bp": 1}[estimator]
         assert "flat_views" not in names
 
 
