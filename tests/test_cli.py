@@ -97,14 +97,15 @@ def test_stream_run_requires_iterations(tmp_path):
     ("stream-run", '{"stream": {"kind": "led"}, "iterations": 200', "cfg.json"),
     ("stream-run", "[]", "cfg.json"),
     ("mnist-run", '["epochs"]', "cfg.json"),
-    ("stream-run", '{"stream": "led", "iterations": 200}', "stream"),
-    ("stream-run", '{"stream": ["led"], "iterations": 200}', "stream")],
+    ("stream-run", '{"stream": "led", "iterations": 200}', "stream must"),
+    ("stream-run", '{"stream": ["led"], "iterations": 200}', "stream must")],
     ids=["run-key", "stream-field", "model-kind", "trainer-field", "offline",
          "not-json", "list-config", "offline-list-config", "stream-string",
          "stream-list"])
 def test_bad_config_is_a_usage_error(tmp_path, command, text, key):
     # the config file's raw text: exit code 2 and a one-line message naming
-    # the key or the file, no traceback and no output file
+    # the key or the file, no traceback and no output file ("stream must",
+    # since the usage line names the stream-run command)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(text)
     out = tmp_path / "out"
