@@ -97,9 +97,10 @@ def mf_bp_gradients(x, y_probs, q_rec, state, params, w, dropout_masks=None,
     for l, (h, xi_recon, xi_hid_total) in enumerate(terms):
         g = out.layers[l]
         v_in = state.input_hat if l == 0 else state.hidden_hat[l - 1]
-        # two weight-sized products: np.dot, which clears its result first,
-        # took this function 1300 against 1230 us at 784-256-256-10 on 10
-        # rows, and saved 3 of 105 us at 24-24-24-24-24-10 on 20
+        # two weight-sized products: np.dot, which like .dot clears its
+        # result first, took this function 1300 against 1230 us at
+        # 784-256-256-10 on 10 rows, and saved 3 of 105 us at
+        # 24-24-24-24-24-10 on 20
         np.add(g.W, xi_hid_total.T @ v_in + state.hidden_hat[l].T @ xi_recon,
                out=g.W)
         add_product(g.U, h.T, xi_out)

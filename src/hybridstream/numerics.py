@@ -21,9 +21,8 @@ and for a 40-row vector times a matrix 0.59, 0.81 and 1.12 us (numpy 2.4,
 one BLAS thread), and a stream model's step takes about a hundred such
 products.  The method clears its result before the BLAS call, a pass over
 the result that ``@`` does not make, so a product whose result is a large
-weight block keeps ``@``: add_product's banded loop, its whole blocks
-above DOT_MAX_BYTES, and estimators.mf_bp_gradients' weight products, each
-with its measurement.
+weight block keeps ``@``: add_product's banded loop and
+estimators.mf_bp_gradients' weight products, each with its measurement.
 """
 
 import dataclasses
@@ -44,13 +43,6 @@ BAND_BYTES = 1 << 18
 # takes such a product whole
 BAND_COLUMNS = 8
 BAND_MAX_DEPTH = 384
-# add_product takes a whole product of at most this many bytes of result
-# with .dot and a larger one with @: .dot clears its result before the BLAS
-# call, and from about 80x80 that pass costs more than the dispatch it
-# saves.  At 10 rows, one BLAS thread, .dot against @ took 2.4 against
-# 3.0 us into a 64x64 block, 4.4 against 4.2 at 80x80, 10.7 against 7.7 at
-# 128x128 and 22.5 against 15.9 at 181x181
-DOT_MAX_BYTES = 48 << 10
 
 
 def make_rng(seed):
@@ -157,10 +149,12 @@ def add_product(out, a, b):
     # skips the band arithmetic
     edges = _band_edges(out, b.shape[0]) if out.nbytes > BAND_BYTES else None
     if edges is None:
-        out += a.dot(b) if out.nbytes <= DOT_MAX_BYTES else a @ b
+        out += a.dot(b)
         return out
-    # np.dot took a band of the transposed view slower than @: 27.1 against
-    # 21.1 us per 32-row band at 256x20x784 (241 against 195 us whole)
+    # np.dot, like .dot, clears its result first and took a band of the
+    # transposed view slower than @: 27.1 against 21.1 us per 32-row band at
+    # 256x20x784 (241 against 195 us whole); .dot, on a noisier run, 36.7
+    # against 33.4 us
     for lo, hi in zip(edges[:-1], edges[1:]):
         band = out[lo:hi]
         band += a[lo:hi] @ b

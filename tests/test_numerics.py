@@ -249,7 +249,7 @@ def test_add_product_is_out_plus_the_product(rows, depth, cols, transposed,
     # the banded add leaves the bits of out + a @ b: bands with a remainder
     # row, a transposed `a` (the gradient functions pass hw.T), a one-row
     # `out`, criterion 7's 256x784 layer at the module's band size, and
-    # whole blocks on each side of DOT_MAX_BYTES
+    # whole blocks from 64x64 to 181x181
     rng = make_rng(seed)
     a = rng.normal(size=(depth, rows)).T if transposed \
         else rng.normal(size=(rows, depth))
