@@ -36,11 +36,14 @@ def unit_scale(pixels):
     return pixels / 255.0
 
 
-def _read_exact(f, n, path):
-    data = f.read(n)
-    if len(data) != n:
+def _read_exact(f, n, path, last=False):
+    """The next `n` bytes; when `last`, a byte after them is refused too."""
+    data = f.read(n + last)
+    if len(data) < n:
         raise IdxError(f"{path}: truncated at byte {f.tell() - len(data)} "
                        f"(wanted {n} bytes, got {len(data)})")
+    if len(data) > n:
+        raise IdxError(f"{path}: bytes after the last record, from byte {f.tell() - 1}")
     return data
 
 
@@ -54,20 +57,21 @@ def _open(path):
 
 
 def load_idx(images_path, labels_path):
-    """Big-endian IDX parsing; the images are the file's uint8 pixels."""
+    """Big-endian IDX parsing; the images are the file's uint8 pixels.  A
+    file shorter or longer than its header's counts is an IdxError."""
     with _open(images_path) as f:
         (magic,) = struct.unpack(">I", _read_exact(f, 4, images_path))
         if magic != IMAGE_MAGIC:
             raise IdxError(f"{images_path}: bad image magic 0x{magic:08x} at byte 0")
         n, rows, cols = struct.unpack(">III", _read_exact(f, 12, images_path))
-        raw = _read_exact(f, n * rows * cols, images_path)
+        raw = _read_exact(f, n * rows * cols, images_path, last=True)
         images = np.frombuffer(raw, dtype=np.uint8).reshape(n, rows * cols)
     with _open(labels_path) as f:
         (magic,) = struct.unpack(">I", _read_exact(f, 4, labels_path))
         if magic != LABEL_MAGIC:
             raise IdxError(f"{labels_path}: bad label magic 0x{magic:08x} at byte 0")
         (n_labels,) = struct.unpack(">I", _read_exact(f, 4, labels_path))
-        labels = np.frombuffer(_read_exact(f, n_labels, labels_path),
+        labels = np.frombuffer(_read_exact(f, n_labels, labels_path, last=True),
                                dtype=np.uint8).astype(np.int64)
     if n_labels != n:
         raise IdxError(f"{labels_path}: {n_labels} labels for {n} images")

@@ -117,18 +117,6 @@ class CurveWriter:
         self.close()
 
 
-def read_curve(path):
-    rows = []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        if header != CurveWriter.HEADER:
-            raise ValueError(f"{path}: unexpected header {header}")
-        for iteration, model, value in reader:
-            rows.append((int(iteration), model, float(value)))
-    return rows
-
-
 def summarize_trials(final_errors):
     """Mean and standard error per model over trials.
 

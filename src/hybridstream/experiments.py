@@ -45,7 +45,8 @@ MODEL_KINDS = (*KIND_ESTIMATORS, "mlp-pl", "mlp-lab")
 
 def _check_keys(config, known):
     """Refuse a key not in `known`, a missing required key, a value of
-    another type or out of range, and a model kind build_model lacks."""
+    another type or out of range, and a model kind build_model lacks or
+    that is listed twice."""
     unknown = sorted(set(config) - set(known))
     if unknown:
         raise ValueError(f"unknown config keys {unknown}; "
@@ -57,9 +58,13 @@ def _check_keys(config, known):
         check_type(key, value, known[key].kind, known[key].least)
     if not 0.0 < config.get("preq_alpha", 1.0) <= 1.0:
         raise ValueError(f"preq_alpha must lie in (0, 1], got {config['preq_alpha']}")
-    for kind in config.get("models", []):
+    models = config.get("models", [])
+    for kind in models:
         if kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {kind!r}")
+        if models.count(kind) > 1:
+            raise ValueError(f"model kind {kind!r} is listed "
+                             f"{models.count(kind)} times")
 
 
 def _trainer_config(config, **defaults):
@@ -106,8 +111,16 @@ def _stream_run(config):
 
 
 def _offline_run(config, dataset, test_set):
-    """(trainer config, architecture) of a config checked against its data."""
+    """(trainer config, architecture) of a config checked against its data;
+    the split takes n // classes rows of each class, so n below the
+    training set's class count leaves a class with none."""
     _check_keys(config, MNIST_KEYS)
+    n_classes = len(np.unique(dataset.labels))
+    for key in ("n_labeled", "n_valid"):
+        n = config.get(key, 1000)
+        if n < n_classes:
+            raise ValueError(f"{key} must be at least the {n_classes} classes "
+                             f"of the training set, got {n}")
     n_labels = int(max(dataset.labels.max(), test_set.labels.max())) + 1
     return (_trainer_config(config, anneal=True,
                             labeled_epoch_size=config.get("n_labeled", 1000)),

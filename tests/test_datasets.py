@@ -60,6 +60,18 @@ def test_load_idx_truncated_reports_offset(tmp_path):
         load_idx(img, lbl)
 
 
+@pytest.mark.parametrize("which, end", [("images", 16 + 3 * 4), ("labels", 8 + 3)])
+def test_load_idx_trailing_bytes_report_offset(tmp_path, which, end):
+    # a byte after the last image or label that the header counts is refused,
+    # naming the file and the offset of the first such byte
+    paths = dict(zip(("images", "labels"), write_idx_pair(
+        tmp_path, np.zeros((3, 2, 2), np.uint8), np.zeros(3, np.uint8))))
+    path = paths[which]
+    path.write_bytes(path.read_bytes() + bytes(17))
+    with pytest.raises(IdxError, match=f"{path}: bytes after .* byte {end}$"):
+        load_idx(paths["images"], paths["labels"])
+
+
 def test_load_idx_count_mismatch(tmp_path):
     (tmp_path / "a").mkdir()
     (tmp_path / "b").mkdir()

@@ -1,10 +1,11 @@
+import csv
+
 import numpy as np
 import pytest
 
 from hybridstream import evaluation
 from hybridstream.evaluation import (CurveWriter, PrequentialState,
-                                     prequential_direct, read_curve,
-                                     summarize_trials)
+                                     prequential_direct, summarize_trials)
 from hybridstream.numerics import make_rng
 
 
@@ -104,16 +105,11 @@ def test_curve_writer_roundtrip(tmp_path):
     with CurveWriter(path) as w:
         w.add(100, "dhbm-mf", 0.25)
         w.add(200, "mlp-pl", 1.0 / 3.0)
-    rows = read_curve(path)
-    assert rows[0] == (100, "dhbm-mf", 0.25)
-    assert rows[1][2] == pytest.approx(1.0 / 3.0, abs=0)  # repr round-trips
-
-
-def test_read_curve_rejects_foreign_header(tmp_path):
-    path = tmp_path / "other.csv"
-    path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ValueError):
-        read_curve(path)
+    with open(path, newline="") as f:
+        header, *rows = csv.reader(f)
+    assert header == CurveWriter.HEADER
+    assert rows[0] == ["100", "dhbm-mf", "0.25"]
+    assert float(rows[1][2]) == 1.0 / 3.0  # repr round-trips
 
 
 def test_summarize_trials():

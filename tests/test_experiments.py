@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -8,7 +9,6 @@ import pytest
 
 from hybridstream import baseline, dhbm, experiments, numerics
 from hybridstream.datasets import load_idx, mnist_paths
-from hybridstream.evaluation import read_curve
 from hybridstream.numerics import make_rng
 from hybridstream.streams import StreamConfig
 from hybridstream.trainer import Trainer, TrainerConfig
@@ -61,8 +61,10 @@ def test_run_stream_trial_outputs(tmp_path):
     res = experiments.run_stream_trial(small_config(), 0, str(tmp_path))
     assert set(res) == {"dhbm-mf", "mlp-pl"}
     assert all(0.0 <= v <= 1.0 for v in res.values())
-    rows = read_curve(tmp_path / "curves_trial0.csv")
-    assert rows[-1][0] == 400
+    with open(tmp_path / "curves_trial0.csv", newline="") as f:
+        header, *rows = csv.reader(f)
+    assert header == ["iteration", "model", "preq_error"]
+    assert rows[-1][0] == "400"
     assert {m for _, m, _ in rows} == {"dhbm-mf", "mlp-pl"}
 
 
@@ -410,13 +412,15 @@ STREAM_RUN_ERRORS = [
     ({"trainer": {"lr": -0.1}}, "^lr must be"),
     ({"trainer": {"momentum": 0.9}}, "momentum"),
     ({"architecture": "24-8-12"}, "does not fit the led stream"),
+    ({"models": ["dhbm-mf", "mlp-pl", "dhbm-mf"]},
+     "^model kind 'dhbm-mf' is listed 2 times"),
 ]
 
 
 @pytest.mark.parametrize("edit, message", STREAM_RUN_ERRORS, ids=[
     "no-stream", "no-architecture", "no-iterations", "bad-kind",
     "stream-batch_size", "stream-drift", "stream-unknown-field", "trainer-lr",
-    "trainer-unknown-field", "misfit-architecture"])
+    "trainer-unknown-field", "misfit-architecture", "repeated-kind"])
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_bad_stream_config_is_refused_before_any_build_or_write(
         edit, message, jobs, tmp_path, monkeypatch):
@@ -435,9 +439,15 @@ def test_bad_stream_config_is_refused_before_any_build_or_write(
     ({"models": ["dhbm-mf", "nope"]}, "unknown model kind 'nope'"),
     ({"trainer": {"num_steps": 0}}, "^num_steps must be"),
     ({"trainer": {"momentum": 0.9}}, "momentum"),
-    ({"architecture": "36-16-10"}, "does not fit the data")],
+    ({"architecture": "36-16-10"}, "does not fit the data"),
+    ({"models": ["mlp-lab", "dhbm-mf", "mlp-lab"]},
+     "^model kind 'mlp-lab' is listed 2 times"),
+    # the data has 4 classes: 3 labeled or validation rows are 0 of each
+    ({"n_labeled": 3}, "^n_labeled must be at least the 4 classes"),
+    ({"n_valid": 3}, "^n_valid must be at least the 4 classes")],
     ids=["no-architecture", "bad-kind", "trainer-num_steps",
-         "trainer-unknown-field", "misfit-architecture"])
+         "trainer-unknown-field", "misfit-architecture", "repeated-kind",
+         "n_labeled-below-classes", "n_valid-below-classes"])
 def test_bad_offline_config_is_refused_before_any_build_or_write(
         edit, message, tmp_path, monkeypatch):
     write_tiny_mnist(tmp_path)
