@@ -112,8 +112,8 @@ def _stream_run(config):
 
 def _offline_run(config, dataset, test_set):
     """(trainer config, architecture) of a config checked against its data;
-    the split takes n // classes rows of each class, so n below the
-    training set's class count leaves a class with none."""
+    the split takes n // classes rows of each class, so an n below the
+    training set's class count would take no row."""
     _check_keys(config, MNIST_KEYS)
     n_classes = len(np.unique(dataset.labels))
     for key in ("n_labeled", "n_valid"):
