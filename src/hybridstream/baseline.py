@@ -6,8 +6,8 @@ pass per batch.
 
 import numpy as np
 
-from .numerics import (DenseParams, add_product, dropout_masks, one_hot,
-                       row_targets, softmax, weighted_rows)
+from .numerics import (DenseParams, add_product, as_rows, dropout_masks,
+                       one_hot, row_targets, softmax, weighted_rows)
 
 EPS = 1e-12
 
@@ -50,17 +50,23 @@ def mlp_gradients(params, x, y_onehot, w, keep_prob=1.0, rng=None, *, out):
     under dropout_masks, added into `out`.  Weights of 1/n give the batch
     average; weights of -lr with `params` itself as `out` take a descent
     step, as every layer's delta is computed before any weight moves."""
-    masks = dropout_masks(rng, [(len(x), d) for d in params.dims[1:-1]], keep_prob)
+    masks = dropout_masks(rng, [(len(x), len(b)) for b in params.bs[:-1]],
+                          keep_prob)
     hidden, probs = mlp_forward(params, x, masks)
     inputs = [x] + hidden
     # the forward pass's probabilities are not needed again: delta takes them
     delta = np.subtract(probs, y_onehot, out=probs)
     np.multiply(delta, w[:, None], out=delta)
     deltas = [delta]
-    # a unit the mask dropped has hidden 0, so the gate zeroes its delta too
+    # a unit the mask dropped has hidden 0, so the gate zeroes its delta too.
+    # It writes +0.0 where a multiply by the bool gate gave a negative delta
+    # -0.0: a zero term moves no sum that has a non-zero one, and a zero sum
+    # leaves a parameter as it is whatever its sign, as no parameter is -0.0
+    # (biases start at +0.0, and a sum is -0.0 only when both terms are)
     for l in range(len(hidden) - 1, -1, -1):
         back = deltas[-1].dot(params.Ws[l + 1])
-        deltas.append(np.multiply(back, hidden[l] > 0, out=back))
+        np.putmask(back, hidden[l] <= 0, 0.0)
+        deltas.append(back)
     for W, b, delta, below in zip(out.Ws[::-1], out.bs[::-1], deltas,
                                   inputs[::-1]):
         add_product(W, delta.T, below)
@@ -81,19 +87,16 @@ def mlp_update(params, x, labels, lr, beta, keep_prob=1.0, rng=None,
     One forward and one backward pass add the step into `params` through
     the negated weights.  A step that keeps no row changes nothing.
     """
-    x, labels, lab, w = weighted_rows(
-        np.atleast_2d(np.asarray(x, dtype=np.float64)), np.asarray(labels),
-        lr, beta)
+    x, labels, lab, w = weighted_rows(as_rows(x), np.asarray(labels), lr, beta)
     if len(x) == 0:
         return params
     if probs is None and not lab.all():
         probs = mlp_predict(params, x, keep_prob)
-    targets = one_hot(row_targets(labels, lab, probs), params.dims[-1])
+    targets = one_hot(row_targets(labels, lab, probs), len(params.bs[-1]))
     return mlp_gradients(params, x, targets, -w, keep_prob, rng, out=params)
 
 
 def mlp_predict(params, x, keep_prob=1.0):
     """Class probabilities of `x`, each hidden layer times keep_prob."""
     scales = None if keep_prob >= 1.0 else [keep_prob] * (len(params.Ws) - 1)
-    return mlp_forward(params, np.atleast_2d(np.asarray(x, dtype=np.float64)),
-                       scales)[1]
+    return mlp_forward(params, as_rows(x), scales)[1]

@@ -50,7 +50,8 @@ def dhda_forward(params, x, hidden, rng, corruption_p, num_steps):
     # from one draw; an entry is kept where its uniform is >= corruption_p
     shapes = ([x.shape] + [(x.shape[0], lp.W.shape[0])
                            for lp in params.layers]) * num_steps
-    keep = 1.0 - bernoulli_mask(rng, 1, sum(r * c for r, c in shapes), corruption_p)
+    keep = bernoulli_mask(rng, 1, sum(r * c for r, c in shapes), corruption_p,
+                          complement=True)
     draws = iter(split_views(keep[0], shapes))
     hidden_hat = hidden
     for _ in range(num_steps):

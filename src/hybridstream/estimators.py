@@ -146,6 +146,8 @@ def sap_gradients(x, y_probs, q_rec, particles, params, rng, w, *, out):
     """
     particles.advance(params, rng, n_sweeps=1)
     m = particles.n_particles
+    w_neg = np.empty(m)
+    w_neg.fill(np.add.reduce(w) / m)
     return _contrast(x, q_rec, y_probs, particles.x,
                      particles.hs, one_hot(particles.y, params.n_classes),
-                     w, np.full(m, np.add.reduce(w) / m), out)
+                     w, w_neg, out)

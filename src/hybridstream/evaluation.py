@@ -8,6 +8,7 @@ import math
 import numpy as np
 
 from .datasets import unit_scale
+from .numerics import as_rows
 
 # rows per predict call in test_error: far below a 10k-image test set, so the
 # float64 rows and the model's activations stay small, and well above the
@@ -38,10 +39,11 @@ class PrequentialState:
 
     def update_many(self, losses):
         """S <- a*S + loss, B <- a*B + 1 for each loss in turn; returns the
-        error after the last one."""
+        error after the last one.  A bool miss vector is taken as it is: a
+        True adds 1 to the float S exactly as 1.0 does."""
         a = self.alpha
         s, b = self.weighted_loss, self.weighted_count
-        for loss in np.asarray(losses, dtype=np.float64).tolist():
+        for loss in np.asarray(losses).tolist():
             s = a * s + loss
             b = a * b + 1.0
         self.weighted_loss, self.weighted_count = s, b
@@ -77,8 +79,8 @@ def test_error(predict_fn, features, labels):
     wrong = 0
     for start in range(0, len(labels), EVAL_CHUNK_ROWS):
         stop = start + EVAL_CHUNK_ROWS
-        probs = np.atleast_2d(predict_fn(unit_scale(features[start:stop])))
-        wrong += int(np.count_nonzero(np.argmax(probs, axis=1)
+        probs = as_rows(predict_fn(unit_scale(features[start:stop])))
+        wrong += int(np.count_nonzero(probs.argmax(axis=1)
                                       != labels[start:stop]))
     return wrong / len(labels)
 

@@ -111,16 +111,18 @@ def _stream_run(config):
 
 
 def _offline_run(config, dataset, test_set):
-    """(trainer config, architecture) of a config checked against its data;
-    the split takes n // classes rows of each class, so an n below the
-    training set's class count would take no row."""
+    """(trainer config, architecture) of a config checked against its data.
+    The split takes n // classes rows of each class, so an n that is not a
+    multiple of the training set's class count is refused: it would take
+    fewer rows than the annealing schedule counts, and none below the count."""
     _check_keys(config, MNIST_KEYS)
     n_classes = len(np.unique(dataset.labels))
     for key in ("n_labeled", "n_valid"):
         n = config.get(key, 1000)
-        if n < n_classes:
+        if n % n_classes:
             raise ValueError(f"{key} must be at least the {n_classes} classes "
-                             f"of the training set, got {n}")
+                             f"of the training set and a multiple of that "
+                             f"count, got {n}")
     n_labels = int(max(dataset.labels.max(), test_set.labels.max())) + 1
     return (_trainer_config(config, anneal=True,
                             labeled_epoch_size=config.get("n_labeled", 1000)),
@@ -195,8 +197,8 @@ def run_stream_trial(config, trial, out_dir):
             masked = streams.mask_labels(batch, stream_cfg.label_fraction,
                                           stream_rng)
             for kind, model in models.items():
-                pred = np.argmax(model.predict(batch.features), axis=1)
-                preq[kind].update_many((pred != batch.labels).astype(np.float64))
+                pred = model.predict(batch.features).argmax(axis=1)
+                preq[kind].update_many(pred != batch.labels)
                 model.update(masked.features, masked.labels)
             seen += n
             if seen >= next_point or seen >= iterations:

@@ -8,21 +8,38 @@ All arithmetic is double precision.  Randomness is never global: callers
 construct a Generator with :func:`make_rng` and pass it explicitly so that
 identical seeds reproduce identical runs.
 
-The product rule: every matrix product on the predict/update path is taken
-with the array method ``a.dot(b)``, and every sum, maximum and running sum
-with its ufunc's ``reduce`` or ``accumulate``, the calls that ``np.sum``,
-``ndarray.max`` and ``np.cumsum`` wrap.  For float64 operands of one or two
-dimensions ``a.dot(b)``, ``np.dot(a, b)`` and ``a @ b`` reach the same BLAS
-routine (gemm, or gemv where one side is a vector) with the same operands,
-so the bits are the same, but the method gets there soonest: ``np.dot``
-first runs numpy's Python-level ``__array_function__`` dispatcher, and
-``@`` the ufunc machinery.  At 20x24x24 they took 1.59, 1.83 and 2.31 us,
-and for a 40-row vector times a matrix 0.59, 0.81 and 1.12 us (numpy 2.4,
-one BLAS thread), and a stream model's step takes about a hundred such
-products.  The method clears its result before the BLAS call, a pass over
-the result that ``@`` does not make, so a product whose result is a large
-weight block keeps ``@``: add_product's banded loop and
-estimators.mf_bp_gradients' weight products, each with its measurement.
+The call rule: C entry points, no dtype round-trips.  Every numpy call on
+the predict/update path reaches numpy's C code without a Python-level
+wrapper on the way, and no array is converted to a dtype it already has or
+only passes through.  Every matrix product is taken with the array method
+``a.dot(b)``; every sum, maximum and running sum with its ufunc's
+``reduce`` or ``accumulate``, the calls that ``np.sum``, ``ndarray.max`` and
+``np.cumsum`` wrap; an argmax with the method ``p.argmax(axis=1)``; a clamp
+with ``np.maximum`` then ``np.minimum`` in place; a gate with
+``np.putmask``; a filled vector with ``np.empty`` and ``.fill``; and a
+batch enters a model through :func:`as_rows`.  A bool miss vector enters the
+prequential sum as it is, and a keep-mask is drawn as ``u >= p`` in one pass
+(bernoulli_mask's `complement`), not as ``1 - (u < p)``.  ``np.count_nonzero``
+keeps its thin wrapper (0.3 us): numpy has no public entry to the C count
+behind it.
+
+For float64 operands of one or two dimensions ``a.dot(b)``, ``np.dot(a, b)``
+and ``a @ b`` reach the same BLAS routine (gemm, or gemv where one side is a
+vector) with the same operands, so the bits are the same, but the method
+gets there soonest: ``np.dot`` first runs numpy's Python-level
+``__array_function__`` dispatcher, and ``@`` the ufunc machinery.  At
+20x24x24 they took 1.59, 1.83 and 2.31 us, and for a 40-row vector times a
+matrix 0.59, 0.81 and 1.12 us (numpy 2.4, one BLAS thread), and a stream
+model's step takes about a hundred such products.  The other wrappers cost
+as much per call: ``np.argmax(p, axis=1)`` took 3.12 us against 0.74 us for
+the method, ``np.atleast_2d(np.asarray(x))`` 1.19 against 0.26 us,
+``np.clip(out=)`` 3.26 against 2.31 us for maximum then minimum, and a
+bool-times-float gate 2.56 against about 1.8 us for a compare and putmask
+(numpy 2.4.6, one BLAS thread).  The method clears its result before the
+BLAS call, a pass over the result that ``@`` does not make, so a product
+whose result is a large weight block keeps ``@``: add_product's banded loop
+and estimators.mf_bp_gradients' weight products, each with its
+measurement.
 """
 
 import dataclasses
@@ -219,11 +236,14 @@ def softmax(v, axis=-1):
     return np.divide(e, np.add.reduce(e, axis=axis, keepdims=True), out=e)
 
 
-def bernoulli_mask(rng, rows, cols, p):
-    """Matrix of i.i.d. {0,1} entries, 1 where a uniform draw is below p."""
+def bernoulli_mask(rng, rows, cols, p, complement=False):
+    """Matrix of i.i.d. {0,1} entries, 1 where a uniform draw is below p or,
+    with `complement`, at or above it: the bits of one minus the mask of the
+    same draw, in one pass."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"mask probability must lie in [0, 1], got {p}")
-    return (rng.random((rows, cols)) < p).astype(np.float64)
+    u = rng.random((rows, cols))
+    return (u >= p if complement else u < p).astype(np.float64)
 
 
 def dropout_masks(rng, shapes, keep_prob):
@@ -236,6 +256,15 @@ def dropout_masks(rng, shapes, keep_prob):
         raise ValueError("drop-out needs an rng")
     flat = bernoulli_mask(rng, 1, sum(math.prod(s) for s in shapes), keep_prob)
     return split_views(flat[0], shapes)
+
+
+def as_rows(x):
+    """`x` as a 2-D float64 row batch, with the shapes of
+    ``np.atleast_2d(np.asarray(x, dtype=np.float64))``: a scalar is one row of
+    one, a vector one row, and more dimensions stay.  An array that is
+    already 2-D float64 comes back itself, not a copy."""
+    x = np.asarray(x, dtype=np.float64)
+    return x.reshape(1, -1) if x.ndim < 2 else x
 
 
 def weighted_rows(x, labels, lr, beta):
@@ -262,7 +291,7 @@ def row_targets(labels, lab, probs):
     argmax (lowest on a tie) of its class probabilities `probs`."""
     if lab.all():
         return labels
-    return np.where(lab, labels, np.argmax(probs, axis=1))
+    return np.where(lab, labels, probs.argmax(axis=1))
 
 
 def cross_entropy(target, p):

@@ -91,16 +91,18 @@ class _DriftingStream:
         self.rng = rng
         self.instances = 0
         self.perm = np.arange(self.n_features)
-        # (rotation, permutation) of the last _current_perm call
+        # (rotation, permutation) last built by _current_perm
         self._rotated = (0, self.perm)
 
     def _current_perm(self):
         """self.perm with its first drift_attr_count entries rolled by the
-        rotation count, built once per rotation."""
+        rotation count, built once per rotation; self.perm itself, the
+        identity, at rotation 0: before the first drift and after each whole
+        cycle."""
         k = self.config.drift_attr_count
-        if k <= 1:
+        rot = self.instances // self.config.drift_interval % k if k > 1 else 0
+        if rot == 0:
             return self.perm
-        rot = self.instances // self.config.drift_interval % k
         if rot != self._rotated[0]:
             perm = self.perm.copy()
             perm[:k] = np.roll(perm[:k], rot)
@@ -123,7 +125,9 @@ class _DriftingStream:
                     - self.instances % self.config.drift_interval
                 chunk = min(chunk, to_boundary)
             f, y = self._raw_chunk(chunk)
-            f = f[:, self._current_perm()]
+            perm = self._current_perm()
+            if perm is not self.perm:   # the identity's column copy is skipped
+                f = f[:, perm]
             feats.append(f)
             labels.append(y)
             self.instances += chunk
@@ -168,7 +172,8 @@ def waveform_normalize(raw):
     clamped there, in one new array."""
     scaled = np.subtract(raw, WAVEFORM_LO)
     np.divide(scaled, WAVEFORM_HI - WAVEFORM_LO, out=scaled)
-    return np.clip(scaled, 0.0, 1.0, out=scaled)
+    np.maximum(scaled, 0.0, out=scaled)
+    return np.minimum(scaled, 1.0, out=scaled)
 
 
 class WaveformStream(_DriftingStream):

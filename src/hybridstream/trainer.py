@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dhbm, dhda, estimators, recognition
-from .numerics import (check_fields, dropout_masks, one_hot, row_targets,
-                       weighted_rows)
+from .numerics import (as_rows, check_fields, dropout_masks, one_hot,
+                       row_targets, weighted_rows)
 
 ESTIMATORS = ("mf-cd", "mf-bp", "sap")
 
@@ -113,7 +113,7 @@ class Trainer:
         """
         recognized, self._recognized = self._recognized, None
         v = recognized[1] if recognized is not None and recognized[0] is x else None
-        whole = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        whole = as_rows(x)
         cfg, rng = self.config, self.rng
         beta = self.current_beta()
         x, labels, lab, w_rec = weighted_rows(whole, np.asarray(labels), cfg.lr,
@@ -174,7 +174,6 @@ class Trainer:
         next update() of `x`.
         """
         self._recognized = None     # freed before the new pass, not after
-        v = recognition.recognize(self.rec, np.atleast_2d(
-            np.asarray(x, dtype=np.float64)))
+        v = recognition.recognize(self.rec, as_rows(x))
         self._recognized = (x, v)
         return dhbm.cond_y(self.model, v, scale=self.config.keep_prob)

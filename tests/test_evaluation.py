@@ -48,6 +48,21 @@ def test_update_many_matches_update_bits(alpha):
         assert abs(errors[i - 1] - prequential_direct(losses[:i], alpha)) < 1e-12
 
 
+@pytest.mark.parametrize("alpha", [0.995, 1.0])
+def test_update_many_takes_a_bool_miss_vector_with_the_float_bits(alpha):
+    # the stream loop passes its bool miss vector as it is
+    misses = make_rng(2).random(500) < 0.3
+    bools, floats = PrequentialState(alpha), PrequentialState(alpha)
+    for chunk in np.array_split(misses, 7):
+        got = bools.update_many(chunk)
+        want = floats.update_many(chunk.astype(np.float64))
+        assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
+    for a, b in ((bools.weighted_loss, floats.weighted_loss),
+                 (bools.weighted_count, floats.weighted_count)):
+        assert type(a) is float
+        assert np.float64(a).view(np.int64) == np.float64(b).view(np.int64)
+
+
 def test_error_undefined_before_samples():
     with pytest.raises(ValueError):
         PrequentialState().error

@@ -7,8 +7,8 @@ import re
 import numpy as np
 import pytest
 
-from hybridstream import baseline, dhbm, experiments, numerics
-from hybridstream.datasets import load_idx, mnist_paths
+from hybridstream import baseline, dhbm, evaluation, experiments, numerics
+from hybridstream.datasets import load_idx, mnist_paths, unit_scale
 from hybridstream.numerics import make_rng
 from hybridstream.streams import StreamConfig
 from hybridstream.trainer import Trainer, TrainerConfig
@@ -442,12 +442,16 @@ def test_bad_stream_config_is_refused_before_any_build_or_write(
     ({"architecture": "36-16-10"}, "does not fit the data"),
     ({"models": ["mlp-lab", "dhbm-mf", "mlp-lab"]},
      "^model kind 'mlp-lab' is listed 2 times"),
-    # the data has 4 classes: 3 labeled or validation rows are 0 of each
+    # the data has 4 classes: 3 labeled or validation rows are 0 of each,
+    # and 42 or 22 would be split as 40 or 20
     ({"n_labeled": 3}, "^n_labeled must be at least the 4 classes"),
-    ({"n_valid": 3}, "^n_valid must be at least the 4 classes")],
+    ({"n_valid": 3}, "^n_valid must be at least the 4 classes"),
+    ({"n_labeled": 42}, "^n_labeled must be .* a multiple of that count, got 42"),
+    ({"n_valid": 22}, "^n_valid must be .* a multiple of that count, got 22")],
     ids=["no-architecture", "bad-kind", "trainer-num_steps",
          "trainer-unknown-field", "misfit-architecture", "repeated-kind",
-         "n_labeled-below-classes", "n_valid-below-classes"])
+         "n_labeled-below-classes", "n_valid-below-classes",
+         "n_labeled-not-a-multiple", "n_valid-not-a-multiple"])
 def test_bad_offline_config_is_refused_before_any_build_or_write(
         edit, message, tmp_path, monkeypatch):
     write_tiny_mnist(tmp_path)
@@ -519,3 +523,47 @@ def test_trainer_estimator_key_raises(run, tmp_path, monkeypatch):
     with pytest.raises(ValueError,
                        match="dhbm-mf: mf-cd, dhbm-sap: sap, dhda: mf-bp"):
         trial(*args)
+
+
+# numpy functions whose Python-level wrapper the per-batch path does not
+# call: it takes each through its C entry point, the array method, the ufunc
+# or the C function, whose bits are the same (numerics' module docstring)
+PYTHON_LEVEL_WRAPPERS = ("argmax", "argmin", "atleast_2d", "clip", "dot", "sum",
+                         "max", "min", "mean", "cumsum", "full")
+
+
+def refuse_python_level_wrappers(monkeypatch):
+    def refuse(name):
+        def wrapper(*args, **kwargs):
+            raise AssertionError(f"np.{name} called on the per-batch path")
+        return wrapper
+    for name in PYTHON_LEVEL_WRAPPERS:
+        monkeypatch.setattr(np, name, refuse(name))
+
+
+@pytest.mark.parametrize("stream, arch", [("led", "24-8-8-10"),
+                                          ("waveform", "40-8-8-3")])
+def test_stream_trial_calls_no_python_level_numpy_wrapper(stream, arch,
+                                                          tmp_path, monkeypatch):
+    # every kind, with drift rotating the attributes and through a whole cycle
+    config = small_config(
+        stream={"kind": stream, "label_fraction": 0.5, "drift_attr_count": 2,
+                "drift_interval": 50, "batch_size": 20},
+        architecture=arch, iterations=220,
+        models=list(experiments.STREAM_MODEL_KINDS))
+    refuse_python_level_wrappers(monkeypatch)
+    experiments.run_stream_trial(config, 0, str(tmp_path))
+
+
+@pytest.mark.parametrize("kind", experiments.MODEL_KINDS)
+def test_offline_updates_call_no_python_level_numpy_wrapper(kind, monkeypatch):
+    rng = make_rng(3)
+    pixels = rng.integers(0, 256, size=(30, 36)).astype(np.uint8)
+    labels = np.where(rng.random(30) < 0.5, rng.integers(0, 4, size=30), -1)
+    model = experiments.build_model(kind, 36, [8, 8], 4, TrainerConfig(),
+                                    make_rng(4))
+    refuse_python_level_wrappers(monkeypatch)
+    for start in range(0, 30, 10):
+        model.update(unit_scale(pixels[start:start + 10]),
+                     labels[start:start + 10])
+    evaluation.test_error(model.predict, pixels, np.abs(labels))

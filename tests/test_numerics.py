@@ -195,6 +195,29 @@ def test_weighted_rows_keep_no_unlabeled_row_at_beta_zero():
                           np.full(4, 0.025))
 
 
+@pytest.mark.parametrize("value", [
+    3.0, 7, [1, 2, 3], np.zeros(0), np.arange(6.0).reshape(2, 3),
+    np.arange(24, dtype=np.int32).reshape(2, 3, 4),
+    np.arange(12.0).reshape(3, 4)[:, ::2]],
+    ids=["0-d", "0-d-int", "1-d-list", "1-d-empty", "2-d", "3-d-int",
+         "2-d-strided"])
+def test_as_rows_keeps_atleast_2ds_shapes(value):
+    want = np.atleast_2d(np.asarray(value, dtype=np.float64))
+    got = numerics.as_rows(value)
+    assert type(got) is np.ndarray and got.dtype == np.float64
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("x", [np.ones((3, 4)), np.ones((3, 4))[:, 1:]],
+                         ids=["contiguous", "view"])
+def test_as_rows_returns_a_2d_float64_array_itself(x):
+    # predict keeps the batch it was given, and update() reuses that pass
+    # only for the same array object
+    assert numerics.as_rows(x) is x
+    assert numerics.as_rows(x.astype(np.float32)).dtype == np.float64
+
+
 def test_make_rng_reproducible():
     assert make_rng(42).random(5).tolist() == make_rng(42).random(5).tolist()
 
