@@ -45,14 +45,11 @@ def oracle_check(n_models=50, seed=7):
             y = int(rng.integers(0, params.n_classes))
             x, h1, h2 = (rng.integers(0, 2, n).astype(np.float64)
                          for n in (params.n_visible, *params.hidden_dims))
-            # cond_h's class term from a distribution (mean-field) and from
-            # a label (the Gibbs sweep)
+            # the class as its one-hot row, as the Gibbs sweep passes it
             ey = one_hot(y, params.n_classes)
             worst = max(worst, *(np.max(np.abs(a - b)) for a, b in [
-                *((dhbm.cond_h(params, 0, cls, x, h2), oracle.cond_h1(y, x, h2))
-                  for cls in (ey, np.int64(y))),
-                *((dhbm.cond_h(params, 1, cls, h1), oracle.cond_h2(y, h1))
-                  for cls in (ey, np.int64(y))),
+                (dhbm.cond_h(params, 0, ey, x, h2), oracle.cond_h1(y, x, h2)),
+                (dhbm.cond_h(params, 1, ey, h1), oracle.cond_h2(y, h1)),
                 (dhbm.cond_x(params, h1), oracle.cond_x(h1)),
                 (dhbm.cond_y(params, [h1, h2]), oracle.cond_y(h1, h2))]))
     return worst

@@ -61,14 +61,14 @@ class HybridParams(ViewRecord):
         return [lp.W.shape[0] for lp in self.layers]
 
     @classmethod
-    def from_dims(cls, n_visible, hidden_dims, n_classes, data=None):
-        """Views over `data`, or over a zero vector when it is None."""
+    def from_dims(cls, n_visible, hidden_dims, n_classes):
+        """Zero parameters of this layout."""
         shapes = []
         below = n_visible
         for h in hidden_dims:
             shapes += [(h, below), (h, n_classes), (h,), (below,)]
             below = h
-        data, views = flat_views(shapes + [(n_classes,)], data)
+        data, views = flat_views(shapes + [(n_classes,)])
         layers = tuple(LayerParams(*views[i:i + 4])
                        for i in range(0, len(views) - 1, 4))
         return cls(data, layers, views[-1])
@@ -125,10 +125,10 @@ def cond_h(params, l, y, below, above=None):
 
     sigma(U_l y + W_l v_{l-1} + W_{l+1}' h_{l+1} + b); accepts mean vectors in
     place of binary states, and batches (rows) in place of single vectors.
-    `y` is the class distribution (a row of probabilities per row), or
-    integer class labels, whose term is the gathered column of U_l: the
-    bits of the one-hot product, whose other terms are exact zeros.  With
-    `y` None there is no class term: the DHDA's encoder.
+    `y` is the class distribution, a float row of probabilities per row (a
+    sampled label's one-hot row, whose product with U_l' has the bits of U_l's
+    column), or None for no class term: the DHDA's encoder.  Integer labels
+    raise TypeError: their product with U_l' would be another number.
     """
     lp = params.layers[l]
     if l + 1 < params.n_layers and above is None:
@@ -136,8 +136,10 @@ def cond_h(params, l, y, below, above=None):
     # the terms are summed left to right in one array
     pre = below.dot(lp.W.T)
     if y is not None:
-        np.add(pre, lp.U.T.take(y, axis=0) if y.dtype.kind in "iu"
-               else y.dot(lp.U.T), out=pre)
+        if y.dtype.kind != "f":
+            raise TypeError(f"cond_h takes class probability rows, got "
+                            f"{y.dtype} labels: pass their one-hot rows")
+        np.add(pre, y.dot(lp.U.T), out=pre)
     np.add(pre, lp.b_hidden, out=pre)
     if l + 1 < params.n_layers:
         np.add(pre, above.dot(params.layers[l + 1].W), out=pre)

@@ -114,15 +114,22 @@ def _offline_run(config, dataset, test_set):
     """(trainer config, architecture) of a config checked against its data.
     The split takes n // classes rows of each class, so an n that is not a
     multiple of the training set's class count is refused: it would take
-    fewer rows than the annealing schedule counts, and none below the count."""
+    fewer rows than the annealing schedule counts, and none below the count;
+    so is an n_unlabeled above the rows the split leaves, as it gets fewer."""
     _check_keys(config, MNIST_KEYS)
     n_classes = len(np.unique(dataset.labels))
+    left = len(dataset.labels)
     for key in ("n_labeled", "n_valid"):
         n = config.get(key, 1000)
+        left -= n
         if n % n_classes:
             raise ValueError(f"{key} must be at least the {n_classes} classes "
                              f"of the training set and a multiple of that "
                              f"count, got {n}")
+    n = config.get("n_unlabeled", left)
+    if n > left:
+        raise ValueError(f"n_unlabeled must be at most the {left} training "
+                         f"rows left after n_labeled and n_valid, got {n}")
     n_labels = int(max(dataset.labels.max(), test_set.labels.max())) + 1
     return (_trainer_config(config, anneal=True,
                             labeled_epoch_size=config.get("n_labeled", 1000)),

@@ -11,6 +11,7 @@ one sweep.
 import numpy as np
 
 from . import dhbm
+from .numerics import one_hot
 
 # There is no compiled kernel; the benchmark records this flag in its
 # environment line (perfbench/run.py).
@@ -22,17 +23,18 @@ def gibbs_sweeps(params, x, hs, y, rng, n_sweeps):
 
     Mutates x, hs and y in place.  One sweep samples h^1..h^L, then y, then x,
     each from its exact conditional under the current parameters: dhbm's
-    cond_h (given the integer labels y), cond_y and cond_x, the formulas the
-    enumeration oracle checks.
+    cond_h (given the one-hot rows of the labels y), cond_y and cond_x, the
+    formulas the enumeration oracle checks.
     """
     M = x.shape[0]
     L = params.n_layers
     C = params.n_classes
     for _ in range(n_sweeps):
+        ey = one_hot(y, C)
         for l in range(L):
             below = x if l == 0 else hs[l - 1]
             above = hs[l + 1] if l + 1 < L else None
-            p = dhbm.cond_h(params, l, y, below, above)
+            p = dhbm.cond_h(params, l, ey, below, above)
             hs[l][...] = rng.random(p.shape) < p
         cdf = np.add.accumulate(dhbm.cond_y(params, hs), axis=1)
         y[...] = np.minimum(np.add.reduce(cdf <= rng.random((M, 1)), axis=1),

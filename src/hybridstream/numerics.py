@@ -67,20 +67,11 @@ def make_rng(seed):
     return np.random.Generator(np.random.PCG64(np.uint64(seed)))
 
 
-def flat_views(shapes, data=None):
-    """A flat float64 parameter vector and its consecutive views of `shapes`.
-
-    Allocates a zero vector when `data` is None.  Every parameter container
-    is built here, so copying, updating or writing a whole model is one
-    operation on the vector, and writing through a view writes the vector.
-    """
-    total = sum(math.prod(shape) for shape in shapes)
-    if data is None:
-        data = np.zeros(total)
-    elif (data.dtype != np.float64 or data.shape != (total,)
-          or not data.flags.c_contiguous):
-        raise ValueError(f"expected a contiguous float64 vector of {total} "
-                         f"parameters, got {data.dtype} {data.shape}")
+def flat_views(shapes):
+    """A zero float64 vector and its consecutive views of `shapes`.  Every
+    parameter container is built here, so a write through a view, or of a
+    whole model's vector into `data`, writes the one vector."""
+    data = np.zeros(sum(math.prod(shape) for shape in shapes))
     return data, split_views(data, shapes)
 
 
@@ -130,12 +121,12 @@ class DenseParams(ViewRecord):
         return [self.Ws[0].shape[1]] + [W.shape[0] for W in self.Ws]
 
     @classmethod
-    def from_dims(cls, dims, data=None):
-        """Views over `data`, or over a zero vector when it is None."""
+    def from_dims(cls, dims):
+        """Zero parameters of the layout of `dims`."""
         shapes = []
         for below, above in zip(dims[:-1], dims[1:]):
             shapes += [(above, below), (above,)]
-        data, views = flat_views(shapes, data)
+        data, views = flat_views(shapes)
         return cls(data, tuple(views[::2]), tuple(views[1::2]))
 
     def zeros_like(self):
@@ -228,12 +219,11 @@ def sigmoid_prime_from_output(s):
     return s * (1.0 - s)
 
 
-def softmax(v, axis=-1):
-    """Shift-invariant softmax along `axis`; rows sum to 1."""
-    v = np.asarray(v, dtype=np.float64)
-    e = v - np.maximum.reduce(v, axis=axis, keepdims=True)
+def softmax(v):
+    """Shift-invariant softmax along the last axis; rows sum to 1."""
+    e = v - np.maximum.reduce(v, axis=-1, keepdims=True)
     np.exp(e, out=e)
-    return np.divide(e, np.add.reduce(e, axis=axis, keepdims=True), out=e)
+    return np.divide(e, np.add.reduce(e, axis=-1, keepdims=True), out=e)
 
 
 def bernoulli_mask(rng, rows, cols, p, complement=False):

@@ -34,6 +34,18 @@ def bottom_up_state(params, x):
     return dhbm.MeanFieldState(means, dhbm.cond_y(params, means))
 
 
+def test_cond_h_refuses_integer_labels():
+    # with as many rows as classes, labels times U' would broadcast into a
+    # wrong class term; their one-hot rows give the right one
+    params = tiny_model(c=3)
+    labels, below, above = np.array([0, 2, 1]), np.zeros((3, 3)), np.zeros((3, 2))
+    with pytest.raises(TypeError, match="one-hot"):
+        dhbm.cond_h(params, 0, labels, below, above)
+    got = dhbm.cond_h(params, 0, one_hot(labels, 3), below, above)
+    assert np.array_equal(got, sigmoid(params.layers[0].U.T[labels]
+                                       + params.layers[0].b_hidden))
+
+
 def test_zero_params_conditionals_are_uniform():
     params = zero_model()
     x = np.ones(3)

@@ -447,22 +447,31 @@ def test_bad_stream_config_is_refused_before_any_build_or_write(
     ({"n_labeled": 3}, "^n_labeled must be at least the 4 classes"),
     ({"n_valid": 3}, "^n_valid must be at least the 4 classes"),
     ({"n_labeled": 42}, "^n_labeled must be .* a multiple of that count, got 42"),
-    ({"n_valid": 22}, "^n_valid must be .* a multiple of that count, got 22")],
+    ({"n_valid": 22}, "^n_valid must be .* a multiple of that count, got 22"),
+    # 200 training rows less 40 labeled and 20 validation rows leave 140
+    ({"n_unlabeled": 141}, "^n_unlabeled must be at most the 140 training "
+                           "rows .*, got 141$"),
+    ({"n_unlabeled": 140}, None)],
     ids=["no-architecture", "bad-kind", "trainer-num_steps",
          "trainer-unknown-field", "misfit-architecture", "repeated-kind",
          "n_labeled-below-classes", "n_valid-below-classes",
-         "n_labeled-not-a-multiple", "n_valid-not-a-multiple"])
+         "n_labeled-not-a-multiple", "n_valid-not-a-multiple",
+         "n_unlabeled-above-the-rows-left", "n_unlabeled-all-rows-left"])
 def test_bad_offline_config_is_refused_before_any_build_or_write(
         edit, message, tmp_path, monkeypatch):
+    # a message of None marks a config that passes every check: its run
+    # writes the echo and gets as far as building a model
     write_tiny_mnist(tmp_path)
     monkeypatch.setattr(experiments, "build_model", no_build)
     config = {"architecture": "36-16-4", "n_labeled": 40, "n_valid": 20,
               "epochs": 1, "data_root": str(tmp_path), **edit}
     config = {key: value for key, value in config.items() if value is not None}
     out = tmp_path / "out"
-    with pytest.raises((ValueError, TypeError), match=message):
+    raised, match = (((ValueError, TypeError), message) if message
+                     else (AssertionError, "a model was built"))
+    with pytest.raises(raised, match=match):
         experiments.run_mnist_experiment(config, str(out))
-    assert not out.exists()
+    assert out.exists() == (message is None)
 
 
 def test_trainer_config_value_of_another_type_raises(tmp_path):

@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from hybridstream import (baseline, dhbm, dhda, estimators, numerics,
                          recognition)
-from hybridstream.numerics import (DenseParams, add_product, bernoulli_mask,
+from hybridstream.numerics import (add_product, bernoulli_mask,
                                    check_type, dropout_masks, make_rng,
                                    one_hot, sigmoid, sigmoid_prime_from_output,
                                    softmax, weighted_rows)
@@ -73,13 +73,12 @@ def test_sigmoid_bits_match_masked_oracle_at_extremes():
         assert_same_bits(sigmoid(x), masked_sigmoid(x))
 
 
-def wrapper_softmax(v, axis=-1):
+def wrapper_softmax(v):
     """The softmax that called np.max/np.sum and divided out of place: the
     oracle of the in-place form."""
-    v = np.asarray(v, dtype=np.float64)
-    shifted = v - np.max(v, axis=axis, keepdims=True)
+    shifted = v - np.max(v, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 # signed zeros, infinities, exp's overflow edge and subnormals
@@ -105,10 +104,9 @@ def test_softmax_bits_match_wrapper_oracle(v, equal_rows):
     if equal_rows:
         # every row holds one value repeated: exp(0) / n per entry
         v = np.repeat(v[..., :1], v.shape[-1], axis=-1)
-    for axis in range(-v.ndim, v.ndim):
-        with np.errstate(invalid="ignore", over="ignore"):
-            got, want = softmax(v, axis=axis), wrapper_softmax(v, axis=axis)
-        assert_same_bits(got, want)
+    with np.errstate(invalid="ignore", over="ignore"):
+        got, want = softmax(v), wrapper_softmax(v)
+    assert_same_bits(got, want)
 
 
 def test_sigmoid_nan_propagates():
@@ -161,6 +159,25 @@ def test_one_hot():
         got, want = one_hot(indices, 10), put_along_axis_one_hot(indices, 10)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert np.array_equal(got, want)
+
+
+# finite weights; adding +0.0 turns a -0.0 into +0.0, which a one-hot
+# product reads as +0.0 (-0.0 plus the +0.0 terms)
+WEIGHTS = st.floats(allow_nan=False, allow_infinity=False).map(lambda v: v + 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_one_hot_product_has_the_gathered_bits(data):
+    # the Gibbs sweep's class term: a one-hot row times U' adds only exact
+    # zeros to U's column, for a batch of labels and for one label (the
+    # 1-D single-configuration form)
+    c = data.draw(st.integers(1, 12), label="classes")
+    h = data.draw(st.integers(1, 40), label="hidden")
+    U = data.draw(hnp.arrays(np.float64, (h, c), elements=WEIGHTS), label="U")
+    y = data.draw(hnp.arrays(np.int64, st.sampled_from([(), (1,), (10,), (64,)]),
+                             elements=st.integers(0, c - 1)), label="y")
+    assert_same_bits(one_hot(y, c).dot(U.T), U.T.take(y, axis=0))
 
 
 @pytest.mark.parametrize("beta", [0.3, 0.0])
@@ -333,8 +350,7 @@ def operator_cond_h(params, l, y, below, above=None):
     lp = params.layers[l]
     pre = below @ lp.W.T
     if y is not None:
-        np.add(pre, lp.U.T.take(y, axis=0) if y.dtype.kind in "iu"
-               else y @ lp.U.T, out=pre)
+        np.add(pre, y @ lp.U.T, out=pre)
     np.add(pre, lp.b_hidden, out=pre)
     if l + 1 < params.n_layers:
         np.add(pre, above @ params.layers[l + 1].W, out=pre)
@@ -439,6 +455,13 @@ def operator_mlp_gradients(params, x, y_onehot, w, masks, out):
     return out
 
 
+def copied(params):
+    """Parameters of `params`' layout holding a copy of its vector."""
+    out = params.zeros_like()
+    out.data[...] = params.data
+    return out
+
+
 @pytest.mark.parametrize("arch, n", [("24-24-24-24-24-10", 20),
                                      ("40-40-40-40-40-3", 20),
                                      ("784-256-256-10", 10),
@@ -460,11 +483,12 @@ def test_step_products_match_the_operator_forms(arch, n):
     y_probs = softmax(rng.normal(size=(n, c)))
     hs = [rng.random((n, h)) for h in hidden]
 
-    # the conditionals, with each kind of class term and the scaled cond_y
+    # the conditionals, with a distribution, one-hot labels (the Gibbs
+    # sweep's) and no class term, and the scaled cond_y
     for l in range(len(hidden)):
         below = x if l == 0 else hs[l - 1]
         above = hs[l + 1] if l + 1 < len(hidden) else None
-        for y in (y_probs, labels, None):
+        for y in (y_probs, one_hot(labels, c), None):
             assert_same_bits(dhbm.cond_h(params, l, y, below, above),
                              operator_cond_h(params, l, y, below, above))
         assert_same_bits(dhbm.cond_x(params, hs[l], l),
@@ -477,7 +501,7 @@ def test_step_products_match_the_operator_forms(arch, n):
     v = recognition.recognize(rec, x)
     for got, want in zip(v, operator_recognize(rec, x)):
         assert_same_bits(got, want)
-    want = DenseParams.from_dims(rec.dims, rec.data.copy())
+    want = copied(rec)
     operator_rec_gradients(rec, x, hs, -w, v, out=want)
     recognition.rec_gradients(rec, x, hs, -w, v, out=rec)
     assert_same_bits(rec.data, want.data)
@@ -485,7 +509,7 @@ def test_step_products_match_the_operator_forms(arch, n):
     # the DHDA's back-propagation step into the model itself
     state = dhda.dhda_forward(params, x, hs, make_rng(1), 0.15, 1)
     masks = dropout_masks(make_rng(2), [(n, h) for h in hidden], 0.5)
-    want = dhbm.HybridParams.from_dims(d, hidden, c, params.data.copy())
+    want = copied(params)
     operator_mf_bp_gradients(x, one_hot(labels, c), hs, state, params, w,
                              masks, out=want)
     estimators.mf_bp_gradients(x, one_hot(labels, c), hs, state, params, w,
@@ -498,7 +522,7 @@ def test_step_products_match_the_operator_forms(arch, n):
     assert_same_bits(baseline.mlp_predict(mlp, x),
                      operator_mlp_forward(mlp, x, None)[1])
     masks = dropout_masks(make_rng(3), [(n, h) for h in hidden], 0.5)
-    want = DenseParams.from_dims(mlp.dims, mlp.data.copy())
+    want = copied(mlp)
     operator_mlp_gradients(mlp, x, one_hot(labels, c), -w, masks, out=want)
     baseline.mlp_gradients(mlp, x, one_hot(labels, c), -w, 0.5, make_rng(3),
                            out=mlp)
