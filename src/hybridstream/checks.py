@@ -183,6 +183,6 @@ def sap_chain_fidelity(seed=23, n_sweeps=100_000, n_particles=10):
     for _ in range(n_sweeps - burn_in):
         particles.advance(params, rng)
         ix = particles.x.astype(np.int64) @ bits
-        np.add.at(counts, (ix, particles.y), 1.0)
+        np.add.at(counts, (ix, particles.y.argmax(axis=1)), 1.0)
     empirical = counts / counts.sum()
     return 0.5 * float(np.abs(empirical - target).sum())

@@ -112,7 +112,8 @@ def mf_bp_gradients(x, y_probs, q_rec, state, params, w, dropout_masks=None,
 
 @dataclass
 class FantasyParticles:
-    """M persistent Gibbs-chain states with binary units and sampled labels."""
+    """M persistent Gibbs-chain states with binary units and sampled labels,
+    y holding each label's one-hot row."""
     x: np.ndarray
     hs: list
     y: np.ndarray
@@ -127,7 +128,8 @@ class FantasyParticles:
             raise ValueError("need at least one fantasy particle")
         x = bernoulli_mask(rng, n_particles, params.n_visible, 0.5)
         hs = [bernoulli_mask(rng, n_particles, h, 0.5) for h in params.hidden_dims]
-        y = rng.integers(0, params.n_classes, size=n_particles).astype(np.int64)
+        y = one_hot(rng.integers(0, params.n_classes, size=n_particles),
+                    params.n_classes)
         return cls(x, hs, y)
 
     def advance(self, params, rng, n_sweeps=1):
@@ -148,6 +150,5 @@ def sap_gradients(x, y_probs, q_rec, particles, params, rng, w, *, out):
     m = particles.n_particles
     w_neg = np.empty(m)
     w_neg.fill(np.add.reduce(w) / m)
-    return _contrast(x, q_rec, y_probs, particles.x,
-                     particles.hs, one_hot(particles.y, params.n_classes),
+    return _contrast(x, q_rec, y_probs, particles.x, particles.hs, particles.y,
                      w, w_neg, out)

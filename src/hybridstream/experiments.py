@@ -17,9 +17,10 @@ from .dhbm import HybridParams
 from .datasets import load_idx, mnist_paths, split_semi_supervised, unit_scale
 from .evaluation import CurveWriter, PrequentialState, summarize_trials, test_error
 from .numerics import check_type, make_rng
-from .trainer import Trainer, TrainerConfig
+from .trainer import KINDS, Trainer, TrainerConfig
 
-STREAM_MODEL_KINDS = ("dhbm-mf", "dhbm-sap", "dhda", "mlp-pl")
+STREAM_MODEL_KINDS = (*KINDS, "mlp-pl")
+MODEL_KINDS = (*KINDS, "mlp-pl", "mlp-lab")
 
 # the top-level config keys each experiment reads, each with its type, its
 # least value (for a count) and whether a run needs it; any other key is an error
@@ -37,16 +38,10 @@ MNIST_KEYS = {"architecture": Key(str, required=True), "n_labeled": Key(int, 1),
               "trials": Key(int, 1), "data_root": Key(str)}
 
 
-# the estimator each hybrid kind trains with; the kind is the only way to
-# pick one, and the MLP kinds have none
-KIND_ESTIMATORS = {"dhbm-mf": "mf-cd", "dhbm-sap": "sap", "dhda": "mf-bp"}
-MODEL_KINDS = (*KIND_ESTIMATORS, "mlp-pl", "mlp-lab")
-
-
 def _check_keys(config, known):
     """Refuse a key not in `known`, a missing required key, a value of
-    another type or out of range, and a model kind build_model lacks or
-    that is listed twice."""
+    another type or out of range, an empty model list, and a model kind
+    build_model lacks or that is listed twice."""
     unknown = sorted(set(config) - set(known))
     if unknown:
         raise ValueError(f"unknown config keys {unknown}; "
@@ -59,6 +54,8 @@ def _check_keys(config, known):
     if not 0.0 < config.get("preq_alpha", 1.0) <= 1.0:
         raise ValueError(f"preq_alpha must lie in (0, 1], got {config['preq_alpha']}")
     models = config.get("models", [])
+    if "models" in config and not models:
+        raise ValueError("models must list at least one model kind, got []")
     for kind in models:
         if kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {kind!r}")
@@ -69,13 +66,7 @@ def _check_keys(config, known):
 
 def _trainer_config(config, **defaults):
     """The TrainerConfig of `config`'s "trainer" fields over `defaults`."""
-    fields = dict(defaults, **config.get("trainer", {}))
-    if "estimator" in fields:
-        picks = ", ".join(f"{kind}: {est}" for kind, est in KIND_ESTIMATORS.items())
-        raise ValueError(f"trainer.estimator is not a config key: the model "
-                         f"kind picks the estimator ({picks}), and the MLP "
-                         f"kinds take none")
-    return TrainerConfig(**fields)
+    return TrainerConfig(**dict(defaults, **config.get("trainer", {})))
 
 
 def parse_architecture(arch):
@@ -170,11 +161,8 @@ def build_model(kind, n_visible, hidden_dims, n_classes, config, rng):
     if kind == "mlp-lab":
         return MlpPseudoLabelModel(n_visible, hidden_dims, n_classes,
                                    replace(config, beta_f=0.0), rng)
-    estimator = KIND_ESTIMATORS.get(kind)
-    if estimator is None:
-        raise ValueError(f"unknown model kind {kind!r}")
     params = HybridParams.initialize(n_visible, hidden_dims, n_classes, rng)
-    return Trainer(params, replace(config, estimator=estimator), rng)
+    return Trainer(kind, params, config, rng)
 
 
 def run_stream_trial(config, trial, out_dir):
@@ -224,6 +212,7 @@ def _echo_config(config, out_dir, trials):
 def run_stream_experiment(config, out_dir, jobs=1):
     """All trials; emits per-trial curves, a summary CSV and a config echo."""
     _stream_run(config)
+    check_type("jobs", jobs, int, 1)
     trials = config.get("trials", 5)
     _echo_config(config, out_dir, trials)
     finals = {}

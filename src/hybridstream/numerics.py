@@ -195,16 +195,13 @@ def check_fields(record, **least):
 
 
 def sigmoid(v, out=None):
-    """Logistic sigmoid, overflow-safe for any v.
+    """Logistic sigmoid of a float64 array of one or more dimensions,
+    overflow-safe for any value.
 
     exp() is only ever called on -|v|: each element is 1 / (1 + exp(-v)) for
     v >= 0 and exp(v) / (1 + exp(v)) otherwise, computed without branching
     in the output and one scratch array.  `out` may be v itself.
     """
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim == 0:
-        # ufuncs return scalars for 0-d input, which out= cannot take
-        return float(sigmoid(v.reshape(1))[0])
     pos = v >= 0        # read before out, which may alias v, is written
     e = np.abs(v, out=out)
     np.negative(e, out=e)

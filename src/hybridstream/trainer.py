@@ -1,6 +1,6 @@
 """Single-parameter-update orchestration: one weighted pass per batch of
-recognition, pseudo-labeling, mean-field, estimator dispatch, model and
-recognition-net steps, with drop-out masking, beta annealing, and
+recognition, pseudo-labeling, mean-field, the model kind's estimator, model
+and recognition-net steps, with drop-out masking, beta annealing, and
 prediction.
 """
 
@@ -12,7 +12,9 @@ from . import dhbm, dhda, estimators, recognition
 from .numerics import (as_rows, check_fields, dropout_masks, one_hot,
                        row_targets, weighted_rows)
 
-ESTIMATORS = ("mf-cd", "mf-bp", "sap")
+# the hybrid model kinds, each the model with the one procedure it trains
+# by: the DHBM with MF-CD or with SAP, and the DHDA with MF-BP
+KINDS = ("dhbm-mf", "dhbm-sap", "dhda")
 
 
 def beta_schedule(t, t1, t2, beta_f):
@@ -40,7 +42,6 @@ class TrainerConfig:
     alpha: float = 1.0
     beta_f: float = 0.1
     num_steps: int = 1
-    estimator: str = "mf-cd"
     keep_prob: float = 0.5
     corruption_p: float = 0.15
     n_particles: int = 10
@@ -56,8 +57,6 @@ class TrainerConfig:
         check_fields(self, lr=0, alpha=0, beta_f=0, num_steps=1, n_particles=1)
         if not 0.0 < self.keep_prob <= 1.0:
             raise ValueError("keep_prob must lie in (0, 1]")
-        if self.estimator not in ESTIMATORS:
-            raise ValueError(f"estimator must be one of {ESTIMATORS}")
         if self.t1 > self.t2:
             raise ValueError("t1 must not exceed t2")
         if self.anneal and self.labeled_epoch_size < 1:
@@ -67,18 +66,22 @@ class TrainerConfig:
 
 
 class Trainer:
-    """Owns a hybrid model, its recognition co-network and update state.
+    """Owns a hybrid model of one of KINDS, its recognition co-network and
+    update state.
 
     Not safe for concurrent calls on the same instance.
     """
 
-    def __init__(self, model, config, rng):
+    def __init__(self, kind, model, config, rng):
+        if kind not in KINDS:
+            raise ValueError(f"unknown model kind {kind!r}")
+        self.kind = kind
         self.model = model
         self.config = config
         self.rng = rng
         self.rec = recognition.init_from_model(model)
         self.particles = None
-        if config.estimator == "sap":
+        if kind == "dhbm-sap":
             self.particles = estimators.FantasyParticles.initialize(
                 model, config.n_particles, rng)
         self.labeled_seen = 0
@@ -127,7 +130,7 @@ class Trainer:
         v_stats = _masked(v, dropout_masks(rng, [s.shape for s in v], cfg.keep_prob))
         class_probs = dhbm.cond_y(self.model, v_stats)
         targets = one_hot(row_targets(labels, lab, class_probs), self.model.n_classes)
-        if cfg.estimator == "mf-bp":
+        if self.kind == "dhda":
             state = dhda.dhda_forward(self.model, x, v_stats, rng,
                                       cfg.corruption_p, cfg.num_steps)
             mu_clean = state.hidden
@@ -141,11 +144,11 @@ class Trainer:
             # it is: the same means, without a posterior that nothing reads
             state = dhbm.MeanFieldState(v_stats, class_probs)
             for step in range(cfg.num_steps):
-                hold = cfg.estimator == "sap" and step == cfg.num_steps - 1
+                hold = self.kind == "dhbm-sap" and step == cfg.num_steps - 1
                 state = dhbm.mean_field_step(
                     self.model, x, state, state.class_probs if hold else None)
             mu_clean = state.layer_means
-            if cfg.estimator == "mf-cd":
+            if self.kind == "dhbm-mf":
                 masks = dropout_masks(rng, [m.shape for m in mu_clean], cfg.keep_prob)
                 estimators.mf_cd_gradients(
                     x, targets, v_stats, dhbm.cond_x(self.model, mu_clean[0]),

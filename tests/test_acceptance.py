@@ -87,8 +87,9 @@ def test_criterion_5_learning_sanity():
     c1[:, 4:] += 0.8
     x = np.vstack([c0, c1])
     y = np.array([0] * n_per + [1] * n_per)
-    cfg = trainer.TrainerConfig(estimator="mf-cd", keep_prob=1.0, beta_f=0.0)
-    tr = trainer.Trainer(dhbm.HybridParams.initialize(8, [8, 8], 2, make_rng(1)),
+    cfg = trainer.TrainerConfig(keep_prob=1.0, beta_f=0.0)
+    tr = trainer.Trainer("dhbm-mf",
+                         dhbm.HybridParams.initialize(8, [8, 8], 2, make_rng(1)),
                          cfg, make_rng(2))
     train_err = 1.0
     reached = None
@@ -104,11 +105,12 @@ def test_criterion_5_learning_sanity():
     rng = make_rng(7)
     xb = (rng.random((10, 16)) < 0.5).astype(np.float64)
     yb = rng.integers(0, 2, 10)
-    cfg = trainer.TrainerConfig(estimator="mf-bp", lr=0.05, keep_prob=1.0,
-                                beta_f=0.1, corruption_p=0.15)
+    cfg = trainer.TrainerConfig(lr=0.05, keep_prob=1.0, beta_f=0.1,
+                                corruption_p=0.15)
     tr2 = trainer.Trainer(
-        dhbm.HybridParams.initialize(16, [32, 32], 2, make_rng(3),
-                                     weight_std=0.5), cfg, make_rng(4))
+        "dhda", dhbm.HybridParams.initialize(16, [32, 32], 2, make_rng(3),
+                                             weight_std=0.5),
+        cfg, make_rng(4))
 
     def recon_ce():
         state = dhda.dhda_forward(tr2.model, xb, recognize(tr2.rec, xb),

@@ -92,6 +92,8 @@ def test_stream_run_requires_iterations(tmp_path):
     ("stream-run", json.dumps({"stream": {"kind": "led"}, "iterations": 200,
                                "models": ["nope"]}), "nope"),
     ("stream-run", json.dumps({"stream": {"kind": "led"}, "iterations": 200,
+                               "models": []}), "models"),
+    ("stream-run", json.dumps({"stream": {"kind": "led"}, "iterations": 200,
                                "trainer": {"momentum": 0.9}}), "momentum"),
     ("mnist-run", json.dumps({"epochs": 0}), "epochs"),
     ("stream-run", '{"stream": {"kind": "led"}, "iterations": 200', "cfg.json"),
@@ -99,7 +101,8 @@ def test_stream_run_requires_iterations(tmp_path):
     ("mnist-run", '["epochs"]', "cfg.json"),
     ("stream-run", '{"stream": "led", "iterations": 200}', "stream must"),
     ("stream-run", '{"stream": ["led"], "iterations": 200}', "stream must")],
-    ids=["run-key", "stream-field", "model-kind", "trainer-field", "offline",
+    ids=["run-key", "stream-field", "model-kind", "empty-models",
+         "trainer-field", "offline",
          "not-json", "list-config", "offline-list-config", "stream-string",
          "stream-list"])
 def test_bad_config_is_a_usage_error(tmp_path, command, text, key):
@@ -113,6 +116,19 @@ def test_bad_config_is_a_usage_error(tmp_path, command, text, key):
                                        "--out", str(out)])
     assert result.exit_code == 2, result.output
     assert key in result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_a_usage_error(tmp_path, jobs):
+    # exit code 2 and a message naming jobs, no traceback and no output file
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, [
+        "stream-run", "--out", str(out), "--iterations", "200", "--trials", "1",
+        "--models", "mlp-pl", "--jobs", jobs])
+    assert result.exit_code == 2, result.output
+    assert f"jobs must be an integer and >= 1, got {jobs}" in result.output
     assert "Traceback" not in result.output
     assert not out.exists()
 

@@ -83,7 +83,8 @@ def test_fantasy_particles_initialize():
     assert p.x.shape == (7, 4)
     assert len(p.hs) == 2
     assert set(np.unique(p.x)) <= {0.0, 1.0}
-    assert p.y.min() >= 0 and p.y.max() < 3
+    # a one-hot row of a label in [0, 3) per particle
+    assert np.array_equal(p.y, one_hot(p.y.argmax(axis=1), 3))
 
 
 def test_fantasy_particles_reject_zero():
@@ -143,27 +144,28 @@ def test_sweep_draws_each_block_in_order():
     want = copy.deepcopy(rng)
     particles.advance(model, rng)
     u1, u2, uy, ux = (want.random(s) for s in ((5, 3), (5, 2), (5, 1), (5, 4)))
-    h1 = (u1 < dhbm.cond_h(model, 0, one_hot(y, 3), x, hs[1])).astype(float)
-    h2 = (u2 < dhbm.cond_h(model, 1, one_hot(y, 3), h1)).astype(float)
+    h1 = (u1 < dhbm.cond_h(model, 0, y, x, hs[1])).astype(float)
+    h2 = (u2 < dhbm.cond_h(model, 1, y, h1)).astype(float)
     cdf = np.cumsum(dhbm.cond_y(model, [h1, h2]), axis=1)
     y_new = np.minimum((cdf <= uy).sum(axis=1), 2)
     x_new = (ux < dhbm.cond_x(model, h1)).astype(float)
     assert chain_state(particles, rng) == chain_state(
-        estimators.FantasyParticles(x_new, [h1, h2], y_new), want)
+        estimators.FantasyParticles(x_new, [h1, h2], one_hot(y_new, 3)), want)
 
 
 def test_chain_bits_pinned():
     # sha256 over the chain after 1, then 7, then 50 more sweeps of a
-    # 24-24x5-10 model, and over four uniforms drawn after them; recorded
-    # when the sweeps drew from a pre-drawn buffer, and the same under one
-    # and two BLAS threads
+    # 24-24x5-10 model, its labels as int64 indices, and over four uniforms
+    # drawn after them; recorded when the sweeps drew from a pre-drawn
+    # buffer, and the same under one and two BLAS threads
     rng = make_rng(3)
     params = dhbm.HybridParams.initialize(24, [24] * 5, 10, rng, weight_std=0.5)
     particles = estimators.FantasyParticles.initialize(params, 10, rng)
     digest = hashlib.sha256()
     for n in (1, 7, 50):
         particles.advance(params, rng, n_sweeps=n)
-        for a in (particles.x, *particles.hs, particles.y):
+        for a in (particles.x, *particles.hs,
+                  particles.y.argmax(axis=1).astype(np.int64)):
             digest.update(a.tobytes())
     digest.update(rng.random(4).tobytes())
     assert digest.hexdigest() == \
@@ -363,7 +365,7 @@ def sap_two_phase(x, y_probs, q_rec, particles, params, rng, w, *, out):
     wc = w[:, None]
     particles.advance(params, rng, n_sweeps=1)
     neg_weight = w.sum() / particles.n_particles
-    ey_neg = one_hot(particles.y, params.n_classes)
+    ey_neg = particles.y
     for l, g in enumerate(out.layers):
         h_pos, v_pos = q_rec[l], x if l == 0 else q_rec[l - 1]
         h_neg = particles.hs[l]

@@ -414,13 +414,15 @@ STREAM_RUN_ERRORS = [
     ({"architecture": "24-8-12"}, "does not fit the led stream"),
     ({"models": ["dhbm-mf", "mlp-pl", "dhbm-mf"]},
      "^model kind 'dhbm-mf' is listed 2 times"),
+    ({"models": []}, r"^models must list at least one model kind, got \[\]$"),
 ]
 
 
 @pytest.mark.parametrize("edit, message", STREAM_RUN_ERRORS, ids=[
     "no-stream", "no-architecture", "no-iterations", "bad-kind",
     "stream-batch_size", "stream-drift", "stream-unknown-field", "trainer-lr",
-    "trainer-unknown-field", "misfit-architecture", "repeated-kind"])
+    "trainer-unknown-field", "misfit-architecture", "repeated-kind",
+    "empty-models"])
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_bad_stream_config_is_refused_before_any_build_or_write(
         edit, message, jobs, tmp_path, monkeypatch):
@@ -442,6 +444,7 @@ def test_bad_stream_config_is_refused_before_any_build_or_write(
     ({"architecture": "36-16-10"}, "does not fit the data"),
     ({"models": ["mlp-lab", "dhbm-mf", "mlp-lab"]},
      "^model kind 'mlp-lab' is listed 2 times"),
+    ({"models": []}, r"^models must list at least one model kind, got \[\]$"),
     # the data has 4 classes: 3 labeled or validation rows are 0 of each,
     # and 42 or 22 would be split as 40 or 20
     ({"n_labeled": 3}, "^n_labeled must be at least the 4 classes"),
@@ -454,7 +457,7 @@ def test_bad_stream_config_is_refused_before_any_build_or_write(
     ({"n_unlabeled": 140}, None)],
     ids=["no-architecture", "bad-kind", "trainer-num_steps",
          "trainer-unknown-field", "misfit-architecture", "repeated-kind",
-         "n_labeled-below-classes", "n_valid-below-classes",
+         "empty-models", "n_labeled-below-classes", "n_valid-below-classes",
          "n_labeled-not-a-multiple", "n_valid-not-a-multiple",
          "n_unlabeled-above-the-rows-left", "n_unlabeled-all-rows-left"])
 def test_bad_offline_config_is_refused_before_any_build_or_write(
@@ -474,6 +477,19 @@ def test_bad_offline_config_is_refused_before_any_build_or_write(
     assert out.exists() == (message is None)
 
 
+@pytest.mark.parametrize("jobs", [0, -3, 1.0, True])
+def test_bad_jobs_is_refused_before_any_build_or_write(jobs, tmp_path,
+                                                       monkeypatch):
+    # no run would start, or a float would reach the pool: refused, naming
+    # jobs, before config_echo.json
+    monkeypatch.setattr(experiments, "build_model", no_build)
+    with pytest.raises(ValueError, match=f"^jobs must be an integer and >= 1, "
+                                         f"got {jobs!r}$"):
+        experiments.run_stream_experiment(small_config(), str(tmp_path),
+                                          jobs=jobs)
+    assert not os.listdir(tmp_path)
+
+
 def test_trainer_config_value_of_another_type_raises(tmp_path):
     with pytest.raises(ValueError, match="num_steps"):
         experiments.run_stream_trial(small_config(trainer={"num_steps": 1.5}),
@@ -490,8 +506,10 @@ def test_architecture_must_fit_the_stream(arch, tmp_path):
 
 @pytest.mark.parametrize("cls, field", [(TrainerConfig, "seed"),
                                         (TrainerConfig, "activation"),
+                                        (TrainerConfig, "estimator"),
                                         (StreamConfig, "seed")],
-                         ids=["trainer-seed", "trainer-activation", "stream-seed"])
+                         ids=["trainer-seed", "trainer-activation",
+                              "trainer-estimator", "stream-seed"])
 def test_removed_config_fields_raise(cls, field):
     with pytest.raises(TypeError):
         cls(**{field: 0})
@@ -513,9 +531,8 @@ def test_architecture_must_fit_the_images(arch, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("run", ["stream", "offline"])
 def test_trainer_estimator_key_raises(run, tmp_path, monkeypatch):
-    # the model kind picks the estimator: a config's estimator would be
-    # overwritten for the hybrids and unread by the MLPs, so it is refused
-    # before any model is built
+    # the model kind picks the estimator: estimator is no trainer field, and
+    # like any unknown field it is refused, by name, before any model is built
     monkeypatch.setattr(experiments, "build_model", no_build)
     trainer_cfg = {"estimator": "sap", "keep_prob": 0.5}
     if run == "stream":
@@ -529,8 +546,7 @@ def test_trainer_estimator_key_raises(run, tmp_path, monkeypatch):
                 load_idx(*mnist_paths(str(tmp_path), "train")),
                 load_idx(*mnist_paths(str(tmp_path), "test")))
         trial = experiments.run_mnist_trial
-    with pytest.raises(ValueError,
-                       match="dhbm-mf: mf-cd, dhbm-sap: sap, dhda: mf-bp"):
+    with pytest.raises(TypeError, match="'estimator'"):
         trial(*args)
 
 

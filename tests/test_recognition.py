@@ -79,7 +79,7 @@ def test_rec_update_handles_missing_sides():
     x = make_rng(8).random((2, 3))
     for labels in (np.array([0, 1]), np.array([-1, -1])):
         model, _ = small_net(7)
-        tr = Trainer(model, TrainerConfig(beta_f=0.5), make_rng(9))
+        tr = Trainer("dhbm-mf", model, TrainerConfig(beta_f=0.5), make_rng(9))
         before = tr.rec.data.copy()
         tr.update(x, labels)
         assert not np.array_equal(before, tr.rec.data)

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,10 +19,24 @@ def mixed_batch(x_lab, y_lab, x_unlab):
             np.concatenate([y_lab, np.full(len(x_unlab), -1)]))
 
 
-def make_trainer(estimator="mf-cd", seed=0, **kw):
-    cfg = TrainerConfig(estimator=estimator, **kw)
+def make_trainer(kind="dhbm-mf", seed=0, **kw):
     model = dhbm.HybridParams.initialize(4, [3, 3], 2, make_rng(seed))
-    return Trainer(model, cfg, make_rng(seed + 1))
+    return Trainer(kind, model, TrainerConfig(**kw), make_rng(seed + 1))
+
+
+# the procedure each hybrid kind trains by names its test cases
+PROCEDURES = {"dhbm-mf": "mf-cd", "dhbm-sap": "sap", "dhda": "mf-bp"}
+each_kind = pytest.mark.parametrize("kind", trainer.KINDS, ids=PROCEDURES.get)
+
+
+def test_readme_library_example_runs():
+    # README's "Library example" block, run exactly as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library example\n", 1)[1]
+    code = block.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert namespace["probs"].shape == (20, 10)
 
 
 def test_beta_schedule_endpoints():
@@ -50,8 +65,6 @@ def test_pseudo_label_argmax_one_hot():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        TrainerConfig(estimator="nonsense")
     with pytest.raises(ValueError):
         TrainerConfig(keep_prob=0.0)
     with pytest.raises(ValueError):
@@ -145,8 +158,8 @@ def test_empty_unlabeled_matches_beta_zero():
 def test_update_changes_parameters_every_estimator():
     x = make_rng(4).random((5, 4))
     y = np.array([0, 1, 1, 0, 1])
-    for est in ("mf-cd", "mf-bp", "sap"):
-        tr = make_trainer(est, seed=7)
+    for kind in trainer.KINDS:
+        tr = make_trainer(kind, seed=7)
         before = tr.model.layers[0].W.copy()
         report = tr.update(*mixed_batch(x, y, x[:2]))
         assert report["updated"]
@@ -154,10 +167,19 @@ def test_update_changes_parameters_every_estimator():
 
 
 def test_sap_trainer_owns_particles():
-    tr = make_trainer("sap", n_particles=6)
+    tr = make_trainer("dhbm-sap", n_particles=6)
     assert tr.particles is not None
     assert tr.particles.n_particles == 6
-    assert make_trainer("mf-cd").particles is None
+    assert make_trainer("dhbm-mf").particles is None
+    assert make_trainer("dhda").particles is None
+
+
+@pytest.mark.parametrize("kind", ["mf-cd", "mlp-pl"])
+def test_trainer_refuses_an_unknown_kind(kind):
+    # an estimator's name is not a kind, and the MLP kinds have no trainer
+    model = dhbm.HybridParams.initialize(4, [3], 2, make_rng(0))
+    with pytest.raises(ValueError, match=f"^unknown model kind '{kind}'$"):
+        Trainer(kind, model, TrainerConfig(), make_rng(1))
 
 
 def test_labeled_counter_and_annealed_beta():
@@ -205,8 +227,8 @@ def count_calls(monkeypatch, targets):
     return calls
 
 
-@pytest.mark.parametrize("estimator", trainer.ESTIMATORS)
-def test_one_pass_per_batch(estimator, monkeypatch):
+@each_kind
+def test_one_pass_per_batch(kind, monkeypatch):
     # a batch of labeled and unlabeled rows takes one recognition pass and
     # one class posterior before mean-field (or the DHDA forward pass), then
     # one per MF-CD mean-field step, one per SAP step but the last (whose
@@ -216,7 +238,7 @@ def test_one_pass_per_batch(estimator, monkeypatch):
     # layer's input once through cond_x at that layer, and no update builds
     # a container; a predict of the same batch before the update leaves one
     # recognition pass for the two calls
-    tr = make_trainer(estimator, seed=50, n_particles=4, num_steps=3)
+    tr = make_trainer(kind, seed=50, n_particles=4, num_steps=3)
     calls = count_calls(monkeypatch, (
         (recognition, "recognize"), (dhbm, "cond_y"), (dhbm, "cond_x"),
         (dhbm, "mean_field_step"), (dhda, "dhda_forward"),
@@ -233,25 +255,26 @@ def test_one_pass_per_batch(estimator, monkeypatch):
             calls.clear()
         tr.update(x, labels)
         names = [name for name, _ in calls]
-        first = names.index("dhda_forward" if estimator == "mf-bp"
+        first = names.index("dhda_forward" if kind == "dhda"
                             else "mean_field_step")
         assert names[:first] == (["cond_y"] if step % 2
                                  else ["recognize", "cond_y"])
         assert names.count("recognize") == (0 if step % 2 else 1)
         decoded = [args[2] if len(args) > 2 else 0
                    for name, args in calls if name == "cond_x"]
-        assert decoded == ([0, 1] if estimator == "mf-bp" else [0])
+        assert decoded == ([0, 1] if kind == "dhda" else [0])
         sweeps = [args[5] for name, args in calls if name == "gibbs_sweeps"]
-        assert sweeps == ([1] if estimator == "sap" else [])
+        assert sweeps == ([1] if kind == "dhbm-sap" else [])
         steps = tr.config.num_steps
         assert names.count("cond_y") == 1 + sum(sweeps) + {
-            "mf-cd": steps, "sap": steps - 1, "mf-bp": 1}[estimator]
+            "dhbm-mf": steps, "dhbm-sap": steps - 1, "dhda": 1}[kind]
         assert "flat_views" not in names
 
 
-# (estimator function, position of its row weights)
-ESTIMATOR_CALLS = {"mf-cd": ("mf_cd_gradients", 6), "sap": ("sap_gradients", 6),
-                   "mf-bp": ("mf_bp_gradients", 5)}
+# (each kind's gradient function, position of its row weights)
+GRADIENT_CALLS = {"dhbm-mf": ("mf_cd_gradients", 6),
+                  "dhbm-sap": ("sap_gradients", 6),
+                  "dhda": ("mf_bp_gradients", 5)}
 
 
 def record_unit_weight_calls(monkeypatch, module, name, w_at, unit_w):
@@ -291,19 +314,19 @@ def assert_close(got, want):
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("estimator", trainer.ESTIMATORS)
-def test_step_is_lr_times_the_unit_weight_estimate(estimator, monkeypatch):
+@each_kind
+def test_step_is_lr_times_the_unit_weight_estimate(kind, monkeypatch):
     # the trainer puts lr into the row weights, negated for the recognition
     # net: each step is lr (-lr) times the gradient function's output at the
     # unscaled weights, and each net moves by exactly its step
     lr, alpha, beta = 0.37, 0.8, 0.3
-    tr = make_trainer(estimator, seed=80, lr=lr, alpha=alpha, beta_f=beta,
+    tr = make_trainer(kind, seed=80, lr=lr, alpha=alpha, beta_f=beta,
                       n_particles=4, num_steps=2)
     rng = make_rng(81)
     x, labels = mixed_batch(rng.random((4, 4)), rng.integers(0, 2, 4),
                             rng.random((3, 4)))
     lab = labels >= 0
-    name, w_at = ESTIMATOR_CALLS[estimator]
+    name, w_at = GRADIENT_CALLS[kind]
     w_unit = np.where(lab, alpha / 4, beta / 3)
     w_rec_unit = np.where(lab, 1.0 / 4, beta / 3)
     model_seen = record_unit_weight_calls(monkeypatch, estimators, name, w_at,
@@ -331,8 +354,8 @@ def trainer_state(tr):
 
 
 @pytest.mark.parametrize("keep_prob", [0.5, 1.0])
-@pytest.mark.parametrize("estimator", trainer.ESTIMATORS)
-def test_predict_then_update_matches_update_alone(estimator, keep_prob):
+@each_kind
+def test_predict_then_update_matches_update_alone(kind, keep_prob):
     # predict's kept recognition pass gives the update the same bits as the
     # update's own pass: parameters, particles and rng state agree after
     # every step.  At beta 0 the update keeps only the labeled rows and so
@@ -340,12 +363,12 @@ def test_predict_then_update_matches_update_alone(estimator, keep_prob):
     # its second step
     for beta_cfg in ({"beta_f": 0.1}, {"beta_f": 0.0},
                      {"anneal": True, "t1": 1, "t2": 2, "labeled_epoch_size": 8}):
-        assert_predict_then_update_matches(estimator, keep_prob, beta_cfg)
+        assert_predict_then_update_matches(kind, keep_prob, beta_cfg)
 
 
-def assert_predict_then_update_matches(estimator, keep_prob, beta_cfg):
+def assert_predict_then_update_matches(kind, keep_prob, beta_cfg):
     def run(with_predict):
-        tr = make_trainer(estimator, seed=60, keep_prob=keep_prob,
+        tr = make_trainer(kind, seed=60, keep_prob=keep_prob,
                           n_particles=4, num_steps=2, **beta_cfg)
         rng = make_rng(61)
         states = []
@@ -366,14 +389,14 @@ def assert_predict_then_update_matches(estimator, keep_prob, beta_cfg):
 INTERLEAVED = [4, 0, 1, 5, 2, 6, 3]
 
 
-@pytest.mark.parametrize("estimator", trainer.ESTIMATORS)
-def test_beta_zero_update_is_the_update_of_the_labeled_rows(estimator):
+@each_kind
+def test_beta_zero_update_is_the_update_of_the_labeled_rows(kind):
     # at beta 0 the unlabeled rows weigh nothing and leave the batch before
     # any pass or draw: a mixed batch, predicted first or not, leaves the
     # same parameters, particles, generator state, counters and report as
     # its labeled rows alone
     def run(mixed, with_predict):
-        tr = make_trainer(estimator, seed=90, beta_f=0.0, n_particles=4,
+        tr = make_trainer(kind, seed=90, beta_f=0.0, n_particles=4,
                           num_steps=2)
         rng = make_rng(91)
         states = []
@@ -395,13 +418,12 @@ def test_beta_zero_update_is_the_update_of_the_labeled_rows(estimator):
     assert run(True, True) == want
 
 
-@pytest.mark.parametrize("estimator", trainer.ESTIMATORS)
-def test_beta_zero_update_of_unlabeled_rows_changes_nothing(estimator,
-                                                            monkeypatch):
+@each_kind
+def test_beta_zero_update_of_unlabeled_rows_changes_nothing(kind, monkeypatch):
     # no row of the batch carries weight: no recognition pass, no drop-out
     # or corruption draw, no sweep, and nothing written but the kept pass of
     # the predict before it, which is dropped
-    tr = make_trainer(estimator, seed=93, beta_f=0.0, n_particles=4)
+    tr = make_trainer(kind, seed=93, beta_f=0.0, n_particles=4)
     x = make_rng(94).random((5, 4))
     tr.predict(x)
     calls = count_calls(monkeypatch, (
@@ -417,12 +439,12 @@ def test_beta_zero_update_of_unlabeled_rows_changes_nothing(estimator,
     assert (tr.labeled_seen, tr.updates, tr._recognized) == (0, 0, None)
 
 
-@pytest.mark.parametrize("estimator", trainer.ESTIMATORS)
-def test_update_of_another_array_recognizes_afresh(estimator, monkeypatch):
+@each_kind
+def test_update_of_another_array_recognizes_afresh(kind, monkeypatch):
     # the kept pass serves only the array object predict was given: an equal
     # copy, or another batch, takes its own recognition pass, and the pass is
     # dropped after one update whatever it was given
-    tr = make_trainer(estimator, seed=70, n_particles=4)
+    tr = make_trainer(kind, seed=70, n_particles=4)
     calls = count_calls(monkeypatch, ((recognition, "recognize"),))
     rng = make_rng(71)
     x, labels = mixed_batch(rng.random((4, 4)), rng.integers(0, 2, 4),
@@ -487,11 +509,11 @@ def test_keep_prob_one_has_no_masking_noise():
 # learning rate moved into the row weights and the contrastive phases into
 # one signed pass; the same under one and two BLAS threads
 PINNED_UPDATE_SHA256 = {
-    "mf-cd": ("60421b57d2cc60396ec9b1e850037de88dae3f55a5b7005be9fa9d4204bfcbb8",
+    "dhbm-mf": ("60421b57d2cc60396ec9b1e850037de88dae3f55a5b7005be9fa9d4204bfcbb8",
               "dd352321343b792b6127ba9fe5ce3f9472ff2fdfa9aee8524b22f49b3f8d61ff"),
-    "sap": ("7cebcbf3824819ce4f6df56c71d3a5a80e7871b89a06558e9b435fb49b94c60e",
+    "dhbm-sap": ("7cebcbf3824819ce4f6df56c71d3a5a80e7871b89a06558e9b435fb49b94c60e",
             "7fb030718f2db728c199d935e69c368179243e508a9470f944b69071d9ca63b5"),
-    "mf-bp": ("6c0b41eef9691ac6e84ea9ff90c9140be3c2b362bac008393d6a3c416e3310f4",
+    "dhda": ("6c0b41eef9691ac6e84ea9ff90c9140be3c2b362bac008393d6a3c416e3310f4",
               "9d0a1f8d0084f173e546034514fafc5fe32a18f206b858d0dfde52397fdd80de"),
 }
 
@@ -499,21 +521,21 @@ PINNED_UPDATE_SHA256 = {
 # the same run without drop-out (keep_prob 1), where the unmasked statistics
 # reach the estimators uncopied
 PINNED_UPDATE_KEEP_ALL_SHA256 = {
-    "mf-cd": ("3a738497ddc47e05bd729d25d04e793e6848f5651dce458cbe058db08a05c2c3",
+    "dhbm-mf": ("3a738497ddc47e05bd729d25d04e793e6848f5651dce458cbe058db08a05c2c3",
               "5b7f9a15ccb260b1b71b7dec7dc03ce3c7356b2522014b84b74b477e9480d053"),
-    "sap": ("7841ab03601dca60581d890368a30f6ae0912169cb8bef6ff8671320c09e5766",
+    "dhbm-sap": ("7841ab03601dca60581d890368a30f6ae0912169cb8bef6ff8671320c09e5766",
             "0eb6bae41905eec8913408c4722e8f6f0a69ff6305214dbf04446d1554c34a37"),
-    "mf-bp": ("50b1301dc944bc622d3bf2dff15cc90a74af49f5da86b01a40bb05c545b1da8a",
+    "dhda": ("50b1301dc944bc622d3bf2dff15cc90a74af49f5da86b01a40bb05c545b1da8a",
               "b7ed4a2d77dd6be9190783de1498b2be6715877e2261354e1181feba5f96ec57"),
 }
 
 
-def _update_digests(estimator, keep_prob):
+def _update_digests(kind, keep_prob):
     model = dhbm.HybridParams.initialize(24, [12, 12], 10, make_rng(21),
                                          weight_std=0.1)
-    cfg = TrainerConfig(estimator=estimator, keep_prob=keep_prob, beta_f=0.3,
-                        num_steps=2, n_particles=5)
-    tr = Trainer(model, cfg, make_rng(22))
+    cfg = TrainerConfig(keep_prob=keep_prob, beta_f=0.3, num_steps=2,
+                        n_particles=5)
+    tr = Trainer(kind, model, cfg, make_rng(22))
     rng = make_rng(23)
     for _ in range(10):
         tr.update(*mixed_batch(rng.random((6, 24)), rng.integers(0, 10, 6),
@@ -522,12 +544,11 @@ def _update_digests(estimator, keep_prob):
                  for a in (tr.model.data, tr.rec.data))
 
 
-@pytest.mark.parametrize("estimator", sorted(PINNED_UPDATE_SHA256))
-def test_update_bits_pinned(estimator):
-    assert _update_digests(estimator, 0.5) == PINNED_UPDATE_SHA256[estimator]
+@each_kind
+def test_update_bits_pinned(kind):
+    assert _update_digests(kind, 0.5) == PINNED_UPDATE_SHA256[kind]
 
 
-@pytest.mark.parametrize("estimator", sorted(PINNED_UPDATE_KEEP_ALL_SHA256))
-def test_update_bits_pinned_keep_all(estimator):
-    assert _update_digests(estimator, 1.0) == \
-        PINNED_UPDATE_KEEP_ALL_SHA256[estimator]
+@each_kind
+def test_update_bits_pinned_keep_all(kind):
+    assert _update_digests(kind, 1.0) == PINNED_UPDATE_KEEP_ALL_SHA256[kind]
