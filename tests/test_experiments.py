@@ -86,6 +86,35 @@ def test_run_stream_experiment_summary(tmp_path):
     assert os.path.exists(tmp_path / "curves_trial1.csv")
 
 
+@pytest.mark.parametrize("trials, jobs, workers", [(1, 3, None), (2, 5, 2)])
+def test_trial_pool_is_sized_to_the_trials(trials, jobs, workers, tmp_path,
+                                           monkeypatch):
+    # a pool forks all its workers at its first submit: no more workers than
+    # trials, and no pool for one
+    import concurrent.futures
+    opened = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            opened.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    config = small_config(trials=trials, iterations=100)
+    serial = experiments.run_stream_experiment(config, str(tmp_path / "serial"))
+    assert opened == []
+    pooled = experiments.run_stream_experiment(config, str(tmp_path / "pooled"),
+                                               jobs=jobs)
+    assert opened == ([] if workers is None else [workers])
+    assert pooled == serial
+    names = sorted(os.listdir(tmp_path / "serial"))
+    assert names == sorted(os.listdir(tmp_path / "pooled"))
+    for name in names:
+        assert (tmp_path / "pooled" / name).read_bytes() == \
+            (tmp_path / "serial" / name).read_bytes()
+
+
 def test_summary_numbers_are_plain_floats(tmp_path):
     finals = experiments.run_stream_experiment(small_config(iterations=100),
                                                str(tmp_path))

@@ -1,3 +1,5 @@
+import decimal
+import math
 from unittest import mock
 
 import numpy as np
@@ -25,7 +27,9 @@ def test_sigmoid_extremes_no_overflow():
 
 
 def masked_sigmoid(v):
-    """The sign-masked sigmoid the branch-free one replaced: the oracle."""
+    """The sign-masked sigmoid, exp() only on -|v|, that the clamped one
+    replaced: the oracle, within the agreement of
+    assert_matches_masked_oracle."""
     v = np.asarray(v, dtype=np.float64)
     out = np.empty_like(v)
     pos = v >= 0
@@ -41,28 +45,64 @@ def assert_same_bits(got, want):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def assert_matches_masked_oracle(got, v):
+    """`got` agrees with masked_sigmoid(v) by input range: the same bits for
+    v >= 0 (signed zeros and +inf included); within 5 ulp for -709 <= v < 0,
+    where each form lies within about 2.5 ulp of the exact value; within
+    1.3e-308 below -709 (-inf included), where the clamped form stops at
+    1 / (1 + e**709), about 1.2e-308, and the oracle falls to 0; NaN for
+    NaN."""
+    want = masked_sigmoid(v)
+    assert got.shape == want.shape
+    assert np.array_equal(np.isnan(got), np.isnan(v))
+    pos, mid, low = v >= 0, (v >= -709.0) & (v < 0), v < -709.0
+    assert_same_bits(got[pos], want[pos])
+    # both sides are positive there, so their int64 views count ulps
+    ulps = np.abs(got[mid].view(np.int64) - want[mid].view(np.int64))
+    assert (ulps <= 5).all(), ulps.max()
+    assert (np.abs(got[low] - want[low]) <= 1.3e-308).all()
+
+
 @pytest.mark.parametrize("shape", [(1,), (7,), (20, 24), (10, 784)])
 def test_sigmoid_bits_match_masked_oracle(shape):
     v = make_rng(sum(shape) + 1).normal(0.0, 8.0, shape)
-    assert_same_bits(sigmoid(v), masked_sigmoid(v))
-    # written into a given array, or into v itself
+    assert_matches_masked_oracle(sigmoid(v), v)
+    # written into a given array, or into v itself, with the bits of the
+    # returned array
+    want = sigmoid(v)
     out = np.empty_like(v)
     assert sigmoid(v, out=out) is out
-    assert_same_bits(out, masked_sigmoid(v))
+    assert_same_bits(out, want)
     w = v.copy()
     assert sigmoid(w, out=w) is w
-    assert_same_bits(w, masked_sigmoid(v))
+    assert_same_bits(w, want)
     # strided and transposed inputs take the same per-element expressions
     if v.ndim == 2:
-        assert_same_bits(sigmoid(v.T), masked_sigmoid(v.T))
-        assert_same_bits(sigmoid(v[:, ::3]), masked_sigmoid(v[:, ::3]))
+        assert_same_bits(sigmoid(v.T), want.T)
+        assert_same_bits(sigmoid(v[:, ::3]), want[:, ::3])
 
 
 def test_sigmoid_bits_match_masked_oracle_at_extremes():
-    v = np.array([0.0, -0.0, 745.0, -745.0, 800.0, -800.0, np.inf, -np.inf])
-    assert_same_bits(sigmoid(v), masked_sigmoid(v))
+    # either side of the clamp at -709 and of exp's overflow at about 709.78
+    v = np.array([0.0, -0.0, 708.0, -708.0, 709.0, -709.0, -709.5, 745.0,
+                  -745.0, 800.0, -800.0, -1e308, np.inf, -np.inf])
+    assert_matches_masked_oracle(sigmoid(v), v)
     for i in range(len(v)):
-        assert_same_bits(sigmoid(v[i:i + 1]), masked_sigmoid(v[i:i + 1]))
+        assert_matches_masked_oracle(sigmoid(v[i:i + 1]), v[i:i + 1])
+    floor = 1.0 / (1.0 + math.exp(709.0))
+    assert (sigmoid(v[v <= -709.0]) == floor).all()
+    assert 1.2e-308 < floor < 1.3e-308
+
+
+def test_sigmoid_within_4_ulp_of_a_decimal_reference():
+    # each point's exact sigmoid to 40 digits, from the float as it is
+    v = make_rng(11).uniform(-709.0, 40.0, 4000)
+    one = decimal.Decimal(1)
+    with decimal.localcontext(prec=40):
+        for vi, got in zip(v.tolist(), sigmoid(v).tolist()):
+            exact = one / (one + (-decimal.Decimal(vi)).exp())
+            error = abs(decimal.Decimal(got) - exact)
+            assert error <= 4 * decimal.Decimal(math.ulp(float(exact))), vi
 
 
 def wrapper_softmax(v):
@@ -84,10 +124,10 @@ SHAPES = hnp.array_shapes(min_dims=1, max_dims=2, max_side=12)
 @settings(max_examples=200, deadline=None)
 @given(hnp.arrays(np.float64, SHAPES, elements=FLOATS))
 def test_sigmoid_bits_match_masked_oracle_at_any_value(v):
-    want = masked_sigmoid(v)
-    assert_same_bits(sigmoid(v), want)
+    got = sigmoid(v)
+    assert_matches_masked_oracle(got, v)
     w = v.copy()
-    assert_same_bits(sigmoid(w, out=w), want)
+    assert_same_bits(sigmoid(w, out=w), got)
 
 
 @settings(max_examples=200, deadline=None)

@@ -507,26 +507,27 @@ def test_keep_prob_one_has_no_masking_noise():
 # sha256 of (model.data, rec.data) after ten updates of a 24-12-12-10 model
 # with drop-out and batches of labeled and unlabeled rows, recorded when the
 # learning rate moved into the row weights and the contrastive phases into
-# one signed pass; the same under one and two BLAS threads
+# one signed pass, and again when the sigmoid took its clamped five-pass
+# form; the same under one and two BLAS threads
 PINNED_UPDATE_SHA256 = {
-    "dhbm-mf": ("60421b57d2cc60396ec9b1e850037de88dae3f55a5b7005be9fa9d4204bfcbb8",
-              "dd352321343b792b6127ba9fe5ce3f9472ff2fdfa9aee8524b22f49b3f8d61ff"),
-    "dhbm-sap": ("7cebcbf3824819ce4f6df56c71d3a5a80e7871b89a06558e9b435fb49b94c60e",
-            "7fb030718f2db728c199d935e69c368179243e508a9470f944b69071d9ca63b5"),
-    "dhda": ("6c0b41eef9691ac6e84ea9ff90c9140be3c2b362bac008393d6a3c416e3310f4",
-              "9d0a1f8d0084f173e546034514fafc5fe32a18f206b858d0dfde52397fdd80de"),
+    "dhbm-mf": ("026c8750f348581ab790b03544c3e8208a21fb03ae8e9d30d8377517b7504c71",
+              "7167d116b02029528e7466325ae7a40c0c89f7092e909a7e0209654cb97466e5"),
+    "dhbm-sap": ("d064f0fcf532ee62e1f897c819c64ac8bc10d7fd4ac4ace015c09530b438c680",
+            "3a7d877af454d1bd5b53654cb27672d2de5bdfcbcbc149982dcc938a299e0814"),
+    "dhda": ("532cc7c2e1338384ae56f6238befb0ccd976b61fb02f6b4dc12f70de8c1115c0",
+              "db4f135967c55e94062a906bae46c66a9644a2ae4fd71ad2a14f9d82e3932bb0"),
 }
 
 
 # the same run without drop-out (keep_prob 1), where the unmasked statistics
 # reach the estimators uncopied
 PINNED_UPDATE_KEEP_ALL_SHA256 = {
-    "dhbm-mf": ("3a738497ddc47e05bd729d25d04e793e6848f5651dce458cbe058db08a05c2c3",
-              "5b7f9a15ccb260b1b71b7dec7dc03ce3c7356b2522014b84b74b477e9480d053"),
-    "dhbm-sap": ("7841ab03601dca60581d890368a30f6ae0912169cb8bef6ff8671320c09e5766",
-            "0eb6bae41905eec8913408c4722e8f6f0a69ff6305214dbf04446d1554c34a37"),
-    "dhda": ("50b1301dc944bc622d3bf2dff15cc90a74af49f5da86b01a40bb05c545b1da8a",
-              "b7ed4a2d77dd6be9190783de1498b2be6715877e2261354e1181feba5f96ec57"),
+    "dhbm-mf": ("b0f907ad3fb9df4c8379650b7b912b8c346326815b80cdf13faabebc298d759d",
+              "7d74a06dc2c57d3d4fc1e8796b96c40096c83eefb1ffa42440504f17d81b88b0"),
+    "dhbm-sap": ("5a7acfd00c99a1e0e28ed84b2ae645dd7081bda9e61332ef3420f3fb56fb86af",
+            "c6194322b6849d4874e7fe26d575f4f14c6289e6c6560ad96bf2322b8a58577b"),
+    "dhda": ("dd4ead91c9df6252953fcb58686f0d87daf37eca9c6ea2d3a7c38e44a9598fc1",
+              "3aeba244207cea90c8b2780968db27dd738e90cbc74b206dbeb59185910ba15d"),
 }
 
 
