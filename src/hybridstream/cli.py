@@ -61,8 +61,7 @@ def main():
               default=None, help="Override the stream kind.")
 @click.option("--models", default=None,
               help="Comma-separated model kinds (e.g. dhbm-mf,mlp-pl).")
-@click.option("--jobs", type=int, default=1,
-              help="Parallel trial processes, at most one per trial.")
+@click.option("--jobs", type=int, default=1, help="Parallel trial processes.")
 def stream_run(config_path, out_dir, seed, iterations, trials, stream_kind,
                models, jobs):
     """Prequential test-then-train run on a drifting stream."""

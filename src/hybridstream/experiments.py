@@ -210,14 +210,14 @@ def _echo_config(config, out_dir, trials):
 
 
 def run_stream_experiment(config, out_dir, jobs=1):
-    """All trials; emits per-trial curves, a summary CSV and a config echo."""
+    """All trials, on a pool of min(jobs, trials) workers when that is more
+    than one; emits per-trial curves, a summary CSV and a config echo."""
     _stream_run(config)
     check_type("jobs", jobs, int, 1)
     trials = config.get("trials", 5)
     _echo_config(config, out_dir, trials)
     finals = {}
-    # a pool starts all its workers at its first submit, so it gets no more
-    # than there are trials
+    # a pool forks all its workers at its first submit
     workers = min(jobs, trials)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

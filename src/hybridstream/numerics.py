@@ -41,14 +41,10 @@ whose result is a large weight block keeps ``@``: add_product's banded loop
 and estimators.mf_bp_gradients' weight products, each with its
 measurement.
 
-Every conditional of both hybrids, every recognition layer and every DHDA
-reconstruction ends in :func:`sigmoid`, 17 calls per ``dhbm-mf`` step and
-20 per ``dhda`` step.  It is 1 / (1 + exp(min(-v, 709))) in five in-place
-ufunc passes over its output, with no sign mask and no temporary.  The
-clamp gives every v <= -709 the floor 1 / (1 + e**709), about 1.2e-308.
-Its worst error against a long-double reference over 1M uniform points in
-[-700, 700] read 2.25 ulp, and it lies within 3 ulp of the sign-masked
-exp(v) / (1 + exp(v)) for negative v and on its bits for v >= 0.
+Every conditional of both hybrids ends in :func:`sigmoid`: 1 / (1 +
+exp(min(-v, 709))) in five in-place passes, floored at about 1.2e-308 for
+v <= -709, with a worst error of 2.25 ulp (long-double reference, 1M points
+in [-700, 700]).
 """
 
 import dataclasses
@@ -206,17 +202,12 @@ def check_fields(record, **least):
 def sigmoid(v, out=None):
     """Logistic sigmoid of a float64 array of one or more dimensions:
     1 / (1 + exp(min(-v, 709))) in five in-place passes over `out`
-    (negative, minimum, exp, add, divide) and no temporary.  `out` may be
-    v itself.
-
-    The clamp keeps exp() finite, so every v <= -709, -inf included, gives
-    1 / (1 + e**709), about 1.2e-308, where exp(v) / (1 + exp(v)) falls to
-    0.  For v >= 0 the bits are those of that sign-masked form; for
-    -709 <= v < 0 the two forms lie at most 3 ulp apart over 2M uniform
-    points.  The worst error against a long-double reference over 1M
+    (negative, minimum, exp, add, divide) and no temporary; `out` may be v.
+    The clamp keeps exp() finite: every v <= -709, -inf included, gives
+    1 / (1 + e**709), about 1.2e-308 (exp(v) / (1 + exp(v)) falls to 0 below
+    about -745).  The worst error against a long-double reference over 1M
     uniform points in [-700, 700] read 2.25 ulp, against 2.11 for the
-    sign-masked form.  A 20x24 call took 4.3 us against its 5.8 (numpy
-    2.4.6, one BLAS thread).
+    sign-masked form: the same bits for v >= 0, at most 3 ulp apart below.
     """
     e = np.negative(v, out=out)
     np.minimum(e, 709.0, out=e)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import hashlib
 import json
@@ -91,7 +92,6 @@ def test_trial_pool_is_sized_to_the_trials(trials, jobs, workers, tmp_path,
                                            monkeypatch):
     # a pool forks all its workers at its first submit: no more workers than
     # trials, and no pool for one
-    import concurrent.futures
     opened = []
 
     class RecordingPool(concurrent.futures.ProcessPoolExecutor):
