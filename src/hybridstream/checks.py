@@ -46,10 +46,10 @@ def oracle_check(n_models=50, seed=7):
             x, h1, h2 = (rng.integers(0, 2, n).astype(np.float64)
                          for n in (params.n_visible, *params.hidden_dims))
             # the class as its one-hot row, as the Gibbs sweep passes it
-            ey = one_hot(y, params.n_classes)
+            drive = dhbm.class_drive(params, one_hot(y, params.n_classes))
             worst = max(worst, *(np.max(np.abs(a - b)) for a, b in [
-                (dhbm.cond_h(params, 0, ey, x, h2), oracle.cond_h1(y, x, h2)),
-                (dhbm.cond_h(params, 1, ey, h1), oracle.cond_h2(y, h1)),
+                (dhbm.cond_h(params, 0, drive, x, h2), oracle.cond_h1(y, x, h2)),
+                (dhbm.cond_h(params, 1, drive, h1), oracle.cond_h2(y, h1)),
                 (dhbm.cond_x(params, h1), oracle.cond_x(h1)),
                 (dhbm.cond_y(params, [h1, h2]), oracle.cond_y(h1, h2))]))
     return worst

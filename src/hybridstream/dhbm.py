@@ -3,10 +3,14 @@ conditional / mean-field equations with top-down feedback.
 
 Layer convention: a model with hidden sizes [H1, ..., HL] over D visible
 units and C classes stores per layer l (0-based here) a weight matrix
-W[l] of shape (H_l, H_{l-1}) with H_{-1} = D, a class matrix U[l] of shape
-(H_l, C), a hidden bias (H_l,) and a visible-side bias (H_{l-1},).  The
-visible-side biases of layers l > 0 are only exercised by the autoencoder
-decoders; the Boltzmann energy uses layer 0's.
+W[l] of shape (H_l, H_{l-1}) with H_{-1} = D and a visible-side bias
+(H_{l-1},), then every layer's class weights as one block U of shape
+(sum H_l, C) and its hidden biases as one block b_hidden (sum H_l,): layer
+l owns rows edges[l]:edges[l+1] of each block, its U[l] (H_l, C) and hidden
+bias (H_l,).  The blocks let the class expert of every layer be one product:
+cond_y's logits and class_drive's class term of every hidden conditional.
+The visible-side biases of layers l > 0 are only exercised by the
+autoencoder decoders; the Boltzmann energy uses layer 0's.
 
 Probabilities are proportional to exp(-E) with E as returned by
 :func:`energy`; under that convention every conditional below is the
@@ -14,6 +18,7 @@ sigmoid / softmax form that the mean-field equations iterate, and the
 oracle BruteForceJoint enumerates energy itself.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,9 +28,9 @@ from .numerics import ViewRecord, flat_views, one_hot, sigmoid, softmax
 
 @dataclass
 class LayerParams(ViewRecord):
-    """One layer's views of its HybridParams vector.  Write through a view
-    (``lp.W[...] = ...`` or ``lp.W += d``); a view cannot be replaced (see
-    numerics.ViewRecord)."""
+    """One layer's views of its HybridParams vector, U and b_hidden its rows
+    of the model's blocks.  Write through a view (``lp.W[...] = ...`` or
+    ``lp.W += d``); a view cannot be replaced (see numerics.ViewRecord)."""
     W: np.ndarray
     U: np.ndarray
     b_hidden: np.ndarray
@@ -35,14 +40,19 @@ class LayerParams(ViewRecord):
 @dataclass
 class HybridParams(ViewRecord):
     """Every parameter in one float64 vector `data`, laid out per layer as
-    W, U, b_hidden, b_visible and then b_class; `layers` and `b_class` are
-    views of it.  The estimators add their step into one: the model itself
-    in training, or zero parameters (see :meth:`zeros_like`) to read a
-    gradient alone.
+    W, b_visible, then the class-weight block U (sum H_l, C), the
+    hidden-bias block b_hidden (sum H_l,) and b_class; `layers`, `U`,
+    `b_hidden` and `b_class` are views of it, layer l's U and b_hidden rows
+    edges[l]:edges[l+1] of the blocks.  The estimators add their step into
+    one: the model itself in training, or zero parameters (see
+    :meth:`zeros_like`) to read a gradient alone.
     """
     data: np.ndarray
     layers: tuple
+    U: np.ndarray
+    b_hidden: np.ndarray
     b_class: np.ndarray
+    edges: tuple
 
     @property
     def n_layers(self):
@@ -66,12 +76,16 @@ class HybridParams(ViewRecord):
         shapes = []
         below = n_visible
         for h in hidden_dims:
-            shapes += [(h, below), (h, n_classes), (h,), (below,)]
+            shapes += [(h, below), (below,)]
             below = h
-        data, views = flat_views(shapes + [(n_classes,)])
-        layers = tuple(LayerParams(*views[i:i + 4])
-                       for i in range(0, len(views) - 1, 4))
-        return cls(data, layers, views[-1])
+        edges = (0, *itertools.accumulate(hidden_dims))
+        data, views = flat_views(
+            shapes + [(edges[-1], n_classes), (edges[-1],), (n_classes,)])
+        U, b_hidden, b_class = views[-3:]
+        layers = tuple(LayerParams(views[2 * l], U[lo:hi], b_hidden[lo:hi],
+                                   views[2 * l + 1])
+                       for l, (lo, hi) in enumerate(zip(edges, edges[1:])))
+        return cls(data, layers, U, b_hidden, b_class, edges)
 
     def zeros_like(self):
         """Zero parameters of the same layout, into which an estimator adds
@@ -120,28 +134,42 @@ def energy(params, y, x, hs):
     return float(e) if e.ndim == 0 else e
 
 
-def cond_h(params, l, y, below, above=None):
+def class_drive(params, y):
+    """Every hidden layer's class term and bias, y U' + b_hidden, in one
+    product and one add: a (rows, sum H_l) array, or b_hidden itself when
+    `y` is None, the DHDA encoder's term.  Layer l's columns
+    edges[l]:edges[l+1] are what its cond_h adds.
+
+    `y` is the class distribution, a float row of probabilities per row (a
+    sampled label's one-hot row, whose product with U' has the bits of U's
+    column).  Integer labels raise TypeError: their product with U' would
+    be another number.
+    """
+    if y is None:
+        return params.b_hidden
+    if y.dtype.kind != "f":
+        raise TypeError(f"class_drive takes class probability rows, got "
+                        f"{y.dtype} labels: pass their one-hot rows")
+    drive = y.dot(params.U.T)
+    np.add(drive, params.b_hidden, out=drive)
+    return drive
+
+
+def cond_h(params, l, drive, below, above=None):
     """Mean of hidden layer l given its neighbours and the class.
 
-    sigma(U_l y + W_l v_{l-1} + W_{l+1}' h_{l+1} + b); accepts mean vectors in
-    place of binary states, and batches (rows) in place of single vectors.
-    `y` is the class distribution, a float row of probabilities per row (a
-    sampled label's one-hot row, whose product with U_l' has the bits of U_l's
-    column), or None for no class term: the DHDA's encoder.  Integer labels
-    raise TypeError: their product with U_l' would be another number.
+    sigma(W_l v_{l-1} + (U_l y + b) + W_{l+1}' h_{l+1}), summed in that order,
+    with `drive` the class_drive of y (its columns of layer l are the middle
+    term); accepts mean vectors in place of binary states, and batches
+    (rows) in place of single vectors.
     """
-    lp = params.layers[l]
-    if l + 1 < params.n_layers and above is None:
+    lo, hi = params.edges[l:l + 2]
+    top = l + 1 == len(params.layers)
+    if above is None and not top:
         raise ValueError(f"layer {l} requires the state of layer {l + 1}")
-    # the terms are summed left to right in one array
-    pre = below.dot(lp.W.T)
-    if y is not None:
-        if y.dtype.kind != "f":
-            raise TypeError(f"cond_h takes class probability rows, got "
-                            f"{y.dtype} labels: pass their one-hot rows")
-        np.add(pre, y.dot(lp.U.T), out=pre)
-    np.add(pre, lp.b_hidden, out=pre)
-    if l + 1 < params.n_layers:
+    pre = below.dot(params.layers[l].W.T)
+    np.add(pre, drive[..., lo:hi], out=pre)
+    if not top:
         np.add(pre, above.dot(params.layers[l + 1].W), out=pre)
     return sigmoid(pre, out=pre)
 
@@ -157,18 +185,15 @@ def cond_x(params, h, l=0):
 
 def cond_y(params, h_means, scale=1.0):
     """Class distribution from all layers jointly: softmax(sum_l U_l' h_l + b),
-    with each h_l times `scale`.  A scaled layer is a temporary that lives
-    only while its product is taken, so one copy exists at a time."""
+    with each h_l times `scale`: the layers' means joined along their units
+    into one copy, scaled in place, times the block U in one product."""
     if len(h_means) != params.n_layers:
         raise ValueError(f"expected {params.n_layers} layer means, got {len(h_means)}")
-
-    def scaled(h):
-        return h if scale == 1.0 else np.multiply(h, scale)
-
-    logits = scaled(h_means[0]).dot(params.layers[0].U)
+    h = np.concatenate(h_means, axis=-1)
+    if scale != 1.0:
+        np.multiply(h, scale, out=h)
+    logits = h.dot(params.U)
     np.add(logits, params.b_class, out=logits)
-    for lp, h in zip(params.layers[1:], h_means[1:]):
-        np.add(logits, scaled(h).dot(lp.U), out=logits)
     return softmax(logits)
 
 
@@ -179,14 +204,16 @@ def mean_field_step(params, x, state, clamped_y=None):
     a caller that needs one takes cond_x of the final h^1.  If `clamped_y`
     (a batch x C matrix of class probabilities, such as one-hot labels) is
     given the class distribution is held fixed at it and no cond_y is taken.
+    Every layer's class term is read from one class_drive of the step's y.
     """
     means = list(state.layer_means)
     y_probs = clamped_y if clamped_y is not None else state.class_probs
+    drive = class_drive(params, y_probs)
     L = params.n_layers
     for l in range(L):
         below = x if l == 0 else means[l - 1]
         above = means[l + 1] if l + 1 < L else None
-        means[l] = cond_h(params, l, y_probs, below, above)
+        means[l] = cond_h(params, l, drive, below, above)
     if clamped_y is None:
         y_probs = cond_y(params, means)
     return MeanFieldState(means, y_probs)

@@ -2,9 +2,10 @@
 dhbm's conditionals.
 
 The DHDA shares the DHBM's parameter set (dhbm.HybridParams) and equations:
-layer l encodes with dhbm.cond_h without the class term and decodes its own
-input with dhbm.cond_x at layer l, W_l transposed, so decoder weights are the
-same storage as the encoder's.  Only the masking corruption is its own.
+layer l encodes with dhbm.cond_h, its class_drive the hidden biases alone
+(no class term), and decodes its own input with dhbm.cond_x at layer l, W_l
+transposed, so decoder weights are the same storage as the encoder's.  Only
+the masking corruption is its own.
 """
 
 from dataclasses import dataclass
@@ -53,6 +54,7 @@ def dhda_forward(params, x, hidden, rng, corruption_p, num_steps):
     keep = bernoulli_mask(rng, 1, sum(r * c for r, c in shapes), corruption_p,
                           complement=True)
     draws = iter(split_views(keep[0], shapes))
+    drive = dhbm.class_drive(params, None)
     hidden_hat = hidden
     for _ in range(num_steps):
         x_hat = x * next(draws)
@@ -63,7 +65,7 @@ def dhda_forward(params, x, hidden, rng, corruption_p, num_steps):
         for l in range(L):
             below = x_hat if l == 0 else hidden_hat[l - 1]
             above = prev_hat[l + 1] if l + 1 < L else None
-            h = dhbm.cond_h(params, l, None, below, above)
+            h = dhbm.cond_h(params, l, drive, below, above)
             m = next(draws)
             hidden.append(h)
             masks.append(m)

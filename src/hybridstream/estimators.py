@@ -73,28 +73,31 @@ def mf_bp_gradients(x, y_probs, q_rec, state, params, w, dropout_masks=None,
     Adds the ascent direction, the descent gradient negated through the
     row weights.  Every layer's deltas are computed before any weight moves,
     and each weight gradient is added as W + (A + B), its two products
-    summed first.
+    summed first.  The class-weight block takes one product per use: the
+    output delta times U' for every layer's deltas, the U gradient over
+    every layer's statistics joined along units, and the b_hidden gradient
+    as one sum over every layer's deltas.
     """
     wc = -w[:, None]
-    L = params.n_layers
+    edges = params.edges
     # softmax + log-loss output delta (p - e_y), each row times -w: every
     # delta below, and so every gradient entry, comes out negated
     xi_out = (state.class_probs - y_probs) * wc
+    h_all = np.concatenate(state.hidden, axis=1)
+    hid_prime = sigmoid_prime_from_output(h_all)
+    xi_hid_out = xi_out.dot(params.U.T) * hid_prime
     terms = []
-    for l in range(L):
-        lp = params.layers[l]
-        h = state.hidden[l]
+    for l, lp in enumerate(params.layers):
+        lo, hi = edges[l], edges[l + 1]
         v_target = x if l == 0 else q_rec[l - 1]
         # cross-entropy through the output sigmoid collapses to (z - target)
         xi_recon = (state.recons[l] - v_target) * wc
-        hid_prime = sigmoid_prime_from_output(h)
-        xi_hid = xi_recon.dot(lp.W.T) * state.masks[l] * hid_prime
-        xi_hid_out = xi_out.dot(lp.U.T) * hid_prime
-        xi_hid_total = xi_hid + xi_hid_out
+        xi_hid = xi_recon.dot(lp.W.T) * state.masks[l] * hid_prime[:, lo:hi]
+        xi_hid_total = xi_hid + xi_hid_out[:, lo:hi]
         if dropout_masks is not None:
             xi_hid_total = xi_hid_total * dropout_masks[l]
-        terms.append((h, xi_recon, xi_hid_total))
-    for l, (h, xi_recon, xi_hid_total) in enumerate(terms):
+        terms.append((xi_recon, xi_hid_total))
+    for l, (xi_recon, xi_hid_total) in enumerate(terms):
         g = out.layers[l]
         v_in = state.input_hat if l == 0 else state.hidden_hat[l - 1]
         # two weight-sized products: np.dot, which like .dot clears its
@@ -103,9 +106,10 @@ def mf_bp_gradients(x, y_probs, q_rec, state, params, w, dropout_masks=None,
         # 24-24-24-24-24-10 on 20
         np.add(g.W, xi_hid_total.T @ v_in + state.hidden_hat[l].T @ xi_recon,
                out=g.W)
-        add_product(g.U, h.T, xi_out)
-        np.add(g.b_hidden, np.add.reduce(xi_hid_total, axis=0), out=g.b_hidden)
         np.add(g.b_visible, np.add.reduce(xi_recon, axis=0), out=g.b_visible)
+    add_product(out.U, h_all.T, xi_out)
+    xi_hid_all = np.concatenate([t for _, t in terms], axis=1)
+    np.add(out.b_hidden, np.add.reduce(xi_hid_all, axis=0), out=out.b_hidden)
     np.add(out.b_class, np.add.reduce(xi_out, axis=0), out=out.b_class)
     return out
 

@@ -23,17 +23,19 @@ def gibbs_sweeps(params, x, hs, y, rng, n_sweeps):
 
     Mutates x, hs and y in place; y holds the one-hot rows of the particles'
     labels.  One sweep samples h^1..h^L, then y, then x, each from its exact
-    conditional under the current parameters: dhbm's cond_h (given the rows
-    y), cond_y and cond_x, the formulas the enumeration oracle checks.
+    conditional under the current parameters: dhbm's cond_h (given the
+    class_drive of the rows y, taken once per sweep), cond_y and cond_x, the
+    formulas the enumeration oracle checks.
     """
     M = x.shape[0]
     L = params.n_layers
     C = params.n_classes
     for _ in range(n_sweeps):
+        drive = dhbm.class_drive(params, y)
         for l in range(L):
             below = x if l == 0 else hs[l - 1]
             above = hs[l + 1] if l + 1 < L else None
-            p = dhbm.cond_h(params, l, y, below, above)
+            p = dhbm.cond_h(params, l, drive, below, above)
             hs[l][...] = rng.random(p.shape) < p
         cdf = np.add.accumulate(dhbm.cond_y(params, hs), axis=1)
         y[...] = one_hot(np.minimum(

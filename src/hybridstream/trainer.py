@@ -123,7 +123,9 @@ class Trainer:
                                               beta)
         if len(x) == 0:
             return {"updated": False, "beta": None}
-        w = np.where(lab, cfg.alpha * w_rec, w_rec)
+        # at alpha 1 the model's weights are the recognition net's: the bits
+        # np.where(lab, 1.0 * w_rec, w_rec) would build
+        w = w_rec if cfg.alpha == 1.0 else np.where(lab, cfg.alpha * w_rec, w_rec)
 
         if v is None or x is not whole:     # the kept pass covers every row
             v = recognition.recognize(self.rec, x)
@@ -172,8 +174,8 @@ class Trainer:
     def predict(self, x):
         """Class distribution from the recognition network.
 
-        Hidden statistics are scaled by keep_prob (drop-out expectation), in
-        copies made one layer at a time: the unscaled pass is kept for the
+        Hidden statistics are scaled by keep_prob (drop-out expectation) in
+        cond_y's one joined copy of them: the unscaled pass is kept for the
         next update() of `x`.
         """
         self._recognized = None     # freed before the new pass, not after

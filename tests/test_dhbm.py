@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -34,14 +35,15 @@ def bottom_up_state(params, x):
     return dhbm.MeanFieldState(means, dhbm.cond_y(params, means))
 
 
-def test_cond_h_refuses_integer_labels():
+def test_class_drive_refuses_integer_labels():
     # with as many rows as classes, labels times U' would broadcast into a
     # wrong class term; their one-hot rows give the right one
     params = tiny_model(c=3)
     labels, below, above = np.array([0, 2, 1]), np.zeros((3, 3)), np.zeros((3, 2))
     with pytest.raises(TypeError, match="one-hot"):
-        dhbm.cond_h(params, 0, labels, below, above)
-    got = dhbm.cond_h(params, 0, one_hot(labels, 3), below, above)
+        dhbm.class_drive(params, labels)
+    got = dhbm.cond_h(params, 0, dhbm.class_drive(params, one_hot(labels, 3)),
+                      below, above)
     assert np.array_equal(got, sigmoid(params.layers[0].U.T[labels]
                                        + params.layers[0].b_hidden))
 
@@ -51,9 +53,9 @@ def test_zero_params_conditionals_are_uniform():
     x = np.ones(3)
     h1 = np.ones(2)
     h2 = np.zeros(2)
-    ey = one_hot(0, 2)
-    assert np.allclose(dhbm.cond_h(params, 0, ey, x, h2), 0.5)
-    assert np.allclose(dhbm.cond_h(params, 1, ey, h1), 0.5)
+    drive = dhbm.class_drive(params, one_hot(0, 2))
+    assert np.allclose(dhbm.cond_h(params, 0, drive, x, h2), 0.5)
+    assert np.allclose(dhbm.cond_h(params, 1, drive, h1), 0.5)
     assert np.allclose(dhbm.cond_x(params, h1), 0.5)
     assert np.allclose(dhbm.cond_y(params, [h1, h2]), 0.5)
 
@@ -134,10 +136,10 @@ def test_conditionals_match_enumeration():
         x = rng.integers(0, 2, 3).astype(np.float64)
         h1 = rng.integers(0, 2, 2).astype(np.float64)
         h2 = rng.integers(0, 2, 2).astype(np.float64)
-        ey = one_hot(y, 2)
-        assert np.allclose(dhbm.cond_h(params, 0, ey, x, h2),
+        drive = dhbm.class_drive(params, one_hot(y, 2))
+        assert np.allclose(dhbm.cond_h(params, 0, drive, x, h2),
                            oracle.cond_h1(y, x, h2), atol=1e-12)
-        assert np.allclose(dhbm.cond_h(params, 1, ey, h1),
+        assert np.allclose(dhbm.cond_h(params, 1, drive, h1),
                            oracle.cond_h2(y, h1), atol=1e-12)
         assert np.allclose(dhbm.cond_x(params, h1), oracle.cond_x(h1),
                            atol=1e-12)
@@ -193,8 +195,8 @@ def test_mean_field_clamped_y_stays_clamped():
 
 def _views_in_layout_order(p):
     if isinstance(p, dhbm.HybridParams):
-        return [a for lp in p.layers
-                for a in (lp.W, lp.U, lp.b_hidden, lp.b_visible)] + [p.b_class]
+        return [a for lp in p.layers for a in (lp.W, lp.b_visible)] + [
+            p.U, p.b_hidden, p.b_class]
     return [a for W, b in zip(p.Ws, p.bs) for a in (W, b)]
 
 
@@ -309,8 +311,9 @@ def test_conditionals_shapes_and_ranges(case):
     for l in range(params.n_layers):
         below, above = neighbours(x, hs, l)
         for y in (y_probs, None):
-            assert_probabilities(dhbm.cond_h(params, l, y, below, above),
-                                 hs[l].shape)
+            assert_probabilities(
+                dhbm.cond_h(params, l, dhbm.class_drive(params, y), below, above),
+                hs[l].shape)
         assert_probabilities(dhbm.cond_x(params, hs[l], l), below.shape)
     p = dhbm.cond_y(params, hs)
     assert_probabilities(p, (n, c))
@@ -331,7 +334,129 @@ def test_class_free_conditionals_are_the_dhda_encoder_and_decoder(case):
     for l in range(params.n_layers):
         below, above = neighbours(x, hs, l)
         assert np.array_equal(
-            dhbm.cond_h(params, l, None, below, above).view(np.int64),
+            dhbm.cond_h(params, l, dhbm.class_drive(params, None), below,
+                        above).view(np.int64),
             encode_h(params, l, below, above).view(np.int64))
         assert np.array_equal(dhbm.cond_x(params, hs[l], l).view(np.int64),
                               decode(params, l, hs[l]).view(np.int64))
+
+
+@pytest.mark.parametrize("d, hidden, c", [(24, [24] * 4, 10), (7, [5, 3, 4], 3),
+                                          (3, [2], 2)])
+def test_layer_class_views_are_rows_of_the_blocks(d, hidden, c):
+    # layer l's U and b_hidden are rows edges[l]:edges[l+1] of the blocks,
+    # views that share their memory, so a write through either shows in both
+    params = dhbm.HybridParams.initialize(d, hidden, c, make_rng(4))
+    assert params.edges == tuple(np.cumsum([0] + hidden).tolist())
+    assert params.U.shape == (sum(hidden), c)
+    assert params.b_hidden.shape == (sum(hidden),)
+    for lp, lo, hi in zip(params.layers, params.edges, params.edges[1:]):
+        for view, block in ((lp.U, params.U), (lp.b_hidden, params.b_hidden)):
+            assert view.base is block.base is params.data
+            assert np.shares_memory(view, block)
+            assert view.shape == block[lo:hi].shape
+            assert view.__array_interface__["data"] == \
+                block[lo:hi].__array_interface__["data"]
+        lp.U[...] += 1.0
+        assert np.array_equal(params.U[lo:hi], lp.U)
+
+
+# sha256 of each initialized model's per-layer views in the order the layers
+# were once laid out (W, U, b_hidden, b_visible per layer, then b_class),
+# recorded as the `data` digest of that layout: the draws still reach the
+# same parameters
+PINNED_INITIAL_SHA256 = {
+    (24, (24, 24, 24, 24), 10, 5):
+        "f0d77e8ace502ad834229cc34a9ec93d0fbc549222fabe2e1e73f7076e56bf73",
+    (7, (5, 3, 4), 3, 6):
+        "24f4d60f18335001f137c46d54e6c41537ae0df50bb1203534c8a843a240cf5c",
+}
+
+
+@pytest.mark.parametrize("key", list(PINNED_INITIAL_SHA256))
+def test_initial_values_are_pinned_in_the_per_layer_order(key):
+    d, hidden, c, seed = key
+    params = dhbm.HybridParams.initialize(d, list(hidden), c, make_rng(seed),
+                                          weight_std=0.3)
+    digest = hashlib.sha256()
+    for lp in params.layers:
+        for a in (lp.W, lp.U, lp.b_hidden, lp.b_visible):
+            digest.update(a.tobytes())
+    digest.update(params.b_class.tobytes())
+    assert digest.hexdigest() == PINNED_INITIAL_SHA256[key]
+
+
+def per_layer_cond_h(params, l, y, below, above=None):
+    """cond_h as it was while each layer's class term was a product of its
+    own (test oracle): sigma(W_l v + U_l y + b + W_{l+1}' h), summed left to
+    right."""
+    lp = params.layers[l]
+    pre = below.dot(lp.W.T)
+    np.add(pre, y.dot(lp.U.T), out=pre)
+    np.add(pre, lp.b_hidden, out=pre)
+    if l + 1 < params.n_layers:
+        np.add(pre, above.dot(params.layers[l + 1].W), out=pre)
+    return sigmoid(pre, out=pre)
+
+
+def per_layer_cond_y(params, h_means, scale=1.0):
+    """cond_y as it was while each layer's class expert was a product of its
+    own (test oracle): softmax(U_1' h_1 + b + U_2' h_2 + ...), each h_l times
+    `scale`."""
+    def scaled(h):
+        return h if scale == 1.0 else np.multiply(h, scale)
+
+    logits = scaled(h_means[0]).dot(params.layers[0].U)
+    np.add(logits, params.b_class, out=logits)
+    for lp, h in zip(params.layers[1:], h_means[1:]):
+        np.add(logits, scaled(h).dot(lp.U), out=logits)
+    return softmax(logits)
+
+
+def sum_error_bound(k, abs_sum):
+    """(k + 2) 2**-53 sum|terms|: float64's error bound of a sum of k
+    products and two more terms whose magnitudes add up to abs_sum."""
+    return (k + 2) * 2.0 ** -53 * abs_sum
+
+
+@pytest.mark.parametrize("d, hidden, c, n", [(24, [24] * 4, 10, 20),
+                                             (40, [40] * 4, 3, 20),
+                                             (784, [256, 256], 10, 10),
+                                             (7, [5, 3, 4], 3, 1)])
+def test_block_class_terms_agree_with_the_per_layer_forms(d, hidden, c, n):
+    # the class terms summed in a new order: cond_h's pre-activation is
+    # W v + (U y + b) + W' h and cond_y's logits one product over every
+    # layer.  Each pre-activation and logit lies within sum_error_bound of
+    # the per-layer form's, for K the products' summed inner length; the
+    # sigmoid's slope is at most 1/4, a logit shift of at most e moves a
+    # softmax output by a factor within exp(+-2e), and either output may
+    # round by 4 ulp more
+    rng = make_rng(n + d)
+    params = dhbm.HybridParams.initialize(d, hidden, c, rng)
+    params.data[...] = rng.normal(0.0, 1.0, params.data.shape)
+    x = (rng.random((n, d)) < 0.4).astype(np.float64)
+    hs = [rng.random((n, h)) for h in hidden]
+    for y in (softmax(rng.normal(0.0, 2.0, (n, c))),
+              one_hot(rng.integers(0, c, n), c)):
+        drive = dhbm.class_drive(params, y)
+        for l, lp in enumerate(params.layers):
+            below, above = neighbours(x, hs, l)
+            abs_pre = (np.abs(below).dot(np.abs(lp.W.T))
+                       + np.abs(y).dot(np.abs(lp.U.T)) + np.abs(lp.b_hidden))
+            k = below.shape[1] + c
+            if above is not None:
+                abs_pre += np.abs(above).dot(np.abs(params.layers[l + 1].W))
+                k += above.shape[1]
+            got = dhbm.cond_h(params, l, drive, below, above)
+            want = per_layer_cond_h(params, l, y, below, above)
+            assert np.all(np.abs(got - want) <= sum_error_bound(k, abs_pre) / 4
+                          + 4 * np.spacing(want))
+    for scale in (1.0, 0.5):
+        abs_logits = np.abs(params.b_class) + sum(
+            np.abs(h * scale).dot(np.abs(lp.U))
+            for h, lp in zip(hs, params.layers))
+        e = sum_error_bound(sum(hidden), abs_logits).max(axis=1, keepdims=True)
+        got = dhbm.cond_y(params, hs, scale)
+        want = per_layer_cond_y(params, hs, scale)
+        assert np.all(np.abs(got - want) <= np.expm1(2.0 * e) * want
+                      + 4 * np.spacing(want))

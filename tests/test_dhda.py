@@ -48,7 +48,8 @@ def test_encode_hand_case():
     model, _ = setup_model(d=1, hidden=(1, 1), std=0.0)
     model.layers[0].W[0, 0] = 1.0
     model.layers[1].W[0, 0] = 1.0
-    h1 = dhbm.cond_h(model, 0, None, np.array([[1.0]]), np.array([[1.0]]))
+    h1 = dhbm.cond_h(model, 0, dhbm.class_drive(model, None), np.array([[1.0]]),
+                     np.array([[1.0]]))
     assert np.allclose(h1, sigmoid(np.array([2.0])), atol=1e-12)
     assert abs(float(h1[0, 0]) - 0.88080) < 1e-4
 

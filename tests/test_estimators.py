@@ -144,8 +144,9 @@ def test_sweep_draws_each_block_in_order():
     want = copy.deepcopy(rng)
     particles.advance(model, rng)
     u1, u2, uy, ux = (want.random(s) for s in ((5, 3), (5, 2), (5, 1), (5, 4)))
-    h1 = (u1 < dhbm.cond_h(model, 0, y, x, hs[1])).astype(float)
-    h2 = (u2 < dhbm.cond_h(model, 1, y, h1)).astype(float)
+    drive = dhbm.class_drive(model, y)
+    h1 = (u1 < dhbm.cond_h(model, 0, drive, x, hs[1])).astype(float)
+    h2 = (u2 < dhbm.cond_h(model, 1, drive, h1)).astype(float)
     cdf = np.cumsum(dhbm.cond_y(model, [h1, h2]), axis=1)
     y_new = np.minimum((cdf <= uy).sum(axis=1), 2)
     x_new = (ux < dhbm.cond_x(model, h1)).astype(float)
@@ -386,21 +387,25 @@ def mf_bp_negate_at_end(x, y_probs, q_rec, state, params, w,
     wc = w[:, None]
     out = params.zeros_like()
     xi_out = (state.class_probs - y_probs) * wc
+    h_all = np.concatenate(state.hidden, axis=1)
+    hid_prime = sigmoid_prime_from_output(h_all)
+    xi_hid_out = (xi_out @ params.U.T) * hid_prime
+    totals = []
     for l, g in enumerate(out.layers):
         lp = params.layers[l]
-        h = state.hidden[l]
+        lo, hi = params.edges[l:l + 2]
         v_in = state.input_hat if l == 0 else state.hidden_hat[l - 1]
         v_target = x if l == 0 else q_rec[l - 1]
         xi_recon = (state.recons[l] - v_target) * wc
-        hid_prime = sigmoid_prime_from_output(h)
-        xi_hid_total = (xi_recon @ lp.W.T) * state.masks[l] * hid_prime \
-            + (xi_out @ lp.U.T) * hid_prime
+        xi_hid_total = (xi_recon @ lp.W.T) * state.masks[l] \
+            * hid_prime[:, lo:hi] + xi_hid_out[:, lo:hi]
         if dropout_masks is not None:
             xi_hid_total = xi_hid_total * dropout_masks[l]
+        totals.append(xi_hid_total)
         g.W[...] = -(xi_hid_total.T @ v_in + state.hidden_hat[l].T @ xi_recon)
-        g.U[...] = -(h.T @ xi_out)
-        g.b_hidden[...] = -np.add.reduce(xi_hid_total, axis=0)
         g.b_visible[...] = -np.add.reduce(xi_recon, axis=0)
+    out.U[...] = -(h_all.T @ xi_out)
+    out.b_hidden[...] = -np.add.reduce(np.concatenate(totals, axis=1), axis=0)
     out.b_class[...] = -np.add.reduce(xi_out, axis=0)
     return out
 

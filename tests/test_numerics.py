@@ -193,23 +193,44 @@ def test_one_hot():
         assert np.array_equal(got, want)
 
 
-# finite weights; adding +0.0 turns a -0.0 into +0.0, which a one-hot
-# product reads as +0.0 (-0.0 plus the +0.0 terms)
-WEIGHTS = st.floats(allow_nan=False, allow_infinity=False).map(lambda v: v + 0.0)
+# the largest and smallest finite magnitudes, the smallest normal and 1
+EDGE_WEIGHTS = np.array([np.finfo(np.float64).max, np.finfo(np.float64).tiny,
+                         np.finfo(np.float64).smallest_subnormal, 1.0, 0.0])
+
+
+def finite_weights(rng, shape):
+    """Finite float64 weights of every exponent: uniform bit patterns, a
+    non-finite one redrawn as a normal, with about a quarter of the entries
+    an edge weight of either sign.  Adding +0.0 turns a -0.0 into +0.0,
+    which a one-hot product reads as +0.0 (-0.0 plus the +0.0 terms)."""
+    w = rng.integers(0, 1 << 64, size=shape, dtype=np.uint64).view(np.float64)
+    bad = ~np.isfinite(w)
+    w[bad] = rng.normal(size=np.count_nonzero(bad))
+    edge = rng.random(shape) < 0.25
+    w[edge] = (rng.choice(EDGE_WEIGHTS, size=np.count_nonzero(edge))
+               * rng.choice([-1.0, 1.0], size=np.count_nonzero(edge)))
+    return w + 0.0
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_one_hot_product_has_the_gathered_bits(data):
-    # the Gibbs sweep's class term: a one-hot row times U' adds only exact
-    # zeros to U's column, for a batch of labels and for one label (the
-    # 1-D single-configuration form)
-    c = data.draw(st.integers(1, 12), label="classes")
-    h = data.draw(st.integers(1, 40), label="hidden")
-    U = data.draw(hnp.arrays(np.float64, (h, c), elements=WEIGHTS), label="U")
-    y = data.draw(hnp.arrays(np.int64, st.sampled_from([(), (1,), (10,), (64,)]),
-                             elements=st.integers(0, c - 1)), label="y")
+@given(c=st.integers(1, 12), h=st.integers(1, 120),
+       label_shape=st.sampled_from([(), (1,), (10,), (64,)]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_one_hot_product_has_the_gathered_bits(c, h, label_shape, seed):
+    # the Gibbs sweep's class term: a one-hot row times the class-weight
+    # block's transpose U' (sum H_l up to 120 rows) adds only exact zeros to
+    # U's column, for a batch of labels and for one label (the 1-D
+    # single-configuration form), and class_drive adds b_hidden to it
+    rng = make_rng(seed)
+    U = finite_weights(rng, (h, c))
+    y = rng.integers(0, c, size=label_shape)
     assert_same_bits(one_hot(y, c).dot(U.T), U.T.take(y, axis=0))
+    params = dhbm.HybridParams.from_dims(1, [h], c)
+    params.U[...] = U
+    params.b_hidden[...] = finite_weights(rng, h)
+    with np.errstate(over="ignore"):
+        assert_same_bits(dhbm.class_drive(params, one_hot(y, c)),
+                         U.T.take(y, axis=0) + params.b_hidden)
 
 
 @pytest.mark.parametrize("beta", [0.3, 0.0])
@@ -378,12 +399,18 @@ def test_add_product_adds_a_vector_product():
 # predict/update path went through np.dot, and each add-into as the whole
 # ``out += a @ b`` that add_product's bands keep (see the tests above): the
 # oracles of the np.dot forms, bit for bit
-def operator_cond_h(params, l, y, below, above=None):
-    lp = params.layers[l]
-    pre = below @ lp.W.T
-    if y is not None:
-        np.add(pre, y @ lp.U.T, out=pre)
-    np.add(pre, lp.b_hidden, out=pre)
+def operator_class_drive(params, y):
+    if y is None:
+        return params.b_hidden
+    drive = y @ params.U.T
+    np.add(drive, params.b_hidden, out=drive)
+    return drive
+
+
+def operator_cond_h(params, l, drive, below, above=None):
+    lo, hi = params.edges[l:l + 2]
+    pre = below @ params.layers[l].W.T
+    np.add(pre, drive[..., lo:hi], out=pre)
     if l + 1 < params.n_layers:
         np.add(pre, above @ params.layers[l + 1].W, out=pre)
     return sigmoid(pre, out=pre)
@@ -397,13 +424,9 @@ def operator_cond_x(params, h, l=0):
 
 
 def operator_cond_y(params, h_means, scale=1.0):
-    def scaled(h):
-        return h if scale == 1.0 else np.multiply(h, scale)
-
-    logits = scaled(h_means[0]) @ params.layers[0].U
+    h = np.concatenate(h_means, axis=-1) * scale
+    logits = h @ params.U
     np.add(logits, params.b_class, out=logits)
-    for lp, h in zip(params.layers[1:], h_means[1:]):
-        np.add(logits, scaled(h) @ lp.U, out=logits)
     return wrapper_softmax(logits)
 
 
@@ -441,23 +464,23 @@ def operator_mf_bp_gradients(x, y_probs, q_rec, state, params, w,
                              dropout_masks, out):
     wc = -w[:, None]
     xi_out = (state.class_probs - y_probs) * wc
-    terms = []
+    h_all = np.concatenate(state.hidden, axis=1)
+    hid_prime = sigmoid_prime_from_output(h_all)
+    xi_hid_out = (xi_out @ params.U.T) * hid_prime
+    totals = []
     for l, lp in enumerate(params.layers):
-        h = state.hidden[l]
+        lo, hi = params.edges[l:l + 2]
         v_target = x if l == 0 else q_rec[l - 1]
         xi_recon = (state.recons[l] - v_target) * wc
-        hid_prime = sigmoid_prime_from_output(h)
-        xi_hid = (xi_recon @ lp.W.T) * state.masks[l] * hid_prime
-        xi_hid_out = (xi_out @ lp.U.T) * hid_prime
-        xi_hid_total = (xi_hid + xi_hid_out) * dropout_masks[l]
-        terms.append((h, xi_recon, xi_hid_total))
-    for l, (h, xi_recon, xi_hid_total) in enumerate(terms):
+        xi_hid = (xi_recon @ lp.W.T) * state.masks[l] * hid_prime[:, lo:hi]
+        xi_hid_total = (xi_hid + xi_hid_out[:, lo:hi]) * dropout_masks[l]
+        totals.append(xi_hid_total)
         g = out.layers[l]
         v_in = state.input_hat if l == 0 else state.hidden_hat[l - 1]
         g.W += xi_hid_total.T @ v_in + state.hidden_hat[l].T @ xi_recon
-        g.U += h.T @ xi_out
-        g.b_hidden += np.add.reduce(xi_hid_total, axis=0)
         g.b_visible += np.add.reduce(xi_recon, axis=0)
+    out.U += h_all.T @ xi_out
+    out.b_hidden += np.add.reduce(np.concatenate(totals, axis=1), axis=0)
     out.b_class += np.add.reduce(xi_out, axis=0)
     return out
 
@@ -517,12 +540,15 @@ def test_step_products_match_the_operator_forms(arch, n):
 
     # the conditionals, with a distribution, one-hot labels (the Gibbs
     # sweep's) and no class term, and the scaled cond_y
+    for y in (y_probs, one_hot(labels, c), None):
+        drive = dhbm.class_drive(params, y)
+        assert_same_bits(drive, operator_class_drive(params, y))
+        for l in range(len(hidden)):
+            below = x if l == 0 else hs[l - 1]
+            above = hs[l + 1] if l + 1 < len(hidden) else None
+            assert_same_bits(dhbm.cond_h(params, l, drive, below, above),
+                             operator_cond_h(params, l, drive, below, above))
     for l in range(len(hidden)):
-        below = x if l == 0 else hs[l - 1]
-        above = hs[l + 1] if l + 1 < len(hidden) else None
-        for y in (y_probs, one_hot(labels, c), None):
-            assert_same_bits(dhbm.cond_h(params, l, y, below, above),
-                             operator_cond_h(params, l, y, below, above))
         assert_same_bits(dhbm.cond_x(params, hs[l], l),
                          operator_cond_x(params, hs[l], l))
     for scale in (1.0, 0.5, 0.3):

@@ -343,6 +343,41 @@ def test_step_is_lr_times_the_unit_weight_estimate(kind, monkeypatch):
     assert np.array_equal(tr.rec.data, rec_before + rec_seen["step"])
 
 
+@each_kind
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_alpha_scales_the_models_labeled_rows_alone(kind, alpha, monkeypatch):
+    # the model's row weights are alpha times the recognition net's on the
+    # labeled rows and the same on the unlabeled ones, bit for bit (the
+    # recognition net's come negated); the recognition net's do not move
+    # with alpha
+    seen = {}
+
+    def capture(module, name, w_at):
+        fn = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            seen[name] = np.array(args[w_at])
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    name, w_at = GRADIENT_CALLS[kind]
+    capture(estimators, name, w_at)
+    capture(recognition, "rec_gradients", 3)
+    rng = make_rng(90)
+    x, labels = mixed_batch(rng.random((4, 4)), rng.integers(0, 2, 4),
+                            rng.random((3, 4)))
+    lab = labels >= 0
+    tr = make_trainer(kind, seed=91, alpha=alpha, beta_f=0.3, n_particles=4)
+    tr.update(x, labels)
+    lr = tr.config.lr
+    w_rec = np.where(lab, lr / 4, lr * 0.3 / 3)
+    assert np.array_equal(seen["rec_gradients"].view(np.int64),
+                          (-w_rec).view(np.int64))
+    w_model = np.where(lab, alpha * w_rec, w_rec)
+    assert np.array_equal(seen[name].view(np.int64), w_model.view(np.int64))
+
+
 def trainer_state(tr):
     """Bytes of everything an update writes: parameters, particles, rng."""
     parts = [tr.model.data.tobytes(), tr.rec.data.tobytes(),
@@ -507,27 +542,29 @@ def test_keep_prob_one_has_no_masking_noise():
 # sha256 of (model.data, rec.data) after ten updates of a 24-12-12-10 model
 # with drop-out and batches of labeled and unlabeled rows, recorded when the
 # learning rate moved into the row weights and the contrastive phases into
-# one signed pass, and again when the sigmoid took its clamped five-pass
-# form; the same under one and two BLAS threads
+# one signed pass, again when the sigmoid took its clamped five-pass form,
+# and again when the layers' class weights became one block (a new layout
+# of model.data, the class terms summed in a new order); the same under one
+# and two BLAS threads
 PINNED_UPDATE_SHA256 = {
-    "dhbm-mf": ("026c8750f348581ab790b03544c3e8208a21fb03ae8e9d30d8377517b7504c71",
-              "7167d116b02029528e7466325ae7a40c0c89f7092e909a7e0209654cb97466e5"),
-    "dhbm-sap": ("d064f0fcf532ee62e1f897c819c64ac8bc10d7fd4ac4ace015c09530b438c680",
-            "3a7d877af454d1bd5b53654cb27672d2de5bdfcbcbc149982dcc938a299e0814"),
-    "dhda": ("532cc7c2e1338384ae56f6238befb0ccd976b61fb02f6b4dc12f70de8c1115c0",
-              "db4f135967c55e94062a906bae46c66a9644a2ae4fd71ad2a14f9d82e3932bb0"),
+    "dhbm-mf": ("d035638dab53ec8eaec61a0f7ba33ad8ac3489e33873ba80534ce0891ba47ede",
+              "7fc83a97e53547433f382c281619e07e55449b8e7533cb7ebbb03f50886e74fd"),
+    "dhbm-sap": ("c22e9ed7fc08262cb605dc4d610c81517a6b4c52573cf364b82e2d84680edcc4",
+            "b8ff3d6f95b3f502a50956109484cfb382fa99f695185190d3b9009ca6d63b6b"),
+    "dhda": ("849bdd2f54916c1ee5a56cbed4a3f641d8c90219110742c5d1ce1ab63adbadef",
+              "040e01123efe399583fecca43e7c4ff525910b256ce1b28e6d3953a68fb77262"),
 }
 
 
 # the same run without drop-out (keep_prob 1), where the unmasked statistics
 # reach the estimators uncopied
 PINNED_UPDATE_KEEP_ALL_SHA256 = {
-    "dhbm-mf": ("b0f907ad3fb9df4c8379650b7b912b8c346326815b80cdf13faabebc298d759d",
-              "7d74a06dc2c57d3d4fc1e8796b96c40096c83eefb1ffa42440504f17d81b88b0"),
-    "dhbm-sap": ("5a7acfd00c99a1e0e28ed84b2ae645dd7081bda9e61332ef3420f3fb56fb86af",
-            "c6194322b6849d4874e7fe26d575f4f14c6289e6c6560ad96bf2322b8a58577b"),
-    "dhda": ("dd4ead91c9df6252953fcb58686f0d87daf37eca9c6ea2d3a7c38e44a9598fc1",
-              "3aeba244207cea90c8b2780968db27dd738e90cbc74b206dbeb59185910ba15d"),
+    "dhbm-mf": ("7190efc8bae0501d3c4c1c98f6d553912b48b5342f74b73508d1501b77e6f2fc",
+              "1fa75457cb8013bd4da494bb1ea62329f3351fc3ac75a8348b014139410ca2d4"),
+    "dhbm-sap": ("6ed6977eb2d809d0d09ec293f7f481325d633353f48c90b9ab7fae0b9f6e6c05",
+            "22a957b65656e75fe8d96881c50cb5b93d27588ce109f59c865de488d8f092f7"),
+    "dhda": ("a8dcf750856f7de4366d8e9a2805da7bc676779ec29fb8d947cbbff59007ae95",
+              "f8d312c415495e8ddcec14baf045d99cea869006154e257d331295d480221fbe"),
 }
 
 
