@@ -6,7 +6,7 @@ pass per batch.
 
 import numpy as np
 
-from .numerics import (DenseParams, add_product, as_rows, dropout_masks,
+from .numerics import (ZERO, DenseParams, add_product, as_rows, dropout_masks,
                        one_hot, row_targets, softmax, weighted_rows)
 
 EPS = 1e-12
@@ -30,7 +30,7 @@ def mlp_forward(params, x, scales):
     for l, (W, b) in enumerate(zip(params.Ws[:-1], params.bs[:-1])):
         h = below.dot(W.T)
         np.add(h, b, out=h)
-        np.maximum(h, 0.0, out=h)
+        np.maximum(h, ZERO, out=h)
         if scales is not None:
             np.multiply(h, scales[l], out=h)
         hidden.append(h)
@@ -65,7 +65,7 @@ def mlp_gradients(params, x, y_onehot, w, keep_prob=1.0, rng=None, *, out):
     # (biases start at +0.0, and a sum is -0.0 only when both terms are)
     for l in range(len(hidden) - 1, -1, -1):
         back = deltas[-1].dot(params.Ws[l + 1])
-        np.putmask(back, hidden[l] <= 0, 0.0)
+        np.putmask(back, np.less_equal(hidden[l], ZERO), 0.0)
         deltas.append(back)
     for W, b, delta, below in zip(out.Ws[::-1], out.bs[::-1], deltas,
                                   inputs[::-1]):
@@ -97,6 +97,8 @@ def mlp_update(params, x, labels, lr, beta, keep_prob=1.0, rng=None,
 
 
 def mlp_predict(params, x, keep_prob=1.0):
-    """Class probabilities of `x`, each hidden layer times keep_prob."""
-    scales = None if keep_prob >= 1.0 else [keep_prob] * (len(params.Ws) - 1)
+    """Class probabilities of `x`, each hidden layer times keep_prob (a
+    number or a 0-d array)."""
+    scales = (None if float(keep_prob) >= 1.0
+              else [keep_prob] * (len(params.Ws) - 1))
     return mlp_forward(params, as_rows(x), scales)[1]

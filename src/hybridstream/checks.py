@@ -56,8 +56,9 @@ def oracle_check(n_models=50, seed=7):
 
 
 def _fd(loss_fn, flat):
-    """Central differences of loss_fn() in each entry of the vector `flat`."""
-    g = np.empty_like(flat)
+    """Central differences of loss_fn() in each entry of the vector `flat`:
+    a vector, or one row per entry when loss_fn() gives an array."""
+    g = []
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + FD_STEP
@@ -65,8 +66,8 @@ def _fd(loss_fn, flat):
         flat[i] = orig - FD_STEP
         down = loss_fn()
         flat[i] = orig
-        g[i] = (up - down) / (2.0 * FD_STEP)
-    return g
+        g.append((up - down) / (2.0 * FD_STEP))
+    return np.array(g)
 
 
 def gradcheck_recognition(seed=11):
@@ -162,6 +163,55 @@ def run_all_gradchecks(seed=0):
         "mf_bp_surrogate": gradcheck_mf_bp(seed + 13),
         "baseline_mlp": gradcheck_mlp(seed + 17),
     }
+
+
+def _cosine(a, b):
+    return float(a @ b) / float(np.linalg.norm(a) * np.linalg.norm(b))
+
+
+def estimator_alignment(n_models, seed):
+    """Cosines of the MF-CD estimate with the exact gradients of log p(x, y)
+    and of log p(y | x), over `n_models` random tiny models: {"joint": ...,
+    "conditional": ...}, one cosine per model in each.
+
+    Each model has 5 visible units, hidden layers of 3 and 2, 3 classes,
+    weights of std 0.7 and zero biases, and one random binary row x with a
+    random class y.  Its recognition statistics stand in as 10 mean-field
+    steps from 0.5, and the estimate is the trainer's with them: one more
+    mean-field step, the reconstruction of x from its first layer, and
+    mf_cd_gradients with weight 1 added into zero parameters.  The exact
+    gradients are central differences over `data` of the log-probabilities
+    that BruteForceJoint enumerates, both from one enumeration per
+    difference.  SAP is left out: its negative phase is a sample of a few
+    chains, so its cosine would measure the sample as much as the estimator.
+    """
+    rng = make_rng(seed)
+    d, hidden, c = 5, [3, 2], 3
+    bits = 1 << np.arange(d)
+    cosines = {"joint": [], "conditional": []}
+    for _ in range(n_models):
+        params = dhbm.HybridParams.initialize(d, hidden, c, rng, weight_std=0.7)
+        x = rng.integers(0, 2, (1, d)).astype(np.float64)
+        y = int(rng.integers(0, c))
+        ix = int(x[0].astype(np.int64) @ bits)
+        means = [np.full((1, h), 0.5) for h in hidden]
+        q = dhbm.MeanFieldState(means, dhbm.cond_y(params, means))
+        for _ in range(10):
+            q = dhbm.mean_field_step(params, x, q)
+        state = dhbm.mean_field_step(params, x, q)
+        estimate = estimators.mf_cd_gradients(
+            x, one_hot([y], c), q.layer_means,
+            dhbm.cond_x(params, state.layer_means[0]), state.layer_means,
+            state.class_probs, np.ones(1), out=params.zeros_like())
+
+        def log_probs():
+            p_x = dhbm.BruteForceJoint(params).marginal_xy()[ix]
+            return np.log([p_x[y], p_x[y] / p_x.sum()])
+
+        exact = _fd(log_probs, params.data)
+        for name, g in zip(cosines, exact.T):
+            cosines[name].append(_cosine(estimate.data, g))
+    return {name: np.array(v) for name, v in cosines.items()}
 
 
 def sap_chain_fidelity(seed=23, n_sweeps=100_000, n_particles=10):

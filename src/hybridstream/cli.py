@@ -10,8 +10,12 @@ import json
 import sys
 
 import click
+import numpy as np
 
 from . import checks, experiments
+
+# the tiny models gradcheck's estimator alignment runs over
+ALIGNMENT_MODELS = 30
 
 
 def _load_config(path):
@@ -121,7 +125,9 @@ def oracle_check(n_models, seed):
 @main.command("gradcheck")
 @click.option("--seed", type=int, default=0)
 def gradcheck(seed):
-    """Finite-difference checks for every back-propagated gradient."""
+    """Finite-difference checks for every back-propagated gradient, and the
+    MF-CD estimate's alignment with the exact gradients of tiny models: its
+    cosine with the gradient of log p(x, y) must be positive on every one."""
     results = checks.run_all_gradchecks(seed=seed)
     failed = False
     for name, worst in results.items():
@@ -129,6 +135,15 @@ def gradcheck(seed):
         if status == "FAIL":
             failed = True
         click.echo(f"{name}: max relative error {worst:.3e} [{status}]")
+    cosines = checks.estimator_alignment(ALIGNMENT_MODELS, seed)
+    joint, conditional = cosines["joint"], cosines["conditional"]
+    status = "ok" if joint.min() > 0.0 else "FAIL"
+    failed = failed or status == "FAIL"
+    click.echo(f"mf_cd alignment over {len(joint)} models: cosine with "
+               f"grad log p(x, y) median {np.median(joint):.3f} min "
+               f"{joint.min():.3f}, with grad log p(y | x) median "
+               f"{np.median(conditional):.3f} min {conditional.min():.3f} "
+               f"[{status}]")
     if failed:
         sys.exit(1)
 

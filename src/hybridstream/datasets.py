@@ -6,8 +6,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import constant
+
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
+# unit_scale's divisor
+_PIXEL_MAX = constant(255.0)
 
 
 class IdxError(ValueError):
@@ -33,7 +37,7 @@ def unit_scale(pixels):
     Elementwise, so the rows of a batch get the bits that the whole array's
     ``astype(np.float64) / 255.0`` gives them.
     """
-    return pixels / 255.0
+    return np.divide(pixels, _PIXEL_MAX)
 
 
 def _read_exact(f, n, path, last=False):

@@ -183,14 +183,15 @@ def cond_x(params, h, l=0):
     return sigmoid(pre, out=pre)
 
 
-def cond_y(params, h_means, scale=1.0):
+def cond_y(params, h_means, scale=None):
     """Class distribution from all layers jointly: softmax(sum_l U_l' h_l + b),
-    with each h_l times `scale`: the layers' means joined along their units
-    into one copy, scaled in place, times the block U in one product."""
+    with each h_l times `scale` (a number or a 0-d array) when it is given:
+    the layers' means joined along their units into one copy, scaled in
+    place, times the block U in one product."""
     if len(h_means) != params.n_layers:
         raise ValueError(f"expected {params.n_layers} layer means, got {len(h_means)}")
     h = np.concatenate(h_means, axis=-1)
-    if scale != 1.0:
+    if scale is not None:
         np.multiply(h, scale, out=h)
     logits = h.dot(params.U)
     np.add(logits, params.b_class, out=logits)

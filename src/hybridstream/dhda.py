@@ -39,10 +39,11 @@ def dhda_forward(params, x, hidden, rng, corruption_p, num_steps):
     cycles from the start state `hidden`.
 
     `hidden` holds one activation matrix per layer, such as the recognition
-    statistics; it is only read.  Each cycle corrupts the input and the
-    hidden states afresh, re-encodes every layer bottom-up (the top-down
-    term uses the previous cycle's corrupted state), then decodes each
-    layer's input with tied weights.
+    statistics; it is only read.  `corruption_p` is a number or a 0-d
+    array.  Each cycle corrupts the input and the hidden states afresh,
+    re-encodes every layer bottom-up (the top-down term uses the previous
+    cycle's corrupted state), then decodes each layer's input with tied
+    weights.
     """
     if num_steps < 1:
         raise ValueError("num_steps must be >= 1")
@@ -51,9 +52,9 @@ def dhda_forward(params, x, hidden, rng, corruption_p, num_steps):
     # from one draw; an entry is kept where its uniform is >= corruption_p
     shapes = ([x.shape] + [(x.shape[0], lp.W.shape[0])
                            for lp in params.layers]) * num_steps
-    keep = bernoulli_mask(rng, 1, sum(r * c for r, c in shapes), corruption_p,
-                          complement=True)
-    draws = iter(split_views(keep[0], shapes))
+    sizes = [rows * cols for rows, cols in shapes]
+    keep = bernoulli_mask(rng, 1, sum(sizes), corruption_p, complement=True)
+    draws = iter(split_views(keep[0], shapes, sizes))
     drive = dhbm.class_drive(params, None)
     hidden_hat = hidden
     for _ in range(num_steps):

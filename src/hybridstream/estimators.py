@@ -20,8 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .numerics import (add_product, bernoulli_mask, one_hot,
+from .numerics import (add_product, bernoulli_mask, constant, one_hot,
                        sigmoid_prime_from_output)
+
+# a fresh particle's units are on with probability one half
+_HALF = constant(0.5)
 
 
 def _contrast(v_pos, hs_pos, y_pos, v_neg, hs_neg, y_neg, w_pos, w_neg, out):
@@ -130,8 +133,9 @@ class FantasyParticles:
     def initialize(cls, params, n_particles, rng):
         if n_particles < 1:
             raise ValueError("need at least one fantasy particle")
-        x = bernoulli_mask(rng, n_particles, params.n_visible, 0.5)
-        hs = [bernoulli_mask(rng, n_particles, h, 0.5) for h in params.hidden_dims]
+        x = bernoulli_mask(rng, n_particles, params.n_visible, _HALF)
+        hs = [bernoulli_mask(rng, n_particles, h, _HALF)
+              for h in params.hidden_dims]
         y = one_hot(rng.integers(0, params.n_classes, size=n_particles),
                     params.n_classes)
         return cls(x, hs, y)

@@ -16,7 +16,7 @@ from . import baseline, streams
 from .dhbm import HybridParams
 from .datasets import load_idx, mnist_paths, split_semi_supervised, unit_scale
 from .evaluation import CurveWriter, PrequentialState, summarize_trials, test_error
-from .numerics import check_type, make_rng
+from .numerics import check_type, constant, make_rng
 from .trainer import KINDS, Trainer, TrainerConfig
 
 STREAM_MODEL_KINDS = (*KINDS, "mlp-pl")
@@ -134,6 +134,8 @@ class MlpPseudoLabelModel:
         self.params = baseline.init_mlp(n_visible, hidden_dims, n_classes, rng)
         self.config = config
         self.rng = rng
+        # the masks' compare operand and predict's scale
+        self.keep_prob = constant(config.keep_prob)
         # (x, mlp_predict(params, x)) of the last predict, until the next update
         self._predicted = None
 
@@ -146,11 +148,11 @@ class MlpPseudoLabelModel:
         probs = predicted[1] if predicted is not None and predicted[0] is x else None
         cfg = self.config
         baseline.mlp_update(self.params, x, labels, cfg.lr, cfg.beta_f,
-                            cfg.keep_prob, self.rng, probs)
+                            self.keep_prob, self.rng, probs)
 
     def predict(self, x):
         """Eval-mode class probabilities, kept for the next update() of `x`."""
-        probs = baseline.mlp_predict(self.params, x, self.config.keep_prob)
+        probs = baseline.mlp_predict(self.params, x, self.keep_prob)
         self._predicted = (x, probs)
         return probs
 
@@ -175,6 +177,7 @@ def run_stream_trial(config, trial, out_dir):
     alpha_err = config.get("preq_alpha", 0.995)
     iterations = config["iterations"]
     curve_every = config.get("curve_every", 1000)
+    label_fraction = constant(stream_cfg.label_fraction)
     models = {}
     preq = {}
     for i, kind in enumerate(config.get("models", STREAM_MODEL_KINDS)):
@@ -189,8 +192,7 @@ def run_stream_trial(config, trial, out_dir):
         while seen < iterations:
             n = min(stream_cfg.batch_size, iterations - seen)
             batch = stream.next_batch(n)
-            masked = streams.mask_labels(batch, stream_cfg.label_fraction,
-                                          stream_rng)
+            masked = streams.mask_labels(batch, label_fraction, stream_rng)
             for kind, model in models.items():
                 pred = model.predict(batch.features).argmax(axis=1)
                 preq[kind].update_many(pred != batch.labels)

@@ -23,6 +23,28 @@ prequential sum as it is, and a keep-mask is drawn as ``u >= p`` in one pass
 keeps its thin wrapper (0.3 us): numpy has no public entry to the C count
 behind it.
 
+The scalar rule: no Python number reaches a ufunc.  Under numpy 2's
+promotion rules (NEP 50) a Python float or int operand becomes a new 0-d
+array on every call; a read-only 0-d float64 array built once
+(:func:`constant`: ZERO, ONE, TWO and the sigmoid's clamp here, and each
+config value where its owner is built) promotes to the same float64, so
+the bits are the same, and skips that work.  On a 20x24 float64 array
+``np.add(a, 1.0, out=a)`` took 0.60 against 0.41 us,
+``np.minimum(a, 709.0, out=a)`` 0.69 against 0.50 us and
+``np.divide(1.0, a, out=a)`` 0.84 against 0.67 us (numpy 2.4.6, one BLAS
+thread, best of 9x100k); operator forms such as ``1.0 - s`` pay the same.
+
+The one-draw rule: draws with no other draw between them are one call.
+PCG64's ``random(a + b)`` gives the uniforms of ``random(a)`` followed by
+``random(b)``, so one draw cut into views (:func:`split_views`) has the
+bits of a draw per view: dropout_masks cuts every mask of a set, and MF-CD
+both of its sets, from one draw, and each Gibbs sweep draws all of its
+blocks at once (kernels).  A mask, and a sampled state, is its bool compare
+assigned into the float64 array it lands in (``u[...] = u < p``), with no
+``astype`` copy: at 1920 entries that took 1.64 us, ``np.less(u, p, out=u)``
+2.12 us, as the ufunc casts its bool result through a buffer, and
+``(u < p).astype(np.float64)`` 2.62 us (numpy 2.4.6, a shared host).
+
 For float64 operands of one or two dimensions ``a.dot(b)``, ``np.dot(a, b)``
 and ``a @ b`` reach the same BLAS routine (gemm, or gemv where one side is a
 vector) with the same operands, so the bits are the same, but the method
@@ -80,15 +102,35 @@ def flat_views(shapes):
     return data, split_views(data, shapes)
 
 
-def split_views(flat, shapes):
-    """Consecutive views of the vector `flat`, one of each shape in turn."""
+def split_views(flat, shapes, sizes=None):
+    """Consecutive views of the vector `flat`, one of each shape in turn;
+    `sizes`, when given, holds each shape's element count."""
+    if sizes is None:
+        sizes = [math.prod(shape) for shape in shapes]
     views = []
     offset = 0
-    for shape in shapes:
-        size = math.prod(shape)
+    for shape, size in zip(shapes, sizes):
         views.append(flat[offset:offset + size].reshape(shape))
         offset += size
     return views
+
+
+def constant(value, dtype=np.float64):
+    """`value` as a read-only 0-d array: the operand form of a fixed number
+    or of a config value on the predict/update path (the scalar rule in the
+    module docstring).  Built once, where its owner is built."""
+    c = np.array(value, dtype=dtype)
+    c.flags.writeable = False
+    return c
+
+
+ZERO = constant(0.0)
+ONE = constant(1.0)
+TWO = constant(2.0)
+# sigmoid's clamp of -v: exp(709) is finite
+_EXP_CLAMP = constant(709.0)
+# weighted_rows' labeled-row test, an int64 operand for the int64 labels
+_INT_ZERO = constant(0, np.int64)
 
 
 class ViewRecord:
@@ -210,15 +252,18 @@ def sigmoid(v, out=None):
     sign-masked form: the same bits for v >= 0, at most 3 ulp apart below.
     """
     e = np.negative(v, out=out)
-    np.minimum(e, 709.0, out=e)
+    np.minimum(e, _EXP_CLAMP, out=e)
     np.exp(e, out=e)
-    np.add(e, 1.0, out=e)
-    return np.divide(1.0, e, out=e)
+    np.add(e, ONE, out=e)
+    return np.divide(ONE, e, out=e)
 
 
 def sigmoid_prime_from_output(s):
-    """Derivative of the sigmoid expressed through its output: s * (1 - s)."""
-    return s * (1.0 - s)
+    """Derivative of the sigmoid expressed through its output: s * (1 - s),
+    taken as (1 - s) * s in place of the difference (a product of two
+    numbers rounds the same in either order)."""
+    d = np.subtract(ONE, s)
+    return np.multiply(d, s, out=d)
 
 
 def softmax(v):
@@ -229,25 +274,29 @@ def softmax(v):
 
 
 def bernoulli_mask(rng, rows, cols, p, complement=False):
-    """Matrix of i.i.d. {0,1} entries, 1 where a uniform draw is below p or,
-    with `complement`, at or above it: the bits of one minus the mask of the
-    same draw, in one pass."""
-    if not 0.0 <= p <= 1.0:
+    """Float64 matrix of i.i.d. {0,1} entries, 1 where a uniform draw is below
+    p or, with `complement`, at or above it: the bits of one minus the mask
+    of the same draw, in one pass.  The compare is assigned into the draw
+    itself, with no float64 temporary.  `p` is a number or a 0-d array (see
+    :func:`constant`)."""
+    if not 0.0 <= float(p) <= 1.0:
         raise ValueError(f"mask probability must lie in [0, 1], got {p}")
     u = rng.random((rows, cols))
-    return (u >= p if complement else u < p).astype(np.float64)
+    u[...] = u >= p if complement else u < p
+    return u
 
 
 def dropout_masks(rng, shapes, keep_prob):
-    """A keep-mask of each shape, cut from one draw: the same bits as one
+    """A keep-mask of each 2-D shape, cut from one draw: the same bits as one
     bernoulli_mask per shape.  None when keep_prob >= 1; drop-out without a
-    generator raises ValueError."""
-    if keep_prob >= 1.0:
+    generator raises ValueError.  `keep_prob` is a number or a 0-d array."""
+    if float(keep_prob) >= 1.0:
         return None
     if rng is None:
         raise ValueError("drop-out needs an rng")
-    flat = bernoulli_mask(rng, 1, sum(math.prod(s) for s in shapes), keep_prob)
-    return split_views(flat[0], shapes)
+    sizes = [rows * cols for rows, cols in shapes]
+    flat = bernoulli_mask(rng, 1, sum(sizes), keep_prob)
+    return split_views(flat[0], shapes, sizes)
 
 
 def as_rows(x):
@@ -270,7 +319,7 @@ def weighted_rows(x, labels, lr, beta):
     if labels.shape != (len(x),):
         raise ValueError(f"labels of shape {labels.shape} for a batch of "
                          f"{len(x)} rows: one label per row is needed")
-    lab = labels >= 0
+    lab = np.greater_equal(labels, _INT_ZERO)
     if beta == 0.0 and not lab.all():
         x, labels, lab = x[lab], labels[lab], lab[lab]
     n_lab = int(np.count_nonzero(lab))

@@ -7,7 +7,7 @@ inference and is trained by cross-entropy toward the mean-field statistics
 
 import numpy as np
 
-from .numerics import (DenseParams, add_product, cross_entropy, sigmoid,
+from .numerics import (TWO, DenseParams, add_product, cross_entropy, sigmoid,
                        sigmoid_prime_from_output)
 
 
@@ -31,7 +31,7 @@ def recognize(rec, x):
         # 2 * (below W') + b, evaluated in that order in one array
         pre = below.dot(W.T)
         if l < top:
-            np.multiply(pre, 2.0, out=pre)
+            np.multiply(pre, TWO, out=pre)
         np.add(pre, b, out=pre)
         below = sigmoid(pre, out=pre)
         out.append(below)
@@ -72,10 +72,10 @@ def rec_gradients(rec, x, mu_list, w, v_list, *, out):
     for l in range(L - 2, -1, -1):
         back = deltas[l + 1].dot(rec.Ws[l + 1])
         if l + 1 < L - 1:
-            np.multiply(back, 2.0, out=back)
+            np.multiply(back, TWO, out=back)
         deltas[l] = (v_list[l] - mu_list[l]) \
             + back * sigmoid_prime_from_output(v_list[l])
-    w2 = (w * 2.0)[:, None]
+    w2 = np.multiply(w, TWO)[:, None]
     dws = [d * w2 for d in deltas[:-1]] + [deltas[-1] * w[:, None]]
     for W, b, dw, delta, below in zip(out.Ws, out.bs, dws, deltas, inputs):
         add_product(W, dw.T, below)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import check_fields
+from .numerics import ONE, ZERO, check_fields, constant
 
 # Seven-segment encodings per digit, segment order (a, b, c, d, e, f, g):
 # a = top, b = top-right, c = bottom-right, d = bottom, e = bottom-left,
@@ -47,6 +47,8 @@ WAVEFORM_PAIRS = [(0, 1), (0, 2), (1, 2)]
 _PAIR_BASES = WAVEFORM_BASES[np.array(WAVEFORM_PAIRS)]
 # Fixed affine normalization: [-3, 9] -> [0, 1], clamped.
 WAVEFORM_LO, WAVEFORM_HI = -3.0, 9.0
+_WAVEFORM_LO = constant(WAVEFORM_LO)
+_WAVEFORM_SPAN = constant(WAVEFORM_HI - WAVEFORM_LO)
 
 
 @dataclass
@@ -145,13 +147,19 @@ class LedStream(_DriftingStream):
     n_features = LED_FEATURES
     n_classes = LED_CLASSES
 
+    def __init__(self, config, rng):
+        super().__init__(config, rng)
+        self.noise_fraction = constant(config.noise_fraction)
+
     def _raw_chunk(self, n):
         digits = self.rng.integers(0, LED_CLASSES, size=n)
         feats = np.empty((n, LED_FEATURES))
         feats[:, :7] = LED_SEGMENTS[digits]
         feats[:, 7:] = self.rng.integers(0, 2, size=(n, LED_FEATURES - 7))
         if self.config.noise_fraction > 0:
-            flip = self.rng.random((n, LED_FEATURES)) < self.config.noise_fraction
+            # 1.0 where an attribute flips, written into its uniform
+            flip = self.rng.random((n, LED_FEATURES))
+            flip[...] = flip < self.noise_fraction
             np.abs(np.subtract(feats, flip, out=feats), out=feats)
         return feats, digits
 
@@ -170,10 +178,10 @@ def led_bayes_error(noise_fraction):
 def waveform_normalize(raw):
     """`raw` mapped affinely from [WAVEFORM_LO, WAVEFORM_HI] to [0, 1] and
     clamped there, in one new array."""
-    scaled = np.subtract(raw, WAVEFORM_LO)
-    np.divide(scaled, WAVEFORM_HI - WAVEFORM_LO, out=scaled)
-    np.maximum(scaled, 0.0, out=scaled)
-    return np.minimum(scaled, 1.0, out=scaled)
+    scaled = np.subtract(raw, _WAVEFORM_LO)
+    np.divide(scaled, _WAVEFORM_SPAN, out=scaled)
+    np.maximum(scaled, ZERO, out=scaled)
+    return np.minimum(scaled, ONE, out=scaled)
 
 
 class WaveformStream(_DriftingStream):
@@ -189,7 +197,7 @@ class WaveformStream(_DriftingStream):
         u = self.rng.random((n, 1))
         bases = _PAIR_BASES[classes]
         signal = u * bases[:, 0]
-        signal += (1.0 - u) * bases[:, 1]
+        signal += np.subtract(ONE, u) * bases[:, 1]
         signal += self.rng.standard_normal((n, WAVEFORM_SIGNAL))
         noise = self.rng.standard_normal((n, WAVEFORM_FEATURES - WAVEFORM_SIGNAL))
         feats = waveform_normalize(np.concatenate([signal, noise], axis=1))
@@ -205,8 +213,9 @@ def make_stream(config, rng):
 
 
 def mask_labels(batch, label_fraction, rng):
-    """Independently keep each row's label with probability label_fraction."""
-    if not 0.0 <= label_fraction <= 1.0:
+    """Independently keep each row's label with probability label_fraction,
+    a number or a 0-d array."""
+    if not 0.0 <= float(label_fraction) <= 1.0:
         raise ValueError("label_fraction must lie in [0, 1]")
-    keep = rng.random(len(batch)) < label_fraction
+    keep = np.less(rng.random(len(batch)), label_fraction)
     return StreamBatch(batch.features, np.where(keep, batch.labels, -1))

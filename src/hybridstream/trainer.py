@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dhbm, dhda, estimators, recognition
-from .numerics import (as_rows, check_fields, dropout_masks, one_hot,
-                       row_targets, weighted_rows)
+from .numerics import (as_rows, check_fields, constant, dropout_masks,
+                       one_hot, row_targets, weighted_rows)
 
 # the hybrid model kinds, each the model with the one procedure it trains
 # by: the DHBM with MF-CD or with SAP, and the DHDA with MF-BP
@@ -29,8 +29,9 @@ def beta_schedule(t, t1, t2, beta_f):
 
 
 def _masked(stats, masks):
-    """The statistics times their drop-out masks; `stats` itself when
-    unmasked, because nothing downstream writes them."""
+    """The statistics times their drop-out masks, the first len(stats) of
+    `masks`; `stats` itself when unmasked, because nothing downstream writes
+    them."""
     if masks is None:
         return stats
     return [s * m for s, m in zip(stats, masks)]
@@ -79,6 +80,9 @@ class Trainer:
         self.model = model
         self.config = config
         self.rng = rng
+        # the config values a step hands to a ufunc, as 0-d operands
+        self.keep_prob = constant(config.keep_prob)
+        self.corruption_p = constant(config.corruption_p)
         self.rec = recognition.init_from_model(model)
         self.particles = None
         if kind == "dhbm-sap":
@@ -129,17 +133,21 @@ class Trainer:
 
         if v is None or x is not whole:     # the kept pass covers every row
             v = recognition.recognize(self.rec, x)
-        v_stats = _masked(v, dropout_masks(rng, [s.shape for s in v], cfg.keep_prob))
+        # MF-CD also masks its mean-field statistics, of the same shapes: both
+        # sets are cut from one draw, as nothing draws between them
+        shapes = [s.shape for s in v]
+        masks = dropout_masks(rng, shapes * 2 if self.kind == "dhbm-mf" else shapes,
+                              self.keep_prob)
+        v_stats = _masked(v, masks)
         class_probs = dhbm.cond_y(self.model, v_stats)
         targets = one_hot(row_targets(labels, lab, class_probs), self.model.n_classes)
         if self.kind == "dhda":
             state = dhda.dhda_forward(self.model, x, v_stats, rng,
-                                      cfg.corruption_p, cfg.num_steps)
+                                      self.corruption_p, cfg.num_steps)
             mu_clean = state.hidden
             estimators.mf_bp_gradients(
                 x, targets, v_stats, state, self.model, w,
-                dropout_masks(rng, [m.shape for m in mu_clean], cfg.keep_prob),
-                out=self.model)
+                dropout_masks(rng, shapes, self.keep_prob), out=self.model)
         else:
             # mean_field_step builds new arrays and never writes its inputs.
             # SAP reads the layer means only, so its last step holds y where
@@ -151,11 +159,10 @@ class Trainer:
                     self.model, x, state, state.class_probs if hold else None)
             mu_clean = state.layer_means
             if self.kind == "dhbm-mf":
-                masks = dropout_masks(rng, [m.shape for m in mu_clean], cfg.keep_prob)
                 estimators.mf_cd_gradients(
                     x, targets, v_stats, dhbm.cond_x(self.model, mu_clean[0]),
-                    _masked(mu_clean, masks), state.class_probs, w,
-                    out=self.model)
+                    _masked(mu_clean, masks and masks[len(v):]),
+                    state.class_probs, w, out=self.model)
             else:
                 estimators.sap_gradients(
                     x, targets, v_stats, self.particles, self.model, rng, w,
@@ -181,4 +188,4 @@ class Trainer:
         self._recognized = None     # freed before the new pass, not after
         v = recognition.recognize(self.rec, as_rows(x))
         self._recognized = (x, v)
-        return dhbm.cond_y(self.model, v, scale=self.config.keep_prob)
+        return dhbm.cond_y(self.model, v, scale=self.keep_prob)

@@ -44,6 +44,22 @@ def test_criterion_2_gradient_checks():
     _report(2, "finite-difference gradients", ok, f"{detail}, {elapsed:.1f}s")
 
 
+def test_mf_cd_ascends_the_exact_joint_likelihood():
+    # an estimate with a positive cosine with the exact gradient of
+    # log p(x, y) is an ascent direction of it: on every tiny model, MF-CD
+    # must be one.  Its cosines with the gradient of log p(y | x) are
+    # reported, not bounded
+    t0 = time.time()
+    cosines = checks.estimator_alignment(30, 0)
+    elapsed = time.time() - t0
+    joint, conditional = cosines["joint"], cosines["conditional"]
+    ok = len(joint) == 30 and joint.min() > 0.0 and elapsed < 10
+    _report("2b", "MF-CD alignment with exact gradients", ok,
+            f"log p(x, y): median {np.median(joint):.3f} min {joint.min():.3f}; "
+            f"log p(y | x): median {np.median(conditional):.3f} "
+            f"min {conditional.min():.3f}; {elapsed:.2f}s")
+
+
 def test_criterion_3_sap_chain_fidelity():
     t0 = time.time()
     tv = checks.sap_chain_fidelity(seed=23, n_sweeps=100_000, n_particles=10)

@@ -1,8 +1,11 @@
 import json
+import re
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from hybridstream import checks
 from hybridstream.cli import main
 
 
@@ -23,7 +26,22 @@ def test_gradcheck_passes():
     result = CliRunner().invoke(main, ["gradcheck"])
     assert result.exit_code == 0
     assert "ok" in result.output
+    assert "mf_cd alignment over 30 models" in result.output
     assert "FAIL" not in result.output
+
+
+def test_gradcheck_fails_on_an_estimate_that_descends(monkeypatch):
+    # one model whose MF-CD estimate points away from the exact gradient of
+    # log p(x, y) fails the command, and the alignment line says so
+    def alignment(n_models, seed):
+        joint = np.full(n_models, 0.9)
+        joint[3] = -0.1
+        return {"joint": joint, "conditional": np.full(n_models, 0.5)}
+    monkeypatch.setattr(checks, "estimator_alignment", alignment)
+    result = CliRunner().invoke(main, ["gradcheck"])
+    assert result.exit_code == 1
+    assert re.search(r"^mf_cd alignment over 30 models: .* min -0\.100, .*"
+                     r"\[FAIL\]$", result.output, re.M), result.output
 
 
 def test_stream_run_small(tmp_path):

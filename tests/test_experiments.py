@@ -595,29 +595,93 @@ def refuse_python_level_wrappers(monkeypatch):
         monkeypatch.setattr(np, name, refuse(name))
 
 
-@pytest.mark.parametrize("stream, arch", [("led", "24-8-8-10"),
-                                          ("waveform", "40-8-8-3")])
-def test_stream_trial_calls_no_python_level_numpy_wrapper(stream, arch,
-                                                          tmp_path, monkeypatch):
-    # every kind, with drift rotating the attributes and through a whole cycle
+# the ufuncs the per-batch path calls by name; none of them may get a Python
+# number as an operand, which numpy turns into a new 0-d array on every call
+# (numerics' scalar rule)
+PATH_UFUNCS = ("add", "subtract", "multiply", "divide", "minimum", "maximum",
+               "less", "less_equal", "greater_equal", "negative", "exp")
+
+
+class ScalarRefusingUfunc:
+    """A ufunc that raises when a Python int, float or bool is an operand,
+    with its reduce and accumulate forwarded."""
+
+    def __init__(self, name, ufunc):
+        self.name, self.ufunc = name, ufunc
+        self.reduce, self.accumulate = ufunc.reduce, ufunc.accumulate
+
+    def __call__(self, *args, **kwargs):
+        for a in args:
+            if isinstance(a, (int, float)):
+                raise AssertionError(f"np.{self.name} got the Python "
+                                     f"{type(a).__name__} {a!r}")
+        return self.ufunc(*args, **kwargs)
+
+
+def refuse_python_scalars(monkeypatch):
+    for name in PATH_UFUNCS:
+        monkeypatch.setattr(np, name, ScalarRefusingUfunc(name, getattr(np, name)))
+
+
+def test_scalar_refusing_ufunc_refuses_and_forwards(monkeypatch):
+    refuse_python_scalars(monkeypatch)
+    a = np.arange(3.0)
+    with pytest.raises(AssertionError, match="np.add got the Python float 1.0"):
+        np.add(a, 1.0)
+    with pytest.raises(AssertionError, match="np.less_equal got the Python int"):
+        np.less_equal(a, 0)
+    assert np.array_equal(np.add(a, numerics.ONE), a + 1.0)
+    assert np.add.reduce(a) == 3.0
+    assert np.array_equal(np.add.accumulate(a), [0.0, 1.0, 3.0])
+
+
+def run_every_kind_on(stream, arch, tmp_path):
+    # every kind, with drift rotating the attributes and through a whole
+    # cycle, the models built inside the trial
     config = small_config(
         stream={"kind": stream, "label_fraction": 0.5, "drift_attr_count": 2,
                 "drift_interval": 50, "batch_size": 20},
         architecture=arch, iterations=220,
         models=list(experiments.STREAM_MODEL_KINDS))
-    refuse_python_level_wrappers(monkeypatch)
     experiments.run_stream_trial(config, 0, str(tmp_path))
 
 
-@pytest.mark.parametrize("kind", experiments.MODEL_KINDS)
-def test_offline_updates_call_no_python_level_numpy_wrapper(kind, monkeypatch):
+def update_offline(kind, refuse, monkeypatch):
     rng = make_rng(3)
     pixels = rng.integers(0, 256, size=(30, 36)).astype(np.uint8)
     labels = np.where(rng.random(30) < 0.5, rng.integers(0, 4, size=30), -1)
     model = experiments.build_model(kind, 36, [8, 8], 4, TrainerConfig(),
                                     make_rng(4))
-    refuse_python_level_wrappers(monkeypatch)
+    refuse(monkeypatch)
     for start in range(0, 30, 10):
         model.update(unit_scale(pixels[start:start + 10]),
                      labels[start:start + 10])
     evaluation.test_error(model.predict, pixels, np.abs(labels))
+
+
+STREAM_ARCHITECTURES = pytest.mark.parametrize(
+    "stream, arch", [("led", "24-8-8-10"), ("waveform", "40-8-8-3")])
+
+
+@STREAM_ARCHITECTURES
+def test_stream_trial_calls_no_python_level_numpy_wrapper(stream, arch,
+                                                          tmp_path, monkeypatch):
+    refuse_python_level_wrappers(monkeypatch)
+    run_every_kind_on(stream, arch, tmp_path)
+
+
+@STREAM_ARCHITECTURES
+def test_stream_trial_hands_no_python_scalar_to_a_ufunc(stream, arch, tmp_path,
+                                                        monkeypatch):
+    refuse_python_scalars(monkeypatch)
+    run_every_kind_on(stream, arch, tmp_path)
+
+
+@pytest.mark.parametrize("kind", experiments.MODEL_KINDS)
+def test_offline_updates_call_no_python_level_numpy_wrapper(kind, monkeypatch):
+    update_offline(kind, refuse_python_level_wrappers, monkeypatch)
+
+
+@pytest.mark.parametrize("kind", experiments.MODEL_KINDS)
+def test_offline_updates_hand_no_python_scalar_to_a_ufunc(kind, monkeypatch):
+    update_offline(kind, refuse_python_scalars, monkeypatch)

@@ -1,13 +1,14 @@
 import copy
 import hashlib
 import itertools
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hybridstream import (dhbm, dhda, estimators, kernels, numerics,
-                          recognition, trainer)
+from hybridstream import (dhbm, dhda, estimators, experiments, kernels,
+                          numerics, recognition, trainer)
 from hybridstream.numerics import (bernoulli_mask, dropout_masks, make_rng,
                                   one_hot, row_targets)
 from hybridstream.trainer import Trainer, TrainerConfig, beta_schedule
@@ -200,14 +201,59 @@ DROPOUT_SHAPES = ([(5, 3), (5, 4), (5, 2)], [(1, 7)], [(4, 1), (4, 6)])
 
 def test_dropout_masks_match_per_layer_draws():
     # one draw cut into masks: the same uniforms, in the same order, as one
-    # draw per shape, and the generator ends in the same state
-    for shapes, keep_prob in itertools.product(DROPOUT_SHAPES, (0.6, 0.05)):
-        rng, want_rng = make_rng(41), make_rng(41)
-        masks = dropout_masks(rng, shapes, keep_prob)
-        for m, shape in zip(masks, shapes, strict=True):
-            want = bernoulli_mask(want_rng, *shape, keep_prob)
-            assert m.shape == want.shape and np.array_equal(m, want)
-        assert rng.random() == want_rng.random()
+    # draw per shape, and the generator ends in the same state.  The masks
+    # are float64 views of the one draw, the compare written into it; a keep_prob
+    # given as a 0-d operand gives the same masks; and two sets of the shapes
+    # in one call, as MF-CD draws them, are the masks of two calls
+    for shapes, p in itertools.product(DROPOUT_SHAPES, (0.6, 0.05)):
+        for keep_prob, sets in itertools.product((p, numerics.constant(p)),
+                                                 (1, 2)):
+            rng, want_rng = make_rng(41), make_rng(41)
+            masks = dropout_masks(rng, shapes * sets, keep_prob)
+            assert len({id(m.base) for m in masks}) == 1
+            assert masks[0].base.size == sum(math.prod(s) for s in shapes) * sets
+            for m, shape in zip(masks, shapes * sets, strict=True):
+                want = bernoulli_mask(want_rng, *shape, p)
+                assert m.dtype == np.float64 and m.shape == want.shape
+                assert np.array_equal(m, want)
+            assert rng.random() == want_rng.random()
+
+
+class CountingGenerator:
+    """A generator that counts its random() calls and hands every call on."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.random_calls = 0
+
+    def random(self, *args, **kwargs):
+        self.random_calls += 1
+        return self.rng.random(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+# random() calls per update: MF-CD cuts both mask sets from one draw, SAP
+# draws one mask set and one block per sweep, the DHDA a mask set, its
+# corruption masks and the delta masks, and the MLP its drop-out masks
+DRAWS_PER_UPDATE = {"dhbm-mf": 1, "dhbm-sap": 2, "dhda": 3, "mlp-pl": 1}
+
+
+@pytest.mark.parametrize("kind", list(DRAWS_PER_UPDATE))
+def test_each_update_draws_its_uniforms_at_once(kind):
+    rng = CountingGenerator(make_rng(5))
+    model = experiments.build_model(kind, 4, [3, 3], 2,
+                                    TrainerConfig(keep_prob=0.5, num_steps=3),
+                                    rng)
+    data = make_rng(6)
+    x, y = mixed_batch(data.random((4, 4)), np.array([0, 1, 1, 0]),
+                       data.random((3, 4)))
+    for _ in range(3):
+        rng.random_calls = 0
+        model.predict(x)
+        model.update(x, y)
+        assert rng.random_calls == DRAWS_PER_UPDATE[kind]
 
 
 def count_calls(monkeypatch, targets):
