@@ -21,18 +21,32 @@ def init_mlp(n_visible, hidden_dims, n_classes, rng, weight_std=0.01):
     return params
 
 
-def mlp_forward(params, x, scales):
+def mlp_first_layer(params, x):
+    """Layer 0's rectified activations of `x`, unscaled: max(x W_0' + b_0, 0).
+    A prediction and the next update of the same batch at the same
+    parameters both start from them (mlp_forward's `first`)."""
+    h = as_rows(x).dot(params.Ws[0].T)
+    np.add(h, params.bs[0], out=h)
+    return np.maximum(h, ZERO, out=h)
+
+
+def mlp_forward(params, x, scales, first=None):
     """(hidden activations, class probs) of rectifier layers over the 2-D
     float64 row batch `x`, hidden layer l times scales[l] (drop-out masks in
-    training, keep_prob in prediction, None for neither), and a softmax."""
+    training, keep_prob in prediction, None for neither), and a softmax.
+    `first`, when given, is mlp_first_layer(params, x); it is only read, so
+    its scaled copy is a new array."""
     hidden = []
     below = x
     for l, (W, b) in enumerate(zip(params.Ws[:-1], params.bs[:-1])):
-        h = below.dot(W.T)
-        np.add(h, b, out=h)
-        np.maximum(h, ZERO, out=h)
-        if scales is not None:
-            np.multiply(h, scales[l], out=h)
+        if l == 0 and first is not None:
+            h = first if scales is None else np.multiply(first, scales[0])
+        else:
+            h = below.dot(W.T)
+            np.add(h, b, out=h)
+            np.maximum(h, ZERO, out=h)
+            if scales is not None:
+                np.multiply(h, scales[l], out=h)
         hidden.append(h)
         below = h
     logits = below.dot(params.Ws[-1].T)
@@ -44,15 +58,17 @@ def log_loss(probs, y_onehot):
     return float(-np.sum(y_onehot * np.log(np.clip(probs, EPS, 1.0)))) / n
 
 
-def mlp_gradients(params, x, y_onehot, w, keep_prob=1.0, rng=None, *, out):
+def mlp_gradients(params, x, y_onehot, w, keep_prob=1.0, rng=None,
+                  first=None, *, out):
     """Descent gradients of the row-weighted softmax log-loss
     sum_i w_i * loss_i over the 2-D float64 row batch `x`, through one pass
     under dropout_masks, added into `out`.  Weights of 1/n give the batch
     average; weights of -lr with `params` itself as `out` take a descent
-    step, as every layer's delta is computed before any weight moves."""
+    step, as every layer's delta is computed before any weight moves.
+    `first` is mlp_first_layer(params, x) when the caller has it."""
     masks = dropout_masks(rng, [(len(x), len(b)) for b in params.bs[:-1]],
                           keep_prob)
-    hidden, probs = mlp_forward(params, x, masks)
+    hidden, probs = mlp_forward(params, x, masks, first)
     inputs = [x] + hidden
     # the forward pass's probabilities are not needed again: delta takes them
     delta = np.subtract(probs, y_onehot, out=probs)
@@ -75,7 +91,7 @@ def mlp_gradients(params, x, y_onehot, w, keep_prob=1.0, rng=None, *, out):
 
 
 def mlp_update(params, x, labels, lr, beta, keep_prob=1.0, rng=None,
-               probs=None):
+               probs=None, first=None):
     """One descent step on log-loss(labeled) + beta * log-loss(unlabeled,
     pseudo-labels), each the mean over its rows, in one weighted pass.
 
@@ -84,21 +100,26 @@ def mlp_update(params, x, labels, lr, beta, keep_prob=1.0, rng=None,
     weights, which carry lr, and their row_targets of `probs`:
     mlp_predict(params, x, keep_prob) at the current parameters, or a fresh
     prediction when None (an unlabeled row is kept only when every row is).
-    One forward and one backward pass add the step into `params` through
-    the negated weights.  A step that keeps no row changes nothing.
+    `first`, mlp_first_layer(params, x) at the current parameters when
+    given, starts the forward pass when every row is kept.  One forward and
+    one backward pass add the step into `params` through the negated
+    weights.  A step that keeps no row changes nothing.
     """
-    x, labels, lab, w = weighted_rows(as_rows(x), np.asarray(labels), lr, beta)
+    whole = as_rows(x)
+    x, labels, lab, w = weighted_rows(whole, np.asarray(labels), lr, beta)
     if len(x) == 0:
         return params
     if probs is None and not lab.all():
         probs = mlp_predict(params, x, keep_prob)
     targets = one_hot(row_targets(labels, lab, probs), len(params.bs[-1]))
-    return mlp_gradients(params, x, targets, -w, keep_prob, rng, out=params)
+    return mlp_gradients(params, x, targets, -w, keep_prob, rng,
+                         first if x is whole else None, out=params)
 
 
-def mlp_predict(params, x, keep_prob=1.0):
+def mlp_predict(params, x, keep_prob=1.0, first=None):
     """Class probabilities of `x`, each hidden layer times keep_prob (a
-    number or a 0-d array)."""
+    number or a 0-d array); `first` is mlp_first_layer(params, x) when the
+    caller has it."""
     scales = (None if float(keep_prob) >= 1.0
               else [keep_prob] * (len(params.Ws) - 1))
-    return mlp_forward(params, as_rows(x), scales)[1]
+    return mlp_forward(params, as_rows(x), scales, first)[1]

@@ -7,8 +7,8 @@ parameter vector `data` of its network against the returned gradient's.
 import numpy as np
 
 from . import baseline, dhbm, estimators, recognition
-from .dhda import dhda_forward
-from .numerics import cross_entropy, make_rng, one_hot, sigmoid
+from .dhda import dhda_forward, keep_shapes
+from .numerics import cross_entropy, cut_masks, make_rng, one_hot, sigmoid
 
 FD_STEP = 1e-5
 CONFIGS_PER_MODEL = 3   # random (y, x, h^1, h^2) per model in oracle_check
@@ -118,7 +118,9 @@ def gradcheck_mf_bp(seed=13):
     x = rng.random((batch, d))
     y = one_hot(rng.integers(0, c, batch), c)
     q_rec = recognition.recognize(rec, x)
-    state = dhda_forward(params, x, q_rec, rng, corruption_p=0.0, num_steps=1)
+    # one cycle with no corruption: every keep-mask all ones
+    keep, = cut_masks(rng, [(keep_shapes(params, batch, 1), 0.0, True)])
+    state = dhda_forward(params, x, q_rec, keep)
     frozen = []
     for l in range(params.n_layers):
         v_in = state.input_hat if l == 0 else state.hidden_hat[l - 1]

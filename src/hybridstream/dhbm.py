@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ViewRecord, flat_views, one_hot, sigmoid, softmax
+from .numerics import (ViewRecord, flat_views, one_hot, sigmoid,
+                       sigmoid_from_negated, softmax)
 
 
 @dataclass
@@ -135,43 +136,51 @@ def energy(params, y, x, hs):
 
 
 def class_drive(params, y):
-    """Every hidden layer's class term and bias, y U' + b_hidden, in one
-    product and one add: a (rows, sum H_l) array, or b_hidden itself when
-    `y` is None, the DHDA encoder's term.  Layer l's columns
-    edges[l]:edges[l+1] are what its cond_h adds.
+    """Every hidden layer's class term and bias, negated, -(y U' + b_hidden):
+    a (rows, sum H_l) array, or -b_hidden when `y` is None, the DHDA
+    encoder's term.  Layer l's columns edges[l]:edges[l+1] are what its
+    cond_h subtracts.  The product is subtracted from the negated bias,
+    fl(-b - yU') = -fl(yU' + b) as rounding to nearest is symmetric in
+    sign, so the one negation is of the bias vector and not of a batch.
 
     `y` is the class distribution, a float row of probabilities per row (a
     sampled label's one-hot row, whose product with U' has the bits of U's
     column).  Integer labels raise TypeError: their product with U' would
     be another number.
     """
+    neg_bias = np.negative(params.b_hidden)
     if y is None:
-        return params.b_hidden
+        return neg_bias
     if y.dtype.kind != "f":
         raise TypeError(f"class_drive takes class probability rows, got "
                         f"{y.dtype} labels: pass their one-hot rows")
     drive = y.dot(params.U.T)
-    np.add(drive, params.b_hidden, out=drive)
-    return drive
+    return np.subtract(neg_bias, drive, out=drive)
 
 
-def cond_h(params, l, drive, below, above=None):
+def cond_h(params, l, drive, below, above=None, below_product=None):
     """Mean of hidden layer l given its neighbours and the class.
 
-    sigma(W_l v_{l-1} + (U_l y + b) + W_{l+1}' h_{l+1}), summed in that order,
-    with `drive` the class_drive of y (its columns of layer l are the middle
-    term); accepts mean vectors in place of binary states, and batches
-    (rows) in place of single vectors.
+    sigma(W_l v_{l-1} + (U_l y + b) + W_{l+1}' h_{l+1}), summed in that order
+    and negated, with `drive` the class_drive of y (its columns of layer l
+    are the middle term, negated): -fl(fl(a + d) + c) as fl(fl(-d - a) - c),
+    the input of sigmoid_from_negated's four passes.  `below_product`, when
+    given, is below's product W_l v_{l-1} formed by the caller, and `below`
+    is not read.  Accepts mean vectors in place of binary states, and
+    batches (rows) in place of single vectors.
     """
     lo, hi = params.edges[l:l + 2]
     top = l + 1 == len(params.layers)
     if above is None and not top:
         raise ValueError(f"layer {l} requires the state of layer {l + 1}")
-    pre = below.dot(params.layers[l].W.T)
-    np.add(pre, drive[..., lo:hi], out=pre)
+    if below_product is None:
+        pre = below.dot(params.layers[l].W.T)
+        np.subtract(drive[..., lo:hi], pre, out=pre)
+    else:
+        pre = np.subtract(drive[..., lo:hi], below_product)
     if not top:
-        np.add(pre, above.dot(params.layers[l + 1].W), out=pre)
-    return sigmoid(pre, out=pre)
+        np.subtract(pre, above.dot(params.layers[l + 1].W), out=pre)
+    return sigmoid_from_negated(pre, out=pre)
 
 
 def cond_x(params, h, l=0):
@@ -198,7 +207,7 @@ def cond_y(params, h_means, scale=None):
     return softmax(logits)
 
 
-def mean_field_step(params, x, state, clamped_y=None):
+def mean_field_step(params, x, state, clamped_y=None, x_product=None):
     """One full fixed-point cycle: h^1, ..., h^L, then y.
 
     x stays clamped to the data, so no step reads a reconstruction of it;
@@ -206,6 +215,9 @@ def mean_field_step(params, x, state, clamped_y=None):
     (a batch x C matrix of class probabilities, such as one-hot labels) is
     given the class distribution is held fixed at it and no cond_y is taken.
     Every layer's class term is read from one class_drive of the step's y.
+    `x_product`, when given, is x times W_1' (x.dot(W_1.T)), formed once by
+    a caller that takes several steps at the same x and parameters: the
+    bits of the product each step would form.
     """
     means = list(state.layer_means)
     y_probs = clamped_y if clamped_y is not None else state.class_probs
@@ -214,7 +226,8 @@ def mean_field_step(params, x, state, clamped_y=None):
     for l in range(L):
         below = x if l == 0 else means[l - 1]
         above = means[l + 1] if l + 1 < L else None
-        means[l] = cond_h(params, l, drive, below, above)
+        means[l] = cond_h(params, l, drive, below, above,
+                          x_product if l == 0 else None)
     if clamped_y is None:
         y_probs = cond_y(params, means)
     return MeanFieldState(means, y_probs)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dhbm
-from .numerics import bernoulli_mask, split_views
 
 
 @dataclass
@@ -34,30 +33,35 @@ class DhdaState:
     class_probs: np.ndarray
 
 
-def dhda_forward(params, x, hidden, rng, corruption_p, num_steps):
-    """Forward pass over the 2-D float64 row batch `x` with `num_steps`
-    cycles from the start state `hidden`.
+def keep_shapes(params, n, num_steps):
+    """The shapes of dhda_forward's keep-masks over n rows and `num_steps`
+    cycles, cycle by cycle: the input's (n, D), then each layer's (n, H_l)."""
+    return ([(n, params.n_visible)]
+            + [(n, h) for h in params.hidden_dims]) * num_steps
+
+
+def dhda_forward(params, x, hidden, keep):
+    """Forward pass over the 2-D float64 row batch `x` from the start state
+    `hidden`, one cycle per L + 1 keep-masks of `keep`.
 
     `hidden` holds one activation matrix per layer, such as the recognition
-    statistics; it is only read.  `corruption_p` is a number or a 0-d
-    array.  Each cycle corrupts the input and the hidden states afresh,
-    re-encodes every layer bottom-up (the top-down term uses the previous
-    cycle's corrupted state), then decodes each layer's input with tied
-    weights.
+    statistics; it is only read.  `keep` holds every cycle's keep-masks in
+    the order of keep_shapes, 1 where an entry survives the corruption; the
+    caller draws them (with the corruption probability as the complement of
+    a mask, see numerics.cut_masks), so that they can share one draw with
+    the step's other masks.  Each cycle corrupts the input and the hidden
+    states afresh, re-encodes every layer bottom-up (the top-down term uses
+    the previous cycle's corrupted state), then decodes each layer's input
+    with tied weights.
     """
-    if num_steps < 1:
-        raise ValueError("num_steps must be >= 1")
     L = params.n_layers
-    # every cycle's keep-masks, input first and then layer by layer, cut
-    # from one draw; an entry is kept where its uniform is >= corruption_p
-    shapes = ([x.shape] + [(x.shape[0], lp.W.shape[0])
-                           for lp in params.layers]) * num_steps
-    sizes = [rows * cols for rows, cols in shapes]
-    keep = bernoulli_mask(rng, 1, sum(sizes), corruption_p, complement=True)
-    draws = iter(split_views(keep[0], shapes, sizes))
+    if not keep or len(keep) % (L + 1):
+        raise ValueError(f"{len(keep)} keep-masks are not one or more "
+                         f"cycles of {L + 1}")
+    draws = iter(keep)
     drive = dhbm.class_drive(params, None)
     hidden_hat = hidden
-    for _ in range(num_steps):
+    for _ in range(len(keep) // (L + 1)):
         x_hat = x * next(draws)
         prev_hat = hidden_hat
         hidden = []

@@ -76,10 +76,14 @@ def mf_bp_gradients(x, y_probs, q_rec, state, params, w, dropout_masks=None,
     Adds the ascent direction, the descent gradient negated through the
     row weights.  Every layer's deltas are computed before any weight moves,
     and each weight gradient is added as W + (A + B), its two products
-    summed first.  The class-weight block takes one product per use: the
-    output delta times U' for every layer's deltas, the U gradient over
-    every layer's statistics joined along units, and the b_hidden gradient
-    as one sum over every layer's deltas.
+    summed first.  The hidden deltas are one (rows, sum H_l) array: each
+    layer's back-propagated reconstruction error times its corruption mask
+    is joined along units, and the sigmoid slope, the output delta's share
+    and the drop-out masks each take one pass over the joined array, so no
+    pass reads a strided column block.  The class-weight block takes one
+    product per use: the output delta times U' for every layer's deltas,
+    the U gradient over every layer's statistics joined along units, and
+    the b_hidden gradient as one sum over the joined deltas.
     """
     wc = -w[:, None]
     edges = params.edges
@@ -88,31 +92,41 @@ def mf_bp_gradients(x, y_probs, q_rec, state, params, w, dropout_masks=None,
     xi_out = (state.class_probs - y_probs) * wc
     h_all = np.concatenate(state.hidden, axis=1)
     hid_prime = sigmoid_prime_from_output(h_all)
-    xi_hid_out = xi_out.dot(params.U.T) * hid_prime
-    terms = []
+    xi_recons = []
+    backs = []
     for l, lp in enumerate(params.layers):
-        lo, hi = edges[l], edges[l + 1]
         v_target = x if l == 0 else q_rec[l - 1]
         # cross-entropy through the output sigmoid collapses to (z - target)
         xi_recon = (state.recons[l] - v_target) * wc
-        xi_hid = xi_recon.dot(lp.W.T) * state.masks[l] * hid_prime[:, lo:hi]
-        xi_hid_total = xi_hid + xi_hid_out[:, lo:hi]
-        if dropout_masks is not None:
-            xi_hid_total = xi_hid_total * dropout_masks[l]
-        terms.append((xi_recon, xi_hid_total))
-    for l, (xi_recon, xi_hid_total) in enumerate(terms):
+        back = xi_recon.dot(lp.W.T)
+        backs.append(np.multiply(back, state.masks[l], out=back))
+        xi_recons.append(xi_recon)
+    # each layer's xi_recon W' * mask * hid_prime + xi_out U' * hid_prime,
+    # times its drop-out mask: the per-layer bits, in joined passes
+    xi_hid = np.concatenate(backs, axis=1)
+    np.multiply(xi_hid, hid_prime, out=xi_hid)
+    xi_hid_out = xi_out.dot(params.U.T)
+    np.multiply(xi_hid_out, hid_prime, out=xi_hid_out)
+    np.add(xi_hid, xi_hid_out, out=xi_hid)
+    if dropout_masks is not None:
+        np.multiply(xi_hid, np.concatenate(dropout_masks, axis=1), out=xi_hid)
+    for l, xi_recon in enumerate(xi_recons):
         g = out.layers[l]
         v_in = state.input_hat if l == 0 else state.hidden_hat[l - 1]
+        xi_l = xi_hid[:, edges[l]:edges[l + 1]]
+        if 1 in g.W.shape:
+            # a product with a vector side goes to gemv or dot, not gemm,
+            # and their rounding was seen to move with a strided operand:
+            # such a layer's block is taken contiguous, as its delta was
+            xi_l = xi_l.copy()
         # two weight-sized products: np.dot, which like .dot clears its
         # result first, took this function 1300 against 1230 us at
         # 784-256-256-10 on 10 rows, and saved 3 of 105 us at
         # 24-24-24-24-24-10 on 20
-        np.add(g.W, xi_hid_total.T @ v_in + state.hidden_hat[l].T @ xi_recon,
-               out=g.W)
+        np.add(g.W, xi_l.T @ v_in + state.hidden_hat[l].T @ xi_recon, out=g.W)
         np.add(g.b_visible, np.add.reduce(xi_recon, axis=0), out=g.b_visible)
     add_product(out.U, h_all.T, xi_out)
-    xi_hid_all = np.concatenate([t for _, t in terms], axis=1)
-    np.add(out.b_hidden, np.add.reduce(xi_hid_all, axis=0), out=out.b_hidden)
+    np.add(out.b_hidden, np.add.reduce(xi_hid, axis=0), out=out.b_hidden)
     np.add(out.b_class, np.add.reduce(xi_out, axis=0), out=out.b_class)
     return out
 

@@ -136,24 +136,31 @@ class MlpPseudoLabelModel:
         self.rng = rng
         # the masks' compare operand and predict's scale
         self.keep_prob = constant(config.keep_prob)
-        # (x, mlp_predict(params, x)) of the last predict, until the next update
+        # (x, mlp_predict(params, x), mlp_first_layer(params, x)) of the
+        # last predict, until the next update
         self._predicted = None
 
     def update(self, x, labels):
         """One step on a batch; a negative label marks an unlabeled row.  The
-        class probabilities of the last predict() give the pseudo-labels when
-        `x` is the array object it was given (and not written since); they
-        are dropped either way."""
+        class probabilities and the unscaled first layer of the last
+        predict() give the pseudo-labels and start the forward pass when `x`
+        is the array object it was given (and not written since); they are
+        dropped either way."""
         predicted, self._predicted = self._predicted, None
-        probs = predicted[1] if predicted is not None and predicted[0] is x else None
+        probs = first = None
+        if predicted is not None and predicted[0] is x:
+            probs, first = predicted[1:]
         cfg = self.config
         baseline.mlp_update(self.params, x, labels, cfg.lr, cfg.beta_f,
-                            self.keep_prob, self.rng, probs)
+                            self.keep_prob, self.rng, probs, first)
 
     def predict(self, x):
-        """Eval-mode class probabilities, kept for the next update() of `x`."""
-        probs = baseline.mlp_predict(self.params, x, self.keep_prob)
-        self._predicted = (x, probs)
+        """Eval-mode class probabilities, kept with the unscaled first layer
+        for the next update() of `x`."""
+        self._predicted = None      # freed before the new pass, not after
+        first = baseline.mlp_first_layer(self.params, x)
+        probs = baseline.mlp_predict(self.params, x, self.keep_prob, first)
+        self._predicted = (x, probs, first)
         return probs
 
 

@@ -38,12 +38,14 @@ The one-draw rule: draws with no other draw between them are one call.
 PCG64's ``random(a + b)`` gives the uniforms of ``random(a)`` followed by
 ``random(b)``, so one draw cut into views (:func:`split_views`) has the
 bits of a draw per view: dropout_masks cuts every mask of a set, and MF-CD
-both of its sets, from one draw, and each Gibbs sweep draws all of its
-blocks at once (kernels).  A mask, and a sampled state, is its bool compare
-assigned into the float64 array it lands in (``u[...] = u < p``), with no
-``astype`` copy: at 1920 entries that took 1.64 us, ``np.less(u, p, out=u)``
-2.12 us, as the ufunc casts its bool result through a buffer, and
-``(u < p).astype(np.float64)`` 2.62 us (numpy 2.4.6, a shared host).
+both of its sets, from one draw, cut_masks cuts sets of their own
+probabilities (the DHDA's drop-out, corruption and delta masks) from one,
+and each Gibbs sweep draws all of its blocks at once (kernels).  A mask,
+and a sampled state, is its bool compare assigned into the float64 array it
+lands in (``u[...] = u < p``), with no ``astype`` copy: at 1920 entries
+that took 1.64 us, ``np.less(u, p, out=u)`` 2.12 us, as the ufunc casts its
+bool result through a buffer, and ``(u < p).astype(np.float64)`` 2.62 us
+(numpy 2.4.6, a shared host).
 
 For float64 operands of one or two dimensions ``a.dot(b)``, ``np.dot(a, b)``
 and ``a @ b`` reach the same BLAS routine (gemm, or gemv where one side is a
@@ -63,10 +65,17 @@ whose result is a large weight block keeps ``@``: add_product's banded loop
 and estimators.mf_bp_gradients' weight products, each with its
 measurement.
 
-Every conditional of both hybrids ends in :func:`sigmoid`: 1 / (1 +
-exp(min(-v, 709))) in five in-place passes, floored at about 1.2e-308 for
-v <= -709, with a worst error of 2.25 ulp (long-double reference, 1M points
-in [-700, 700]).
+Every conditional of both hybrids ends in the sigmoid 1 / (1 +
+exp(min(-v, 709))), floored at about 1.2e-308 for v <= -709, with a worst
+error of 2.25 ulp (long-double reference, 1M points in [-700, 700]).
+:func:`sigmoid_from_negated` takes -v and makes four in-place passes;
+:func:`sigmoid` takes v and negates it first, five.  The hidden
+conditionals and the recognition layers form -v themselves, in the adds
+they make anyway (dhbm.class_drive, dhbm.cond_h, recognition.recognize):
+rounding to nearest is symmetric in sign, so fl(-a - b) = -fl(a + b) and
+fl(-2 p) = -fl(2 p), and the negated sum has the bits of the negated pass.
+Where the sum is an exact zero it is +0 where the negation gave -0, and
+exp(+0) = exp(-0) = 1: the same outputs.
 """
 
 import dataclasses
@@ -127,6 +136,8 @@ def constant(value, dtype=np.float64):
 ZERO = constant(0.0)
 ONE = constant(1.0)
 TWO = constant(2.0)
+NEG_ONE = constant(-1.0)
+NEG_TWO = constant(-2.0)
 # sigmoid's clamp of -v: exp(709) is finite
 _EXP_CLAMP = constant(709.0)
 # weighted_rows' labeled-row test, an int64 operand for the int64 labels
@@ -243,16 +254,24 @@ def check_fields(record, **least):
 
 def sigmoid(v, out=None):
     """Logistic sigmoid of a float64 array of one or more dimensions:
-    1 / (1 + exp(min(-v, 709))) in five in-place passes over `out`
-    (negative, minimum, exp, add, divide) and no temporary; `out` may be v.
-    The clamp keeps exp() finite: every v <= -709, -inf included, gives
-    1 / (1 + e**709), about 1.2e-308 (exp(v) / (1 + exp(v)) falls to 0 below
-    about -745).  The worst error against a long-double reference over 1M
-    uniform points in [-700, 700] read 2.25 ulp, against 2.11 for the
-    sign-masked form: the same bits for v >= 0, at most 3 ulp apart below.
+    1 / (1 + exp(min(-v, 709))) in five in-place passes over `out`, the
+    negation and then sigmoid_from_negated's four, and no temporary; `out`
+    may be v.  The clamp keeps exp() finite: every v <= -709, -inf included,
+    gives 1 / (1 + e**709), about 1.2e-308 (exp(v) / (1 + exp(v)) falls to 0
+    below about -745).  The worst error against a long-double reference
+    over 1M uniform points in [-700, 700] read 2.25 ulp, against 2.11 for
+    the sign-masked form: the same bits for v >= 0, at most 3 ulp apart
+    below.
     """
     e = np.negative(v, out=out)
-    np.minimum(e, _EXP_CLAMP, out=e)
+    return sigmoid_from_negated(e, out=e)
+
+
+def sigmoid_from_negated(u, out=None):
+    """sigmoid(-u) from the negated pre-activation u = -v: 1 / (1 +
+    exp(min(u, 709))) in four in-place passes over `out` (minimum, exp,
+    add, divide), the bits of sigmoid(v); `out` may be u."""
+    e = np.minimum(u, _EXP_CLAMP, out=out)
     np.exp(e, out=e)
     np.add(e, ONE, out=e)
     return np.divide(ONE, e, out=e)
@@ -273,23 +292,47 @@ def softmax(v):
     return np.divide(e, np.add.reduce(e, axis=-1, keepdims=True), out=e)
 
 
-def bernoulli_mask(rng, rows, cols, p, complement=False):
+def bernoulli_mask(rng, rows, cols, p):
     """Float64 matrix of i.i.d. {0,1} entries, 1 where a uniform draw is below
-    p or, with `complement`, at or above it: the bits of one minus the mask
-    of the same draw, in one pass.  The compare is assigned into the draw
-    itself, with no float64 temporary.  `p` is a number or a 0-d array (see
-    :func:`constant`)."""
+    p.  The compare is assigned into the draw itself, with no float64
+    temporary.  `p` is a number or a 0-d array (see :func:`constant`)."""
+    _check_probability(p)
+    u = rng.random((rows, cols))
+    u[...] = u < p
+    return u
+
+
+def _check_probability(p):
     if not 0.0 <= float(p) <= 1.0:
         raise ValueError(f"mask probability must lie in [0, 1], got {p}")
-    u = rng.random((rows, cols))
-    u[...] = u >= p if complement else u < p
-    return u
+
+
+def cut_masks(rng, groups):
+    """Every mask of `groups`, a list of (shapes, p, complement), cut in turn
+    from one draw: for each group a list of float64 masks of its 2-D shapes,
+    1 where a uniform is below p or, with `complement`, at or above it (the
+    bits of one minus the mask of the same draw, in one pass).  Each group
+    has the bits of a draw of its own, taken in order, and no float64
+    temporary is made."""
+    sizes = [[rows * cols for rows, cols in shapes] for shapes, _, _ in groups]
+    u = rng.random(sum(map(sum, sizes)))
+    cut = []
+    lo = 0
+    for (shapes, p, complement), group_sizes in zip(groups, sizes):
+        _check_probability(p)
+        part = u[lo:lo + sum(group_sizes)]
+        part[...] = part >= p if complement else part < p
+        cut.append(split_views(part, shapes, group_sizes))
+        lo += len(part)
+    return cut
 
 
 def dropout_masks(rng, shapes, keep_prob):
     """A keep-mask of each 2-D shape, cut from one draw: the same bits as one
     bernoulli_mask per shape.  None when keep_prob >= 1; drop-out without a
-    generator raises ValueError.  `keep_prob` is a number or a 0-d array."""
+    generator raises ValueError.  `keep_prob` is a number or a 0-d array.
+    It is cut_masks of one group, without the group bookkeeping: that took
+    13.2 against 11.5 us for four 20x24 masks (numpy 2.4.6)."""
     if float(keep_prob) >= 1.0:
         return None
     if rng is None:

@@ -7,7 +7,8 @@ inference and is trained by cross-entropy toward the mean-field statistics
 
 import numpy as np
 
-from .numerics import (TWO, DenseParams, add_product, cross_entropy, sigmoid,
+from .numerics import (NEG_ONE, NEG_TWO, TWO, DenseParams, add_product,
+                       cross_entropy, sigmoid_from_negated,
                        sigmoid_prime_from_output)
 
 
@@ -28,12 +29,13 @@ def recognize(rec, x):
     below = x
     top = len(rec.Ws) - 1
     for l, (W, b) in enumerate(zip(rec.Ws, rec.bs)):
-        # 2 * (below W') + b, evaluated in that order in one array
+        # -(2 * (below W') + b), evaluated in that order in one array: the
+        # factor -2 (or -1 at the top) is exact, and fl(-2p - b) =
+        # -fl(2p + b), the negated input of the sigmoid's four passes
         pre = below.dot(W.T)
-        if l < top:
-            np.multiply(pre, TWO, out=pre)
-        np.add(pre, b, out=pre)
-        below = sigmoid(pre, out=pre)
+        np.multiply(pre, NEG_TWO if l < top else NEG_ONE, out=pre)
+        np.subtract(pre, b, out=pre)
+        below = sigmoid_from_negated(pre, out=pre)
         out.append(below)
     return out
 

@@ -8,6 +8,7 @@ the underlying concept stays recoverable.  A full cycle restores the
 original order.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,16 +153,30 @@ class LedStream(_DriftingStream):
         self.noise_fraction = constant(config.noise_fraction)
 
     def _raw_chunk(self, n):
-        digits = self.rng.integers(0, LED_CLASSES, size=n)
+        # the digits and the irrelevant bits in one call: bounded integers
+        # of an array of bounds have the values of one call per bound
+        draws = self.rng.integers(0, _led_bounds(n))
+        digits = draws[:n]
         feats = np.empty((n, LED_FEATURES))
         feats[:, :7] = LED_SEGMENTS[digits]
-        feats[:, 7:] = self.rng.integers(0, 2, size=(n, LED_FEATURES - 7))
+        feats[:, 7:] = draws[n:].reshape(n, LED_FEATURES - 7)
         if self.config.noise_fraction > 0:
             # 1.0 where an attribute flips, written into its uniform
             flip = self.rng.random((n, LED_FEATURES))
             flip[...] = flip < self.noise_fraction
             np.abs(np.subtract(feats, flip, out=feats), out=feats)
         return feats, digits
+
+
+@functools.cache
+def _led_bounds(n):
+    """The exclusive upper bounds of an LED chunk of n rows' draws: n digits
+    of LED_CLASSES, then n * 17 irrelevant bits of 2, read-only."""
+    bounds = np.empty(n * (LED_FEATURES - 6), dtype=np.int64)
+    bounds.fill(2)
+    bounds[:n] = LED_CLASSES
+    bounds.flags.writeable = False
+    return bounds
 
 
 def led_bayes_error(noise_fraction):

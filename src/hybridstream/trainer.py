@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dhbm, dhda, estimators, recognition
-from .numerics import (as_rows, check_fields, constant, dropout_masks,
-                       one_hot, row_targets, weighted_rows)
+from .numerics import (as_rows, check_fields, constant, cut_masks,
+                       dropout_masks, one_hot, row_targets, weighted_rows)
 
 # the hybrid model kinds, each the model with the one procedure it trains
 # by: the DHBM with MF-CD or with SAP, and the DHDA with MF-BP
@@ -81,6 +81,7 @@ class Trainer:
         self.config = config
         self.rng = rng
         # the config values a step hands to a ufunc, as 0-d operands
+        self.alpha = constant(config.alpha)
         self.keep_prob = constant(config.keep_prob)
         self.corruption_p = constant(config.corruption_p)
         self.rec = recognition.init_from_model(model)
@@ -129,34 +130,43 @@ class Trainer:
             return {"updated": False, "beta": None}
         # at alpha 1 the model's weights are the recognition net's: the bits
         # np.where(lab, 1.0 * w_rec, w_rec) would build
-        w = w_rec if cfg.alpha == 1.0 else np.where(lab, cfg.alpha * w_rec, w_rec)
+        w = (w_rec if cfg.alpha == 1.0
+             else np.where(lab, np.multiply(self.alpha, w_rec), w_rec))
 
         if v is None or x is not whole:     # the kept pass covers every row
             v = recognition.recognize(self.rec, x)
-        # MF-CD also masks its mean-field statistics, of the same shapes: both
-        # sets are cut from one draw, as nothing draws between them
+        # MF-CD also masks its mean-field statistics, of the same shapes, and
+        # the DHDA draws its corruption masks and its delta masks: every set
+        # is cut from one draw, as nothing draws between them
         shapes = [s.shape for s in v]
-        masks = dropout_masks(rng, shapes * 2 if self.kind == "dhbm-mf" else shapes,
-                              self.keep_prob)
+        if self.kind == "dhda":
+            masks, keep, delta_masks = self._dhda_masks(shapes, len(x))
+        else:
+            masks = dropout_masks(
+                rng, shapes * 2 if self.kind == "dhbm-mf" else shapes,
+                self.keep_prob)
         v_stats = _masked(v, masks)
         class_probs = dhbm.cond_y(self.model, v_stats)
         targets = one_hot(row_targets(labels, lab, class_probs), self.model.n_classes)
         if self.kind == "dhda":
-            state = dhda.dhda_forward(self.model, x, v_stats, rng,
-                                      self.corruption_p, cfg.num_steps)
+            state = dhda.dhda_forward(self.model, x, v_stats, keep)
             mu_clean = state.hidden
             estimators.mf_bp_gradients(
-                x, targets, v_stats, state, self.model, w,
-                dropout_masks(rng, shapes, self.keep_prob), out=self.model)
+                x, targets, v_stats, state, self.model, w, delta_masks,
+                out=self.model)
         else:
             # mean_field_step builds new arrays and never writes its inputs.
             # SAP reads the layer means only, so its last step holds y where
-            # it is: the same means, without a posterior that nothing reads
+            # it is: the same means, without a posterior that nothing reads.
+            # x and the parameters hold still over the steps, so x W_1' is
+            # formed once for all of them
             state = dhbm.MeanFieldState(v_stats, class_probs)
+            x_product = x.dot(self.model.layers[0].W.T)
             for step in range(cfg.num_steps):
                 hold = self.kind == "dhbm-sap" and step == cfg.num_steps - 1
                 state = dhbm.mean_field_step(
-                    self.model, x, state, state.class_probs if hold else None)
+                    self.model, x, state, state.class_probs if hold else None,
+                    x_product)
             mu_clean = state.layer_means
             if self.kind == "dhbm-mf":
                 estimators.mf_cd_gradients(
@@ -177,6 +187,18 @@ class Trainer:
         self.labeled_seen += int(np.count_nonzero(lab))
         self.updates += 1
         return {"updated": True, "beta": beta}
+
+    def _dhda_masks(self, shapes, n):
+        """(statistics masks, corruption keep-masks, delta masks) of a DHDA
+        update over n rows, the drop-out sets None at keep_prob 1: the bits
+        of a draw per set, in that order, from one draw."""
+        corruption = (dhda.keep_shapes(self.model, n, self.config.num_steps),
+                      self.corruption_p, True)
+        if self.config.keep_prob >= 1.0:
+            keep, = cut_masks(self.rng, [corruption])
+            return None, keep, None
+        dropout = (shapes, self.keep_prob, False)
+        return cut_masks(self.rng, [dropout, corruption, dropout])
 
     def predict(self, x):
         """Class distribution from the recognition network.

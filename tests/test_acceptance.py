@@ -17,6 +17,7 @@ from hybridstream.evaluation import PrequentialState, prequential_direct
 from hybridstream.numerics import bernoulli_mask, cross_entropy, make_rng
 from hybridstream.recognition import recognize
 from hybridstream.trainer import beta_schedule
+from test_dhda import corrupted_forward
 
 
 def _report(num, name, ok, detail=""):
@@ -129,8 +130,8 @@ def test_criterion_5_learning_sanity():
         cfg, make_rng(4))
 
     def recon_ce():
-        state = dhda.dhda_forward(tr2.model, xb, recognize(tr2.rec, xb),
-                                  make_rng(0), corruption_p=0.0, num_steps=1)
+        state = corrupted_forward(tr2.model, xb, recognize(tr2.rec, xb),
+                                  make_rng(0), 0.0, 1)
         return cross_entropy(xb, state.recons[0])
 
     before = recon_ce()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hybridstream import dhbm, dhda, recognition
-from hybridstream.numerics import cross_entropy, make_rng, sigmoid
+from hybridstream.numerics import cross_entropy, cut_masks, make_rng, sigmoid
 
 
 def setup_model(seed=0, d=4, hidden=(3, 3), c=2, std=0.5):
@@ -11,10 +11,18 @@ def setup_model(seed=0, d=4, hidden=(3, 3), c=2, std=0.5):
     return model, recognition.init_from_model(model)
 
 
+def corrupted_forward(model, x, hidden, rng, p, num_steps):
+    """dhda_forward over `num_steps` cycles whose keep-masks, at corruption
+    probability p, are one draw from `rng`."""
+    keep, = cut_masks(rng, [(dhda.keep_shapes(model, len(x), num_steps), p,
+                             True)])
+    return dhda.dhda_forward(model, x, hidden, keep)
+
+
 def corrupted_input(x, rng, p):
     """The corrupted input of a one-cycle forward pass over `x`."""
     model, rec = setup_model(d=x.shape[1])
-    return dhda.dhda_forward(model, x, recognition.recognize(rec, x), rng, p,
+    return corrupted_forward(model, x, recognition.recognize(rec, x), rng, p,
                              1).input_hat
 
 
@@ -73,8 +81,8 @@ def test_forward_shapes_and_determinism():
     model, rec = setup_model(5)
     x = make_rng(6).random((4, 4))
     q = recognition.recognize(rec, x)
-    s1 = dhda.dhda_forward(model, x, q, make_rng(7), 0.15, 1)
-    s2 = dhda.dhda_forward(model, x, q, make_rng(7), 0.15, 1)
+    s1 = corrupted_forward(model, x, q, make_rng(7), 0.15, 1)
+    s2 = corrupted_forward(model, x, q, make_rng(7), 0.15, 1)
     assert np.array_equal(s1.input_hat, s2.input_hat)
     assert np.array_equal(s1.recons[0], s2.recons[0])
     assert s1.class_probs.shape == (4, 2)
@@ -86,14 +94,14 @@ def test_forward_rejects_zero_steps():
     model, rec = setup_model()
     x = np.ones((1, 4))
     with pytest.raises(ValueError):
-        dhda.dhda_forward(model, x, recognition.recognize(rec, x), make_rng(0),
-                          0.0, 0)
+        corrupted_forward(model, x, recognition.recognize(rec, x),
+                          make_rng(0), 0.0, 0)
 
 
 def test_forward_no_corruption_matches_clean_encoding():
     model, rec = setup_model(8)
     x = make_rng(9).random((3, 4))
-    state = dhda.dhda_forward(model, x, recognition.recognize(rec, x),
+    state = corrupted_forward(model, x, recognition.recognize(rec, x),
                               make_rng(10), 0.0, 1)
     assert np.array_equal(state.input_hat, x)
     for h, h_hat in zip(state.hidden, state.hidden_hat):
@@ -107,7 +115,7 @@ def test_forward_masks_match_per_mask_draws():
     model, rec = setup_model(11, d=5, hidden=(4, 3))
     x = make_rng(12).random((6, 5))
     rng = make_rng(13)
-    state = dhda.dhda_forward(model, x, recognition.recognize(rec, x), rng,
+    state = corrupted_forward(model, x, recognition.recognize(rec, x), rng,
                               0.3, 3)
     ref = make_rng(13)
     for _ in range(3):

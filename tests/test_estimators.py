@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hybridstream import baseline, dhbm, dhda, estimators, recognition
 from hybridstream.numerics import (bernoulli_mask, make_rng, one_hot,
                                   sigmoid_prime_from_output, softmax)
+from test_dhda import corrupted_forward
 
 
 def setup(seed=0, d=4, hidden=(3, 3), c=3, std=0.5):
@@ -199,7 +200,7 @@ def gradient_case(name):
         masks = [bernoulli_mask(rng, 4, h, 0.5) for h in (4, 3)]
 
         def mf_bp(out):
-            state = dhda.dhda_forward(model, x, recognition.recognize(rec, x),
+            state = corrupted_forward(model, x, recognition.recognize(rec, x),
                                       make_rng(24), 0.2, 2)
             return estimators.mf_bp_gradients(x, y, q, state, model, w,
                                               dropout_masks=masks, out=out)
@@ -276,7 +277,7 @@ def rows_case(name, dims, n, seed):
                                             model, make_rng(seed + 3), w,
                                             out=model.zeros_like())
     elif name == "mf-bp":
-        state = dhda.dhda_forward(model, x, q, rng, 0.2, 2)
+        state = corrupted_forward(model, x, q, rng, 0.2, 2)
         masks = [bernoulli_mask(rng, n, h, 0.5) for h in hidden]
 
         def grad(r, w):
@@ -472,7 +473,7 @@ def test_mf_bp_negated_weights_match_negate_at_end(case):
     # against a negated +0), which is the same gradient entry
     model, rec, x, y, q, _, w, seed = case
     rng = make_rng(seed + 3)
-    state = dhda.dhda_forward(model, x, recognition.recognize(rec, x), rng,
+    state = corrupted_forward(model, x, recognition.recognize(rec, x), rng,
                               0.3, 2)
     masks = [bernoulli_mask(rng, len(x), h, 0.5) for h in model.hidden_dims]
     got = estimators.mf_bp_gradients(x, y, q, state, model, w,

@@ -275,6 +275,35 @@ def test_mlp_update_takes_the_kept_eval_pass(kind, monkeypatch):
         modes.clear()
 
 
+def test_mlp_update_starts_from_the_kept_first_layer(monkeypatch):
+    # predict forms layer 0's unscaled rectified activations once, and the
+    # update of the same array starts its drop-out pass from them, unwritten;
+    # an equal copy gets a pass of its own
+    model = mlp_model("mlp-pl", 92)
+    firsts = []
+    forward = baseline.mlp_forward
+
+    def recording(params, x, scales, first=None):
+        kept = None if first is None else first.copy()
+        firsts.append((first, kept))
+        return forward(params, x, scales, first)
+    monkeypatch.setattr(baseline, "mlp_forward", recording)
+    rng = make_rng(93)
+    x, labels = mixed_batch(rng.random((4, 6)), rng.integers(0, 3, 4),
+                            rng.random((3, 6)))
+    for updated, reused in ((x, True), (x.copy(), False)):
+        firsts.clear()
+        model.predict(x)
+        model.update(updated, labels)
+        (first, kept), *train = firsts
+        assert np.array_equal(first, kept)
+        if reused:
+            assert len(train) == 1 and train[0][0] is first
+            assert np.array_equal(first, kept)
+        else:
+            assert [f for f, _ in train] == [None, None]
+
+
 def write_tiny_mnist(root, seed=0, n_classes=4, side=6):
     """Seeded IDX files under the MNIST names: a random template per class,
     each image flipping a tenth of its template's pixels."""
@@ -635,14 +664,15 @@ def test_scalar_refusing_ufunc_refuses_and_forwards(monkeypatch):
     assert np.array_equal(np.add.accumulate(a), [0.0, 1.0, 3.0])
 
 
-def run_every_kind_on(stream, arch, tmp_path):
+def run_every_kind_on(stream, arch, tmp_path, alpha=1.0):
     # every kind, with drift rotating the attributes and through a whole
     # cycle, the models built inside the trial
     config = small_config(
         stream={"kind": stream, "label_fraction": 0.5, "drift_attr_count": 2,
                 "drift_interval": 50, "batch_size": 20},
         architecture=arch, iterations=220,
-        models=list(experiments.STREAM_MODEL_KINDS))
+        models=list(experiments.STREAM_MODEL_KINDS),
+        trainer={"keep_prob": 0.5, "alpha": alpha})
     experiments.run_stream_trial(config, 0, str(tmp_path))
 
 
@@ -675,6 +705,13 @@ def test_stream_trial_hands_no_python_scalar_to_a_ufunc(stream, arch, tmp_path,
                                                         monkeypatch):
     refuse_python_scalars(monkeypatch)
     run_every_kind_on(stream, arch, tmp_path)
+
+
+def test_stream_trial_at_alpha_half_hands_no_python_scalar_to_a_ufunc(
+        tmp_path, monkeypatch):
+    # alpha off 1 weighs the model's labeled rows through one more multiply
+    refuse_python_scalars(monkeypatch)
+    run_every_kind_on("led", "24-8-8-10", tmp_path, alpha=0.5)
 
 
 @pytest.mark.parametrize("kind", experiments.MODEL_KINDS)

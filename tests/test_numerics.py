@@ -14,6 +14,7 @@ from hybridstream.numerics import (add_product, bernoulli_mask,
                                    check_type, dropout_masks, make_rng,
                                    one_hot, sigmoid, sigmoid_prime_from_output,
                                    softmax, weighted_rows)
+from test_dhda import corrupted_forward
 
 
 def test_sigmoid_symmetry():
@@ -173,6 +174,25 @@ def test_bernoulli_mask_rejects_bad_prob():
         bernoulli_mask(make_rng(0), 2, 2, 1.5)
 
 
+def test_cut_masks_have_the_bits_of_a_draw_per_group():
+    # the DHDA's three sets from one draw: each group's masks are the
+    # compares of a draw of its own, taken in order, a complement group's
+    # at or above p, and the generator ends where three draws leave it
+    groups = [([(3, 4), (3, 2)], 0.5, False), ([(3, 5)], 0.2, True),
+              ([(3, 4), (3, 2)], 0.5, False)]
+    rng, ref = make_rng(8), make_rng(8)
+    cut = numerics.cut_masks(rng, groups)
+    for masks, (shapes, p, complement) in zip(cut, groups):
+        for mask, shape in zip(masks, shapes):
+            u = ref.random(shape)
+            want = u >= p if complement else u < p
+            assert mask.dtype == np.float64
+            assert np.array_equal(mask, want.astype(np.float64))
+    assert rng.random() == ref.random()
+    with pytest.raises(ValueError, match="mask probability"):
+        numerics.cut_masks(make_rng(0), [([(1, 1)], 1.5, True)])
+
+
 def put_along_axis_one_hot(indices, n_classes):
     """The put_along_axis form identity-row indexing replaced: the oracle."""
     indices = np.asarray(indices, dtype=np.int64)
@@ -220,7 +240,8 @@ def test_one_hot_product_has_the_gathered_bits(c, h, label_shape, seed):
     # the Gibbs sweep's class term: a one-hot row times the class-weight
     # block's transpose U' (sum H_l up to 120 rows) adds only exact zeros to
     # U's column, for a batch of labels and for one label (the 1-D
-    # single-configuration form), and class_drive adds b_hidden to it
+    # single-configuration form), and class_drive subtracts it from the
+    # negated b_hidden
     rng = make_rng(seed)
     U = finite_weights(rng, (h, c))
     y = rng.integers(0, c, size=label_shape)
@@ -230,7 +251,7 @@ def test_one_hot_product_has_the_gathered_bits(c, h, label_shape, seed):
     params.b_hidden[...] = finite_weights(rng, h)
     with np.errstate(over="ignore"):
         assert_same_bits(dhbm.class_drive(params, one_hot(y, c)),
-                         U.T.take(y, axis=0) + params.b_hidden)
+                         -params.b_hidden - U.T.take(y, axis=0))
 
 
 @pytest.mark.parametrize("beta", [0.3, 0.0])
@@ -539,15 +560,20 @@ def test_step_products_match_the_operator_forms(arch, n):
     hs = [rng.random((n, h)) for h in hidden]
 
     # the conditionals, with a distribution, one-hot labels (the Gibbs
-    # sweep's) and no class term, and the scaled cond_y
+    # sweep's) and no class term, and the scaled cond_y.  class_drive is the
+    # operator form's drive negated (up to the sign of an exact zero, which
+    # the sigmoid reads the same), and cond_h's negated sums give the bits
+    # of the operator form's sums and five-pass sigmoid
     for y in (y_probs, one_hot(labels, c), None):
         drive = dhbm.class_drive(params, y)
-        assert_same_bits(drive, operator_class_drive(params, y))
+        want_drive = operator_class_drive(params, y)
+        assert_same_bits(drive + 0.0, np.negative(want_drive) + 0.0)
         for l in range(len(hidden)):
             below = x if l == 0 else hs[l - 1]
             above = hs[l + 1] if l + 1 < len(hidden) else None
-            assert_same_bits(dhbm.cond_h(params, l, drive, below, above),
-                             operator_cond_h(params, l, drive, below, above))
+            assert_same_bits(
+                dhbm.cond_h(params, l, drive, below, above),
+                operator_cond_h(params, l, want_drive, below, above))
     for l in range(len(hidden)):
         assert_same_bits(dhbm.cond_x(params, hs[l], l),
                          operator_cond_x(params, hs[l], l))
@@ -565,7 +591,7 @@ def test_step_products_match_the_operator_forms(arch, n):
     assert_same_bits(rec.data, want.data)
 
     # the DHDA's back-propagation step into the model itself
-    state = dhda.dhda_forward(params, x, hs, make_rng(1), 0.15, 1)
+    state = corrupted_forward(params, x, hs, make_rng(1), 0.15, 1)
     masks = dropout_masks(make_rng(2), [(n, h) for h in hidden], 0.5)
     want = copied(params)
     operator_mf_bp_gradients(x, one_hot(labels, c), hs, state, params, w,

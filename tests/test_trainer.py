@@ -235,9 +235,10 @@ class CountingGenerator:
 
 
 # random() calls per update: MF-CD cuts both mask sets from one draw, SAP
-# draws one mask set and one block per sweep, the DHDA a mask set, its
-# corruption masks and the delta masks, and the MLP its drop-out masks
-DRAWS_PER_UPDATE = {"dhbm-mf": 1, "dhbm-sap": 2, "dhda": 3, "mlp-pl": 1}
+# draws one mask set and one block per sweep, the DHDA cuts its mask set, its
+# corruption masks and its delta masks from one draw, and the MLP draws its
+# drop-out masks
+DRAWS_PER_UPDATE = {"dhbm-mf": 1, "dhbm-sap": 2, "dhda": 1, "mlp-pl": 1}
 
 
 @pytest.mark.parametrize("kind", list(DRAWS_PER_UPDATE))
@@ -254,6 +255,81 @@ def test_each_update_draws_its_uniforms_at_once(kind):
         model.predict(x)
         model.update(x, y)
         assert rng.random_calls == DRAWS_PER_UPDATE[kind]
+
+
+class CountingUfunc:
+    """A ufunc that counts its calls."""
+
+    def __init__(self, ufunc):
+        self.ufunc, self.calls = ufunc, 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.ufunc(*args, **kwargs)
+
+
+# np.negative calls per update at num_steps 3 on two hidden layers: one per
+# class drive (MF-CD's and SAP's mean-field steps, SAP's sweep, the DHDA's
+# forward pass) and one per cond_x, a decoder's five-pass sigmoid (MF-CD's
+# reconstruction, SAP's sweep, the DHDA's two decoders)
+NEGATIONS_PER_UPDATE = {"dhbm-mf": 3 + 1, "dhbm-sap": 4 + 1, "dhda": 1 + 2}
+
+
+@each_kind
+def test_negations_per_update_are_one_per_class_drive(kind, monkeypatch):
+    # the hidden conditionals and the recognition layers form their negated
+    # pre-activations in the adds they make anyway, so no cond_h and no
+    # recognition layer negates: a predict makes no np.negative call, and an
+    # update one per class drive (of the bias vector) and one per cond_x
+    tr = make_trainer(kind, seed=60, n_particles=4, num_steps=3)
+    calls = count_calls(monkeypatch, ((dhbm, "class_drive"), (dhbm, "cond_h"),
+                                      (dhbm, "cond_x")))
+    negative = CountingUfunc(np.negative)
+    monkeypatch.setattr(np, "negative", negative)
+    rng = make_rng(61)
+    for _ in range(3):
+        x, labels = mixed_batch(rng.random((4, 4)), rng.integers(0, 2, 4),
+                                rng.random((3, 4)))
+        negative.calls = 0
+        tr.predict(x)
+        assert negative.calls == 0
+        calls.clear()
+        tr.update(x, labels)
+        names = [name for name, _ in calls]
+        assert names.count("cond_h") >= 2 * names.count("class_drive") > 0
+        assert negative.calls == (names.count("class_drive")
+                                  + names.count("cond_x"))
+        assert negative.calls == NEGATIONS_PER_UPDATE[kind]
+
+
+@pytest.mark.parametrize("kind", ["dhbm-mf", "dhbm-sap"])
+def test_hoisted_input_product_has_the_per_step_bits(kind, monkeypatch):
+    # an update forms x W_1' once and hands it to each of its num_steps
+    # mean-field steps: the same bits as steps that each form it themselves
+    step = dhbm.mean_field_step
+    products = []
+
+    def hoisted(params, x, state, clamped_y=None, x_product=None):
+        products.append(x_product)
+        return step(params, x, state, clamped_y, x_product)
+
+    def per_step(params, x, state, clamped_y=None, x_product=None):
+        return step(params, x, state, clamped_y)
+
+    rng = make_rng(71)
+    batches = [mixed_batch(rng.random((4, 4)), rng.integers(0, 2, 4),
+                           rng.random((3, 4))) for _ in range(4)]
+    states = []
+    for patch in (hoisted, per_step):
+        monkeypatch.setattr(dhbm, "mean_field_step", patch)
+        tr = make_trainer(kind, seed=70, n_particles=4, num_steps=3)
+        for x, labels in batches:
+            tr.update(x, labels)
+        states.append(trainer_state(tr))
+    assert len(products) == 12
+    assert all(p is products[0] for p in products[:3])
+    assert all(p is not None for p in products)
+    assert states[0] == states[1]
 
 
 def count_calls(monkeypatch, targets):
