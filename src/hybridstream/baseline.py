@@ -6,7 +6,7 @@ pass per batch.
 
 import numpy as np
 
-from .numerics import (ZERO, DenseParams, add_product, as_rows, dropout_masks,
+from .numerics import (ZERO, DenseParams, add_product, as_rows, cut_masks,
                        one_hot, row_targets, softmax, weighted_rows)
 
 EPS = 1e-12
@@ -62,12 +62,16 @@ def mlp_gradients(params, x, y_onehot, w, keep_prob=1.0, rng=None,
                   first=None, *, out):
     """Descent gradients of the row-weighted softmax log-loss
     sum_i w_i * loss_i over the 2-D float64 row batch `x`, through one pass
-    under dropout_masks, added into `out`.  Weights of 1/n give the batch
-    average; weights of -lr with `params` itself as `out` take a descent
-    step, as every layer's delta is computed before any weight moves.
+    under a keep-mask per hidden layer, cut from one draw (none at keep_prob
+    1; drop-out without `rng` raises ValueError), added into `out`.  Weights
+    of 1/n give the batch average; weights of -lr with `params` itself as
+    `out` take a descent step, as every layer's delta is computed before any
+    weight moves.
     `first` is mlp_first_layer(params, x) when the caller has it."""
-    masks = dropout_masks(rng, [(len(x), len(b)) for b in params.bs[:-1]],
-                          keep_prob)
+    masks = None
+    if float(keep_prob) < 1.0:
+        masks, = cut_masks(rng, [([(len(x), len(b)) for b in params.bs[:-1]],
+                                  keep_prob, False)])
     hidden, probs = mlp_forward(params, x, masks, first)
     inputs = [x] + hidden
     # the forward pass's probabilities are not needed again: delta takes them

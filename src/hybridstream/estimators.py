@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .numerics import (add_product, bernoulli_mask, constant, one_hot,
+from .numerics import (add_product, constant, cut_masks, one_hot,
                        sigmoid_prime_from_output)
 
 # a fresh particle's units are on with probability one half
@@ -61,7 +61,7 @@ def mf_cd_gradients(x, y_probs, q_rec, x_recon, means, y_hat, w, *, out):
     return _contrast(x, q_rec, y_probs, x_recon, means, y_hat, w, w, out)
 
 
-def mf_bp_gradients(x, y_probs, q_rec, state, params, w, dropout_masks=None,
+def mf_bp_gradients(x, y_probs, q_rec, state, params, w, delta_masks=None,
                     *, out):
     """Layer-local back-propagation for the DHDA.
 
@@ -69,9 +69,11 @@ def mf_bp_gradients(x, y_probs, q_rec, state, params, w, dropout_masks=None,
     (target: the data at layer 1, the recognition statistic below at upper
     layers) plus the shared softmax log-loss; mean-field statistics entering
     from other layers are constants.  Reconstruction corruption masks are
-    part of the forward function and therefore of the gradient.  Drop-out
-    masks, when given, are re-applied to the hidden error deltas.  Each
-    row's loss is weighted by `w` (1/n everywhere is the batch average).
+    part of the forward function and therefore of the gradient.
+    `delta_masks`, when given, are drop-out masks re-applied to the hidden
+    error deltas: the update's second drop-out group, cut after its
+    corruption keep-masks (numerics.cut_masks).  Each row's loss is
+    weighted by `w` (1/n everywhere is the batch average).
 
     Adds the ascent direction, the descent gradient negated through the
     row weights.  Every layer's deltas are computed before any weight moves,
@@ -108,8 +110,8 @@ def mf_bp_gradients(x, y_probs, q_rec, state, params, w, dropout_masks=None,
     xi_hid_out = xi_out.dot(params.U.T)
     np.multiply(xi_hid_out, hid_prime, out=xi_hid_out)
     np.add(xi_hid, xi_hid_out, out=xi_hid)
-    if dropout_masks is not None:
-        np.multiply(xi_hid, np.concatenate(dropout_masks, axis=1), out=xi_hid)
+    if delta_masks is not None:
+        np.multiply(xi_hid, np.concatenate(delta_masks, axis=1), out=xi_hid)
     for l, xi_recon in enumerate(xi_recons):
         g = out.layers[l]
         v_in = state.input_hat if l == 0 else state.hidden_hat[l - 1]
@@ -147,9 +149,10 @@ class FantasyParticles:
     def initialize(cls, params, n_particles, rng):
         if n_particles < 1:
             raise ValueError("need at least one fantasy particle")
-        x = bernoulli_mask(rng, n_particles, params.n_visible, _HALF)
-        hs = [bernoulli_mask(rng, n_particles, h, _HALF)
-              for h in params.hidden_dims]
+        # every unit on with probability 1/2, visible then hidden, one draw
+        shapes = [(n_particles, n)
+                  for n in (params.n_visible, *params.hidden_dims)]
+        (x, *hs), = cut_masks(rng, [(shapes, _HALF, False)])
         y = one_hot(rng.integers(0, params.n_classes, size=n_particles),
                     params.n_classes)
         return cls(x, hs, y)

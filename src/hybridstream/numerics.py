@@ -1,7 +1,7 @@
 """Activation functions, seeded randomness, the flat parameter layout
 shared by every model component, the dense-network parameter type, the
-banded product-add every gradient function steps with, the mask and
-drop-out draws, weighted rows, row targets and cross-entropy that every
+banded product-add every gradient function steps with, the mask draws,
+weighted rows, row targets and cross-entropy that every
 model shares, and the type check of every config value.
 
 All arithmetic is double precision.  Randomness is never global: callers
@@ -19,7 +19,7 @@ with ``np.maximum`` then ``np.minimum`` in place; a gate with
 ``np.putmask``; a filled vector with ``np.empty`` and ``.fill``; and a
 batch enters a model through :func:`as_rows`.  A bool miss vector enters the
 prequential sum as it is, and a keep-mask is drawn as ``u >= p`` in one pass
-(bernoulli_mask's `complement`), not as ``1 - (u < p)``.  ``np.count_nonzero``
+(cut_masks' `complement`), not as ``1 - (u < p)``.  ``np.count_nonzero``
 keeps its thin wrapper (0.3 us): numpy has no public entry to the C count
 behind it.
 
@@ -36,16 +36,18 @@ thread, best of 9x100k); operator forms such as ``1.0 - s`` pay the same.
 
 The one-draw rule: draws with no other draw between them are one call.
 PCG64's ``random(a + b)`` gives the uniforms of ``random(a)`` followed by
-``random(b)``, so one draw cut into views (:func:`split_views`) has the
-bits of a draw per view: dropout_masks cuts every mask of a set, and MF-CD
-both of its sets, from one draw, cut_masks cuts sets of their own
-probabilities (the DHDA's drop-out, corruption and delta masks) from one,
-and each Gibbs sweep draws all of its blocks at once (kernels).  A mask,
-and a sampled state, is its bool compare assigned into the float64 array it
-lands in (``u[...] = u < p``), with no ``astype`` copy: at 1920 entries
-that took 1.64 us, ``np.less(u, p, out=u)`` 2.12 us, as the ufunc casts its
-bool result through a buffer, and ``(u < p).astype(np.float64)`` 2.62 us
-(numpy 2.4.6, a shared host).
+``random(b)``, so one draw cut into views has the bits of a draw per view.
+:func:`cut_masks` is the one function that turns uniforms into masks: it
+takes a list of groups, each of one probability, and cuts them in turn from
+one draw, and each caller takes every mask it needs from one call (an
+update's drop-out groups, with the DHDA's corruption keep-masks between its
+two; the fantasy particles' start states).  Each Gibbs sweep draws all of
+its blocks at once (kernels, through :func:`split_views`).  A mask, and a
+sampled state, is its bool compare assigned into the float64 array it lands
+in (``u[...] = u < p``), with no ``astype`` copy: at 1920 entries that took
+1.64 us, ``np.less(u, p, out=u)`` 2.12 us, as the ufunc casts its bool
+result through a buffer, and ``(u < p).astype(np.float64)`` 2.62 us (numpy
+2.4.6, a shared host).
 
 For float64 operands of one or two dimensions ``a.dot(b)``, ``np.dot(a, b)``
 and ``a @ b`` reach the same BLAS routine (gemm, or gemv where one side is a
@@ -292,54 +294,40 @@ def softmax(v):
     return np.divide(e, np.add.reduce(e, axis=-1, keepdims=True), out=e)
 
 
-def bernoulli_mask(rng, rows, cols, p):
-    """Float64 matrix of i.i.d. {0,1} entries, 1 where a uniform draw is below
-    p.  The compare is assigned into the draw itself, with no float64
-    temporary.  `p` is a number or a 0-d array (see :func:`constant`)."""
-    _check_probability(p)
-    u = rng.random((rows, cols))
-    u[...] = u < p
-    return u
-
-
-def _check_probability(p):
-    if not 0.0 <= float(p) <= 1.0:
-        raise ValueError(f"mask probability must lie in [0, 1], got {p}")
-
-
 def cut_masks(rng, groups):
     """Every mask of `groups`, a list of (shapes, p, complement), cut in turn
     from one draw: for each group a list of float64 masks of its 2-D shapes,
     1 where a uniform is below p or, with `complement`, at or above it (the
     bits of one minus the mask of the same draw, in one pass).  Each group
     has the bits of a draw of its own, taken in order, and no float64
-    temporary is made."""
-    sizes = [[rows * cols for rows, cols in shapes] for shapes, _, _ in groups]
-    u = rng.random(sum(map(sum, sizes)))
+    temporary is made.  `p` is a number or a 0-d array (see
+    :func:`constant`).  A p outside [0, 1], or no generator, raises
+    ValueError before anything is drawn."""
+    if rng is None:
+        raise ValueError("masks need an rng")
+    total = 0
+    for shapes, p, _ in groups:
+        if not 0.0 <= float(p) <= 1.0:
+            raise ValueError(f"mask probability must lie in [0, 1], got {p}")
+        for rows, cols in shapes:
+            total += rows * cols
+    u = rng.random(total)
+    # the views are cut inline, with no size lists: one group of four 20x24
+    # masks took 9.6 against 10.4 us through split_views, MF-CD's two 18.9
+    # against 20.7 us and the DHDA's three 27.3 against 31.1 us (numpy
+    # 2.4.6, one BLAS thread, a shared two-CPU host)
     cut = []
     lo = 0
-    for (shapes, p, complement), group_sizes in zip(groups, sizes):
-        _check_probability(p)
-        part = u[lo:lo + sum(group_sizes)]
+    for shapes, p, complement in groups:
+        start = lo
+        masks = []
+        for rows, cols in shapes:
+            masks.append(u[lo:lo + rows * cols].reshape(rows, cols))
+            lo += rows * cols
+        part = u[start:lo]
         part[...] = part >= p if complement else part < p
-        cut.append(split_views(part, shapes, group_sizes))
-        lo += len(part)
+        cut.append(masks)
     return cut
-
-
-def dropout_masks(rng, shapes, keep_prob):
-    """A keep-mask of each 2-D shape, cut from one draw: the same bits as one
-    bernoulli_mask per shape.  None when keep_prob >= 1; drop-out without a
-    generator raises ValueError.  `keep_prob` is a number or a 0-d array.
-    It is cut_masks of one group, without the group bookkeeping: that took
-    13.2 against 11.5 us for four 20x24 masks (numpy 2.4.6)."""
-    if float(keep_prob) >= 1.0:
-        return None
-    if rng is None:
-        raise ValueError("drop-out needs an rng")
-    sizes = [rows * cols for rows, cols in shapes]
-    flat = bernoulli_mask(rng, 1, sum(sizes), keep_prob)
-    return split_views(flat[0], shapes, sizes)
 
 
 def as_rows(x):

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dhbm, dhda, estimators, recognition
-from .numerics import (as_rows, check_fields, constant, cut_masks,
-                       dropout_masks, one_hot, row_targets, weighted_rows)
+from .numerics import (as_rows, check_fields, constant, cut_masks, one_hot,
+                       row_targets, weighted_rows)
 
 # the hybrid model kinds, each the model with the one procedure it trains
 # by: the DHBM with MF-CD or with SAP, and the DHDA with MF-BP
@@ -29,9 +29,8 @@ def beta_schedule(t, t1, t2, beta_f):
 
 
 def _masked(stats, masks):
-    """The statistics times their drop-out masks, the first len(stats) of
-    `masks`; `stats` itself when unmasked, because nothing downstream writes
-    them."""
+    """The statistics times their drop-out masks; `stats` itself when
+    unmasked, because nothing downstream writes them."""
     if masks is None:
         return stats
     return [s * m for s, m in zip(stats, masks)]
@@ -40,7 +39,6 @@ def _masked(stats, masks):
 @dataclass
 class TrainerConfig:
     lr: float = 0.051
-    alpha: float = 1.0
     beta_f: float = 0.1
     num_steps: int = 1
     keep_prob: float = 0.5
@@ -53,9 +51,9 @@ class TrainerConfig:
 
     def __post_init__(self):
         # a float count would reach range(), any non-empty string would switch
-        # annealing on, and a NaN or an infinite lr, alpha or beta would reach
-        # every parameter in one step
-        check_fields(self, lr=0, alpha=0, beta_f=0, num_steps=1, n_particles=1)
+        # annealing on, and a NaN or an infinite lr or beta would reach every
+        # parameter in one step
+        check_fields(self, lr=0, beta_f=0, num_steps=1, n_particles=1)
         if not 0.0 < self.keep_prob <= 1.0:
             raise ValueError("keep_prob must lie in (0, 1]")
         if self.t1 > self.t2:
@@ -81,7 +79,6 @@ class Trainer:
         self.config = config
         self.rng = rng
         # the config values a step hands to a ufunc, as 0-d operands
-        self.alpha = constant(config.alpha)
         self.keep_prob = constant(config.keep_prob)
         self.corruption_p = constant(config.corruption_p)
         self.rec = recognition.init_from_model(model)
@@ -106,53 +103,53 @@ class Trainer:
 
         `labels` holds a class index per row of `x`, negative where the row
         is unlabeled.  The rows of weighted_rows train toward their
-        row_targets with their weights, times alpha on the model's labeled
-        rows, so the model ascends alpha * (labeled mean) + beta * (unlabeled
-        mean) and the recognition net descends (labeled mean) + beta *
-        (unlabeled mean).  At beta 0 the unlabeled rows are left out: every
-        pass and draw below covers the kept rows only.  The weights carry
-        lr, and the recognition net's are negated: each gradient function
-        gets its net's own parameters as `out` and adds the step into them
-        inside its products.  An update that keeps no row changes nothing,
-        draws nothing, and the report says so.  The recognition pass of the
-        last predict() is reused when `x` is the array object it was given
-        (and not written since) and the update keeps every row; it is
-        dropped either way.
+        row_targets with their weights, so the model ascends and the
+        recognition net descends (labeled mean) + beta * (unlabeled mean).
+        At beta 0 the unlabeled rows are left out: every pass and draw below
+        covers the kept rows only.  The weights carry lr, and the
+        recognition net's are negated: each gradient function gets its
+        net's own parameters as `out` and adds the step into them inside its
+        products.  An update that keeps no row changes nothing, draws
+        nothing, and the report says so.  The recognition pass of the last
+        predict() is reused when `x` is the array object it was given (and
+        not written since) and the update keeps every row; it is dropped
+        either way.
         """
         recognized, self._recognized = self._recognized, None
         v = recognized[1] if recognized is not None and recognized[0] is x else None
         whole = as_rows(x)
         cfg, rng = self.config, self.rng
         beta = self.current_beta()
-        x, labels, lab, w_rec = weighted_rows(whole, np.asarray(labels), cfg.lr,
-                                              beta)
+        x, labels, lab, w = weighted_rows(whole, np.asarray(labels), cfg.lr,
+                                          beta)
         if len(x) == 0:
             return {"updated": False, "beta": None}
-        # at alpha 1 the model's weights are the recognition net's: the bits
-        # np.where(lab, 1.0 * w_rec, w_rec) would build
-        w = (w_rec if cfg.alpha == 1.0
-             else np.where(lab, np.multiply(self.alpha, w_rec), w_rec))
-
         if v is None or x is not whole:     # the kept pass covers every row
             v = recognition.recognize(self.rec, x)
-        # MF-CD also masks its mean-field statistics, of the same shapes, and
-        # the DHDA draws its corruption masks and its delta masks: every set
-        # is cut from one draw, as nothing draws between them
-        shapes = [s.shape for s in v]
+        # every mask of the step is cut from one draw, as nothing draws
+        # between them: a drop-out group for the statistics, MF-CD's second
+        # for its mean-field statistics, and the DHDA's corruption keep-masks
+        # and a second group for its deltas; no drop-out group at keep_prob 1
+        dropout = ([([s.shape for s in v], self.keep_prob, False)]
+                   if cfg.keep_prob < 1.0 else [])
         if self.kind == "dhda":
-            masks, keep, delta_masks = self._dhda_masks(shapes, len(x))
+            corruption = (dhda.keep_shapes(self.model, len(x), cfg.num_steps),
+                          self.corruption_p, True)
+            groups = dropout + [corruption] + dropout
         else:
-            masks = dropout_masks(
-                rng, shapes * 2 if self.kind == "dhbm-mf" else shapes,
-                self.keep_prob)
-        v_stats = _masked(v, masks)
+            groups = dropout * 2 if self.kind == "dhbm-mf" else dropout
+        masks = iter(cut_masks(rng, groups) if groups else ())
+        stat_masks = next(masks) if dropout else None
+        keep = next(masks) if self.kind == "dhda" else None
+        second_masks = next(masks, None)
+        v_stats = _masked(v, stat_masks)
         class_probs = dhbm.cond_y(self.model, v_stats)
         targets = one_hot(row_targets(labels, lab, class_probs), self.model.n_classes)
         if self.kind == "dhda":
             state = dhda.dhda_forward(self.model, x, v_stats, keep)
             mu_clean = state.hidden
             estimators.mf_bp_gradients(
-                x, targets, v_stats, state, self.model, w, delta_masks,
+                x, targets, v_stats, state, self.model, w, second_masks,
                 out=self.model)
         else:
             # mean_field_step builds new arrays and never writes its inputs.
@@ -171,8 +168,8 @@ class Trainer:
             if self.kind == "dhbm-mf":
                 estimators.mf_cd_gradients(
                     x, targets, v_stats, dhbm.cond_x(self.model, mu_clean[0]),
-                    _masked(mu_clean, masks and masks[len(v):]),
-                    state.class_probs, w, out=self.model)
+                    _masked(mu_clean, second_masks), state.class_probs, w,
+                    out=self.model)
             else:
                 estimators.sap_gradients(
                     x, targets, v_stats, self.particles, self.model, rng, w,
@@ -182,23 +179,10 @@ class Trainer:
         # estimators, a masked target would collapse the network to
         # constants.  Negated weights make the step a descent step, to the
         # bit the subtraction of the gradient
-        recognition.rec_gradients(self.rec, x, mu_clean, -w_rec, v,
-                                  out=self.rec)
+        recognition.rec_gradients(self.rec, x, mu_clean, -w, v, out=self.rec)
         self.labeled_seen += int(np.count_nonzero(lab))
         self.updates += 1
         return {"updated": True, "beta": beta}
-
-    def _dhda_masks(self, shapes, n):
-        """(statistics masks, corruption keep-masks, delta masks) of a DHDA
-        update over n rows, the drop-out sets None at keep_prob 1: the bits
-        of a draw per set, in that order, from one draw."""
-        corruption = (dhda.keep_shapes(self.model, n, self.config.num_steps),
-                      self.corruption_p, True)
-        if self.config.keep_prob >= 1.0:
-            keep, = cut_masks(self.rng, [corruption])
-            return None, keep, None
-        dropout = (shapes, self.keep_prob, False)
-        return cut_masks(self.rng, [dropout, corruption, dropout])
 
     def predict(self, x):
         """Class distribution from the recognition network.

@@ -14,7 +14,7 @@ import pytest
 from hybridstream import checks, dhbm, dhda, experiments, trainer
 from hybridstream.datasets import mnist_paths
 from hybridstream.evaluation import PrequentialState, prequential_direct
-from hybridstream.numerics import bernoulli_mask, cross_entropy, make_rng
+from hybridstream.numerics import cross_entropy, cut_masks, make_rng
 from hybridstream.recognition import recognize
 from hybridstream.trainer import beta_schedule
 from test_dhda import corrupted_forward
@@ -219,7 +219,7 @@ def test_criterion_8_schedule_masking_reproducibility(tmp_path):
         detail.append("beta_schedule endpoints wrong")
     # empirical masking rates within 3 sigma at 1e5 samples
     for p in (0.15, 0.5):
-        m = bernoulli_mask(make_rng(3), 1000, 100, p)
+        (m,), = cut_masks(make_rng(3), [([(1000, 100)], p, False)])
         bound = 3 * np.sqrt(p * (1 - p) / 100_000)
         if abs(m.mean() - p) >= bound:
             ok = False

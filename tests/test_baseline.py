@@ -6,8 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybridstream import baseline
-from hybridstream.numerics import (bernoulli_mask, dropout_masks, make_rng,
-                                  one_hot, softmax)
+from hybridstream.numerics import cut_masks, make_rng, one_hot, softmax
 from test_trainer import mixed_batch, record_unit_weight_calls
 
 
@@ -18,14 +17,11 @@ def test_zero_params_uniform_output():
 
 
 def test_keep_prob_one_train_equals_eval():
-    # at keep_prob 1 no mask is drawn, and a pass with masks of ones is the
-    # unscaled pass that mlp_predict takes
+    # a pass with masks of ones is the unscaled pass that mlp_predict takes
+    # (at keep_prob 1 the update draws no mask: test_trainer's
+    # test_keep_prob_one_update_draws_no_dropout_mask)
     p = baseline.init_mlp(4, [3, 3], 2, make_rng(1), weight_std=0.5)
     x = make_rng(2).random((3, 4))
-    rng = make_rng(3)
-    state = rng.bit_generator.state
-    assert dropout_masks(rng, [(3, 3), (3, 3)], 1.0) is None
-    assert rng.bit_generator.state == state
     _, train_probs = baseline.mlp_forward(p, x, [np.ones((3, 3))] * 2)
     assert np.array_equal(train_probs, baseline.mlp_predict(p, x, 1.0))
 
@@ -36,7 +32,7 @@ def old_train_pass(params, x, keep_prob, rng):
     hidden, masks, below = [], [], x
     for W, b in zip(params.Ws[:-1], params.bs[:-1]):
         h = np.maximum(below @ W.T + b, 0.0)
-        m = bernoulli_mask(rng, *h.shape, keep_prob)
+        m = (rng.random(h.shape) < keep_prob).astype(np.float64)
         h = h * m
         hidden.append(h)
         masks.append(m)
@@ -52,7 +48,7 @@ def test_masked_pass_equals_the_per_layer_train_pass(hidden):
     x = make_rng(13).random((6, 4))
     rng_old, rng_new = make_rng(14), make_rng(14)
     want_hidden, want_probs, want_masks = old_train_pass(p, x, 0.6, rng_old)
-    masks = dropout_masks(rng_new, [(6, h) for h in hidden], 0.6)
+    masks, = cut_masks(rng_new, [([(6, h) for h in hidden], 0.6, False)])
     got_hidden, got_probs = baseline.mlp_forward(p, x, masks)
     for got, want in zip([*got_hidden, got_probs, *masks],
                          [*want_hidden, want_probs, *want_masks]):

@@ -113,6 +113,8 @@ def test_stream_run_requires_iterations(tmp_path):
                                "models": []}), "models"),
     ("stream-run", json.dumps({"stream": {"kind": "led"}, "iterations": 200,
                                "trainer": {"momentum": 0.9}}), "momentum"),
+    ("stream-run", json.dumps({"stream": {"kind": "led"}, "iterations": 200,
+                               "trainer": {"alpha": 0.5}}), "alpha"),
     ("mnist-run", json.dumps({"epochs": 0}), "epochs"),
     ("stream-run", '{"stream": {"kind": "led"}, "iterations": 200', "cfg.json"),
     ("stream-run", "[]", "cfg.json"),
@@ -120,7 +122,7 @@ def test_stream_run_requires_iterations(tmp_path):
     ("stream-run", '{"stream": "led", "iterations": 200}', "stream must"),
     ("stream-run", '{"stream": ["led"], "iterations": 200}', "stream must")],
     ids=["run-key", "stream-field", "model-kind", "empty-models",
-         "trainer-field", "offline",
+         "trainer-field", "trainer-alpha", "offline",
          "not-json", "list-config", "offline-list-config", "stream-string",
          "stream-list"])
 def test_bad_config_is_a_usage_error(tmp_path, command, text, key):

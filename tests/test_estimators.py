@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridstream import baseline, dhbm, dhda, estimators, recognition
-from hybridstream.numerics import (bernoulli_mask, make_rng, one_hot,
+from hybridstream.numerics import (make_rng, one_hot,
                                   sigmoid_prime_from_output, softmax)
 from test_dhda import corrupted_forward
 
@@ -197,13 +197,13 @@ def gradient_case(name):
                                             make_rng(23), w, out=out)
         return sap, model.zeros_like()
     if name == "mf-bp":
-        masks = [bernoulli_mask(rng, 4, h, 0.5) for h in (4, 3)]
+        masks = [rng.random((4, h)) < 0.5 for h in (4, 3)]
 
         def mf_bp(out):
             state = corrupted_forward(model, x, recognition.recognize(rec, x),
                                       make_rng(24), 0.2, 2)
             return estimators.mf_bp_gradients(x, y, q, state, model, w,
-                                              dropout_masks=masks, out=out)
+                                              delta_masks=masks, out=out)
         return mf_bp, model.zeros_like()
     if name == "rec":
         mu = [rng.random((4, 4)), rng.random((4, 3))]
@@ -250,7 +250,7 @@ def rows_case(name, dims, n, seed):
     rng = make_rng(seed + 1)
     x = rng.random((n, d))
     y = one_hot(rng.integers(0, c, n), c)
-    q = [s * bernoulli_mask(rng, n, s.shape[1], 0.5)
+    q = [s * (rng.random((n, s.shape[1])) < 0.5)
          for s in recognition.recognize(rec, x)]
 
     def rows(arrays, r):
@@ -278,14 +278,14 @@ def rows_case(name, dims, n, seed):
                                             out=model.zeros_like())
     elif name == "mf-bp":
         state = corrupted_forward(model, x, q, rng, 0.2, 2)
-        masks = [bernoulli_mask(rng, n, h, 0.5) for h in hidden]
+        masks = [rng.random((n, h)) < 0.5 for h in hidden]
 
         def grad(r, w):
             sub = dhda.DhdaState(state.input_hat[r], rows(state.hidden, r),
                                  rows(state.hidden_hat, r), rows(state.masks, r),
                                  rows(state.recons, r), state.class_probs[r])
             return estimators.mf_bp_gradients(x[r], y[r], rows(q, r), sub, model,
-                                              w, dropout_masks=rows(masks, r),
+                                              w, delta_masks=rows(masks, r),
                                               out=model.zeros_like())
     else:
         mu = [rng.random((n, h)) for h in hidden]
@@ -428,7 +428,7 @@ def estimator_case(draw):
     rec = recognition.init_from_model(model)
     x = rng.random((n, d))
     y = one_hot(rng.integers(0, c, n), c)
-    q = [s * bernoulli_mask(rng, n, s.shape[1], 0.5)
+    q = [s * (rng.random((n, s.shape[1])) < 0.5)
          for s in recognition.recognize(rec, x)]
     means = [rng.random((n, h)) for h in hidden]
     y_hat = softmax(rng.normal(size=(n, c)))
@@ -475,9 +475,9 @@ def test_mf_bp_negated_weights_match_negate_at_end(case):
     rng = make_rng(seed + 3)
     state = corrupted_forward(model, x, recognition.recognize(rec, x), rng,
                               0.3, 2)
-    masks = [bernoulli_mask(rng, len(x), h, 0.5) for h in model.hidden_dims]
+    masks = [rng.random((len(x), h)) < 0.5 for h in model.hidden_dims]
     got = estimators.mf_bp_gradients(x, y, q, state, model, w,
-                                     dropout_masks=masks,
+                                     delta_masks=masks,
                                      out=model.zeros_like()).data
     want = mf_bp_negate_at_end(x, y, q, state, model, w, masks).data
     assert np.array_equal(zero_signed_bits(got), zero_signed_bits(want))

@@ -664,7 +664,7 @@ def test_scalar_refusing_ufunc_refuses_and_forwards(monkeypatch):
     assert np.array_equal(np.add.accumulate(a), [0.0, 1.0, 3.0])
 
 
-def run_every_kind_on(stream, arch, tmp_path, alpha=1.0):
+def run_every_kind_on(stream, arch, tmp_path):
     # every kind, with drift rotating the attributes and through a whole
     # cycle, the models built inside the trial
     config = small_config(
@@ -672,7 +672,7 @@ def run_every_kind_on(stream, arch, tmp_path, alpha=1.0):
                 "drift_interval": 50, "batch_size": 20},
         architecture=arch, iterations=220,
         models=list(experiments.STREAM_MODEL_KINDS),
-        trainer={"keep_prob": 0.5, "alpha": alpha})
+        trainer={"keep_prob": 0.5})
     experiments.run_stream_trial(config, 0, str(tmp_path))
 
 
@@ -705,13 +705,6 @@ def test_stream_trial_hands_no_python_scalar_to_a_ufunc(stream, arch, tmp_path,
                                                         monkeypatch):
     refuse_python_scalars(monkeypatch)
     run_every_kind_on(stream, arch, tmp_path)
-
-
-def test_stream_trial_at_alpha_half_hands_no_python_scalar_to_a_ufunc(
-        tmp_path, monkeypatch):
-    # alpha off 1 weighs the model's labeled rows through one more multiply
-    refuse_python_scalars(monkeypatch)
-    run_every_kind_on("led", "24-8-8-10", tmp_path, alpha=0.5)
 
 
 @pytest.mark.parametrize("kind", experiments.MODEL_KINDS)

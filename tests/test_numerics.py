@@ -10,10 +10,10 @@ from hypothesis.extra import numpy as hnp
 
 from hybridstream import (baseline, dhbm, dhda, estimators, numerics,
                          recognition)
-from hybridstream.numerics import (add_product, bernoulli_mask,
-                                   check_type, dropout_masks, make_rng,
-                                   one_hot, sigmoid, sigmoid_prime_from_output,
-                                   softmax, weighted_rows)
+from hybridstream.numerics import (add_product, check_type, cut_masks,
+                                   make_rng, one_hot, sigmoid,
+                                   sigmoid_prime_from_output, softmax,
+                                   weighted_rows)
 from test_dhda import corrupted_forward
 
 
@@ -162,35 +162,41 @@ def test_softmax_shift_invariance():
 
 
 def test_bernoulli_mask_rate():
-    rng = make_rng(1)
-    m = bernoulli_mask(rng, 1000, 100, 0.5)
+    (m,), = cut_masks(make_rng(1), [([(1000, 100)], 0.5, False)])
     assert set(np.unique(m)) <= {0.0, 1.0}
     # 3 sigma of Binomial(1e5, 0.5)
     assert abs(m.mean() - 0.5) < 3 * 0.5 / np.sqrt(100_000)
 
 
 def test_bernoulli_mask_rejects_bad_prob():
-    with pytest.raises(ValueError):
-        bernoulli_mask(make_rng(0), 2, 2, 1.5)
+    # a probability outside [0, 1] in any group, or no generator, is refused
+    # and the generator is left where it was
+    for p in (1.5, -0.1, float("nan")):
+        rng = make_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="mask probability"):
+            cut_masks(rng, [([(2, 2)], 0.5, False), ([(2, 2)], p, True)])
+        assert rng.bit_generator.state == state
+    with pytest.raises(ValueError, match="rng"):
+        cut_masks(None, [([(2, 2)], 0.5, False)])
 
 
 def test_cut_masks_have_the_bits_of_a_draw_per_group():
-    # the DHDA's three sets from one draw: each group's masks are the
-    # compares of a draw of its own, taken in order, a complement group's
-    # at or above p, and the generator ends where three draws leave it
-    groups = [([(3, 4), (3, 2)], 0.5, False), ([(3, 5)], 0.2, True),
-              ([(3, 4), (3, 2)], 0.5, False)]
-    rng, ref = make_rng(8), make_rng(8)
-    cut = numerics.cut_masks(rng, groups)
-    for masks, (shapes, p, complement) in zip(cut, groups):
-        for mask, shape in zip(masks, shapes):
-            u = ref.random(shape)
-            want = u >= p if complement else u < p
-            assert mask.dtype == np.float64
-            assert np.array_equal(mask, want.astype(np.float64))
-    assert rng.random() == ref.random()
-    with pytest.raises(ValueError, match="mask probability"):
-        numerics.cut_masks(make_rng(0), [([(1, 1)], 1.5, True)])
+    # the DHDA's three groups from one draw, and one complement group alone:
+    # each group's masks are the compares of a draw of its own, taken in
+    # order, a complement group's at or above p, and the generator ends
+    # where a draw per group leaves it
+    dropout, corruption = ([(3, 4), (3, 2)], 0.5, False), ([(3, 5)], 0.2, True)
+    for groups in ([dropout, corruption, dropout], [corruption]):
+        rng, ref = make_rng(8), make_rng(8)
+        cut = cut_masks(rng, groups)
+        for masks, (shapes, p, complement) in zip(cut, groups, strict=True):
+            for mask, shape in zip(masks, shapes, strict=True):
+                u = ref.random(shape)
+                want = u >= p if complement else u < p
+                assert mask.dtype == np.float64
+                assert np.array_equal(mask, want.astype(np.float64))
+        assert rng.random() == ref.random()
 
 
 def put_along_axis_one_hot(indices, n_classes):
@@ -592,7 +598,8 @@ def test_step_products_match_the_operator_forms(arch, n):
 
     # the DHDA's back-propagation step into the model itself
     state = corrupted_forward(params, x, hs, make_rng(1), 0.15, 1)
-    masks = dropout_masks(make_rng(2), [(n, h) for h in hidden], 0.5)
+    rng = make_rng(2)
+    masks = [rng.random((n, h)) < 0.5 for h in hidden]
     want = copied(params)
     operator_mf_bp_gradients(x, one_hot(labels, c), hs, state, params, w,
                              masks, out=want)
@@ -605,7 +612,8 @@ def test_step_products_match_the_operator_forms(arch, n):
                      operator_mlp_forward(mlp, x, [0.5] * len(hidden))[1])
     assert_same_bits(baseline.mlp_predict(mlp, x),
                      operator_mlp_forward(mlp, x, None)[1])
-    masks = dropout_masks(make_rng(3), [(n, h) for h in hidden], 0.5)
+    rng = make_rng(3)
+    masks = [rng.random((n, h)) < 0.5 for h in hidden]
     want = copied(mlp)
     operator_mlp_gradients(mlp, x, one_hot(labels, c), -w, masks, out=want)
     baseline.mlp_gradients(mlp, x, one_hot(labels, c), -w, 0.5, make_rng(3),

@@ -9,8 +9,7 @@ import pytest
 
 from hybridstream import (dhbm, dhda, estimators, experiments, kernels,
                           numerics, recognition, trainer)
-from hybridstream.numerics import (bernoulli_mask, dropout_masks, make_rng,
-                                  one_hot, row_targets)
+from hybridstream.numerics import cut_masks, make_rng, one_hot, row_targets
 from hybridstream.trainer import Trainer, TrainerConfig, beta_schedule
 
 
@@ -73,11 +72,10 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("lr", float("nan")), ("lr", float("inf")), ("alpha", -1.0),
-    ("alpha", float("nan")), ("beta_f", -0.5), ("beta_f", float("nan")),
-    ("t1", float("nan")), ("labeled_epoch_size", 0)])
+    ("lr", float("nan")), ("lr", float("inf")), ("beta_f", -0.5),
+    ("beta_f", float("nan")), ("t1", float("nan")), ("labeled_epoch_size", 0)])
 def test_config_rejects_values_that_poison_the_weights(field, value):
-    # lr, alpha and beta scale the row weights; a NaN t1 makes the annealed
+    # lr and beta scale the row weights; a NaN t1 makes the annealed
     # beta NaN, and an epoch size of 0 divides by zero at the first update
     with pytest.raises(ValueError, match=field):
         TrainerConfig(anneal=True, **{field: value})
@@ -103,7 +101,7 @@ def test_config_requires_integer_counts_and_a_bool_anneal(field, value):
 
 @pytest.mark.parametrize("field, value", [
     ("lr", "fast"), ("t1", None), ("keep_prob", "0.5"), ("corruption_p", "x"),
-    ("alpha", True), ("t2", float("inf"))])
+    ("beta_f", True), ("t2", float("inf"))])
 def test_config_requires_finite_real_numbers(field, value):
     # a string or None would fail with a TypeError that names no field, and
     # a bool or an infinite t2 would be taken as a number
@@ -203,20 +201,43 @@ def test_dropout_masks_match_per_layer_draws():
     # one draw cut into masks: the same uniforms, in the same order, as one
     # draw per shape, and the generator ends in the same state.  The masks
     # are float64 views of the one draw, the compare written into it; a keep_prob
-    # given as a 0-d operand gives the same masks; and two sets of the shapes
-    # in one call, as MF-CD draws them, are the masks of two calls
+    # given as a 0-d operand gives the same masks; and two groups of the
+    # shapes in one call, as MF-CD draws them, are the masks of two draws
     for shapes, p in itertools.product(DROPOUT_SHAPES, (0.6, 0.05)):
         for keep_prob, sets in itertools.product((p, numerics.constant(p)),
                                                  (1, 2)):
             rng, want_rng = make_rng(41), make_rng(41)
-            masks = dropout_masks(rng, shapes * sets, keep_prob)
+            cut = cut_masks(rng, [(shapes, keep_prob, False)] * sets)
+            assert len(cut) == sets
+            masks = [m for group in cut for m in group]
             assert len({id(m.base) for m in masks}) == 1
             assert masks[0].base.size == sum(math.prod(s) for s in shapes) * sets
             for m, shape in zip(masks, shapes * sets, strict=True):
-                want = bernoulli_mask(want_rng, *shape, p)
+                want = want_rng.random(shape) < p
                 assert m.dtype == np.float64 and m.shape == want.shape
                 assert np.array_equal(m, want)
             assert rng.random() == want_rng.random()
+
+
+@pytest.mark.parametrize("kind", ["dhbm-mf", "dhda", "mlp-pl"])
+def test_keep_prob_one_update_draws_no_dropout_mask(kind):
+    # at keep_prob 1 an update draws no drop-out mask: a dhbm-mf or mlp-pl
+    # update leaves the generator where it was, and a dhda update draws its
+    # corruption keep-masks alone
+    rng = make_rng(7)
+    model = experiments.build_model(kind, 4, [3, 3], 2,
+                                    TrainerConfig(keep_prob=1.0, num_steps=2),
+                                    rng)
+    data = make_rng(8)
+    x, y = mixed_batch(data.random((4, 4)), np.array([0, 1, 1, 0]),
+                       data.random((3, 4)))
+    want = copy.deepcopy(rng)
+    if kind == "dhda":
+        want.random(sum(math.prod(s)
+                        for s in dhda.keep_shapes(model.model, len(x), 2)))
+    model.predict(x)
+    model.update(x, y)
+    assert rng.bit_generator.state == want.bit_generator.state
 
 
 class CountingGenerator:
@@ -441,37 +462,33 @@ def test_step_is_lr_times_the_unit_weight_estimate(kind, monkeypatch):
     # the trainer puts lr into the row weights, negated for the recognition
     # net: each step is lr (-lr) times the gradient function's output at the
     # unscaled weights, and each net moves by exactly its step
-    lr, alpha, beta = 0.37, 0.8, 0.3
-    tr = make_trainer(kind, seed=80, lr=lr, alpha=alpha, beta_f=beta,
-                      n_particles=4, num_steps=2)
+    lr, beta = 0.37, 0.3
+    tr = make_trainer(kind, seed=80, lr=lr, beta_f=beta, n_particles=4,
+                      num_steps=2)
     rng = make_rng(81)
     x, labels = mixed_batch(rng.random((4, 4)), rng.integers(0, 2, 4),
                             rng.random((3, 4)))
     lab = labels >= 0
     name, w_at = GRADIENT_CALLS[kind]
-    w_unit = np.where(lab, alpha / 4, beta / 3)
-    w_rec_unit = np.where(lab, 1.0 / 4, beta / 3)
+    w_unit = np.where(lab, 1.0 / 4, beta / 3)
     model_seen = record_unit_weight_calls(monkeypatch, estimators, name, w_at,
                                           w_unit)
     rec_seen = record_unit_weight_calls(monkeypatch, recognition,
-                                        "rec_gradients", 3, w_rec_unit)
+                                        "rec_gradients", 3, w_unit)
     model_before, rec_before = tr.model.data.copy(), tr.rec.data.copy()
     tr.update(x, labels)
-    for seen, unit_w, sign in ((model_seen, w_unit, 1.0),
-                               (rec_seen, w_rec_unit, -1.0)):
-        assert_close(seen["w"], sign * lr * unit_w)
+    for seen, sign in ((model_seen, 1.0), (rec_seen, -1.0)):
+        assert_close(seen["w"], sign * lr * w_unit)
         assert_close(seen["step"], sign * lr * seen["unit"])
     assert np.array_equal(tr.model.data, model_before + model_seen["step"])
     assert np.array_equal(tr.rec.data, rec_before + rec_seen["step"])
 
 
 @each_kind
-@pytest.mark.parametrize("alpha", [0.5, 1.0])
-def test_alpha_scales_the_models_labeled_rows_alone(kind, alpha, monkeypatch):
-    # the model's row weights are alpha times the recognition net's on the
-    # labeled rows and the same on the unlabeled ones, bit for bit (the
-    # recognition net's come negated); the recognition net's do not move
-    # with alpha
+def test_model_and_recognition_net_share_one_row_weight_vector(kind,
+                                                              monkeypatch):
+    # the model's row weights are weighted_rows' weights and the recognition
+    # net's are the same weights negated, bit for bit
     seen = {}
 
     def capture(module, name, w_at):
@@ -490,14 +507,13 @@ def test_alpha_scales_the_models_labeled_rows_alone(kind, alpha, monkeypatch):
     x, labels = mixed_batch(rng.random((4, 4)), rng.integers(0, 2, 4),
                             rng.random((3, 4)))
     lab = labels >= 0
-    tr = make_trainer(kind, seed=91, alpha=alpha, beta_f=0.3, n_particles=4)
+    tr = make_trainer(kind, seed=91, beta_f=0.3, n_particles=4)
     tr.update(x, labels)
     lr = tr.config.lr
-    w_rec = np.where(lab, lr / 4, lr * 0.3 / 3)
+    w = np.where(lab, lr / 4, lr * 0.3 / 3)
     assert np.array_equal(seen["rec_gradients"].view(np.int64),
-                          (-w_rec).view(np.int64))
-    w_model = np.where(lab, alpha * w_rec, w_rec)
-    assert np.array_equal(seen[name].view(np.int64), w_model.view(np.int64))
+                          (-w).view(np.int64))
+    assert np.array_equal(seen[name].view(np.int64), w.view(np.int64))
 
 
 def trainer_state(tr):
