@@ -94,10 +94,13 @@ def mnist_paths(root=None, split="train"):
 
 
 def split_semi_supervised(dataset, n_labeled, n_valid, rng):
-    """Class-stratified disjoint (labeled, unlabeled, validation) split.
+    """Class-stratified disjoint (labeled, unlabeled, validation) row
+    indices into ``dataset``, each an int64 array.
 
-    The unlabeled part is the remainder with labels stripped (returned as
-    features only).
+    Labeled and validation rows come class by class, in each class's
+    permuted order; the unlabeled rows are the remainder, ascending.  Only
+    indices are made, so no pixel is copied: a run reads its rows from the
+    loaded images through them.
     """
     labels = dataset.labels
     classes = np.unique(labels)
@@ -117,8 +120,4 @@ def split_semi_supervised(dataset, n_labeled, n_valid, rng):
     taken = np.zeros(len(labels), dtype=bool)
     taken[lab_idx] = True
     taken[val_idx] = True
-    unlab_idx = np.flatnonzero(~taken)
-    labeled = IdxDataset(dataset.images[lab_idx], labels[lab_idx])
-    validation = IdxDataset(dataset.images[val_idx], labels[val_idx])
-    unlabeled = dataset.images[unlab_idx]
-    return labeled, unlabeled, validation
+    return lab_idx, np.flatnonzero(~taken), val_idx

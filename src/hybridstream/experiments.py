@@ -17,7 +17,7 @@ from .dhbm import HybridParams
 from .datasets import load_idx, mnist_paths, split_semi_supervised, unit_scale
 from .evaluation import CurveWriter, PrequentialState, summarize_trials, test_error
 from .numerics import check_type, constant, make_rng
-from .trainer import KINDS, Trainer, TrainerConfig
+from .trainer import KINDS, Trainer, TrainerConfig, keep_weakly
 
 STREAM_MODEL_KINDS = (*KINDS, "mlp-pl")
 MODEL_KINDS = (*KINDS, "mlp-pl", "mlp-lab")
@@ -102,33 +102,40 @@ def _stream_run(config):
 
 
 def _offline_run(config, dataset, test_set):
-    """(trainer config, architecture) of a config checked against its data.
-    The split takes n // classes rows of each class, so an n that is not a
-    multiple of the training set's class count is refused: it would take
-    fewer rows than the annealing schedule counts, and none below the count;
-    so is an n_unlabeled above the rows the split leaves, as it gets fewer."""
+    """(trainer config, architecture, (n_labeled, n_unlabeled, n_valid)) of
+    a config checked against its data; n_labeled and n_valid default to
+    1000 and n_unlabeled to every row those two leave.  The split takes
+    n // classes rows of each class, so an n that is not a multiple of the
+    training set's class count is refused: it would take fewer rows than
+    the annealing schedule counts, and none below the count; so is an
+    n_unlabeled above the rows the split leaves, as it gets fewer."""
     _check_keys(config, MNIST_KEYS)
     n_classes = len(np.unique(dataset.labels))
-    left = len(dataset.labels)
-    for key in ("n_labeled", "n_valid"):
-        n = config.get(key, 1000)
-        left -= n
+    sizes = {key: config.get(key, 1000) for key in ("n_labeled", "n_valid")}
+    for key, n in sizes.items():
         if n % n_classes:
             raise ValueError(f"{key} must be at least the {n_classes} classes "
                              f"of the training set and a multiple of that "
                              f"count, got {n}")
-    n = config.get("n_unlabeled", left)
-    if n > left:
+    n_labeled, n_valid = sizes.values()
+    left = len(dataset.labels) - n_labeled - n_valid
+    n_unlabeled = config.get("n_unlabeled", left)
+    if n_unlabeled > left:
         raise ValueError(f"n_unlabeled must be at most the {left} training "
-                         f"rows left after n_labeled and n_valid, got {n}")
+                         f"rows left after n_labeled and n_valid, got "
+                         f"{n_unlabeled}")
     n_labels = int(max(dataset.labels.max(), test_set.labels.max())) + 1
-    return (_trainer_config(config, anneal=True,
-                            labeled_epoch_size=config.get("n_labeled", 1000)),
-            _fit(config, dataset.images.shape[1], n_labels, "the data"))
+    return (_trainer_config(config, anneal=True, labeled_epoch_size=n_labeled),
+            _fit(config, dataset.images.shape[1], n_labels, "the data"),
+            (n_labeled, n_unlabeled, n_valid))
 
 
 class MlpPseudoLabelModel:
-    """Adapter giving the baseline MLP the trainer's update/predict surface."""
+    """Adapter giving the baseline MLP the trainer's update/predict surface.
+
+    Like Trainer, it keeps its last predict pass for the next update of the
+    same batch, held by a weak reference to that batch (keep_weakly).
+    """
 
     def __init__(self, n_visible, hidden_dims, n_classes, config, rng):
         self.params = baseline.init_mlp(n_visible, hidden_dims, n_classes, rng)
@@ -136,8 +143,8 @@ class MlpPseudoLabelModel:
         self.rng = rng
         # the masks' compare operand and predict's scale
         self.keep_prob = constant(config.keep_prob)
-        # (x, mlp_predict(params, x), mlp_first_layer(params, x)) of the
-        # last predict, until the next update
+        # keep_weakly(x, mlp_predict(params, x), mlp_first_layer(params, x))
+        # of the last predict, until the next update
         self._predicted = None
 
     def update(self, x, labels):
@@ -145,10 +152,11 @@ class MlpPseudoLabelModel:
         class probabilities and the unscaled first layer of the last
         predict() give the pseudo-labels and start the forward pass when `x`
         is the array object it was given (and not written since); they are
-        dropped either way."""
+        dropped either way, and a batch dropped since, or one that takes no
+        weak reference, gets a pass of its own."""
         predicted, self._predicted = self._predicted, None
         probs = first = None
-        if predicted is not None and predicted[0] is x:
+        if predicted is not None and predicted[0]() is x:
             probs, first = predicted[1:]
         cfg = self.config
         baseline.mlp_update(self.params, x, labels, cfg.lr, cfg.beta_f,
@@ -156,11 +164,11 @@ class MlpPseudoLabelModel:
 
     def predict(self, x):
         """Eval-mode class probabilities, kept with the unscaled first layer
-        for the next update() of `x`."""
+        for the next update() of `x`, by a weak reference to `x`."""
         self._predicted = None      # freed before the new pass, not after
         first = baseline.mlp_first_layer(self.params, x)
         probs = baseline.mlp_predict(self.params, x, self.keep_prob, first)
-        self._predicted = (x, probs, first)
+        self._predicted = keep_weakly(x, probs, first)
         return probs
 
 
@@ -260,45 +268,47 @@ def _trial_worker(args):
 
 
 def run_mnist_trial(config, trial, dataset, test_set):
-    """Offline semi-supervised run with validation-based model selection."""
-    trainer_cfg, (n_visible, hidden_dims, n_classes) = _offline_run(
-        config, dataset, test_set)
+    """Offline semi-supervised run with validation-based model selection:
+    each model ends with the parameters of its epoch of least validation
+    error, the first such epoch on a tie."""
+    trainer_cfg, (n_visible, hidden_dims, n_classes), \
+        (n_labeled, n_unlabeled, n_valid) = _offline_run(config, dataset, test_set)
     trial_seed = config.get("seed", 0) + 1000 * trial
-    rng = make_rng(trial_seed)
-    n_labeled = config.get("n_labeled", 1000)
-    n_valid = config.get("n_valid", 1000)
-    n_unlabeled = config.get("n_unlabeled")
-    labeled, unlabeled, validation = split_semi_supervised(
-        dataset, n_labeled, n_valid, rng)
-    if n_unlabeled is not None:
-        unlabeled = unlabeled[:n_unlabeled]
+    lab_idx, unlab_idx, val_idx = split_semi_supervised(
+        dataset, n_labeled, n_valid, make_rng(trial_seed))
+    # the pool holds row indices into the loaded images, the one copy of
+    # the training pixels kept through training and the final test
+    # prediction; a batch becomes float64 only when taken
+    pool = np.concatenate([lab_idx, unlab_idx[:n_unlabeled]])
+    pool_y = np.concatenate([dataset.labels[lab_idx],
+                             -np.ones(n_unlabeled, dtype=np.int64)])
+    valid_x, valid_y = dataset.images[val_idx], dataset.labels[val_idx]
     batch_size = config.get("batch_size", 10)
     epochs = config.get("epochs", 6)
-    pool_x = np.concatenate([labeled.images, unlabeled])
-    pool_y = np.concatenate([labeled.labels,
-                             -np.ones(len(unlabeled), dtype=np.int64)])
-    # the pool is the one copy of the training pixels kept through training
-    # and the final test prediction; a batch becomes float64 only when taken
-    del labeled, unlabeled
     results = {}
     for i, kind in enumerate(config.get("models", ["dhbm-mf", "mlp-lab"])):
         model = build_model(kind, n_visible, hidden_dims, n_classes,
                             trainer_cfg, make_rng(trial_seed + i + 1))
         epoch_rng = make_rng(trial_seed + 7919 + i)
+        # one snapshot per model, overwritten at each improvement; the first
+        # epoch always improves on inf, so it is written before it is read
+        params = _param_vectors(model)
+        best = [np.empty_like(v) for v in params]
         best_val = np.inf
-        best_snapshot = None
         for _ in range(epochs):
-            order = epoch_rng.permutation(len(pool_x))
+            order = epoch_rng.permutation(len(pool))
+            rows, row_labels = pool[order], pool_y[order]
             for start in range(0, len(order), batch_size):
-                idx = order[start:start + batch_size]
-                model.update(unit_scale(pool_x[idx]), pool_y[idx])
-            val_err = test_error(model.predict, validation.images,
-                                 validation.labels)
+                stop = start + batch_size
+                model.update(unit_scale(dataset.images[rows[start:stop]]),
+                             row_labels[start:stop])
+            val_err = test_error(model.predict, valid_x, valid_y)
             if val_err < best_val:
                 best_val = val_err
-                best_snapshot = _snapshot(model)
-        if best_snapshot is not None:
-            _restore(model, best_snapshot)
+                for saved, v in zip(best, params):
+                    saved[...] = v
+        for v, saved in zip(params, best):
+            v[...] = saved
         results[kind] = test_error(model.predict, test_set.images,
                                    test_set.labels)
     return results
@@ -308,15 +318,6 @@ def _param_vectors(model):
     if isinstance(model, MlpPseudoLabelModel):
         return [model.params.data]
     return [model.model.data, model.rec.data]
-
-
-def _snapshot(model):
-    return [v.copy() for v in _param_vectors(model)]
-
-
-def _restore(model, snapshot):
-    for v, saved in zip(_param_vectors(model), snapshot):
-        v[...] = saved
 
 
 def run_mnist_experiment(config, out_dir):

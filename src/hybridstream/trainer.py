@@ -4,6 +4,7 @@ and recognition-net steps, with drop-out masking, beta annealing, and
 prediction.
 """
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,17 @@ def beta_schedule(t, t1, t2, beta_f):
     if t < t2:
         return beta_f * (t - t1) / (t2 - t1)
     return beta_f
+
+
+def keep_weakly(x, *passes):
+    """The passes of a predict over batch `x`, held for the next update of
+    `x`: a weak reference to `x` leads them, so they keep alive no batch
+    that its caller has dropped.  None, and so nothing kept, when `x` takes
+    no weak reference, as a list does."""
+    try:
+        return (weakref.ref(x), *passes)
+    except TypeError:
+        return None
 
 
 def _masked(stats, masks):
@@ -88,7 +100,8 @@ class Trainer:
                 model, config.n_particles, rng)
         self.labeled_seen = 0
         self.updates = 0
-        # (x, recognize(rec, x)) of the last predict, until the next update
+        # keep_weakly(x, recognize(rec, x)) of the last predict, until the
+        # next update
         self._recognized = None
 
     def current_beta(self):
@@ -113,10 +126,12 @@ class Trainer:
         nothing, and the report says so.  The recognition pass of the last
         predict() is reused when `x` is the array object it was given (and
         not written since) and the update keeps every row; it is dropped
-        either way.
+        either way.  It is held by a weak reference to its batch, so a batch
+        its caller dropped before this update, or one that takes no weak
+        reference, gets a pass of its own.
         """
         recognized, self._recognized = self._recognized, None
-        v = recognized[1] if recognized is not None and recognized[0] is x else None
+        v = recognized[1] if recognized is not None and recognized[0]() is x else None
         whole = as_rows(x)
         cfg, rng = self.config, self.rng
         beta = self.current_beta()
@@ -189,9 +204,10 @@ class Trainer:
 
         Hidden statistics are scaled by keep_prob (drop-out expectation) in
         cond_y's one joined copy of them: the unscaled pass is kept for the
-        next update() of `x`.
+        next update() of `x` with a weak reference to `x` (keep_weakly), so
+        a scored batch is freed once its caller drops it.
         """
         self._recognized = None     # freed before the new pass, not after
         v = recognition.recognize(self.rec, as_rows(x))
-        self._recognized = (x, v)
+        self._recognized = keep_weakly(x, v)
         return dhbm.cond_y(self.model, v, scale=self.keep_prob)

@@ -103,21 +103,24 @@ def test_mnist_paths_env_fallback(monkeypatch):
 
 
 def test_split_semi_supervised_stratified_disjoint():
+    # int64 row indices, no copies: each class gives its share of labeled
+    # and validation rows, the three parts are disjoint and cover every row,
+    # and the unlabeled rows are the rest, ascending
     rng = make_rng(1)
     n = 300
     images = rng.random((n, 8))
     labels = np.repeat(np.arange(3), 100)
     ds = IdxDataset(images, labels)
     labeled, unlabeled, validation = split_semi_supervised(ds, 30, 15, rng)
-    assert len(labeled.labels) == 30
-    assert len(validation.labels) == 15
-    assert unlabeled.shape == (255, 8)
+    for part in (labeled, unlabeled, validation):
+        assert isinstance(part, np.ndarray) and part.dtype == np.int64
+    assert (len(labeled), len(unlabeled), len(validation)) == (30, 255, 15)
     for c in range(3):
-        assert np.sum(labeled.labels == c) == 10
-        assert np.sum(validation.labels == c) == 5
-    # disjointness via row identity
-    seen = {tuple(r) for r in labeled.images} | {tuple(r) for r in validation.images}
-    assert all(tuple(r) not in seen for r in unlabeled)
+        assert np.sum(labels[labeled] == c) == 10
+        assert np.sum(labels[validation] == c) == 5
+    together = np.concatenate([labeled, unlabeled, validation])
+    assert np.array_equal(np.sort(together), np.arange(n))
+    assert np.array_equal(unlabeled, np.sort(unlabeled))
 
 
 def test_split_semi_supervised_insufficient_class():

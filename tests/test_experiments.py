@@ -4,11 +4,13 @@ import hashlib
 import json
 import os
 import re
+import weakref
 
 import numpy as np
 import pytest
 
-from hybridstream import baseline, dhbm, evaluation, experiments, numerics
+from hybridstream import (baseline, dhbm, evaluation, experiments, numerics,
+                          recognition)
 from hybridstream.datasets import load_idx, mnist_paths, unit_scale
 from hybridstream.numerics import make_rng
 from hybridstream.streams import StreamConfig
@@ -304,6 +306,55 @@ def test_mlp_update_starts_from_the_kept_first_layer(monkeypatch):
             assert [f for f, _ in train] == [None, None]
 
 
+def stream_model(kind, seed):
+    cfg = TrainerConfig(keep_prob=0.5, beta_f=0.3, n_particles=4)
+    return experiments.build_model(kind, 6, [5, 4], 3, cfg, make_rng(seed))
+
+
+@pytest.mark.parametrize("kind", experiments.STREAM_MODEL_KINDS)
+def test_predict_keeps_no_dropped_batch_alive(kind):
+    # the kept pass holds its batch by a weak reference: a batch that its
+    # caller drops after predict, as test_error drops each scored chunk, is
+    # freed at once
+    model = stream_model(kind, 94)
+    x = make_rng(95).random((7, 6))
+    batch = weakref.ref(x)
+    model.predict(x)
+    del x
+    assert batch() is None
+
+
+@pytest.mark.parametrize("kind", experiments.STREAM_MODEL_KINDS)
+def test_list_batch_predicts_and_keeps_no_pass(kind, monkeypatch):
+    # a list takes no weak reference: it predicts the bits of the same rows
+    # as an array, and its update makes a pass of its own, where the update
+    # of a predicted array takes the kept one
+    model = stream_model(kind, 96)
+    rng = make_rng(97)
+    x, labels = mixed_batch(rng.random((4, 6)), rng.integers(0, 3, 4),
+                            rng.random((3, 6)))
+    rows = x.tolist()
+    want = model.predict(x)
+    assert np.array_equal(model.predict(rows).view(np.int64),
+                          want.view(np.int64))
+    # the pass each kind's predict keeps for the next update of its batch
+    module, name = ((baseline, "mlp_predict") if kind == "mlp-pl"
+                    else (recognition, "recognize"))
+    passes = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        passes.append(name)
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+    model.update(rows, labels)
+    assert passes == [name]
+    model.predict(x)
+    passes.clear()
+    model.update(x, labels)
+    assert passes == []
+
+
 def write_tiny_mnist(root, seed=0, n_classes=4, side=6):
     """Seeded IDX files under the MNIST names: a random template per class,
     each image flipping a tenth of its template's pixels."""
@@ -387,6 +438,47 @@ def test_offline_batches_are_scaled_as_taken(tmp_path, monkeypatch):
     for x in batches:
         assert x.dtype == np.float64 and x.shape == (10, 36)
         assert all(row.tobytes() in converted for row in x)
+
+
+def parameter_bytes(model):
+    if isinstance(model, Trainer):
+        return model.model.data.tobytes(), model.rec.data.tobytes()
+    return (model.params.data.tobytes(),)
+
+
+def test_offline_run_ends_at_the_best_validation_epoch(tmp_path, monkeypatch):
+    # each model's validation error improves after its first epoch in at
+    # least two epochs and is worse again at the last, and the test set is
+    # scored with the parameters of the best epoch, to the bit: the
+    # hybrid's model and recognition vectors, the MLP's one vector
+    write_tiny_mnist(tmp_path)
+    train = load_idx(*mnist_paths(str(tmp_path), "train"))
+    test = load_idx(*mnist_paths(str(tmp_path), "test"))
+    scored = {}
+    score = experiments.test_error
+
+    def recording(predict, features, labels):
+        err = score(predict, features, labels)
+        scored.setdefault(predict.__self__, []).append(
+            (len(labels), err, parameter_bytes(predict.__self__)))
+        return err
+
+    monkeypatch.setattr(experiments, "test_error", recording)
+    config = {"architecture": "36-16-4", "n_labeled": 40, "n_valid": 20,
+              "n_unlabeled": 60, "epochs": 6, "batch_size": 10,
+              "models": ["dhbm-mf", "mlp-lab"], "seed": 0,
+              "trainer": {"lr": 0.3, "keep_prob": 0.5, "anneal": True,
+                          "t1": 1, "t2": 2}}
+    experiments.run_mnist_trial(config, 0, train, test)
+    assert len(scored) == 2
+    for calls in scored.values():
+        *epochs, (n_test, _, tested) = calls
+        assert [n for n, _, _ in epochs] == [20] * 6 and n_test == 60
+        errors = [err for _, err, _ in epochs]
+        improved = [e < min(errors[:i]) for i, e in enumerate(errors) if i]
+        best = errors.index(min(errors))
+        assert sum(improved) >= 2 and errors[-1] > errors[best]
+        assert tested == epochs[best][2] != epochs[-1][2]
 
 
 @pytest.mark.parametrize("key", ["iteration", "label_fraction_uniform"])
