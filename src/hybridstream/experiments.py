@@ -110,7 +110,7 @@ def _offline_run(config, dataset, test_set):
     the annealing schedule counts, and none below the count; so is an
     n_unlabeled above the rows the split leaves, as it gets fewer."""
     _check_keys(config, MNIST_KEYS)
-    n_classes = len(np.unique(dataset.labels))
+    n_classes = np.count_nonzero(np.bincount(dataset.labels))
     sizes = {key: config.get(key, 1000) for key in ("n_labeled", "n_valid")}
     for key, n in sizes.items():
         if n % n_classes:

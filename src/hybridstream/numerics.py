@@ -21,7 +21,9 @@ batch enters a model through :func:`as_rows`.  A bool miss vector enters the
 prequential sum as it is, and a keep-mask is drawn as ``u >= p`` in one pass
 (cut_masks' `complement`), not as ``1 - (u < p)``.  ``np.count_nonzero``
 keeps its thin wrapper (0.3 us): numpy has no public entry to the C count
-behind it.
+behind it.  A run's path calls no numpy function whose first call imports
+a submodule that the run does not compute with: ``np.unique`` imports
+``numpy.ma``, so the offline run takes its classes from a bincount.
 
 The scalar rule: no Python number reaches a ufunc.  Under numpy 2's
 promotion rules (NEP 50) a Python float or int operand becomes a new 0-d

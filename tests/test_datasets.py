@@ -123,6 +123,26 @@ def test_split_semi_supervised_stratified_disjoint():
     assert np.array_equal(unlabeled, np.sort(unlabeled))
 
 
+def test_split_semi_supervised_with_gaps_between_classes():
+    # classes 0, 3 and 7: the split gives the indices of one built on
+    # np.unique's class list, class by class in ascending order
+    rng = make_rng(2)
+    labels = rng.permutation(np.repeat([0, 3, 7], [40, 50, 60]))
+    ds = IdxDataset(np.zeros((len(labels), 2), dtype=np.uint8), labels)
+    got = split_semi_supervised(ds, 12, 6, make_rng(5))
+    ref_rng = make_rng(5)
+    lab, val = [], []
+    for c in np.unique(labels):
+        idx = ref_rng.permutation(np.flatnonzero(labels == c))
+        lab.append(idx[:4])
+        val.append(idx[4:6])
+    lab, val = np.concatenate(lab), np.concatenate(val)
+    unlab = np.setdiff1d(np.arange(len(labels)), np.concatenate([lab, val]))
+    for part, want in zip(got, (lab, unlab, val)):
+        assert part.dtype == np.int64
+        assert np.array_equal(part, want)
+
+
 def test_split_semi_supervised_insufficient_class():
     ds = IdxDataset(np.zeros((4, 2)), np.array([0, 0, 1, 1]))
     with pytest.raises(ValueError):

@@ -4,6 +4,8 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -355,18 +357,20 @@ def test_list_batch_predicts_and_keeps_no_pass(kind, monkeypatch):
     assert passes == []
 
 
-def write_tiny_mnist(root, seed=0, n_classes=4, side=6):
+def write_tiny_mnist(root, seed=0, n_classes=4, side=6, classes=None):
     """Seeded IDX files under the MNIST names: a random template per class,
-    each image flipping a tenth of its template's pixels."""
+    each image flipping a tenth of its template's pixels.  The templates'
+    labels are `classes`, 0 to n_classes - 1 when it is None."""
     rng = make_rng(seed)
     templates = rng.random((n_classes, side * side)) < 0.3
+    names = np.arange(n_classes) if classes is None else np.asarray(classes)
     for split, n in (("train", 200), ("test", 60)):
         labels = rng.permutation(np.arange(n) % n_classes)
         on = templates[labels] ^ (rng.random((n, side * side)) < 0.1)
         images = np.where(on, 220, 20).reshape(n, side, side)
         tmp = root / split
         tmp.mkdir()
-        for written, wanted in zip(write_idx_pair(tmp, images, labels),
+        for written, wanted in zip(write_idx_pair(tmp, images, names[labels]),
                                    mnist_paths(str(root), split)):
             os.replace(written, wanted)
 
@@ -404,6 +408,69 @@ def test_run_mnist_experiment_offline_path(tmp_path):
     assert all(0.0 <= float(v) <= 1.0 for row in rows for v in row[1:])
     digest = hashlib.sha256((out / "summary.csv").read_bytes()).hexdigest()
     assert digest == OFFLINE_SUMMARY_SHA256
+
+
+# the offline sequence of perfbench/setup_probe.py, then one offline run and
+# one stream trial, in a fresh interpreter; prints the numpy.ma modules loaded
+FRESH_RUN = """
+import json, sys
+import numpy
+from hybridstream import experiments
+from hybridstream.numerics import make_rng
+from hybridstream.trainer import TrainerConfig
+root, out, mnist, stream = sys.argv[1:]
+n_visible, hidden, n_classes = experiments.parse_architecture("36-16-4")
+for i, kind in enumerate(["dhbm-mf", "mlp-lab"]):
+    experiments.build_model(kind, n_visible, hidden, n_classes,
+                            TrainerConfig(), make_rng(i + 1))
+from hybridstream import datasets
+train = datasets.load_idx(*datasets.mnist_paths(root, "train"))
+datasets.load_idx(*datasets.mnist_paths(root, "test"))
+datasets.split_semi_supervised(train, 40, 20, make_rng(0))
+experiments.run_mnist_experiment(json.loads(mnist), out + "/mnist")
+experiments.run_stream_trial(json.loads(stream), 0, out + "/stream")
+print(json.dumps(sorted(m for m in sys.modules
+                        if m == "numpy.ma" or m.startswith("numpy.ma."))))
+"""
+
+
+def test_no_run_imports_numpy_ma(tmp_path):
+    # numpy.ma's first import costs about 20 ms of a run's set-up, and no
+    # run computes with it; this process has it from the tests' own
+    # np.unique calls, so the run is made in a fresh interpreter
+    write_tiny_mnist(tmp_path)
+    mnist = {"architecture": "36-16-4", "n_labeled": 40, "n_valid": 20,
+             "n_unlabeled": 20, "epochs": 1, "batch_size": 10,
+             "models": ["dhbm-mf", "mlp-lab"], "data_root": str(tmp_path)}
+    stream = small_config(iterations=40, trials=1)
+    src = os.path.dirname(os.path.dirname(experiments.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", FRESH_RUN, str(tmp_path), str(tmp_path / "out"),
+         json.dumps(mnist), json.dumps(stream)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == []
+    assert (tmp_path / "out" / "mnist" / "summary.csv").stat().st_size > 0
+
+
+def test_offline_run_counts_only_the_present_classes(tmp_path, monkeypatch):
+    # labels 0, 3 and 7 with gaps between them: the split takes n // 3 rows
+    # of each present class, so 40 is refused as before and 30 passes every
+    # check; the architecture still has one output per label up to the
+    # largest
+    write_tiny_mnist(tmp_path, n_classes=3, classes=[0, 3, 7])
+    monkeypatch.setattr(experiments, "build_model", no_build)
+    config = {"architecture": "36-16-8", "n_labeled": 40, "n_valid": 30,
+              "epochs": 1, "data_root": str(tmp_path)}
+    with pytest.raises(ValueError, match="^n_labeled must be at least the 3 "
+                                         "classes of the training set and a "
+                                         "multiple of that count, got 40$"):
+        experiments.run_mnist_experiment(config, str(tmp_path / "refused"))
+    with pytest.raises(AssertionError, match="a model was built"):
+        experiments.run_mnist_experiment(dict(config, n_labeled=30),
+                                         str(tmp_path / "passed"))
 
 
 def test_offline_batches_are_scaled_as_taken(tmp_path, monkeypatch):
