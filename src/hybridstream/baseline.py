@@ -1,13 +1,14 @@
 """Comparison model: drop-out rectifier feed-forward network trained with
 supervised back-propagation plus a weighted pseudo-label gradient on
 unlabeled samples (entropy-regularization self-training), one weighted
-pass per batch.
+pass per batch: MlpPseudoLabelModel, and the functions of its math.
 """
 
 import numpy as np
 
 from .numerics import (ZERO, DenseParams, add_product, as_rows, cut_masks,
-                       one_hot, row_targets, softmax, weighted_rows)
+                       one_hot, row_targets, softmax)
+from .trainer import Learner
 
 EPS = 1e-12
 
@@ -21,21 +22,13 @@ def init_mlp(n_visible, hidden_dims, n_classes, rng, weight_std=0.01):
     return params
 
 
-def mlp_first_layer(params, x):
-    """Layer 0's rectified activations of `x`, unscaled: max(x W_0' + b_0, 0).
-    A prediction and the next update of the same batch at the same
-    parameters both start from them (mlp_forward's `first`)."""
-    h = as_rows(x).dot(params.Ws[0].T)
-    np.add(h, params.bs[0], out=h)
-    return np.maximum(h, ZERO, out=h)
-
-
 def mlp_forward(params, x, scales, first=None):
     """(hidden activations, class probs) of rectifier layers over the 2-D
     float64 row batch `x`, hidden layer l times scales[l] (drop-out masks in
     training, keep_prob in prediction, None for neither), and a softmax.
-    `first`, when given, is mlp_first_layer(params, x); it is only read, so
-    its scaled copy is a new array."""
+    `first`, when given, is layer 0's unscaled rectified activations of
+    `x`, max(x W_0' + b_0, 0); it is only read, so its scaled copy is a new
+    array."""
     hidden = []
     below = x
     for l, (W, b) in enumerate(zip(params.Ws[:-1], params.bs[:-1])):
@@ -66,8 +59,7 @@ def mlp_gradients(params, x, y_onehot, w, keep_prob=1.0, rng=None,
     1; drop-out without `rng` raises ValueError), added into `out`.  Weights
     of 1/n give the batch average; weights of -lr with `params` itself as
     `out` take a descent step, as every layer's delta is computed before any
-    weight moves.
-    `first` is mlp_first_layer(params, x) when the caller has it."""
+    weight moves.  `first` is mlp_forward's, when the caller has it."""
     masks = None
     if float(keep_prob) < 1.0:
         masks, = cut_masks(rng, [([(len(x), len(b)) for b in params.bs[:-1]],
@@ -94,36 +86,59 @@ def mlp_gradients(params, x, y_onehot, w, keep_prob=1.0, rng=None,
     return out
 
 
-def mlp_update(params, x, labels, lr, beta, keep_prob=1.0, rng=None,
-               probs=None, first=None):
-    """One descent step on log-loss(labeled) + beta * log-loss(unlabeled,
-    pseudo-labels), each the mean over its rows, in one weighted pass.
-
-    `labels` holds a class index per row of `x`, negative where the row is
-    unlabeled.  The rows of weighted_rows enter the step with their
-    weights, which carry lr, and their row_targets of `probs`:
-    mlp_predict(params, x, keep_prob) at the current parameters, or a fresh
-    prediction when None (an unlabeled row is kept only when every row is).
-    `first`, mlp_first_layer(params, x) at the current parameters when
-    given, starts the forward pass when every row is kept.  One forward and
-    one backward pass add the step into `params` through the negated
-    weights.  A step that keeps no row changes nothing.
-    """
-    whole = as_rows(x)
-    x, labels, lab, w = weighted_rows(whole, np.asarray(labels), lr, beta)
-    if len(x) == 0:
-        return params
-    if probs is None and not lab.all():
-        probs = mlp_predict(params, x, keep_prob)
-    targets = one_hot(row_targets(labels, lab, probs), len(params.bs[-1]))
-    return mlp_gradients(params, x, targets, -w, keep_prob, rng,
-                         first if x is whole else None, out=params)
-
-
 def mlp_predict(params, x, keep_prob=1.0, first=None):
     """Class probabilities of `x`, each hidden layer times keep_prob (a
-    number or a 0-d array); `first` is mlp_first_layer(params, x) when the
-    caller has it."""
+    number or a 0-d array); `first` is mlp_forward's, when the caller has
+    it."""
     scales = (None if float(keep_prob) >= 1.0
               else [keep_prob] * (len(params.Ws) - 1))
     return mlp_forward(params, as_rows(x), scales, first)[1]
+
+
+class MlpPseudoLabelModel(Learner):
+    """The MLP with the hybrids' update/predict surface (trainer.Learner)."""
+
+    def __init__(self, n_visible, hidden_dims, n_classes, config, rng):
+        super().__init__(config, rng)
+        self.params = init_mlp(n_visible, hidden_dims, n_classes, rng)
+
+    def param_vectors(self):
+        return [self.params.data]
+
+    def update(self, x, labels):
+        """One descent step on log-loss(labeled) + beta * log-loss(unlabeled,
+        pseudo-labels), each the mean over its rows, in one weighted pass.
+
+        `labels` holds a class index per row of `x`, negative where the row
+        is unlabeled.  The rows of weighted_rows enter the step with their
+        weights, which carry lr, and their row_targets of the class
+        probabilities of the last predict() when the prologue (_rows) hands
+        them on, with the first layer that starts the forward pass, else of
+        an eval pass of its own (made only when a kept row is unlabeled).
+        One forward and one backward pass add the step into the parameters
+        through the negated weights.  An update that keeps no row changes
+        nothing, and the report says so.
+        """
+        taken = self._rows(x, labels)
+        if taken is None:
+            return {"updated": False, "beta": None}
+        x, labels, lab, w, beta, passes = taken
+        probs, first = (None, None) if passes is None else passes
+        if probs is None and not lab.all():
+            probs = mlp_predict(self.params, x, self.keep_prob)
+        targets = one_hot(row_targets(labels, lab, probs),
+                          len(self.params.bs[-1]))
+        mlp_gradients(self.params, x, targets, -w, self.keep_prob, self.rng,
+                      first, out=self.params)
+        return {"updated": True, "beta": beta}
+
+    def predict(self, x):
+        """Eval-mode class probabilities, kept with layer 0's unscaled
+        rectified activations for the next update() of `x` (_keep)."""
+        self._kept = None      # freed before the new pass, not after
+        first = as_rows(x).dot(self.params.Ws[0].T)
+        np.add(first, self.params.bs[0], out=first)
+        np.maximum(first, ZERO, out=first)
+        probs = mlp_predict(self.params, x, self.keep_prob, first)
+        self._keep(x, probs, first)
+        return probs

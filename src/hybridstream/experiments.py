@@ -12,12 +12,13 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import baseline, streams
+from . import streams
+from .baseline import MlpPseudoLabelModel
 from .dhbm import HybridParams
 from .datasets import load_idx, mnist_paths, split_semi_supervised, unit_scale
 from .evaluation import CurveWriter, PrequentialState, summarize_trials, test_error
 from .numerics import check_type, constant, make_rng
-from .trainer import KINDS, Trainer, TrainerConfig, keep_weakly
+from .trainer import KINDS, Trainer, TrainerConfig
 
 STREAM_MODEL_KINDS = (*KINDS, "mlp-pl")
 MODEL_KINDS = (*KINDS, "mlp-pl", "mlp-lab")
@@ -128,48 +129,6 @@ def _offline_run(config, dataset, test_set):
     return (_trainer_config(config, anneal=True, labeled_epoch_size=n_labeled),
             _fit(config, dataset.images.shape[1], n_labels, "the data"),
             (n_labeled, n_unlabeled, n_valid))
-
-
-class MlpPseudoLabelModel:
-    """Adapter giving the baseline MLP the trainer's update/predict surface.
-
-    Like Trainer, it keeps its last predict pass for the next update of the
-    same batch, held by a weak reference to that batch (keep_weakly).
-    """
-
-    def __init__(self, n_visible, hidden_dims, n_classes, config, rng):
-        self.params = baseline.init_mlp(n_visible, hidden_dims, n_classes, rng)
-        self.config = config
-        self.rng = rng
-        # the masks' compare operand and predict's scale
-        self.keep_prob = constant(config.keep_prob)
-        # keep_weakly(x, mlp_predict(params, x), mlp_first_layer(params, x))
-        # of the last predict, until the next update
-        self._predicted = None
-
-    def update(self, x, labels):
-        """One step on a batch; a negative label marks an unlabeled row.  The
-        class probabilities and the unscaled first layer of the last
-        predict() give the pseudo-labels and start the forward pass when `x`
-        is the array object it was given (and not written since); they are
-        dropped either way, and a batch dropped since, or one that takes no
-        weak reference, gets a pass of its own."""
-        predicted, self._predicted = self._predicted, None
-        probs = first = None
-        if predicted is not None and predicted[0]() is x:
-            probs, first = predicted[1:]
-        cfg = self.config
-        baseline.mlp_update(self.params, x, labels, cfg.lr, cfg.beta_f,
-                            self.keep_prob, self.rng, probs, first)
-
-    def predict(self, x):
-        """Eval-mode class probabilities, kept with the unscaled first layer
-        for the next update() of `x`, by a weak reference to `x`."""
-        self._predicted = None      # freed before the new pass, not after
-        first = baseline.mlp_first_layer(self.params, x)
-        probs = baseline.mlp_predict(self.params, x, self.keep_prob, first)
-        self._predicted = keep_weakly(x, probs, first)
-        return probs
 
 
 def build_model(kind, n_visible, hidden_dims, n_classes, config, rng):
@@ -292,7 +251,7 @@ def run_mnist_trial(config, trial, dataset, test_set):
         epoch_rng = make_rng(trial_seed + 7919 + i)
         # one snapshot per model, overwritten at each improvement; the first
         # epoch always improves on inf, so it is written before it is read
-        params = _param_vectors(model)
+        params = model.param_vectors()
         best = [np.empty_like(v) for v in params]
         best_val = np.inf
         for _ in range(epochs):
@@ -312,12 +271,6 @@ def run_mnist_trial(config, trial, dataset, test_set):
         results[kind] = test_error(model.predict, test_set.images,
                                    test_set.labels)
     return results
-
-
-def _param_vectors(model):
-    if isinstance(model, MlpPseudoLabelModel):
-        return [model.params.data]
-    return [model.model.data, model.rec.data]
 
 
 def run_mnist_experiment(config, out_dir):

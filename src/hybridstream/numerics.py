@@ -342,10 +342,10 @@ def as_rows(x):
 
 
 def weighted_rows(x, labels, lr, beta):
-    """(x, labels, labeled-row mask, step weights) of the rows of the batch
-    `x` that enter a step, given its labels (an array, negative where a row
-    is unlabeled): lr/n_lab on each labeled row, lr*beta/n_unlab on each
-    unlabeled one, a count of 0 taken as 1.  At beta 0 the unlabeled rows
+    """(x, labels, labeled-row mask, step weights, n_lab) of the rows of the
+    batch `x` that enter a step, given its labels (an array, negative where
+    a row is unlabeled): lr/n_lab on each labeled row, lr*beta/n_unlab on
+    each unlabeled one, a count of 0 taken as 1.  At beta 0 the unlabeled rows
     weigh nothing and are left out; `x` and `labels` come back as given
     when every row is kept.  Raises ValueError unless `labels` holds one
     label per row."""
@@ -353,11 +353,11 @@ def weighted_rows(x, labels, lr, beta):
         raise ValueError(f"labels of shape {labels.shape} for a batch of "
                          f"{len(x)} rows: one label per row is needed")
     lab = np.greater_equal(labels, _INT_ZERO)
-    if beta == 0.0 and not lab.all():
-        x, labels, lab = x[lab], labels[lab], lab[lab]
     n_lab = int(np.count_nonzero(lab))
+    if beta == 0.0 and n_lab < len(lab):
+        x, labels, lab = x[lab], labels[lab], lab[lab]
     return x, labels, lab, np.where(lab, lr / max(n_lab, 1),
-                                    lr * beta / max(len(lab) - n_lab, 1))
+                                    lr * beta / max(len(lab) - n_lab, 1)), n_lab
 
 
 def row_targets(labels, lab, probs):

@@ -1,7 +1,8 @@
 """Single-parameter-update orchestration: one weighted pass per batch of
 recognition, pseudo-labeling, mean-field, the model kind's estimator, model
 and recognition-net steps, with drop-out masking, beta annealing, and
-prediction.
+prediction.  Learner holds what the hybrids' Trainer shares with the
+baseline MLP, the update prologue among it.
 """
 
 import weakref
@@ -27,17 +28,6 @@ def beta_schedule(t, t1, t2, beta_f):
     if t < t2:
         return beta_f * (t - t1) / (t2 - t1)
     return beta_f
-
-
-def keep_weakly(x, *passes):
-    """The passes of a predict over batch `x`, held for the next update of
-    `x`: a weak reference to `x` leads them, so they keep alive no batch
-    that its caller has dropped.  None, and so nothing kept, when `x` takes
-    no weak reference, as a list does."""
-    try:
-        return (weakref.ref(x), *passes)
-    except TypeError:
-        return None
 
 
 def _masked(stats, masks):
@@ -76,39 +66,82 @@ class TrainerConfig:
             raise ValueError("corruption_p must lie in [0, 1]")
 
 
-class Trainer:
-    """Owns a hybrid model of one of KINDS, its recognition co-network and
-    update state.
+class Learner:
+    """What both model families share: the config and generator, keep_prob
+    as a 0-d operand, the labeled rows seen (which anneal beta), the passes
+    of the last predict, kept for the next update of its batch, and the
+    update prologue.  Trainer and baseline.MlpPseudoLabelModel each define
+    their own predict, update and param_vectors.
 
     Not safe for concurrent calls on the same instance.
     """
 
-    def __init__(self, kind, model, config, rng):
-        if kind not in KINDS:
-            raise ValueError(f"unknown model kind {kind!r}")
-        self.kind = kind
-        self.model = model
+    def __init__(self, config, rng):
         self.config = config
         self.rng = rng
-        # the config values a step hands to a ufunc, as 0-d operands
+        # the drop-out masks' compare operand and predict's scale
         self.keep_prob = constant(config.keep_prob)
-        self.corruption_p = constant(config.corruption_p)
-        self.rec = recognition.init_from_model(model)
-        self.particles = None
-        if kind == "dhbm-sap":
-            self.particles = estimators.FantasyParticles.initialize(
-                model, config.n_particles, rng)
         self.labeled_seen = 0
         self.updates = 0
-        # keep_weakly(x, recognize(rec, x)) of the last predict, until the
-        # next update
-        self._recognized = None
+        # (weak reference to x, passes) of the last predict, until the next
+        # update
+        self._kept = None
 
     def current_beta(self):
         if not self.config.anneal:
             return self.config.beta_f
         t = self.labeled_seen / self.config.labeled_epoch_size
         return beta_schedule(t, self.config.t1, self.config.t2, self.config.beta_f)
+
+    def _keep(self, x, *passes):
+        """Keep the passes of a predict over batch `x` for the next update,
+        behind a weak reference to `x`, so that they keep alive no batch
+        its caller has dropped; none when `x` takes no weak reference, as a
+        list does."""
+        try:
+            self._kept = (weakref.ref(x), passes)
+        except TypeError:
+            self._kept = None
+
+    def _rows(self, x, labels):
+        """The update prologue: (rows, labels, lab, w, beta, passes) of
+        weighted_rows over batch `x` at the current beta, its labeled rows
+        counted, or None when it keeps no row.  `passes` are the last
+        predict's when `x` is the array object it was given (and not written
+        since) and every row is kept, else None; they are dropped either
+        way."""
+        kept, self._kept = self._kept, None
+        whole = as_rows(x)
+        beta = self.current_beta()
+        rows, labels, lab, w, n_lab = weighted_rows(
+            whole, np.asarray(labels), self.config.lr, beta)
+        if len(rows) == 0:
+            return None
+        self.labeled_seen += n_lab
+        self.updates += 1
+        same = kept is not None and kept[0]() is x and rows is whole
+        return rows, labels, lab, w, beta, kept[1] if same else None
+
+
+class Trainer(Learner):
+    """Owns a hybrid model of one of KINDS, its recognition co-network and
+    update state."""
+
+    def __init__(self, kind, model, config, rng):
+        if kind not in KINDS:
+            raise ValueError(f"unknown model kind {kind!r}")
+        super().__init__(config, rng)
+        self.kind = kind
+        self.model = model
+        self.corruption_p = constant(config.corruption_p)
+        self.rec = recognition.init_from_model(model)
+        self.particles = None
+        if kind == "dhbm-sap":
+            self.particles = estimators.FantasyParticles.initialize(
+                model, config.n_particles, rng)
+
+    def param_vectors(self):
+        return [self.model.data, self.rec.data]
 
     def update(self, x, labels):
         """One Algorithm-1 step over a batch: one recognition-net step, one
@@ -124,23 +157,15 @@ class Trainer:
         net's own parameters as `out` and adds the step into them inside its
         products.  An update that keeps no row changes nothing, draws
         nothing, and the report says so.  The recognition pass of the last
-        predict() is reused when `x` is the array object it was given (and
-        not written since) and the update keeps every row; it is dropped
-        either way.  It is held by a weak reference to its batch, so a batch
-        its caller dropped before this update, or one that takes no weak
-        reference, gets a pass of its own.
+        predict() stands in for the update's own when the prologue (_rows)
+        hands it on.
         """
-        recognized, self._recognized = self._recognized, None
-        v = recognized[1] if recognized is not None and recognized[0]() is x else None
-        whole = as_rows(x)
-        cfg, rng = self.config, self.rng
-        beta = self.current_beta()
-        x, labels, lab, w = weighted_rows(whole, np.asarray(labels), cfg.lr,
-                                          beta)
-        if len(x) == 0:
+        taken = self._rows(x, labels)
+        if taken is None:
             return {"updated": False, "beta": None}
-        if v is None or x is not whole:     # the kept pass covers every row
-            v = recognition.recognize(self.rec, x)
+        x, labels, lab, w, beta, passes = taken
+        v = recognition.recognize(self.rec, x) if passes is None else passes[0]
+        cfg, rng = self.config, self.rng
         # every mask of the step is cut from one draw, as nothing draws
         # between them: a drop-out group for the statistics, MF-CD's second
         # for its mean-field statistics, and the DHDA's corruption keep-masks
@@ -195,8 +220,6 @@ class Trainer:
         # constants.  Negated weights make the step a descent step, to the
         # bit the subtraction of the gradient
         recognition.rec_gradients(self.rec, x, mu_clean, -w, v, out=self.rec)
-        self.labeled_seen += int(np.count_nonzero(lab))
-        self.updates += 1
         return {"updated": True, "beta": beta}
 
     def predict(self, x):
@@ -204,10 +227,9 @@ class Trainer:
 
         Hidden statistics are scaled by keep_prob (drop-out expectation) in
         cond_y's one joined copy of them: the unscaled pass is kept for the
-        next update() of `x` with a weak reference to `x` (keep_weakly), so
-        a scored batch is freed once its caller drops it.
+        next update() of `x` (_keep).
         """
-        self._recognized = None     # freed before the new pass, not after
+        self._kept = None     # freed before the new pass, not after
         v = recognition.recognize(self.rec, as_rows(x))
-        self._recognized = keep_weakly(x, v)
+        self._keep(x, v)
         return dhbm.cond_y(self.model, v, scale=self.keep_prob)

@@ -7,7 +7,19 @@ from hypothesis import strategies as st
 
 from hybridstream import baseline
 from hybridstream.numerics import cut_masks, make_rng, one_hot, softmax
+from hybridstream.trainer import TrainerConfig
 from test_trainer import mixed_batch, record_unit_weight_calls
+
+
+def mlp_learner(dims, rng, weight_std, **config):
+    """An MlpPseudoLabelModel of `dims` whose weights, at `weight_std`, and
+    drop-out masks are drawn from `rng`."""
+    model = baseline.MlpPseudoLabelModel(dims[0], dims[1:-1], dims[-1],
+                                         TrainerConfig(**config), make_rng(0))
+    model.params = baseline.init_mlp(dims[0], dims[1:-1], dims[-1], rng,
+                                     weight_std=weight_std)
+    model.rng = rng
+    return model
 
 
 def test_zero_params_uniform_output():
@@ -93,11 +105,12 @@ def test_gradients_match_finite_differences():
 
 
 def test_update_zero_lr_is_identity():
-    p = baseline.init_mlp(4, [3], 2, make_rng(4), weight_std=0.5)
-    before = p.data.copy()
+    model = mlp_learner([4, 3, 2], make_rng(4), 0.5, lr=0.0, beta_f=0.5,
+                        keep_prob=1.0)
+    before = model.params.data.copy()
     x = make_rng(5).random((4, 4))
-    baseline.mlp_update(p, *mixed_batch(x, np.array([0, 1, 0, 1]), x), 0.0, 0.5)
-    assert np.array_equal(before, p.data)
+    model.update(*mixed_batch(x, np.array([0, 1, 0, 1]), x))
+    assert np.array_equal(before, model.params.data)
 
 
 def test_beta_zero_ignores_unlabeled():
@@ -106,14 +119,13 @@ def test_beta_zero_ignores_unlabeled():
     x = make_rng(6).random((4, 4))
     y = np.array([0, 1, 1, 0])
     u = make_rng(7).random((6, 4))
-    p1 = baseline.init_mlp(4, [3], 2, make_rng(8), weight_std=0.5)
-    p2 = p1.zeros_like()
-    p2.data[...] = p1.data
-    rng1, rng2 = make_rng(9), make_rng(9)
-    baseline.mlp_update(p1, *mixed_batch(x, y, u), 0.1, 0.0, 0.5, rng1)
-    baseline.mlp_update(p2, x, y, 0.1, 0.0, 0.5, rng2)
-    assert np.array_equal(p1.data, p2.data)
-    assert rng1.bit_generator.state == rng2.bit_generator.state
+    config = dict(lr=0.1, beta_f=0.0, keep_prob=0.5)
+    a = mlp_learner([4, 3, 2], make_rng(8), 0.5, **config)
+    b = mlp_learner([4, 3, 2], make_rng(8), 0.5, **config)
+    a.update(*mixed_batch(x, y, u))
+    b.update(x, y)
+    assert np.array_equal(a.params.data, b.params.data)
+    assert a.rng.bit_generator.state == b.rng.bit_generator.state
 
 
 def test_supervised_training_fits_toy_set():
@@ -121,10 +133,11 @@ def test_supervised_training_fits_toy_set():
     n = 40
     x = rng.random((n, 4))
     y = (x[:, 0] + x[:, 1] > x[:, 2] + x[:, 3]).astype(int)
-    p = baseline.init_mlp(4, [16], 2, make_rng(10), weight_std=0.3)
+    model = mlp_learner([4, 16, 2], make_rng(10), 0.3, lr=0.2, beta_f=0.0,
+                        keep_prob=1.0)
     for _ in range(400):
-        baseline.mlp_update(p, x, y, 0.2, 0.0)
-    pred = np.argmax(baseline.mlp_predict(p, x), axis=1)
+        model.update(x, y)
+    pred = np.argmax(model.predict(x), axis=1)
     assert np.mean(pred != y) < 0.1
 
 
@@ -207,39 +220,41 @@ def test_update_steps_along_the_sum_of_sides():
     # 1/n_lab) + beta * g(unlabeled rows, 1/n_unlab), the unlabeled rows
     # carrying the argmax of the eval pass as their targets
     rng = make_rng(41)
-    p = baseline.init_mlp(6, [5, 4], 3, rng, weight_std=0.5)
+    lr, beta = 0.2, 0.3
+    model = mlp_learner([6, 5, 4, 3], rng, 0.5, lr=lr, beta_f=beta,
+                        keep_prob=1.0)
+    p = model.params
     x_lab, x_unlab = rng.random((4, 6)), rng.random((5, 6))
     y_lab = one_hot(rng.integers(0, 3, 4), 3)
     y_unlab = one_hot(np.argmax(baseline.mlp_predict(p, x_unlab), axis=1), 3)
-    lr, beta = 0.2, 0.3
     sides = baseline.mlp_gradients(p, x_lab, y_lab, np.full(4, 0.25),
                                    out=p.zeros_like()).data \
         + beta * baseline.mlp_gradients(p, x_unlab, y_unlab, np.full(5, 0.2),
                                         out=p.zeros_like()).data
     before = p.data.copy()
-    baseline.mlp_update(p, *mixed_batch(x_lab, np.argmax(y_lab, axis=1), x_unlab),
-                        lr, beta)
+    model.update(*mixed_batch(x_lab, np.argmax(y_lab, axis=1), x_unlab))
     assert_close((before - p.data) / lr, sides)
 
 
 def test_update_is_lr_times_the_unit_weight_gradient(monkeypatch):
-    # mlp_update puts -lr into the row weights: the step it adds is -lr
+    # the update puts -lr into the row weights: the step it adds is -lr
     # times the gradient at weights 1/n_lab and beta/n_unlab, under the same
     # drop-out draw, and the parameters move by exactly that step
     lr, beta = 0.37, 0.3
     rng = make_rng(42)
-    p = baseline.init_mlp(6, [5, 4], 3, rng, weight_std=0.5)
+    model = mlp_learner([6, 5, 4, 3], rng, 0.5, lr=lr, beta_f=beta,
+                        keep_prob=0.5)
+    model.rng = make_rng(43)
     x, labels = mixed_batch(rng.random((4, 6)), rng.integers(0, 3, 4),
                             rng.random((5, 6)))
     w_unit = np.where(labels >= 0, 1.0 / 4, beta / 5)
     seen = record_unit_weight_calls(monkeypatch, baseline, "mlp_gradients", 3,
                                     w_unit)
-    before = p.data.copy()
-    baseline.mlp_update(p, x, labels, lr, beta, keep_prob=0.5,
-                        rng=make_rng(43))
+    before = model.params.data.copy()
+    model.update(x, labels)
     assert_close(seen["w"], -lr * w_unit)
     assert_close(seen["step"], -lr * seen["unit"])
-    assert np.array_equal(p.data, before + seen["step"])
+    assert np.array_equal(model.params.data, before + seen["step"])
 
 
 # (dims, labeled rows, beta, seed): a batch of both sides, and one whose
@@ -288,8 +303,6 @@ def test_dropout_requires_rng():
     with pytest.raises(ValueError, match="rng"):
         baseline.mlp_gradients(p, np.ones((1, 4)), one_hot([0], 2), np.ones(1),
                                keep_prob=0.5, out=p.zeros_like())
-    with pytest.raises(ValueError, match="rng"):
-        baseline.mlp_update(p, np.ones((1, 4)), [0], 0.1, 0.3, keep_prob=0.5)
 
 
 def test_update_bits_pinned():
@@ -298,11 +311,10 @@ def test_update_bits_pinned():
     # into the row weights of the one weighted pass; the same under one and
     # two BLAS threads
     rng = make_rng(24)
-    p = baseline.init_mlp(24, [12, 12], 10, rng, weight_std=0.1)
+    model = mlp_learner([24, 12, 12, 10], rng, 0.1, lr=0.1, beta_f=0.3,
+                        keep_prob=0.5)
     for _ in range(10):
-        baseline.mlp_update(p, *mixed_batch(rng.random((6, 24)),
-                                            rng.integers(0, 10, 6),
-                                            rng.random((4, 24))),
-                            0.1, 0.3, keep_prob=0.5, rng=rng)
-    assert hashlib.sha256(p.data.tobytes()).hexdigest() == \
+        model.update(*mixed_batch(rng.random((6, 24)), rng.integers(0, 10, 6),
+                                  rng.random((4, 24))))
+    assert hashlib.sha256(model.params.data.tobytes()).hexdigest() == \
         "67c76f34183806da40ce093b3bb0e9eaf9fad706bf1655efc3260345d57daea4"

@@ -16,9 +16,9 @@ from hybridstream import (baseline, dhbm, evaluation, experiments, numerics,
 from hybridstream.datasets import load_idx, mnist_paths, unit_scale
 from hybridstream.numerics import make_rng
 from hybridstream.streams import StreamConfig
-from hybridstream.trainer import Trainer, TrainerConfig
+from hybridstream.trainer import TrainerConfig
 from test_datasets import write_idx_pair
-from test_trainer import mixed_batch, trainer_state
+from test_trainer import learner_state, mixed_batch
 
 
 def test_parse_architecture():
@@ -183,14 +183,6 @@ def test_updates_after_the_first_build_no_container(kind, monkeypatch):
 MODEL_KINDS = ["dhbm-mf", "dhbm-sap", "dhda", "mlp-pl", "mlp-lab"]
 
 
-def written_state(model):
-    """Bytes of everything an update writes: parameters, particles, rng."""
-    if isinstance(model, Trainer):
-        return trainer_state(model)
-    return [model.params.data.tobytes(),
-            repr(model.rng.bit_generator.state).encode()]
-
-
 @pytest.mark.parametrize("n_labels", [1, 5, 30])
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_update_refuses_a_label_count_other_than_the_row_count(kind, n_labels):
@@ -201,82 +193,24 @@ def test_update_refuses_a_label_count_other_than_the_row_count(kind, n_labels):
     model = experiments.build_model(kind, 6, [5, 4], 3, cfg, make_rng(32))
     rng = make_rng(33)
     x, labels = rng.random((20, 6)), rng.integers(-1, 3, n_labels)
-    before = written_state(model)
+    before = learner_state(model)
     with pytest.raises(ValueError, match=rf"\({n_labels},\).* 20 rows"):
         model.update(x, labels)
-    assert written_state(model) == before
+    assert learner_state(model) == before
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_empty_batch_is_a_noop(kind):
     cfg = TrainerConfig(keep_prob=0.5, beta_f=0.3, n_particles=4)
     model = experiments.build_model(kind, 6, [5, 4], 3, cfg, make_rng(34))
-    before = written_state(model)
+    before = learner_state(model)
     model.update(np.empty((0, 6)), np.empty(0, dtype=int))
-    assert written_state(model) == before
+    assert learner_state(model) == before
 
 
 def mlp_model(kind, seed):
     cfg = TrainerConfig(keep_prob=0.5, beta_f=0.3)
     return experiments.build_model(kind, 6, [5, 4], 3, cfg, make_rng(seed))
-
-
-@pytest.mark.parametrize("kind", ["mlp-pl", "mlp-lab"])
-def test_mlp_predict_then_update_matches_update_alone(kind):
-    # predict's kept probabilities give the update the same pseudo-labels as
-    # the update's own eval pass: parameters and rng state agree after every
-    # step
-    def run(with_predict):
-        model = mlp_model(kind, 80)
-        rng = make_rng(81)
-        states = []
-        for _ in range(5):
-            x, labels = mixed_batch(rng.random((4, 6)), rng.integers(0, 3, 4),
-                                    rng.random((3, 6)))
-            if with_predict:
-                model.predict(x)
-            model.update(x, labels)
-            states.append((model.params.data.tobytes(),
-                           repr(model.rng.bit_generator.state)))
-        return states
-
-    assert run(True) == run(False)
-
-
-@pytest.mark.parametrize("kind", ["mlp-pl", "mlp-lab"])
-def test_mlp_update_takes_the_kept_eval_pass(kind, monkeypatch):
-    # a predict and an update of the same array make one eval forward pass
-    # between them; an equal copy or another batch gets a fresh one, a kept
-    # pass serves one update only, and an mlp-lab update makes none
-    model = mlp_model(kind, 90)
-    modes = []
-
-    def counting(name, mode):
-        fn = getattr(baseline, name)
-
-        def counted(*args, **kwargs):
-            modes.append(mode)
-            return fn(*args, **kwargs)
-        monkeypatch.setattr(baseline, name, counted)
-
-    # every forward pass is mlp_predict's or the one of mlp_gradients
-    counting("mlp_predict", "eval")
-    counting("mlp_gradients", "train")
-    rng = make_rng(91)
-    x, labels = mixed_batch(rng.random((4, 6)), rng.integers(0, 3, 4),
-                            rng.random((3, 6)))
-    other = rng.random(x.shape)
-    fresh = ["eval"] if kind == "mlp-pl" else []
-    for updated, expected in ((x, []), (x.copy(), fresh), (other, fresh)):
-        model.predict(x)
-        assert modes == ["eval"]
-        modes.clear()
-        model.update(updated, labels)
-        assert modes == expected + ["train"]
-        modes.clear()
-        model.update(x, labels)
-        assert modes == fresh + ["train"]
-        modes.clear()
 
 
 def test_mlp_update_starts_from_the_kept_first_layer(monkeypatch):
@@ -508,9 +442,7 @@ def test_offline_batches_are_scaled_as_taken(tmp_path, monkeypatch):
 
 
 def parameter_bytes(model):
-    if isinstance(model, Trainer):
-        return model.model.data.tobytes(), model.rec.data.tobytes()
-    return (model.params.data.tobytes(),)
+    return tuple(v.tobytes() for v in model.param_vectors())
 
 
 def test_offline_run_ends_at_the_best_validation_epoch(tmp_path, monkeypatch):
@@ -836,15 +768,21 @@ def run_every_kind_on(stream, arch, tmp_path):
 
 
 def update_offline(kind, refuse, monkeypatch):
+    # the models anneal, as an offline run's do: the batches hold 3, 2 and
+    # 6 labeled rows, and labeled epochs of 2 put the first batch before t1,
+    # where it trains at beta 0 on its labeled rows alone, the second on
+    # the ramp and the third at beta_f (mlp-lab's 0)
     rng = make_rng(3)
     pixels = rng.integers(0, 256, size=(30, 36)).astype(np.uint8)
     labels = np.where(rng.random(30) < 0.5, rng.integers(0, 4, size=30), -1)
-    model = experiments.build_model(kind, 36, [8, 8], 4, TrainerConfig(),
-                                    make_rng(4))
+    config = TrainerConfig(anneal=True, labeled_epoch_size=2, t1=1, t2=2)
+    model = experiments.build_model(kind, 36, [8, 8], 4, config, make_rng(4))
     refuse(monkeypatch)
-    for start in range(0, 30, 10):
-        model.update(unit_scale(pixels[start:start + 10]),
-                     labels[start:start + 10])
+    betas = [model.update(unit_scale(pixels[start:start + 10]),
+                          labels[start:start + 10])["beta"]
+             for start in range(0, 30, 10)]
+    assert betas == ([0.0] * 3 if kind == "mlp-lab"
+                     else [0.0, pytest.approx(0.05), 0.1])
     evaluation.test_error(model.predict, pixels, np.abs(labels))
 
 

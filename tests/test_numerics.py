@@ -267,7 +267,8 @@ def test_weighted_rows_weigh_each_side_by_its_mean(beta):
     # every row comes back as the same arrays
     x = np.arange(10.0).reshape(5, 2)
     labels = np.array([-1, 2, -1, 0, -1])
-    kept_x, kept_labels, lab, w = weighted_rows(x, labels, 0.6, beta)
+    kept_x, kept_labels, lab, w, n_lab = weighted_rows(x, labels, 0.6, beta)
+    assert n_lab == 2
     if beta:
         assert kept_x is x and kept_labels is labels
         assert np.array_equal(w, [0.06, 0.3, 0.06, 0.3, 0.06])
@@ -286,8 +287,10 @@ def test_weighted_rows_keep_no_unlabeled_row_at_beta_zero():
     # an unlabeled batch at beta 0 keeps no row; at beta > 0 its rows share
     # lr*beta, the empty labeled side counted as 1
     x = np.ones((4, 3))
-    kept_x, kept_labels, lab, w = weighted_rows(x, np.full(4, -1), 0.5, 0.0)
+    kept_x, kept_labels, lab, w, n_lab = weighted_rows(x, np.full(4, -1), 0.5,
+                                                       0.0)
     assert kept_x.shape == (0, 3) and len(kept_labels) == len(lab) == len(w) == 0
+    assert n_lab == 0
     assert np.array_equal(weighted_rows(x, np.full(4, -1), 0.5, 0.2)[3],
                           np.full(4, 0.025))
 

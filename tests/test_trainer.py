@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hybridstream import (dhbm, dhda, estimators, experiments, kernels,
-                          numerics, recognition, trainer)
+from hybridstream import (baseline, dhbm, dhda, estimators, experiments,
+                          kernels, numerics, recognition, trainer)
 from hybridstream.numerics import cut_masks, make_rng, one_hot, row_targets
 from hybridstream.trainer import Trainer, TrainerConfig, beta_schedule
 
@@ -24,9 +24,21 @@ def make_trainer(kind="dhbm-mf", seed=0, **kw):
     return Trainer(kind, model, TrainerConfig(**kw), make_rng(seed + 1))
 
 
+def make_learner(kind, seed=0, **kw):
+    """A 4-3-3-2 model of any of experiments.MODEL_KINDS: make_trainer's for
+    a hybrid kind, else build_model's."""
+    if kind in trainer.KINDS:
+        return make_trainer(kind, seed, **kw)
+    return experiments.build_model(kind, 4, [3, 3], 2, TrainerConfig(**kw),
+                                   make_rng(seed))
+
+
 # the procedure each hybrid kind trains by names its test cases
 PROCEDURES = {"dhbm-mf": "mf-cd", "dhbm-sap": "sap", "dhda": "mf-bp"}
 each_kind = pytest.mark.parametrize("kind", trainer.KINDS, ids=PROCEDURES.get)
+# the hybrids' cases keep their names, the MLP kinds' are their kinds
+each_model_kind = pytest.mark.parametrize(
+    "kind", experiments.MODEL_KINDS, ids=lambda kind: PROCEDURES.get(kind, kind))
 
 
 def test_readme_library_example_runs():
@@ -346,7 +358,7 @@ def test_hoisted_input_product_has_the_per_step_bits(kind, monkeypatch):
         tr = make_trainer(kind, seed=70, n_particles=4, num_steps=3)
         for x, labels in batches:
             tr.update(x, labels)
-        states.append(trainer_state(tr))
+        states.append(learner_state(tr))
     assert len(products) == 12
     assert all(p is products[0] for p in products[:3])
     assert all(p is not None for p in products)
@@ -516,20 +528,22 @@ def test_model_and_recognition_net_share_one_row_weight_vector(kind,
     assert np.array_equal(seen[name].view(np.int64), w.view(np.int64))
 
 
-def trainer_state(tr):
+def learner_state(model):
     """Bytes of everything an update writes: parameters, particles, rng."""
-    parts = [tr.model.data.tobytes(), tr.rec.data.tobytes(),
-             repr(tr.rng.bit_generator.state).encode()]
-    if tr.particles is not None:
-        parts += [a.tobytes() for a in (tr.particles.x, *tr.particles.hs,
-                                         tr.particles.y)]
+    parts = [v.tobytes() for v in model.param_vectors()]
+    parts.append(repr(model.rng.bit_generator.state).encode())
+    particles = getattr(model, "particles", None)
+    if particles is not None:
+        parts += [a.tobytes() for a in (particles.x, *particles.hs,
+                                         particles.y)]
     return parts
 
 
 @pytest.mark.parametrize("keep_prob", [0.5, 1.0])
-@each_kind
+@each_model_kind
 def test_predict_then_update_matches_update_alone(kind, keep_prob):
-    # predict's kept recognition pass gives the update the same bits as the
+    # predict's kept pass (the hybrids' recognition pass, the MLP's class
+    # probabilities and first layer) gives the update the same bits as the
     # update's own pass: parameters, particles and rng state agree after
     # every step.  At beta 0 the update keeps only the labeled rows and so
     # makes its own pass over them; the annealed run leaves beta 0 after
@@ -541,17 +555,17 @@ def test_predict_then_update_matches_update_alone(kind, keep_prob):
 
 def assert_predict_then_update_matches(kind, keep_prob, beta_cfg):
     def run(with_predict):
-        tr = make_trainer(kind, seed=60, keep_prob=keep_prob,
-                          n_particles=4, num_steps=2, **beta_cfg)
+        model = make_learner(kind, seed=60, keep_prob=keep_prob,
+                             n_particles=4, num_steps=2, **beta_cfg)
         rng = make_rng(61)
         states = []
         for _ in range(5):
             x, labels = mixed_batch(rng.random((4, 4)), rng.integers(0, 2, 4),
                                     rng.random((3, 4)))
             if with_predict:
-                tr.predict(x)
-            tr.update(x, labels)
-            states.append(trainer_state(tr))
+                model.predict(x)
+            model.update(x, labels)
+            states.append(learner_state(model))
         return states
 
     assert run(True) == run(False)
@@ -562,15 +576,16 @@ def assert_predict_then_update_matches(kind, keep_prob, beta_cfg):
 INTERLEAVED = [4, 0, 1, 5, 2, 6, 3]
 
 
-@each_kind
+@each_model_kind
 def test_beta_zero_update_is_the_update_of_the_labeled_rows(kind):
     # at beta 0 the unlabeled rows weigh nothing and leave the batch before
     # any pass or draw: a mixed batch, predicted first or not, leaves the
     # same parameters, particles, generator state, counters and report as
-    # its labeled rows alone
-    def run(mixed, with_predict):
-        tr = make_trainer(kind, seed=90, beta_f=0.0, n_particles=4,
-                          num_steps=2)
+    # its labeled rows alone.  So does an annealed run before t1 (3 epochs
+    # of 10 labeled rows; the 16 rows here reach 1.6), whatever its beta_f
+    def run(mixed, with_predict, beta_cfg):
+        model = make_learner(kind, seed=90, n_particles=4, num_steps=2,
+                             **beta_cfg)
         rng = make_rng(91)
         states = []
         for _ in range(4):
@@ -579,71 +594,110 @@ def test_beta_zero_update_is_the_update_of_the_labeled_rows(kind):
             x, labels = (x[INTERLEAVED], labels[INTERLEAVED]) if mixed \
                 else (x_lab, y_lab)
             if with_predict:
-                tr.predict(x)
-            report = tr.update(x, labels)
-            states.append((trainer_state(tr), tr.labeled_seen, tr.updates,
-                           report))
+                model.predict(x)
+            report = model.update(x, labels)
+            states.append((learner_state(model), model.labeled_seen,
+                           model.updates, report))
         return states
 
-    want = run(False, False)
-    assert want[-1][1:] == (16, 4, {"updated": True, "beta": 0.0})
-    assert run(True, False) == want
-    assert run(True, True) == want
+    for beta_cfg in ({"beta_f": 0.0},
+                     {"anneal": True, "labeled_epoch_size": 10, "beta_f": 0.3}):
+        want = run(False, False, beta_cfg)
+        assert want[-1][1:] == (16, 4, {"updated": True, "beta": 0.0})
+        assert run(True, False, beta_cfg) == want
+        assert run(True, True, beta_cfg) == want
 
 
-@each_kind
+@each_model_kind
 def test_beta_zero_update_of_unlabeled_rows_changes_nothing(kind, monkeypatch):
-    # no row of the batch carries weight: no recognition pass, no drop-out
-    # or corruption draw, no sweep, and nothing written but the kept pass of
-    # the predict before it, which is dropped
-    tr = make_trainer(kind, seed=93, beta_f=0.0, n_particles=4)
+    # no row of the batch carries weight: no recognition or forward pass, no
+    # drop-out or corruption draw, no sweep, and nothing written but the
+    # kept pass of the predict before it, which is dropped
+    model = make_learner(kind, seed=93, beta_f=0.0, n_particles=4)
     x = make_rng(94).random((5, 4))
-    tr.predict(x)
+    model.predict(x)
     calls = count_calls(monkeypatch, (
         (recognition, "recognize"), (dhbm, "cond_y"),
         (dhbm, "mean_field_step"), (dhda, "dhda_forward"),
         (kernels, "gibbs_sweeps"), (estimators, "mf_cd_gradients"),
         (estimators, "mf_bp_gradients"), (estimators, "sap_gradients"),
-        (recognition, "rec_gradients")))
-    before = trainer_state(tr)
-    assert tr.update(x, np.full(5, -1)) == {"updated": False, "beta": None}
+        (recognition, "rec_gradients"), (baseline, "mlp_forward"),
+        (baseline, "mlp_gradients")))
+    before = learner_state(model)
+    assert model.update(x, np.full(5, -1)) == {"updated": False, "beta": None}
     assert calls == []
-    assert trainer_state(tr) == before
-    assert (tr.labeled_seen, tr.updates, tr._recognized) == (0, 0, None)
+    assert learner_state(model) == before
+    assert (model.labeled_seen, model.updates, model._kept) == (0, 0, None)
 
 
-@each_kind
+def kept_arrays(model):
+    """Every array of the pass that `model` keeps from its last predict."""
+    return [a for p in model._kept[1]
+            for a in (p if isinstance(p, list) else [p])]
+
+
+@each_model_kind
 def test_update_of_another_array_recognizes_afresh(kind, monkeypatch):
-    # the kept pass serves only the array object predict was given: an equal
-    # copy, or another batch, takes its own recognition pass, and the pass is
-    # dropped after one update whatever it was given
-    tr = make_trainer(kind, seed=70, n_particles=4)
-    calls = count_calls(monkeypatch, ((recognition, "recognize"),))
+    # the kept pass serves only the array object predict was given and an
+    # update that keeps every row (mlp-lab's beta 0 leaves out the
+    # unlabeled rows): an equal copy, another batch or a batch that loses
+    # rows gets its own pass, which the bits of a twin that never predicted
+    # show, and the kept pass is dropped after one update whatever it was
+    # given.  The kept pass is filled with NaN, so an update that takes it
+    # writes a non-finite parameter, and makes no pass of its own: no
+    # recognition pass, and no MLP eval pass, which an update makes only
+    # for a kept unlabeled row
+    passes = count_calls(monkeypatch, ((recognition, "recognize"),
+                                       (baseline, "mlp_predict")))
     rng = make_rng(71)
     x, labels = mixed_batch(rng.random((4, 4)), rng.integers(0, 2, 4),
                             rng.random((3, 4)))
+    x_lab, y_lab = x[:4], labels[:4]
     other = rng.random(x.shape)
-    for predicted, updated, fresh in ((x, x.copy(), 1), (x, other, 1),
-                                      (x, x, 0)):
-        tr.predict(predicted)
-        calls.clear()
-        tr.update(updated, labels)
-        assert len(calls) == fresh
-        calls.clear()
-        tr.update(x, labels)
-        assert len(calls) == 1
+    for predicted, updated, y, taken in (
+            (x, x.copy(), labels, False), (x, other, labels, False),
+            (x, x, labels, kind != "mlp-lab"), (x_lab, x_lab, y_lab, True)):
+        model, twin = (make_learner(kind, seed=70, beta_f=0.3, n_particles=4)
+                       for _ in range(2))
+        model.predict(predicted)
+        for a in kept_arrays(model):
+            a.fill(np.nan)
+        passes.clear()
+        model.update(updated, y)
+        own_pass = kind in trainer.KINDS or (kind == "mlp-pl" and (y < 0).any())
+        assert len(passes) == (0 if taken else int(own_pass))
+        twin.update(updated, y)
+        assert model._kept is None
+        finite = all(np.isfinite(v).all() for v in model.param_vectors())
+        assert finite != taken
+        if not taken:
+            assert learner_state(model) == learner_state(twin)
+            model.update(predicted, y)
+            twin.update(predicted, y)
+            assert learner_state(model) == learner_state(twin)
 
 
 @pytest.mark.parametrize("keep_prob", [0.5, 1.0])
 def test_predict_scales_a_copy_of_each_layer(keep_prob):
-    # the same bits as cond_y of every recognition statistic times keep_prob,
-    # and the kept pass stays unscaled
-    tr = make_trainer(seed=45, keep_prob=keep_prob)
+    # every kind predicts the bits of its pass with each hidden layer times
+    # keep_prob, and keeps the pass unscaled for the next update: the
+    # hybrids cond_y of their recognition statistics, the MLP its eval pass
+    # and layer 0's rectified activations
     x = make_rng(46).random((5, 4))
-    v = recognition.recognize(tr.rec, x)
-    want = dhbm.cond_y(tr.model, [s * keep_prob for s in v])
-    assert np.array_equal(tr.predict(x).view(np.int64), want.view(np.int64))
-    assert all(np.array_equal(a, b) for a, b in zip(tr._recognized[1], v))
+    for kind in experiments.MODEL_KINDS:
+        model = make_learner(kind, seed=45, keep_prob=keep_prob)
+        if kind in trainer.KINDS:
+            v = recognition.recognize(model.rec, x)
+            want = dhbm.cond_y(model.model, [s * keep_prob for s in v])
+        else:
+            p = model.params
+            want = baseline.mlp_predict(p, x, keep_prob)
+            v = [want, np.maximum(x @ p.Ws[0].T + p.bs[0], 0.0)]
+        assert np.array_equal(model.predict(x).view(np.int64),
+                              want.view(np.int64))
+        kept = kept_arrays(model)
+        assert len(kept) == len(v)
+        assert all(np.array_equal(a, b) for a, b in zip(kept, v))
 
 
 def test_predict_shapes_and_normalization():
